@@ -68,7 +68,6 @@ from .fields import (
     cov_matrix,
     empirical_field,
     l2_norm_expectation,
-    sample_gaussian_field,
     tangent_cov,
     tangent_mean,
 )

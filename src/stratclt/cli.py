@@ -13,9 +13,9 @@ Exit codes: 0 ok, 2 statistical failure, 3 input/precondition failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,6 +45,7 @@ EXIT_NUMERICAL = 4
 
 _PURPOSE_GAUSSIAN = 20
 _PURPOSE_FIELD_EMPIRICAL = 21
+COVER_N_MAX = 16
 
 _F = fl.format_float
 
@@ -64,17 +65,6 @@ def _sha256_file(path: str) -> str:
     with open(path, "rb") as fh:
         h.update(fh.read())
     return h.hexdigest()
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("STRATCLT_THREADS")
-        value = int(env) if env else 1
-    if value == 0:
-        value = os.cpu_count() or 1
-    if value < 0:
-        raise ConfigError("--threads must be >= 0")
-    return value
 
 
 def _write_manifest(outdir: Path, command: str, config_path: str | None,
@@ -101,9 +91,8 @@ def _dump_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +180,12 @@ def _report_csvs(report: hz.CLTReport, outdir: Path) -> list[str]:
         emit("increments.csv", inc_rows)
 
     if report.martingale is not None:
-        rows = [("direction", "descriptor", "residual", "bound", "passed")]
+        rows = [("direction", "descriptor", "residual", "bound", "cross_moment",
+                 "cross_bound", "passed")]
         for r in report.martingale["directions"]:
             rows.append((r["direction"], net_desc[r["direction"]],
-                         _F(r["residual"]), _F(r["bound"]), r["passed"]))
+                         _F(r["residual"]), _F(r["bound"]), _F(r["cross_moment"]),
+                         _F(r["cross_bound"]), r["passed"]))
         emit("martingale.csv", rows)
 
     if report.modulus is not None:
@@ -203,9 +194,8 @@ def _report_csvs(report: hz.CLTReport, outdir: Path) -> list[str]:
 
 
 def cmd_clt(args) -> int:
-    threads = _resolve_threads(args.threads)
     raw = _load_json(args.config)
-    cfg = hz.config_from_json(raw, seed=args.seed, threads=threads)
+    cfg = hz.config_from_json(raw, seed=args.seed)
     try:
         report = hz.run_clt_experiment(cfg)
     except LocalizationError as exc:
@@ -234,6 +224,13 @@ def cmd_clt(args) -> int:
 # cover
 
 
+def _json_arg(name: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name} is not valid JSON: {exc}") from exc
+
+
 def cmd_cover(args) -> int:
     if args.config:
         raw = _load_json(args.config)
@@ -243,9 +240,12 @@ def cmd_cover(args) -> int:
     else:
         if not args.space or args.base is None:
             raise ConfigError("cover needs --config or both --space and --base")
-        space = geo.SpaceSpec.from_json(json.loads(args.space))
-        base = geo.Point.of(space, json.loads(args.base))
+        space = geo.SpaceSpec.from_json(_json_arg("--space", args.space))
+        base = geo.Point.of(space, _json_arg("--base", args.base))
         n_max = args.n_max
+    if n_max > COVER_N_MAX:
+        # the finest net has about 2^n_max directions
+        raise ConfigError(f"--n-max must be <= {COVER_N_MAX}, got {n_max}")
     profile = rg.dimension_constant(base, n_max)
     summary = {
         "d_estimate": profile.d_estimate,
@@ -294,7 +294,7 @@ def cmd_field(args) -> int:
     if args.empirical_n:
         sim = hz._FieldSimulator(measure, base, net)
         emp = sim.field_rows(args.seed, _PURPOSE_FIELD_EMPIRICAL, 0,
-                             args.empirical_n, args.draws, 1)
+                             args.empirical_n, args.draws)
         fl.write_fields_csv(outdir / "empirical_draws.csv", net, emp)
         outputs.append("empirical_draws.csv")
     _write_manifest(outdir, "field", args.config, args.seed, outputs)
@@ -323,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_clt.add_argument("--config", required=True, help="experiment JSON file")
     p_clt.add_argument("--seed", required=True, type=int)
     p_clt.add_argument("--out", required=True, help="output directory")
-    p_clt.add_argument("--threads", type=int, default=None,
-                       help="worker threads (0 = auto)")
     p_clt.add_argument("--format", choices=("json", "csv", "both"),
                        default="both")
     p_clt.set_defaults(func=cmd_clt)

@@ -9,6 +9,7 @@ small dense computations on P.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -210,11 +211,6 @@ class GaussianFieldSampler:
         return FieldOnNet(self.cov.net, self.draw_matrix(stream, 1)[0], "gaussian")
 
 
-def sample_gaussian_field(sampler: GaussianFieldSampler,
-                          stream: np.random.Generator) -> FieldOnNet:
-    return sampler.draw(stream)
-
-
 def l2_norm_expectation(cov: CovMatrix) -> float:
     """Quadrature of the diagonal kernel against the net weights."""
     if cov.net.weights is None:
@@ -231,16 +227,17 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_matrix_csv(path, header, values: np.ndarray):
+    # descriptors such as 'vec:1,0' contain commas; csv quotes them
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([format_float(x) for x in row] for row in values)
+
+
 def write_fields_csv(path, net: DirectionNet, values: np.ndarray):
-    values = np.atleast_2d(values)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(net.descriptors()) + "\n")
-        for row in values:
-            fh.write(",".join(format_float(x) for x in row) + "\n")
+    _write_matrix_csv(path, net.descriptors(), np.atleast_2d(values))
 
 
 def write_cov_csv(path, cov: CovMatrix):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cov.net.descriptors()) + "\n")
-        for row in cov.entries:
-            fh.write(",".join(format_float(x) for x in row) + "\n")
+    _write_matrix_csv(path, cov.net.descriptors(), cov.entries)

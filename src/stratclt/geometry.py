@@ -141,15 +141,26 @@ class Point:
     def __post_init__(self):
         sp = self.space
         c = self.coords
+        arity = sp.dim if sp.kind == EUCLIDEAN else 3 if sp.kind == OPEN_BOOK else 2
+        if len(c) != arity:
+            raise DomainError(f"{sp.kind} point needs {arity} coordinates, got {len(c)}")
+        try:
+            if sp.kind == SPIDER:
+                c = (int(c[0]), float(c[1]))
+            elif sp.kind == OPEN_BOOK:
+                c = (int(c[0]), float(c[1]), float(c[2]))
+            elif sp.kind == FLAT_CONE:
+                c = (float(c[0]), float(c[1]))
+            else:
+                c = tuple(float(x) for x in c)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"malformed {sp.kind} coordinates {c!r}") from exc
         if sp.kind == EUCLIDEAN:
-            if len(c) != sp.dim:
-                raise DomainError(f"expected {sp.dim} coordinates, got {len(c)}")
-            c = tuple(float(x) for x in c)
             _check_finite(c)
         elif sp.kind == SPIDER:
-            leg, r = int(c[0]), float(c[1])
+            leg, r = c
             _check_finite((r,))
-            if len(c) != 2 or not 0 <= leg < sp.legs:
+            if not 0 <= leg < sp.legs:
                 raise DomainError("spider point is (leg, r) with 0 <= leg < k")
             if r < 0:
                 raise DomainError("spider radius must be >= 0")
@@ -157,9 +168,9 @@ class Point:
                 leg = 0
             c = (leg, r)
         elif sp.kind == OPEN_BOOK:
-            page, s, t = int(c[0]), float(c[1]), float(c[2])
+            page, s, t = c
             _check_finite((s, t))
-            if len(c) != 3 or not 0 <= page < sp.pages:
+            if not 0 <= page < sp.pages:
                 raise DomainError("open book point is (page, s, t) with 0 <= page < k")
             if t < 0:
                 raise DomainError("open book height t must be >= 0")
@@ -167,10 +178,8 @@ class Point:
                 page = 0
             c = (page, s, t)
         elif sp.kind == FLAT_CONE:
-            r, phi = float(c[0]), float(c[1])
+            r, phi = c
             _check_finite((r, phi))
-            if len(c) != 2:
-                raise DomainError("flat cone point is (r, phi)")
             if r < 0:
                 raise DomainError("cone radius must be >= 0")
             phi = phi % sp.circumference if r > 0.0 else 0.0
@@ -179,7 +188,10 @@ class Point:
 
     @staticmethod
     def of(space: SpaceSpec, coords) -> "Point":
-        return Point(space, tuple(coords))
+        try:
+            return Point(space, tuple(coords))
+        except TypeError as exc:
+            raise DomainError(f"point coordinates must be a list, got {coords!r}") from exc
 
     def to_coords(self) -> list:
         return list(self.coords)

@@ -1,14 +1,15 @@
 """Seeded Monte Carlo verification of tangent-field Gaussian limits.
 
 For a localized discrete measure, the scaled empirical field on a net
-is simulated replicate by replicate and compared against the exactly
-computable tangent covariance: entrywise covariance error, per-direction
-normal KS distances, a whitened chi-square statistic, fourth-moment and
-increment-moment bounds with their explicit two-term constants, a
-partial-sum martingale residual, and modulus-of-continuity tables.
+is simulated from batched multinomial atom counts and compared against
+the exactly computable tangent covariance: entrywise covariance error,
+per-direction normal KS distances, a whitened chi-square statistic,
+fourth-moment and increment-moment bounds with their explicit two-term
+constants, a partial-sum martingale residual and head-increment
+cross-moment, and modulus-of-continuity tables.
 
-Every replicate draws its stream from (seed, purpose, n index, replicate
-index), so reports are bit-identical across runs and worker counts.
+Each sample size draws all its replicates from the stream of (seed,
+purpose, n index), so reports are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import fields as fl
 from . import geometry as geo
@@ -107,7 +106,6 @@ class ExperimentConfig:
     martingale: MartingaleSpec = field(default_factory=MartingaleSpec)
     modulus: ModulusSpec = field(default_factory=ModulusSpec)
     validation: dict = field(default_factory=dict)
-    threads: int = 1
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.sample_sizes)
@@ -168,8 +166,9 @@ def _directions_from_spec(base: Point, spec: dict):
                       "legs/signs/angles/page_angles/vectors")
 
 
-def config_from_json(obj: dict, seed: int, threads: int = 1) -> ExperimentConfig:
-    """Build an ExperimentConfig from its JSON form plus the run seed."""
+def config_from_json(obj: dict, seed: int,
+                     threads: int | None = None) -> ExperimentConfig:
+    """Build an ExperimentConfig from its JSON form and seed; ``threads`` is ignored."""
     try:
         measure = DiscreteMeasure.from_json(obj["measure"])
         base = None
@@ -200,7 +199,6 @@ def config_from_json(obj: dict, seed: int, threads: int = 1) -> ExperimentConfig
         martingale=mart,
         modulus=mod,
         validation=dict(obj.get("validation", {})),
-        threads=int(threads),
     )
     if isinstance(net, dict) and "epsilon" in net:
         kwargs["net_epsilon"] = float(net["epsilon"])
@@ -251,10 +249,11 @@ def compare_covariance(empirical: np.ndarray, analytic) -> tuple[float, float]:
 class _FieldSimulator:
     """Simulates CLT-scaled empirical fields on a net for a discrete measure.
 
-    A sample from a discrete measure is an atom index, so a replicate is
-    the multinomial count vector of one inverse-CDF index stream; the
-    field values are (counts @ P - n * m) / sqrt(n), identical to
-    summing centered pairings sample by sample.
+    A sample of size n from a discrete measure is summarized by its
+    multinomial count vector c over the atoms, and the field values are
+    (c @ P - n * m) / sqrt(n), identical to summing centered pairings
+    sample by sample.  All replicates of one sample size are one
+    multinomial draw from one substream.
     """
 
     def __init__(self, measure: DiscreteMeasure, base: Point, net: DirectionNet):
@@ -265,65 +264,41 @@ class _FieldSimulator:
         self.pair = fl.pairing_matrix(tm, net)
         self.weights = measure.weights
         self.mean_vec = self.weights @ self.pair
-        self.cum = np.cumsum(self.weights)
-        self.cum[-1] = 1.0
+        # renormalized so weights at the 1e-12 sum tolerance are accepted
+        self.probs = self.weights / self.weights.sum()
         self.k = len(self.weights)
 
-    def counts(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = np.searchsorted(self.cum, rng.random(n), side="right")
-        np.minimum(idx, self.k - 1, out=idx)
-        return np.bincount(idx, minlength=self.k).astype(float)
+    def _centered(self, counts: np.ndarray, n: int) -> np.ndarray:
+        return counts @ self.pair - n * self.mean_vec
 
     def field_rows(self, seed: int, purpose: int, n_index: int, n: int,
-                   replicates: int, threads: int) -> np.ndarray:
-        out = np.empty((replicates, len(self.net)))
-        scale = 1.0 / math.sqrt(n)
+                   replicates: int, threads: int | None = None) -> np.ndarray:
+        """Rows of G_n on the net; ``threads`` is accepted and ignored."""
+        rng = substream(seed, purpose, n_index)
+        counts = rng.multinomial(n, self.probs, size=replicates).astype(float)
+        return self._centered(counts, n) / math.sqrt(n)
 
-        def run(lo: int, hi: int):
-            for rep in range(lo, hi):
-                rng = substream(seed, purpose, n_index, rep)
-                c = self.counts(rng, n)
-                out[rep] = (c @ self.pair - n * self.mean_vec) * scale
+    def partial_sum_rows(self, seed: int, n: int, k: int,
+                         replicates: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of (S_n, S_{n+k} - S_n) from one coupled sample per replicate.
 
-        if threads <= 1 or replicates < 2 * threads:
-            run(0, replicates)
-        else:
-            bounds = np.linspace(0, replicates, threads + 1).astype(int)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(run, int(a), int(b))
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                ]
-                for f in futures:
-                    f.result()
-        return out
-
-    def partial_sum_rows(self, seed: int, n: int, k: int, replicates: int,
-                         threads: int) -> np.ndarray:
-        """Rows of S_{n+k} - S_n from one coupled stream per replicate."""
-        out = np.empty((replicates, len(self.net)))
-
-        def run(lo: int, hi: int):
-            for rep in range(lo, hi):
-                rng = substream(seed, _PURPOSE_MARTINGALE, rep)
-                idx = np.searchsorted(self.cum, rng.random(n + k), side="right")
-                np.minimum(idx, self.k - 1, out=idx)
-                c_head = np.bincount(idx[:n], minlength=self.k).astype(float)
-                c_all = np.bincount(idx, minlength=self.k).astype(float)
-                out[rep] = (c_all - c_head) @ self.pair - k * self.mean_vec
-
-        if threads <= 1 or replicates < 2 * threads:
-            run(0, replicates)
-        else:
-            bounds = np.linspace(0, replicates, threads + 1).astype(int)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(run, int(a), int(b))
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                ]
-                for f in futures:
-                    f.result()
-        return out
+        The counts of all n + k samples are drawn first; the counts of
+        the first n follow from them by sequential hypergeometric draws,
+        atom by atom, which is their exact conditional law.
+        """
+        rng = substream(seed, _PURPOSE_MARTINGALE)
+        c_all = rng.multinomial(n + k, self.probs, size=replicates)
+        c_head = np.zeros_like(c_all)
+        pool = np.full(replicates, n + k)
+        left = np.full(replicates, n)
+        for i in range(self.k - 1):
+            pool -= c_all[:, i]
+            c_head[:, i] = rng.hypergeometric(c_all[:, i], pool, left)
+            left -= c_head[:, i]
+        c_head[:, -1] = left
+        head = self._centered(c_head.astype(float), n)
+        tail = self._centered((c_all - c_head).astype(float), k)
+        return head, tail
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +314,8 @@ def _cov_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float) -> dict:
 
 def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
              zero_tol: float) -> dict:
+    from scipy.special import ndtr  # deferred: only clt needs scipy
+
     diag = np.diag(cov.entries)
     scale = max(float(diag.max(initial=0.0)), 0.0)
     rows = []
@@ -350,7 +327,7 @@ def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
                          "max_abs": sup_abs, "passed": sup_abs <= zero_tol})
             continue
         sigma = math.sqrt(var)
-        d = ks_distance(values[:, j], lambda x: sstats.norm.cdf(x / sigma))
+        d = ks_distance(values[:, j], lambda x: ndtr(x / sigma))
         rows.append({"direction": j, "variance": var, "ks": d, "max_abs": None,
                      "passed": d < threshold})
     return {"threshold": threshold, "directions": rows,
@@ -359,6 +336,8 @@ def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
 
 def _mahalanobis_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
                       zero_tol: float) -> dict:
+    from scipy.special import chdtr  # deferred: only clt needs scipy
+
     vals, vecs = cov.eigenvalues, cov.eigenvectors
     lam_max = float(vals.max(initial=0.0))
     keep = vals > 1e-10 * max(lam_max, 1e-300)
@@ -369,7 +348,7 @@ def _mahalanobis_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
                 "threshold": threshold, "passed": sup_abs <= zero_tol}
     white = vecs[:, keep] / np.sqrt(vals[keep])
     stat = np.sum((values @ white) ** 2, axis=1)
-    d = ks_distance(stat, lambda x: sstats.chi2.cdf(x, dof))
+    d = ks_distance(stat, lambda x: chdtr(dof, x))
     return {"dof": dof, "ks": d, "max_abs": None, "threshold": threshold,
             "passed": d < threshold}
 
@@ -435,18 +414,30 @@ def _increment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
     return {"pairs": rows, "passed": bool(ok)}
 
 
+def _martingale_rows(head: np.ndarray, incr: np.ndarray, cov: fl.CovMatrix,
+                     n: int, k: int) -> list:
+    """Per-direction residual mean(incr) and cross-moment mean(head * incr).
+
+    For a martingale both vanish in expectation; with independent
+    increments their standard errors are sqrt(k Sigma_jj / R) and
+    sqrt(n k) Sigma_jj / sqrt(R), and each gate sits at four of them.
+    """
+    replicates = head.shape[0]
+    diag = np.maximum(np.diag(cov.entries), 0.0)
+    residual = np.abs(incr.mean(axis=0))
+    cross = np.abs((head * incr).mean(axis=0))
+    res_bound = 4.0 * np.sqrt(k * diag / replicates)
+    cross_bound = 4.0 * math.sqrt(n * k) * diag / math.sqrt(replicates)
+    passed = (residual <= res_bound + 1e-10) & (cross <= cross_bound + 1e-10)
+    return [{"direction": j, "residual": float(residual[j]), "bound": float(res_bound[j]),
+             "cross_moment": float(cross[j]), "cross_bound": float(cross_bound[j]),
+             "passed": bool(passed[j])} for j in range(len(diag))]
+
+
 def _martingale_test(sim: _FieldSimulator, cov: fl.CovMatrix, seed: int,
-                     spec: MartingaleSpec, replicates: int, threads: int) -> dict:
-    rows_raw = sim.partial_sum_rows(seed, spec.n, spec.k, replicates, threads)
-    mean_res = rows_raw.mean(axis=0)
-    diag = np.diag(cov.entries)
-    bounds = 4.0 * np.sqrt(spec.k * np.maximum(diag, 0.0) / replicates)
-    rows = []
-    for j in range(len(diag)):
-        residual = float(abs(mean_res[j]))
-        bound = float(bounds[j])
-        rows.append({"direction": j, "residual": residual, "bound": bound,
-                     "passed": residual <= bound + 1e-10})
+                     spec: MartingaleSpec, replicates: int) -> dict:
+    head, tail = sim.partial_sum_rows(seed, spec.n, spec.k, replicates)
+    rows = _martingale_rows(head, tail, cov, spec.n, spec.k)
     return {
         "n": spec.n, "k": spec.k, "replicates": replicates,
         "conditional_scaling_sqrt_n_over_n_plus_k":
@@ -458,11 +449,10 @@ def _martingale_test(sim: _FieldSimulator, cov: fl.CovMatrix, seed: int,
 
 
 def _modulus_test(measure: DiscreteMeasure, base: Point, seed: int,
-                  spec: ModulusSpec, threads: int, min_drop: float) -> dict:
+                  spec: ModulusSpec, min_drop: float) -> dict:
     net = rg.build_net(base, spec.epsilon)
     sim = _FieldSimulator(measure, base, net)
-    values = sim.field_rows(seed, _PURPOSE_MODULUS, 0, spec.n, spec.replicates,
-                            threads)
+    values = sim.field_rows(seed, _PURPOSE_MODULUS, 0, spec.n, spec.replicates)
     radii = [2.0 ** (-m) for m in spec.radii_log2]
     table = rg.ModulusTable.from_fields(f"empirical_clt(n={spec.n})", values,
                                         net, radii)
@@ -568,7 +558,7 @@ def run_clt_experiment(cfg: ExperimentConfig) -> CLTReport:
         tests = {}
         if need_values:
             values = sim.field_rows(cfg.seed, _PURPOSE_SAMPLES, n_index, n,
-                                    cfg.replicates, cfg.threads)
+                                    cfg.replicates)
             if "cov" in cfg.tests:
                 tests["cov"] = _cov_test(values, cov, th.cov_sup)
             if "ks" in cfg.tests:
@@ -588,13 +578,13 @@ def run_clt_experiment(cfg: ExperimentConfig) -> CLTReport:
     martingale = None
     if "martingale" in cfg.tests:
         martingale = _martingale_test(sim, cov, cfg.seed, cfg.martingale,
-                                      cfg.replicates, cfg.threads)
+                                      cfg.replicates)
         all_passed = all_passed and martingale["passed"]
 
     modulus = None
     if "modulus" in cfg.tests:
         modulus = _modulus_test(cfg.measure, base, cfg.seed, cfg.modulus,
-                                cfg.threads, th.modulus_min_drop)
+                                th.modulus_min_drop)
         all_passed = all_passed and modulus["passed"]
 
     cfg_echo = cfg.echo()

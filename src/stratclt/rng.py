@@ -1,8 +1,8 @@
-"""Deterministic substream derivation for parallel Monte Carlo.
+"""Deterministic substream derivation for seeded Monte Carlo.
 
-Every random computation takes an explicit numpy Generator.  Parallel
-replicates derive independent streams from (seed, path) so results do
-not depend on scheduling or worker count.
+Every random computation takes an explicit numpy Generator.  Each
+purpose (and sample-size index) derives an independent stream from
+(seed, path), so results depend only on the seed.
 """
 
 import numpy as np

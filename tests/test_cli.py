@@ -1,8 +1,10 @@
+import csv
 import json
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from stratclt.cli import main
 
@@ -82,18 +84,24 @@ class TestClt:
         for name in contents[0]:
             assert contents[0][name] == contents[1][name], name
 
-    def test_thread_invariance(self, tmp_path, capsys):
-        cfg = small_clt_config(tmp_path, replicates=250)
+    def test_field_rerun_invariance(self, tmp_path, capsys):
+        raw = {
+            "measure": load_config("spider3_uniform.measure.json"),
+            "base": [0, 0.0],
+            "net": {"legs": [0, 1, 2]},
+        }
+        cfg = write_json(tmp_path / "f.json", raw)
         contents = []
-        for threads in ("1", "4"):
-            outdir = tmp_path / f"t{threads}"
-            code = main(["clt", "--config", cfg, "--seed", "11",
-                         "--out", str(outdir), "--threads", threads])
-            assert code in (0, 2)
+        for run in ("a", "b"):
+            outdir = tmp_path / run
+            code = main(["field", "--config", cfg, "--seed", "11", "--out",
+                         str(outdir), "--draws", "300", "--empirical-n", "400"])
+            assert code == 0
             capsys.readouterr()
             blob = {f.name: f.read_bytes() for f in sorted(outdir.iterdir())
                     if f.name != "manifest.json"}
             contents.append(blob)
+        assert "empirical_draws.csv" in contents[0]
         assert contents[0] == contents[1]
 
     def test_replicate_floor_exit_3(self, tmp_path, capsys):
@@ -178,6 +186,24 @@ class TestCover:
         code = main(["cover", "--space", '{"kind":"spider","legs":3}',
                      "--base", "[5, 1.0]", "--n-max", "6"])
         assert code == 3
+
+    @pytest.mark.parametrize("base, message", [
+        ("[0]", "spider point"),
+        ('["a", 1]', "malformed spider coordinates"),
+        ("5", "must be a list"),
+        ("[0, 1.0", "not valid JSON"),
+    ])
+    def test_malformed_base_exit_3(self, base, message, capsys):
+        code = main(["cover", "--space", '{"kind":"spider","legs":3}',
+                     "--base", base, "--n-max", "6"])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    def test_n_max_cap_exit_3(self, capsys):
+        code = main(["cover", "--space", '{"kind":"spider","legs":3}',
+                     "--base", "[0, 0.0]", "--n-max", "17"])
+        assert code == 3
+        assert "--n-max" in capsys.readouterr().err
 
 
 class TestField:
@@ -268,13 +294,17 @@ class TestCsvRoundTrip:
 
 
 class TestInfrastructure:
-    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("STRATCLT_THREADS", "2")
-        from stratclt.cli import _resolve_threads
-        assert _resolve_threads(None) == 2
-        monkeypatch.delenv("STRATCLT_THREADS")
-        assert _resolve_threads(None) == 1
-        assert _resolve_threads(0) >= 1
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported only by the clt statistics that need it
+        import subprocess, sys, os
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, stratclt.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_numerical_error_maps_to_exit_4(self, tmp_path, capsys, monkeypatch):
         from stratclt import harness
@@ -337,6 +367,37 @@ class TestOutputFormats:
             assert expected in names, expected
         header = (outdir / "modulus.csv").read_text().splitlines()[0]
         assert header == "radius,replicate,w,aggregate"
+
+
+class TestCsvQuoting:
+    def test_openbook_rows_match_header_width(self, tmp_path, capsys):
+        # open-book descriptors ('page:0,theta:...') contain commas
+        raw = load_config("openbook3_spine.json")
+        raw["sample_sizes"] = [200]
+        raw["replicates"] = 120
+        raw["tests"] = ["cov", "ks", "moments", "martingale"]
+        raw["thresholds"] = {"ks": 0.3, "mahalanobis_ks": 0.3, "cov_sup": 0.4}
+        raw.pop("modulus")
+        cfg = write_json(tmp_path / "c.json", raw)
+        outdir = tmp_path / "clt"
+        code = main(["clt", "--config", cfg, "--seed", "1", "--out", str(outdir)])
+        assert code in (0, 2)
+        capsys.readouterr()
+        report = json.loads((outdir / "report.json").read_text())
+        field_cfg = write_json(tmp_path / "f.json", {
+            "measure": raw["measure"], "base": report["base"], "net": raw["net"]})
+        code = main(["field", "--config", field_cfg, "--seed", "1", "--out",
+                     str(outdir), "--draws", "20", "--empirical-n", "50"])
+        assert code == 0
+        capsys.readouterr()
+        for name in ("cov_matrix.csv", "ks.csv", "moments.csv", "martingale.csv",
+                     "gaussian_draws.csv", "empirical_draws.csv"):
+            with open(outdir / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) > 1, name
+            assert all(len(r) == len(rows[0]) for r in rows), name
+            if name.endswith("_draws.csv") or name == "cov_matrix.csv":
+                assert rows[0] == report["net"], name
 
 
 class TestStatisticalFailureExit:

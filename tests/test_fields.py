@@ -148,14 +148,19 @@ class TestEmpiricalField:
             empirical_field([], spider_uniform, spider_apex, net)
 
     def test_matches_counts_simulator(self):
-        # the harness count path and the sample-by-sample path agree
+        # the harness count path and the sample-by-sample path agree: the
+        # same multinomial draw, expanded into a point list, gives the
+        # simulator's row (counts @ P - n m = sum of centered pairings)
         for mu, base, net in bundled_cases():
             sim = _FieldSimulator(mu, base, net)
-            n, rep = 257, 3
-            rows = sim.field_rows(123, _PURPOSE_SAMPLES, 0, n, rep + 1, 1)
-            pts = sample(mu, substream(123, _PURPOSE_SAMPLES, 0, rep), n)
-            f = empirical_field(pts, mu, base, net, "clt")
-            assert np.allclose(rows[rep], f.values, atol=1e-10)
+            n, reps = 257, 4
+            rows = sim.field_rows(123, _PURPOSE_SAMPLES, 0, n, reps)
+            w = mu.weights / mu.weights.sum()
+            counts = substream(123, _PURPOSE_SAMPLES, 0).multinomial(n, w, size=reps)
+            for rep in range(reps):
+                pts = [p for p, c in zip(mu.points, counts[rep]) for _ in range(c)]
+                f = empirical_field(pts, mu, base, net, "clt")
+                assert np.allclose(rows[rep], f.values, atol=1e-10)
 
 
 class TestCovMatrix:

@@ -16,7 +16,7 @@ from stratclt import (
     ks_distance,
     run_clt_experiment,
 )
-from stratclt.harness import _FieldSimulator, _PURPOSE_SAMPLES
+from stratclt.harness import _FieldSimulator, _PURPOSE_SAMPLES, _martingale_rows
 
 from .conftest import load_config
 
@@ -108,9 +108,10 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
     def test_thread_count_invariance(self):
+        # the threads keyword is still accepted and has no effect
         raw = small_config("spider3_uniform.json", replicates=250)
         blobs = []
-        for threads in (1, 4):
+        for threads in (None, 4):
             cfg = config_from_json(raw, seed=7, threads=threads)
             rep = run_clt_experiment(cfg)
             blobs.append(json.dumps(rep.to_json(), sort_keys=True))
@@ -239,6 +240,25 @@ class TestMartingaleResidual:
         assert "martingale" in rep.martingale["normalization_note"]
         assert rep.martingale["conditional_scaling_sqrt_n_over_n_plus_k"] == \
             pytest.approx(math.sqrt(0.5))
+        for row in rep.martingale["directions"]:
+            assert row["cross_moment"] <= row["cross_bound"]
+
+    def test_cross_moment_rejects_non_increment(self, spider_uniform, spider_apex):
+        # S_{n+k} from the full counts in place of the increment: the
+        # mean can still look centered, but E[S_n S_{n+k}] = n Sigma_jj
+        # is far over the cross-moment bound 4 sqrt(n k) Sigma_jj / sqrt(R)
+        n, k, reps = 500, 500, 2000
+        net = build_net(spider_apex, 1.0)
+        sim = _FieldSimulator(spider_uniform, spider_apex, net)
+        cov = cov_matrix(spider_uniform, spider_apex, net)
+        head, tail = sim.partial_sum_rows(99, n, k, reps)
+        assert all(r["passed"] for r in _martingale_rows(head, tail, cov, n, k))
+        rows = _martingale_rows(head, head + tail, cov, n, k)
+        diag = np.diag(cov.entries)
+        for r in rows:
+            assert not r["passed"]
+            assert r["cross_moment"] > r["cross_bound"]
+            assert r["cross_moment"] == pytest.approx(n * diag[r["direction"]], rel=0.2)
 
 
 class TestMomentExpansionOracle:

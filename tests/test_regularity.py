@@ -255,7 +255,7 @@ class TestChainingStatistic:
         base = Point(OB3, (0, 0.0, 0.0))
         spec = ModulusSpec(epsilon=2.0 ** -8, radii_log2=(2, 3, 4, 5, 6),
                            n=500, replicates=200)
-        result = _modulus_test(book_spine_measure, base, 31, spec, 1, 1.5)
+        result = _modulus_test(book_spine_measure, base, 31, spec, 1.5)
         agg = result["aggregate"]
         assert result["monotone_within_error"]
         assert agg[0] / max(agg[-1], 1e-12) >= 1.5
