@@ -1,10 +1,10 @@
 """Geometric statistics on stratified CAT(0) model spaces.
 
 Concrete tangent-cone geometry for four model spaces, exact tangent
-moments for finitely supported measures, Fréchet means with grid
-certificates, covering/regularity statistics on direction nets, and a
-seeded Monte Carlo harness that verifies the convergence of scaled
-empirical tangent fields to their Gaussian limit.
+moments for finitely supported measures, closed-form Fréchet means with
+first-order certificates, covering/regularity statistics on direction
+nets, and a seeded Monte Carlo harness that verifies the convergence of
+scaled empirical tangent fields to their Gaussian limit.
 """
 
 try:
@@ -20,7 +20,6 @@ except ImportError:  # pragma: no cover
 from .errors import (
     AmbiguousGeodesicError,
     ConfigError,
-    ConvergenceError,
     DomainError,
     LocalizationError,
     NumericalConsistencyError,
@@ -49,7 +48,6 @@ from .geometry import (
 from .measures import (
     DiscreteMeasure,
     MeanDiagnostics,
-    SolverConfig,
     TangentMeasure,
     ValidationConfig,
     directional_derivative,

@@ -29,7 +29,6 @@ from . import regularity as rg
 from .errors import (
     AmbiguousGeodesicError,
     ConfigError,
-    ConvergenceError,
     DomainError,
     LocalizationError,
     NumericalConsistencyError,
@@ -101,18 +100,8 @@ def _write_csv(path: Path, rows) -> None:
 
 def cmd_mean(args) -> int:
     raw = _load_json(args.config)
-    measure = mz.DiscreteMeasure.from_json(raw)
-    solver = mz.SolverConfig(**raw.get("solver", {}))
-    diag = mz.frechet_mean(measure, solver)
+    diag = mz.frechet_mean(mz.DiscreteMeasure.from_json(raw))
     print(json.dumps(diag.to_json(), sort_keys=True))
-    if args.grid_csv:
-        _, _, _, blocks = mz._grid_certificate(measure, diag.mean, solver)
-        rows = [("stratum", "coords", "frechet_value")]
-        for blk in blocks:
-            for i in range(blk.size):
-                coords = ";".join(_F(float(c)) for c in blk.point_at(i).coords)
-                rows.append((blk.label, coords, _F(float(blk.values[i]))))
-        _write_csv(Path(args.grid_csv), rows)
     return EXIT_OK
 
 
@@ -234,9 +223,15 @@ def _json_arg(name: str, text: str):
 def cmd_cover(args) -> int:
     if args.config:
         raw = _load_json(args.config)
-        space = geo.SpaceSpec.from_json(raw["space"])
-        base = geo.Point.of(space, raw["base"])
-        n_max = int(raw.get("n_max", args.n_max))
+        try:
+            space_json, base_json = raw["space"], raw["base"]
+            n_max = int(raw.get("n_max", args.n_max))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"malformed cover config, which needs 'space' and 'base': {exc!r}"
+            ) from exc
+        space = geo.SpaceSpec.from_json(space_json)
+        base = geo.Point.of(space, base_json)
     else:
         if not args.space or args.base is None:
             raise ConfigError("cover needs --config or both --space and --base")
@@ -271,12 +266,12 @@ def cmd_field(args) -> int:
     raw = _load_json(args.config)
     if "net" not in raw:
         raise ConfigError("field config needs a net spec")
+    mz.reject_solver_key(raw, "solver")
     measure = mz.DiscreteMeasure.from_json(raw["measure"])
     if raw.get("base") is not None:
         base = geo.Point.of(measure.space, raw["base"])
     else:
-        solver = mz.SolverConfig(**raw.get("solver", {}))
-        base = mz.frechet_mean(measure, solver).mean
+        base = mz.frechet_mean(measure).mean
     net_spec = raw["net"]
     if isinstance(net_spec, dict) and "epsilon" in net_spec:
         net = rg.build_net(base, float(net_spec["epsilon"]))
@@ -306,17 +301,24 @@ def cmd_field(args) -> int:
 # parser / dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (bad input); argparse's own 2 means a
+    statistical failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stratclt",
         description="Tangent-field statistics on stratified CAT(0) model spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mean = sub.add_parser("mean", help="Fréchet mean with grid certificate")
+    p_mean = sub.add_parser("mean", help="exact Fréchet mean with first-order certificate")
     p_mean.add_argument("--config", required=True, help="measure JSON file")
-    p_mean.add_argument("--grid-csv", default=None,
-                        help="write certificate grid values to this CSV")
     p_mean.set_defaults(func=cmd_mean)
 
     p_clt = sub.add_parser("clt", help="run a CLT verification experiment")
@@ -355,7 +357,7 @@ def main(argv=None) -> int:
             AmbiguousGeodesicError, LocalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericalConsistencyError, ConvergenceError) as exc:
+    except NumericalConsistencyError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except StratcltError as exc:

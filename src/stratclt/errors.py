@@ -21,14 +21,6 @@ class AmbiguousGeodesicError(StratcltError):
     """
 
 
-class ConvergenceError(StratcltError):
-    """Iterative solver failed its convergence check."""
-
-    def __init__(self, msg, trajectory_tail=None):
-        super().__init__(msg)
-        self.trajectory_tail = list(trajectory_tail or [])
-
-
 class LocalizationError(StratcltError):
     """A measure failed the localization checks required by an experiment."""
 

@@ -109,15 +109,16 @@ class SpaceSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise DomainError("space spec must be an object with a 'kind' field")
         kind = obj["kind"]
-        if kind == EUCLIDEAN:
-            return SpaceSpec.euclidean(obj["dim"])
-        if kind == SPIDER:
-            return SpaceSpec.spider(obj["legs"])
-        if kind == OPEN_BOOK:
-            return SpaceSpec.open_book(obj["pages"])
-        if kind == FLAT_CONE:
-            return SpaceSpec.flat_cone(obj["circumference"])
-        raise DomainError(f"unknown space kind {kind!r}")
+        params = {EUCLIDEAN: ("dim", int), SPIDER: ("legs", int),
+                  OPEN_BOOK: ("pages", int), FLAT_CONE: ("circumference", float)}
+        if not isinstance(kind, str) or kind not in params:
+            raise DomainError(f"unknown space kind {kind!r}")
+        name, cast = params[kind]
+        try:
+            value = cast(obj[name])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"{kind} space spec needs a numeric {name!r}") from exc
+        return SpaceSpec(kind, **{name: value})
 
 
 def _check_finite(values):
@@ -293,8 +294,12 @@ def _check_fraction(t: float):
 def _cone_signed_gap(space: SpaceSpec, phi_from: float, phi_to: float) -> float:
     """Signed circle offset of the shorter route from phi_from to phi_to."""
     alpha = space.circumference
-    delta = (phi_to - phi_from) % alpha
-    return delta if delta <= alpha / 2.0 else delta - alpha
+    # both angles lie in [0, alpha); reducing a tiny negative difference
+    # modulo alpha would round it to alpha and then to an offset of 0
+    delta = phi_to - phi_from
+    if delta > alpha / 2.0:
+        return delta - alpha
+    return delta + alpha if delta <= -alpha / 2.0 else delta
 
 
 def geodesic_point(p: Point, q: Point, t: float) -> Point:

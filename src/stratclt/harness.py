@@ -105,7 +105,6 @@ class ExperimentConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
     martingale: MartingaleSpec = field(default_factory=MartingaleSpec)
     modulus: ModulusSpec = field(default_factory=ModulusSpec)
-    validation: dict = field(default_factory=dict)
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.sample_sizes)
@@ -138,14 +137,10 @@ class ExperimentConfig:
             out["base"] = self.base.to_coords()
         out["net"] = ({"epsilon": self.net_epsilon}
                       if self.net_epsilon is not None else self.net_spec)
-        if self.validation:
-            out["validation"] = self.validation
         return out
 
     def validation_config(self) -> mz.ValidationConfig:
-        raw = dict(self.validation)
-        solver = mz.SolverConfig(**raw.pop("solver", {}))
-        return mz.ValidationConfig(base=self.base, solver=solver, **raw)
+        return mz.ValidationConfig(base=self.base)
 
 
 def _directions_from_spec(base: Point, spec: dict):
@@ -170,6 +165,7 @@ def config_from_json(obj: dict, seed: int,
                      threads: int | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON form and seed; ``threads`` is ignored."""
     try:
+        mz.reject_solver_key(obj, "validation")
         measure = DiscreteMeasure.from_json(obj["measure"])
         base = None
         if obj.get("base") is not None:
@@ -198,7 +194,6 @@ def config_from_json(obj: dict, seed: int,
         thresholds=th,
         martingale=mart,
         modulus=mod,
-        validation=dict(obj.get("validation", {})),
     )
     if isinstance(net, dict) and "epsilon" in net:
         kwargs["net_epsilon"] = float(net["epsilon"])
@@ -542,7 +537,7 @@ def run_clt_experiment(cfg: ExperimentConfig) -> CLTReport:
     if not localization.passed:
         raise LocalizationError("measure failed localization checks",
                                 report=localization)
-    base = cfg.base if cfg.base is not None else localization.mean
+    base = localization.base
     net = resolve_net(base, cfg)
     sim = _FieldSimulator(cfg.measure, base, net)
     cov = fl.cov_matrix(cfg.measure, base, net)

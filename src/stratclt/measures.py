@@ -1,17 +1,25 @@
-"""Discrete probability measures and Fréchet-mean machinery.
+"""Discrete probability measures and their exact Fréchet means.
 
 Measures are finitely supported, which makes every moment identity an
-exact finite sum.  The mean solver is a two-stage scheme: a seeded
-inductive (resampled successive-geodesic) iteration followed by a grid
-certificate with golden-section refinement, so the reported minimizer
-comes with a checked runner-up gap instead of a bare heuristic.
+exact finite sum.  Each model space is a Euclidean cone over a cone
+point o (the origin, the apex, or a spine point), so every point is
+exp_o(tV) and
+
+    F(exp_o(tV)) = W t^2 / 2 - t m(V) + E d(o, X)^2 / 2,
+
+where W is the total weight and m(V) = E<log_o X, V> the tangent mean.
+The mean is therefore exp_o(max(0, m*) V* / W) for the exact maximum
+(m*, V*) of m over the directions at o: the weighted average, the leg
+rule on spiders, the fold rule on open books and an arc-wise maximum on
+the flat-cone circle.  Every solve is certified by the first-order
+optimality condition sup_V E<log X, V> <= tol at the returned point.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +27,24 @@ from . import geometry as geo
 from .errors import (
     AmbiguousGeodesicError,
     ConfigError,
-    ConvergenceError,
     DomainError,
+    NumericalConsistencyError,
     SpaceMismatchError,
 )
 from .geometry import Point, SpaceSpec, TangentVector
-from .rng import substream
 
 _WEIGHT_TOL = 1e-12
+# first-order certificate tolerance; also the flat-cone apex threshold
+_TOL = 1e-9
 
-# substream purposes (first component of every spawn key)
-_PURPOSE_MEAN = 1
-_PURPOSE_CONVEXITY = 2
+
+def reject_solver_key(obj: dict, key: str) -> None:
+    """Refuse mean-solver settings: the means are exact and take none."""
+    if key in obj:
+        raise ConfigError(
+            f"the {key!r} key is not accepted: Fréchet means are now solved "
+            "exactly in closed form and take no solver settings"
+        )
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,7 @@ class DiscreteMeasure:
     @staticmethod
     def from_json(obj: dict) -> "DiscreteMeasure":
         try:
+            reject_solver_key(obj, "solver")
             space = SpaceSpec.from_json(obj["space"])
             atoms = [
                 (Point.of(space, a["point"]), a["weight"]) for a in obj["atoms"]
@@ -177,190 +192,94 @@ def escape_cone_contains(measure: DiscreteMeasure, base: Point,
 
 
 # ---------------------------------------------------------------------------
-# Grid blocks: vectorized Fréchet evaluation over one stratum patch
+# Exact maximization of the tangent mean
 
 
-class _GridBlock:
-    """A batch of candidate points in one stratum with vectorized distances."""
+def _circle_max(alpha: float, angles, masses) -> tuple[float, float]:
+    """Exact maximum and a maximizer of the tangent mean on a circle of
+    directions of circumference alpha (the flat-cone apex).
 
-    def __init__(self, label: str, size: int):
-        self.label = label
-        self.size = size
-        self.values: np.ndarray | None = None
-
-    def distances_from(self, p: Point) -> np.ndarray:
-        raise NotImplementedError
-
-    def point_at(self, i: int) -> Point:
-        raise NotImplementedError
-
-
-class _EuclideanBlock(_GridBlock):
-    def __init__(self, space, pts):
-        super().__init__("euclidean", len(pts))
-        self.space = space
-        self.pts = pts
-
-    def distances_from(self, p):
-        return np.linalg.norm(self.pts - np.asarray(p.coords), axis=1)
-
-    def point_at(self, i):
-        return Point(self.space, tuple(float(x) for x in self.pts[i]))
-
-
-class _SpiderBlock(_GridBlock):
-    def __init__(self, space, leg, radii):
-        super().__init__("apex" if leg is None else f"leg{leg}", len(radii))
-        self.space = space
-        self.leg = leg
-        self.radii = radii
-
-    def distances_from(self, p):
-        pl, pr = p.coords
-        if self.leg is None:
-            return np.full(self.size, pr)
-        if pr > 0.0 and pl == self.leg:
-            return np.abs(self.radii - pr)
-        return self.radii + pr
-
-    def point_at(self, i):
-        if self.leg is None:
-            return geo.apex(self.space)
-        return Point(self.space, (self.leg, float(self.radii[i])))
+    Between the breakpoints angles_i +- pi each term is either a cosine
+    of theta minus a fixed lift of angles_i or the constant -masses_i, so
+    the sum is A cos + B sin + C on each arc and peaks at an arc end or
+    at atan2(B, A).
+    """
+    angles = np.asarray(angles, dtype=float) % alpha
+    masses = np.asarray(masses, dtype=float)
+    breaks = np.unique(np.concatenate([(angles + math.pi) % alpha,
+                                       (angles - math.pi) % alpha]))
+    ends = np.append(breaks, breaks[0] + alpha)
+    mids = 0.5 * (ends[:-1] + ends[1:])
+    delta = (mids[:, None] - angles[None, :]) % alpha
+    delta = np.where(delta > alpha / 2.0, delta - alpha, delta)
+    near = np.abs(delta) < math.pi
+    lift = mids[:, None] - delta
+    a = np.where(near, np.cos(lift), 0.0) @ masses
+    b = np.where(near, np.sin(lift), 0.0) @ masses
+    peaks = ends[:-1] + (np.arctan2(b, a) - ends[:-1]) % (2.0 * math.pi)
+    cand = np.concatenate([breaks, peaks[peaks < ends[1:]]])
+    d = np.abs(cand[:, None] - angles[None, :]) % alpha
+    values = np.cos(np.minimum(np.minimum(d, alpha - d), math.pi)) @ masses
+    i = int(np.argmax(values))
+    return float(values[i]), float(cand[i] % alpha)
 
 
-class _BookBlock(_GridBlock):
-    def __init__(self, space, page, s, t):
-        super().__init__(f"page{page}", len(s))
-        self.space = space
-        self.page = page
-        self.s = s
-        self.t = t
-
-    def distances_from(self, p):
-        pg, ps, pt = p.coords
-        same = (pg == self.page) | (self.t == 0.0) | (pt == 0.0)
-        return np.where(
-            same,
-            np.hypot(self.s - ps, self.t - pt),
-            np.hypot(self.s - ps, self.t + pt),
-        )
-
-    def point_at(self, i):
-        return Point(self.space, (self.page, float(self.s[i]), float(self.t[i])))
-
-
-class _ConeBlock(_GridBlock):
-    def __init__(self, space, r, phi):
-        super().__init__("cone", len(r))
-        self.space = space
-        self.r = r
-        self.phi = phi
-
-    def distances_from(self, p):
-        pr, pphi = p.coords
-        alpha = self.space.circumference
-        gap = np.abs(self.phi - pphi)
-        gap = np.minimum(gap, alpha - gap)
-        ang = np.minimum(gap, math.pi)
-        return np.hypot(self.r - pr * np.cos(ang), pr * np.sin(ang))
-
-    def point_at(self, i):
-        return Point(self.space, (float(self.r[i]), float(self.phi[i])))
+def _tangent_sup(tm: TangentMeasure) -> tuple[float, float | None]:
+    """Exact sup over unit directions V at the base of E<log X, V>, and the
+    same sup over the directions that leave the base's stratum (None at
+    smooth points, where no direction leaves it)."""
+    base = tm.base
+    sp = base.space
+    sid, _ = geo.stratum_of(base)
+    singular = sid in ("apex", "spine")
+    dirs = [(v.direction.data, w * v.length) for v, w in tm.atoms if not v.is_zero]
+    if not dirs:
+        return 0.0, (0.0 if singular else None)
+    data = np.array([d for d, _ in dirs], dtype=float)
+    mass = np.array([m for _, m in dirs])
+    if not singular:
+        # the tangent cone is a vector space and the pairing a dot product
+        return float(np.linalg.norm(mass @ data)), None
+    if sp.kind == geo.SPIDER:
+        legs = data[:, 0]
+        best = max(float(mass @ np.where(legs == leg, 1.0, -1.0))
+                   for leg in range(sp.legs))
+        return best, best
+    if sp.kind == geo.OPEN_BOOK:
+        # V = (page q, theta) pairs to cos(theta) s_part + sin(theta) tau_q
+        pages, theta = data[:, 0], data[:, 1]
+        s_part = float(mass @ np.cos(theta))
+        taus = [float(mass @ (np.sin(theta) * np.where(pages == q, 1.0, -1.0)))
+                for q in range(sp.pages)]
+        best = max(math.hypot(s_part, t) if t > 0.0 else abs(s_part) for t in taus)
+        return best, max(taus)
+    best, _ = _circle_max(sp.circumference, data[:, 0], mass)
+    return best, best
 
 
-class _SingletonBlock(_GridBlock):
-    def __init__(self, label, point):
-        super().__init__(label, 1)
-        self.point = point
-
-    def distances_from(self, p):
-        return np.array([geo.distance(p, self.point)])
-
-    def point_at(self, i):
-        return self.point
-
-
-def _grid_blocks(space: SpaceSpec, center: Point, radius: float, step: float,
-                 max_points: float) -> list[_GridBlock]:
-    """Grid over every stratum patch intersecting the ball around center."""
-    blocks: list[_GridBlock] = []
-    if space.kind == geo.EUCLIDEAN:
-        axes = [
-            np.arange(c - radius, c + radius + step / 2, step) for c in center.coords
-        ]
-        total = math.prod(len(a) for a in axes)
-        if total > max_points:
-            raise ConfigError(
-                f"certificate grid would need {total} points; increase grid_step"
-            )
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
-        mask = np.linalg.norm(pts - np.asarray(center.coords), axis=1) <= radius
-        blocks.append(_EuclideanBlock(space, pts[mask]))
-        return blocks
-    if space.kind == geo.SPIDER:
-        cl, cr = center.coords
-        if cr <= radius:
-            blocks.append(_SpiderBlock(space, None, np.zeros(1)))
-        for leg in range(space.legs):
-            if leg == cl and cr > 0.0:
-                lo, hi = max(0.0, cr - radius), cr + radius
-            else:
-                if cr >= radius:
-                    continue
-                lo, hi = 0.0, radius - cr
-            radii = np.arange(max(lo, step), hi + step / 2, step)
-            if len(radii):
-                blocks.append(_SpiderBlock(space, leg, radii))
-        return blocks
-    if space.kind == geo.OPEN_BOOK:
-        cp, cs, ct = center.coords
-        s_axis = np.arange(cs - radius, cs + radius + step / 2, step)
-        for page in range(space.pages):
-            if page == cp and ct > 0.0:
-                t_lo, t_hi = max(0.0, ct - radius), ct + radius
-            elif ct < radius:
-                t_lo, t_hi = 0.0, radius - ct  # reachable across the spine
-            else:
-                continue
-            t_axis = np.arange(t_lo, t_hi + step / 2, step)
-            if page != 0:
-                t_axis = t_axis[t_axis > 0.0]  # the spine row lives in page 0
-            if not len(t_axis):
-                continue
-            if len(s_axis) * len(t_axis) > max_points:
-                raise ConfigError(
-                    "certificate grid too large; increase grid_step"
-                )
-            ss, tt = np.meshgrid(s_axis, t_axis, indexing="ij")
-            ss, tt = ss.ravel(), tt.ravel()
-            block = _BookBlock(space, page, ss, tt)
-            mask = block.distances_from(center) <= radius
-            blocks.append(_BookBlock(space, page, ss[mask], tt[mask]))
-        return blocks
-    # flat cone
-    cr, cphi = center.coords
-    alpha = space.circumference
-    if cr <= radius:
-        blocks.append(_SingletonBlock("apex", geo.apex(space)))
-    r_hi = cr + radius
-    r_axis = np.arange(step, r_hi + step / 2, step)
-    dphi = step / max(r_hi, step)
-    if cr <= radius:
-        half_width = alpha / 2.0
-    else:
-        half_width = min(alpha / 2.0, math.asin(min(1.0, radius / cr)) + 2 * dphi)
-    n_phi = max(1, math.ceil(half_width / dphi))
-    phi_axis = cphi + dphi * np.arange(-n_phi, n_phi + 1)
-    if len(r_axis) * len(phi_axis) > max_points:
-        raise ConfigError("certificate grid too large; increase grid_step")
-    rr, pp = np.meshgrid(r_axis, phi_axis % alpha, indexing="ij")
-    rr, pp = rr.ravel(), pp.ravel()
-    block = _ConeBlock(space, rr, pp)
-    mask = block.distances_from(center) <= radius
-    blocks.append(_ConeBlock(space, rr[mask], pp[mask]))
-    return blocks
+def _closed_form_mean(measure: DiscreteMeasure) -> Point:
+    """exp_o(max(0, m*) V* / W) at the cone point o of the space."""
+    sp = measure.space
+    w = measure.weights
+    total = float(w.sum())
+    coords = np.array([p.coords for p in measure.points], dtype=float)
+    if sp.kind == geo.EUCLIDEAN:
+        return Point(sp, tuple((w @ coords) / total))
+    if sp.kind == geo.SPIDER:
+        # leg rule: at most one leg has a positive tangent mean
+        legs, r = coords.T
+        m = [float(w @ np.where(legs == leg, r, -r)) for leg in range(sp.legs)]
+        leg = int(np.argmax(m))
+        return Point(sp, (leg, m[leg] / total)) if m[leg] > 0.0 else geo.apex(sp)
+    if sp.kind == geo.OPEN_BOOK:
+        # fold rule (Hotz et al. 2013) at the spine point (0, s_bar, 0)
+        pages, s, t = coords.T
+        tau = [float(w @ np.where(pages == q, t, -t)) for q in range(sp.pages)]
+        q = int(np.argmax(tau))
+        return Point(sp, (q, float(w @ s) / total, max(tau[q], 0.0) / total))
+    r, phi = coords.T
+    m, theta = _circle_max(sp.circumference, phi, w * r)
+    return Point(sp, (m / total, theta)) if m > _TOL else geo.apex(sp)
 
 
 # ---------------------------------------------------------------------------
@@ -368,34 +287,23 @@ def _grid_blocks(space: SpaceSpec, center: Point, radius: float, step: float,
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    iterations: int = 20000
-    seed: int = 0
-    grid_radius: float = 1.0
-    grid_step: float = 1e-3
-    refine_rounds: int = 2
-    golden_iters: int = 40
-    sticky_tol: float = 1e-8
-    sticky_net_eps: float = 0.02
-    runner_up_separation: float = 0.05
-    tail_window: int = 50
-    tail_tol: float | None = None
-    max_grid_points: float = 2.5e7
+class FirstOrderCertificate:
+    """sup over unit directions V of E<log X, V> at the returned point.
 
+    The Fréchet function is convex, so a point is its minimizer exactly
+    when every directional derivative -E<log X, V> is >= 0; the solve is
+    accepted when the sup is at most ``tol``.
+    """
 
-@dataclass(frozen=True)
-class GridCertificate:
-    grid_step: float
-    runner_up_gap: float
-    grid_points: int
-    separation: float
+    sup_tangent_mean: float
+    tol: float = _TOL
 
     def to_json(self) -> dict:
         return {
-            "grid_step": self.grid_step,
-            "runner_up_gap": self.runner_up_gap,
-            "grid_points": self.grid_points,
-            "separation": self.separation,
+            "kind": "first_order",
+            "sup_tangent_mean": self.sup_tangent_mean,
+            "tol": self.tol,
+            "grid_points": 0,  # read by the benchmark's layer suite
         }
 
 
@@ -403,8 +311,7 @@ class GridCertificate:
 class MeanDiagnostics:
     mean: Point
     frechet_value: float
-    iterations: int
-    certificate: GridCertificate
+    certificate: FirstOrderCertificate
     sticky: bool
     sticky_stratum: str | None = None
     min_outward_derivative: float | None = None
@@ -413,7 +320,6 @@ class MeanDiagnostics:
         return {
             "mean": {"space": self.mean.space.to_json(), "coords": self.mean.to_coords()},
             "frechet_value": self.frechet_value,
-            "iterations": self.iterations,
             "certificate": self.certificate.to_json(),
             "sticky": self.sticky,
             "sticky_stratum": self.sticky_stratum,
@@ -421,193 +327,33 @@ class MeanDiagnostics:
         }
 
 
-def _inductive_mean(measure: DiscreteMeasure, cfg: SolverConfig) -> tuple[Point, int]:
-    """Seeded resampled successive-geodesic iteration p <- gamma(p, x, 1/(k+1))."""
-    pts = measure.points
-    rng = substream(cfg.seed, _PURPOSE_MEAN)
-    idx = sample_indices(measure, rng, cfg.iterations)
-    p = pts[idx[0]]
-    window = []
-    for k in range(1, cfg.iterations):
-        p = geo.geodesic_point(p, pts[idx[k]], 1.0 / (k + 1.0))
-        if k >= cfg.iterations - cfg.tail_window:
-            window.append(p)
-    if window:
-        tail = [geo.distance(q, p) for q in window]
-        dmax = max(geo.distance(p, x) for x in pts)
-        tol = cfg.tail_tol
-        if tol is None:
-            tol = max(1e-9, 200.0 * dmax / cfg.iterations)
-        if max(tail) > tol:
-            raise ConvergenceError(
-                f"inductive mean tail {max(tail):.3e} above tolerance {tol:.3e}",
-                trajectory_tail=tail,
-            )
-    return p, cfg.iterations
+def _certify(measure: DiscreteMeasure,
+             mean: Point) -> tuple[FirstOrderCertificate, float | None]:
+    """The certificate at mean, and the sup of the tangent mean over the
+    directions leaving its stratum."""
+    sup, outward = _tangent_sup(pushforward(measure, mean))
+    if not sup <= _TOL:
+        raise NumericalConsistencyError(
+            f"first-order certificate failed at {mean.to_coords()}: "
+            f"sup_V E<log X, V> = {sup:.3e} > {_TOL:g}"
+        )
+    return FirstOrderCertificate(sup), outward
 
 
-def _golden_minimize(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi]; also checks the endpoints."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    candidates = [(f(lo), lo), (f(hi), hi), (fc, c), (fd, d)]
-    fx, x = min(candidates, key=lambda p: p[0])
-    return x, fx
+def frechet_mean(measure: DiscreteMeasure) -> MeanDiagnostics:
+    """Closed-form Fréchet mean with its first-order certificate.
 
-
-def _refinement_families(p: Point, step: float):
-    """1-parameter families incident to p, as (curve, lo, hi) triples."""
-    sp = p.space
-    h = 2.0 * step
-    fams = []
-    if sp.kind == geo.EUCLIDEAN:
-        base = np.asarray(p.coords)
-        for i in range(sp.dim):
-            e = np.zeros(sp.dim)
-            e[i] = 1.0
-            fams.append((lambda u, e=e: Point(sp, tuple(base + u * e)), -h, h))
-    elif sp.kind == geo.SPIDER:
-        leg, r = p.coords
-        if r == 0.0:
-            for l in range(sp.legs):
-                fams.append((lambda u, l=l: Point(sp, (l, u)), 0.0, h))
-        else:
-            fams.append((lambda u: Point(sp, (leg, r + u)), -min(r, h), h))
-    elif sp.kind == geo.OPEN_BOOK:
-        pg, s, t = p.coords
-        fams.append((lambda u: Point(sp, (pg, s + u, t)), -h, h))
-        if t > 0.0:
-            fams.append((lambda u: Point(sp, (pg, s, t + u)), -min(t, h), h))
-        else:
-            for q in range(sp.pages):
-                fams.append((lambda u, q=q: Point(sp, (q, s, u)), 0.0, h))
-    else:
-        r, phi = p.coords
-        alpha = sp.circumference
-        if r == 0.0:
-            for j in range(16):
-                a = alpha * j / 16.0
-                fams.append((lambda u, a=a: Point(sp, (u, a)), 0.0, h))
-        else:
-            fams.append((lambda u: Point(sp, (r + u, phi)), -min(r, h), h))
-            fams.append((lambda u: Point(sp, (r, phi + u / r)), -h, h))
-    return fams
-
-
-def _grid_certificate(measure: DiscreteMeasure, center: Point,
-                      cfg: SolverConfig):
-    """Grid search + golden refinement around center.
-
-    Returns (best point, best F, certificate, blocks); the runner-up gap
-    is measured against the best grid point at least
-    ``runner_up_separation`` away, i.e. against the nearest competing
-    basin rather than the neighboring cell of the same minimum.
+    At a singular mean, ``min_outward_derivative`` is the least derivative
+    of F along a direction leaving the stratum (along each page normal at
+    a spine point); the mean is sticky when it is positive.
     """
-    blocks = _grid_blocks(measure.space, center, cfg.grid_radius, cfg.grid_step,
-                          cfg.max_grid_points)
-    blocks.append(_SingletonBlock("center", center))
-    total = 0
-    best_f, best_block, best_i = math.inf, None, -1
-    for blk in blocks:
-        if blk.size == 0:
-            continue
-        acc = np.zeros(blk.size)
-        for (x, w) in measure.atoms:
-            d = blk.distances_from(x)
-            acc += w * d * d
-        blk.values = 0.5 * acc
-        total += blk.size
-        i = int(np.argmin(blk.values))
-        if blk.values[i] < best_f:
-            best_f, best_block, best_i = float(blk.values[i]), blk, i
-    if best_block is None:
-        raise ConfigError("empty certificate grid; increase grid_radius")
-    best_point = best_block.point_at(best_i)
-
-    # runner-up: best F among grid points separated from the minimizer
-    gap = math.inf
-    for blk in blocks:
-        if blk.size == 0:
-            continue
-        d = blk.distances_from(best_point)
-        mask = d >= cfg.runner_up_separation
-        if mask.any():
-            gap = min(gap, float(np.min(blk.values[mask])) - best_f)
-    if not math.isfinite(gap):
-        gap = 0.0
-
-    # golden-section refinement along incident 1-parameter families
-    point, value = best_point, best_f
-    for _ in range(cfg.refine_rounds):
-        for curve, lo, hi in _refinement_families(point, cfg.grid_step):
-            def f_along(u, curve=curve):
-                return frechet_function(measure, curve(u))
-            u, fu = _golden_minimize(f_along, lo, hi, cfg.golden_iters)
-            if fu < value:
-                value, point = fu, curve(u)
-    cert = GridCertificate(cfg.grid_step, max(gap, 0.0), total,
-                           cfg.runner_up_separation)
-    return point, value, cert, blocks
-
-
-def _space_dim(space: SpaceSpec) -> int:
-    if space.kind == geo.EUCLIDEAN:
-        return space.dim
-    return 1 if space.kind == geo.SPIDER else 2
-
-
-def _outward_directions(p: Point, eps: float):
-    """Directions leaving the stratum of p (empty at smooth points)."""
-    from . import regularity
-
-    sid, _ = geo.stratum_of(p)
-    net = regularity.build_net(p, eps)
-    if p.space.kind == geo.OPEN_BOOK and sid == "spine":
-        return [d for d in net.directions if 0.0 < d.data[1] < math.pi]
-    return list(net.directions)
-
-
-def frechet_mean(measure: DiscreteMeasure,
-                 cfg: SolverConfig | None = None) -> MeanDiagnostics:
-    """Two-stage Fréchet mean: inductive iteration, then grid certificate."""
-    cfg = cfg or SolverConfig()
-    pts = measure.points
-    if all(p == pts[0] for p in pts):
-        start, iters = pts[0], 0
-    else:
-        start, iters = _inductive_mean(measure, cfg)
-    mean, value, cert, _ = _grid_certificate(measure, start, cfg)
-
-    sticky = False
-    sticky_stratum = None
-    min_out = None
-    sid, sdim = geo.stratum_of(mean)
-    if sdim < _space_dim(measure.space):
-        tm = pushforward(measure, mean)
-        outs = _outward_directions(mean, cfg.sticky_net_eps)
-        if outs:
-            derivs = [
-                -sum(w * geo.angular_pairing(x, TangentVector(mean, d, 1.0))
-                     for x, w in tm.atoms)
-                for d in outs
-            ]
-            min_out = float(min(derivs))
-            if min_out >= cfg.sticky_tol:
-                sticky = True
-                sticky_stratum = sid
-    return MeanDiagnostics(mean, value, iters, cert, sticky, sticky_stratum, min_out)
+    mean = _closed_form_mean(measure)
+    cert, outward = _certify(measure, mean)
+    min_out = None if outward is None else -outward
+    sticky = min_out is not None and min_out > _TOL
+    sid, _ = geo.stratum_of(mean)
+    return MeanDiagnostics(mean, frechet_function(measure, mean), cert, sticky,
+                           sid if sticky else None, min_out)
 
 
 # ---------------------------------------------------------------------------
@@ -617,115 +363,46 @@ def frechet_mean(measure: DiscreteMeasure,
 @dataclass(frozen=True)
 class ValidationConfig:
     base: Point | None = None
-    gap_tol: float = 1e-6
-    convexity_radius: float = 0.5
-    convexity_pairs: int = 200
-    convexity_tol: float = 1e-9
-    seed: int = 0
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
 
 @dataclass(frozen=True)
 class LocalizationReport:
     passed: bool
     mean: Point | None
-    uniqueness: dict
-    convexity: dict
+    base: Point
+    certificate: FirstOrderCertificate | None
     logs: dict
 
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
             "mean": None if self.mean is None else self.mean.to_coords(),
-            "uniqueness": self.uniqueness,
-            "convexity": self.convexity,
+            "base": self.base.to_coords(),
+            "certificate": None if self.certificate is None else self.certificate.to_json(),
             "logs": self.logs,
         }
 
 
-def _random_point_near(base: Point, radius: float, rng: np.random.Generator,
-                       directions) -> Point:
-    if directions is None:
-        # euclidean without a direction grid: gaussian offset
-        g = rng.standard_normal(base.space.dim)
-        n = float(np.linalg.norm(g))
-        if n == 0.0:
-            return base
-        off = (radius * rng.random() / n) * g
-        return Point(base.space, tuple(c + o for c, o in zip(base.coords, off)))
-    d = directions[int(rng.integers(len(directions)))]
-    u = radius * rng.random()
-    if u == 0.0:
-        return base
-    return geo.exp_map(base, TangentVector(base, d, u))
-
-
 def validate_localized(measure: DiscreteMeasure,
                        cfg: ValidationConfig | None = None) -> LocalizationReport:
-    """Desk-scale localization checks: unique mean, local convexity,
-    measure-a.s. unique logs.  Failures are report entries, not errors."""
+    """Check that every atom has a unique log at the base an experiment
+    uses: ``cfg.base`` when given, else the solved mean, which is then
+    certified.  A failure is a report entry, not an error.
+
+    Uniqueness of the mean and convexity of F near it are theorems in
+    CAT(0) and are not re-checked here.
+    """
     cfg = cfg or ValidationConfig()
-
-    # (a) uniqueness via the grid certificate
-    uniqueness: dict = {}
-    mean = None
-    try:
-        if cfg.base is not None:
-            mean, value, cert, _ = _grid_certificate(measure, cfg.base, cfg.solver)
-            uniqueness["base_override"] = True
-        else:
-            diag = frechet_mean(measure, cfg.solver)
-            mean, cert = diag.mean, diag.certificate
-        uniqueness["runner_up_gap"] = cert.runner_up_gap
-        uniqueness["gap_tol"] = cfg.gap_tol
-        uniqueness["passed"] = cert.runner_up_gap > cfg.gap_tol
-    except (ConvergenceError, AmbiguousGeodesicError, ConfigError) as exc:
-        uniqueness["passed"] = False
-        uniqueness["error"] = str(exc)
-
-    # (b) midpoint convexity of F on chords near the mean
-    convexity: dict = {"passed": False}
-    if mean is not None:
-        rng = substream(cfg.seed, _PURPOSE_CONVEXITY)
-        ds = geo.direction_space(mean)
-        try:
-            grid = ds.grid(max(cfg.convexity_radius / 8.0, 1e-3))
-            dirs = [ds.from_coord(c) for c in np.atleast_1d(grid)]
-        except DomainError:
-            dirs = None  # gaussian-offset sampling (euclidean dim >= 3)
-        worst = -math.inf
-        checked = 0
-        skipped = 0
-        for _ in range(cfg.convexity_pairs):
-            a = _random_point_near(mean, cfg.convexity_radius, rng, dirs)
-            b = _random_point_near(mean, cfg.convexity_radius, rng, dirs)
-            try:
-                mid = geo.geodesic_point(a, b, 0.5)
-            except AmbiguousGeodesicError:
-                skipped += 1
-                continue
-            viol = frechet_function(measure, mid) - 0.5 * (
-                frechet_function(measure, a) + frechet_function(measure, b)
-            )
-            worst = max(worst, viol)
-            checked += 1
-        convexity = {
-            "passed": checked > 0 and worst <= cfg.convexity_tol,
-            "pairs_checked": checked,
-            "pairs_skipped": skipped,
-            "worst_violation": None if checked == 0 else worst,
-            "radius": cfg.convexity_radius,
-        }
-
-    # (c) unique log at every atom
+    mean = _closed_form_mean(measure) if cfg.base is None else None
+    base = cfg.base if mean is None else mean
     failures = []
-    if mean is not None:
-        for i, (p, _w) in enumerate(measure.atoms):
-            try:
-                geo.log_map(mean, p)
-            except AmbiguousGeodesicError as exc:
-                failures.append({"atom": i, "coords": p.to_coords(), "reason": str(exc)})
-    logs = {"passed": mean is not None and not failures, "failing_atoms": failures}
-
-    passed = bool(uniqueness.get("passed")) and convexity["passed"] and logs["passed"]
-    return LocalizationReport(passed, mean, uniqueness, convexity, logs)
+    for i, (p, _w) in enumerate(measure.atoms):
+        try:
+            geo.log_map(base, p)
+        except AmbiguousGeodesicError as exc:
+            failures.append({"atom": i, "coords": p.to_coords(), "reason": str(exc)})
+    certificate = None
+    if mean is not None and not failures:
+        certificate, _ = _certify(measure, mean)
+    logs = {"passed": not failures, "failing_atoms": failures}
+    return LocalizationReport(not failures, mean, base, certificate, logs)

@@ -1,10 +1,20 @@
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from stratclt import DiscreteMeasure, Point, SpaceSpec, apex
+
+# derandomized and without an example database: the same examples on every
+# run.  Hypothesis still caches the constants it reads from the source at
+# collection; that cache goes to the temporary directory, not the checkout.
+settings.register_profile("stratclt", derandomize=True, database=None, deadline=None)
+settings.load_profile("stratclt")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "stratclt-hypothesis")
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

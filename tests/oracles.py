@@ -69,3 +69,115 @@ def enumeration_moments(pairings: np.ndarray, weights) -> dict:
     centered = pairings - mean
     cov = centered.T @ (w[:, None] * centered)
     return {"mean": mean, "centered": centered, "cov": cov}
+
+
+# ---------------------------------------------------------------------------
+# Fréchet-function grids and closed-form means
+#
+# Points are rows in the package's coordinate layout: euclidean [x...],
+# spider [leg, r], open book [page, s, t], flat cone [r, phi].  Distances
+# come from the flat pieces each space is glued from: one leg or page is
+# a segment or half-plane, a path between two legs passes the apex, a
+# path between two pages is straight once one page is unfolded across
+# the spine, and the cone is a circle's worth of Euclidean wedges whose
+# angle at the apex is capped at pi.
+
+
+def sq_distances(space: dict, pts: np.ndarray, x) -> np.ndarray:
+    """Squared distances from each row of pts to the point x."""
+    kind = space["kind"]
+    x = np.asarray(x, dtype=float)
+    if kind == "euclidean":
+        return ((pts - x) ** 2).sum(axis=1)
+    if kind == "spider":
+        same = pts[:, 0] == x[0]
+        return np.where(same, pts[:, 1] - x[1], pts[:, 1] + x[1]) ** 2
+    if kind == "open_book":
+        same = pts[:, 0] == x[0]
+        dt = np.where(same, pts[:, 2] - x[2], pts[:, 2] + x[2])
+        return (pts[:, 1] - x[1]) ** 2 + dt ** 2
+    alpha = float(space["circumference"])
+    d = np.abs(pts[:, 1] - x[1]) % alpha
+    ang = np.minimum(np.minimum(d, alpha - d), math.pi)
+    return pts[:, 0] ** 2 + x[0] ** 2 - 2.0 * pts[:, 0] * x[0] * np.cos(ang)
+
+
+def frechet_values(space: dict, atoms, pts: np.ndarray) -> np.ndarray:
+    """F = E d(., X)^2 / 2 at each row of pts; atoms are (coords, weight)."""
+    return 0.5 * sum(w * sq_distances(space, pts, x) for x, w in atoms)
+
+
+def frechet_grid(space: dict, atoms, n: int) -> np.ndarray:
+    """A grid of about n points per axis over every stratum chart that
+    can hold the mean (the chart region spanned by the atoms)."""
+    coords = np.array([x for x, _w in atoms], dtype=float)
+    kind = space["kind"]
+    if kind == "euclidean":
+        axes = [np.linspace(lo - 0.1, hi + 0.1, n)
+                for lo, hi in zip(coords.min(axis=0), coords.max(axis=0))]
+        return np.stack([a.ravel() for a in np.meshgrid(*axes)], axis=1)
+    if kind == "spider":
+        r = np.linspace(0.0, coords[:, 1].max() + 0.1, n * n)
+        return np.vstack([np.column_stack([np.full(len(r), leg), r])
+                          for leg in range(space["legs"])])
+    if kind == "open_book":
+        s = np.linspace(coords[:, 1].min() - 0.1, coords[:, 1].max() + 0.1, n)
+        t = np.linspace(0.0, coords[:, 2].max() + 0.1, n)
+        ss, tt = (a.ravel() for a in np.meshgrid(s, t))
+        return np.vstack([np.column_stack([np.full(len(ss), page), ss, tt])
+                          for page in range(space["pages"])])
+    alpha = float(space["circumference"])
+    r = np.linspace(0.0, coords[:, 0].max() + 0.1, n)
+    phi = np.linspace(0.0, alpha, 4 * n, endpoint=False)
+    rr, pp = (a.ravel() for a in np.meshgrid(r, phi))
+    return np.column_stack([rr, pp])
+
+
+def _cone_tangent_mean(alpha: float, atoms, theta: np.ndarray) -> np.ndarray:
+    """E<log_apex X, theta> for each direction theta at the apex."""
+    out = np.zeros_like(theta)
+    for (r, phi), w in atoms:
+        d = np.abs(theta - phi) % alpha
+        out += w * r * np.cos(np.minimum(np.minimum(d, alpha - d), math.pi))
+    return out
+
+
+def closed_form_mean(space: dict, atoms) -> list:
+    """Weighted average, leg rule, fold rule, or the developed cone mean."""
+    kind = space["kind"]
+    total = sum(w for _x, w in atoms)
+    if kind == "euclidean":
+        return list(sum(w * np.asarray(x, float) for x, w in atoms) / total)
+    if kind == "spider":
+        for leg in range(space["legs"]):
+            m = sum(w * r * (1.0 if l == leg else -1.0) for (l, r), w in atoms)
+            if m > 0.0:
+                return [leg, m / total]
+        return [0, 0.0]
+    if kind == "open_book":
+        s_bar = sum(w * s for (_p, s, _t), w in atoms) / total
+        for page in range(space["pages"]):
+            tau = sum(w * t * (1.0 if p == page else -1.0) for (p, _s, t), w in atoms)
+            if tau > 0.0:
+                return [page, s_bar, tau / total]
+        return [0, s_bar, 0.0]
+    alpha = float(space["circumference"])
+    theta = np.linspace(0.0, alpha, 100_001)
+    m = _cone_tangent_mean(alpha, atoms, theta)
+    if m.max() <= 0.0:
+        return [0.0, 0.0]
+    # develop the atoms within pi of the mean's direction psi into the
+    # plane: psi is the direction of their weighted sum N, and the atoms
+    # farther away pull the mean back through the apex by their mass
+    psi = float(theta[np.argmax(m)])
+    for _ in range(3):
+        x = y = far = 0.0
+        for (r, phi), w in atoms:
+            d = (phi - psi) % alpha
+            d = d - alpha if d > alpha / 2 else d
+            if abs(d) < math.pi:
+                x, y = x + w * r * math.cos(d), y + w * r * math.sin(d)
+            else:
+                far += w * r
+        psi = (psi + math.atan2(y, x)) % alpha
+    return [(math.hypot(x, y) - far) / total, psi]

@@ -111,7 +111,7 @@ def test_criterion_02_spider_oracle_suite(spider_uniform, spider_apex):
     """Exact enumeration values on the uniform-thirds spider."""
     diag = frechet_mean(spider_uniform)
     assert diag.mean == apex(SP3)
-    assert diag.certificate.runner_up_gap > 0.0
+    assert diag.certificate.sup_tangent_mean == -1.0 / 3.0
     for leg in range(3):
         v = TangentVector(spider_apex, Direction(spider_apex, D_LEG, (leg,)), 1.0)
         assert tangent_mean(spider_uniform, spider_apex, v) == -1.0 / 3.0

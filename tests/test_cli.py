@@ -34,8 +34,11 @@ class TestMean:
         out = json.loads(capsys.readouterr().out)
         leg, r = out["mean"]["coords"]
         assert leg == 1
-        assert abs(r - 0.6) < 1e-3
-        assert out["certificate"]["runner_up_gap"] > 0
+        assert abs(r - 0.6) < 1e-15
+        cert = out["certificate"]
+        assert cert["kind"] == "first_order"
+        assert cert["sup_tangent_mean"] <= cert["tol"]
+        assert cert["grid_points"] == 0
 
     def test_euclidean_pm1(self, capsys):
         code = main(["mean", "--config",
@@ -54,15 +57,67 @@ class TestMean:
         assert code == 3
         assert "weights sum" in capsys.readouterr().err
 
-    def test_grid_csv(self, tmp_path, capsys):
-        out_csv = tmp_path / "grid.csv"
-        code = main(["mean", "--config",
-                     str(CONFIG_DIR / "spider3_weighted.measure.json"),
-                     "--grid-csv", str(out_csv)])
+    def test_grid_csv_usage_exit_3(self, tmp_path, capsys):
+        # the removed flag is an argparse usage error, which exits 3, not 2
+        with pytest.raises(SystemExit) as exc:
+            main(["mean", "--config",
+                  str(CONFIG_DIR / "spider3_weighted.measure.json"),
+                  "--grid-csv", str(tmp_path / "grid.csv")])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --grid-csv" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, measure, want", [
+        # alpha = 3 pi: the mean is off the apex, in the wedge of both atoms
+        ("cone_off_apex",
+         {"space": {"kind": "flat_cone", "circumference": 3 * math.pi},
+          "atoms": [{"point": [1.0, 0.0], "weight": 0.6},
+                    {"point": [1.0, 1.0], "weight": 0.4}]},
+         [math.hypot(0.6 + 0.4 * math.cos(1.0), 0.4 * math.sin(1.0)),
+          math.atan2(0.4 * math.sin(1.0), 0.6 + 0.4 * math.cos(1.0))]),
+        ("euclidean3_four",
+         {"space": {"kind": "euclidean", "dim": 3},
+          "atoms": [{"point": [1.0, 0.0, 0.0], "weight": 0.25},
+                    {"point": [0.0, 1.0, 0.0], "weight": 0.25},
+                    {"point": [0.0, 0.0, 1.0], "weight": 0.25},
+                    {"point": [-1.0, -1.0, 0.5], "weight": 0.25}]},
+         [0.0, 0.0, 0.375]),
+    ])
+    def test_closed_form_means(self, tmp_path, capsys, name, measure, want):
+        code = main(["mean", "--config", write_json(tmp_path / f"{name}.json", measure)])
         assert code == 0
-        lines = out_csv.read_text().strip().splitlines()
-        assert lines[0] == "stratum,coords,frechet_value"
-        assert len(lines) > 100
+        out = json.loads(capsys.readouterr().out)
+        assert out["mean"]["coords"] == pytest.approx(want, abs=1e-9)
+        assert out["certificate"]["sup_tangent_mean"] <= out["certificate"]["tol"]
+
+    def test_flatcone_star_sticky_apex(self, capsys):
+        code = main(["mean", "--config",
+                     str(CONFIG_DIR / "flatcone4_star.measure.json")])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["mean"]["coords"] == [0.0, 0.0]
+        assert out["sticky"] and out["sticky_stratum"] == "apex"
+        # best direction 3 pi / 8 sees two atoms at 3 pi / 8 and two past pi
+        assert out["min_outward_derivative"] == pytest.approx(
+            (1.0 - math.cos(3 * math.pi / 8)) / 2, abs=1e-12)
+        assert out["min_outward_derivative"] == pytest.approx(0.30866, abs=1e-5)
+
+    @pytest.mark.parametrize("key", ["solver", "validation"])
+    def test_removed_solver_keys_exit_3(self, tmp_path, capsys, key):
+        if key == "solver":
+            raw = load_config("spider3_weighted.measure.json")
+            raw["solver"] = {"grid_step": 0.01}
+            argv = ["mean"]
+        else:
+            raw = load_config("spider3_uniform.json")
+            raw["validation"] = {"solver": {"grid_step": 0.01}}
+            argv = ["clt", "--seed", "1", "--out", str(tmp_path / "o")]
+        code = main(argv + ["--config", write_json(tmp_path / "c.json", raw)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "exactly" in err
+        assert "Traceback" not in err
 
 
 class TestClt:
@@ -142,7 +197,6 @@ class TestClt:
             "net": {"epsilon": 0.5},
             "sample_sizes": [200],
             "replicates": 150,
-            "validation": {"solver": {"grid_step": 0.01, "grid_radius": 0.5}},
         }
         cfg = write_json(tmp_path / "c.json", raw)
         code = main(["clt", "--config", cfg, "--seed", "1",
@@ -199,6 +253,24 @@ class TestCover:
         assert code == 3
         assert message in capsys.readouterr().err
 
+    def test_space_without_parameter_exit_3(self, capsys):
+        code = main(["cover", "--space", '{"kind": "spider"}',
+                     "--base", "[0, 0.0]", "--n-max", "6"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numeric 'legs'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("missing", ["space", "base"])
+    def test_config_without_space_or_base_exit_3(self, tmp_path, capsys, missing):
+        raw = {"space": {"kind": "spider", "legs": 3}, "base": [0, 0.0]}
+        del raw[missing]
+        code = main(["cover", "--config", write_json(tmp_path / "c.json", raw)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert missing in err
+        assert "Traceback" not in err
+
     def test_n_max_cap_exit_3(self, capsys):
         code = main(["cover", "--space", '{"kind":"spider","legs":3}',
                      "--base", "[0, 0.0]", "--n-max", "17"])
@@ -241,6 +313,16 @@ class TestField:
         rows = np.loadtxt(outdir / "gaussian_draws.csv", delimiter=",",
                           skiprows=1)
         assert np.all(rows == 0.0)
+
+    def test_solver_key_exit_3(self, tmp_path, capsys):
+        raw = {"measure": load_config("spider3_uniform.measure.json"),
+               "net": {"legs": [0, 1, 2]}, "solver": {"iterations": 10}}
+        code = main(["field", "--config", write_json(tmp_path / "f.json", raw),
+                     "--seed", "3", "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'solver'" in err and "exactly" in err
+        assert "Traceback" not in err
 
     def test_missing_net_exit_3(self, tmp_path, capsys):
         raw = {"measure": load_config("spider3_uniform.measure.json")}

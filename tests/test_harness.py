@@ -138,7 +138,6 @@ class TestRefusals:
             "net": {"epsilon": 0.5},
             "sample_sizes": [200],
             "replicates": 150,
-            "validation": {"solver": {"grid_step": 0.01, "grid_radius": 0.5}},
         }
         cfg = config_from_json(raw, seed=5)
         with pytest.raises(LocalizationError) as err:
@@ -322,7 +321,6 @@ class TestZeroVarianceDirection:
             "replicates": 150,
             "tests": ["ks"],
             "thresholds": {"ks": 0.2},
-            "validation": {"solver": {"grid_step": 0.01, "grid_radius": 0.5}},
         }
         rep = run_clt_experiment(config_from_json(raw, seed=8))
         rows = rep.per_n[500]["ks"]["directions"]

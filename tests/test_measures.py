@@ -7,8 +7,8 @@ from stratclt import (
     DiscreteMeasure,
     DomainError,
     Direction,
+    NumericalConsistencyError,
     Point,
-    SolverConfig,
     SpaceSpec,
     TangentVector,
     ValidationConfig,
@@ -27,7 +27,12 @@ from stratclt import (
 from stratclt.geometry import D_LEG, D_SIGN, D_VECTOR
 from stratclt.measures import sample_indices
 
-from .oracles import enumeration_moments, spider_pairing_table
+from .oracles import (
+    enumeration_moments,
+    frechet_grid,
+    frechet_values,
+    spider_pairing_table,
+)
 
 
 def unit(base, kind, data):
@@ -52,8 +57,8 @@ class TestFrechetFunction:
 class TestFrechetMean:
     def test_euclidean_pm1(self, euclid_pm1):
         diag = frechet_mean(euclid_pm1)
-        assert abs(diag.mean.coords[0]) < 1e-6
-        assert diag.certificate.runner_up_gap > 0.0
+        assert diag.mean.coords == (0.0,)
+        assert diag.certificate.sup_tangent_mean == 0.0
         assert not diag.sticky
 
     def test_spider_weighted_closed_form(self, spider_weighted):
@@ -61,7 +66,7 @@ class TestFrechetMean:
         diag = frechet_mean(spider_weighted)
         leg, r = diag.mean.coords
         assert leg == 1
-        assert r == pytest.approx(0.6, abs=1e-3)
+        assert r == pytest.approx(0.6, abs=1e-15)
         assert not diag.sticky
 
     def test_spider_uniform_sticky_apex(self, spider_uniform, spider3):
@@ -69,24 +74,27 @@ class TestFrechetMean:
         assert diag.mean == apex(spider3)
         assert diag.sticky
         assert diag.sticky_stratum == "apex"
-        assert diag.min_outward_derivative == pytest.approx(1.0 / 3.0, abs=1e-9)
-        assert diag.certificate.runner_up_gap > 0.0
+        assert diag.min_outward_derivative == pytest.approx(1.0 / 3.0, abs=1e-15)
+        # at a sticky apex the tangent mean is negative in every direction
+        assert diag.certificate.sup_tangent_mean == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
     def test_point_mass_short_circuit(self, spider3):
         mu = DiscreteMeasure(spider3, ((Point(spider3, (2, 1.2)), 0.5),
                                        (Point(spider3, (2, 1.2)), 0.5)))
         diag = frechet_mean(mu)
-        assert diag.iterations == 0
+        assert diag.certificate.sup_tangent_mean == 0.0  # every log is zero
         assert diag.mean.coords == (2, 1.2)
 
     def test_certificate_dominates_grid(self, spider_weighted):
-        # reported F value must not exceed the value anywhere on the grid
-        cfg = SolverConfig(grid_step=0.01)
-        diag = frechet_mean(spider_weighted, cfg)
-        from stratclt.measures import _grid_certificate
-        _, _, _, blocks = _grid_certificate(spider_weighted, diag.mean, cfg)
-        grid_min = min(float(b.values.min()) for b in blocks if b.size)
+        # reported F value must not exceed the oracle's value anywhere on
+        # its grid, and the certificate must hold
+        raw = spider_weighted.to_json()
+        atoms = [(a["point"], a["weight"]) for a in raw["atoms"]]
+        grid = frechet_grid(raw["space"], atoms, 100)
+        diag = frechet_mean(spider_weighted)
+        grid_min = float(frechet_values(raw["space"], atoms, grid).min())
         assert diag.frechet_value <= grid_min + 1e-15
+        assert diag.certificate.sup_tangent_mean <= diag.certificate.tol
 
 
 class TestPushforward:
@@ -180,8 +188,8 @@ class TestValidateLocalized:
     def test_spider_uniform_passes(self, spider_uniform):
         report = validate_localized(spider_uniform)
         assert report.passed
-        assert report.uniqueness["runner_up_gap"] > 1e-6
-        assert report.convexity["passed"]
+        assert report.base == report.mean == apex(spider_uniform.space)
+        assert report.certificate.sup_tangent_mean <= report.certificate.tol
         assert report.logs["passed"]
 
     def test_euclidean_passes(self):
@@ -190,9 +198,10 @@ class TestValidateLocalized:
                                   (Point(sp, (1.0, 0.0)), 0.25),
                                   (Point(sp, (0.0, 1.0)), 0.25),
                                   (Point(sp, (1.0, 1.0)), 0.25)))
-        cfg = ValidationConfig(solver=SolverConfig(grid_step=0.01))
-        report = validate_localized(mu, cfg)
+        report = validate_localized(mu)
         assert report.passed
+        assert report.mean.coords == (0.5, 0.5)
+        assert report.certificate.sup_tangent_mean <= report.certificate.tol
 
     def test_flatcone_ambiguous_log_fails_bullet_c(self, cone3pi):
         # atoms at circle gap exactly pi seen from the (overridden) mean:
@@ -202,11 +211,11 @@ class TestValidateLocalized:
             (Point(cone3pi, (1.0, math.pi)), 0.2),
         ))
         base = Point(cone3pi, (0.6, 0.0))
-        cfg = ValidationConfig(base=base, solver=SolverConfig(
-            grid_step=0.01, grid_radius=0.5))
-        report = validate_localized(mu, cfg)
+        report = validate_localized(mu, ValidationConfig(base=base))
         assert not report.passed
-        assert report.uniqueness["passed"]
+        # a given base is checked as it is: no mean is solved or certified
+        assert report.base == base
+        assert report.mean is None and report.certificate is None
         assert not report.logs["passed"]
         failing = report.logs["failing_atoms"]
         assert len(failing) == 1 and failing[0]["atom"] == 1
@@ -273,25 +282,26 @@ class TestEnumerationOracle:
                 assert got == pytest.approx(stats["cov"][i, j], abs=1e-15)
 
 
-class TestConvergenceDiagnostics:
-    def test_tail_tolerance_violation_carries_trajectory(self, spider_uniform):
-        from stratclt import ConvergenceError
-        cfg = SolverConfig(iterations=300, tail_tol=1e-30)
-        with pytest.raises(ConvergenceError) as err:
-            frechet_mean(spider_uniform, cfg)
-        assert len(err.value.trajectory_tail) > 0
-        assert all(t >= 0.0 for t in err.value.trajectory_tail)
+class TestCertificateFailure:
+    def test_off_mean_point_is_refused(self, spider_weighted, spider3, monkeypatch):
+        # a solve that lands off the mean fails its first-order certificate
+        from stratclt import measures
+        monkeypatch.setattr(measures, "_closed_form_mean",
+                            lambda mu: Point(spider3, (1, 0.5)))
+        with pytest.raises(NumericalConsistencyError, match="certificate"):
+            frechet_mean(spider_weighted)
 
 
 class TestBookSpineMean:
     def test_mean_sticks_to_spine(self, book_spine_measure):
-        diag = frechet_mean(book_spine_measure,
-                            SolverConfig(grid_step=0.004))
+        diag = frechet_mean(book_spine_measure)
         page, s, t = diag.mean.coords
         assert t == 0.0
-        assert abs(s) < 1e-6
+        assert s == 0.0
         assert diag.sticky and diag.sticky_stratum == "spine"
-        assert diag.min_outward_derivative > 0.0
+        # each page normal: tau_q = 0.2 - 0.2 - 0.2
+        assert diag.min_outward_derivative == pytest.approx(0.2, abs=1e-15)
+        assert diag.certificate.sup_tangent_mean <= diag.certificate.tol
 
 
 class TestHigherDimensionalEuclidean:
@@ -301,8 +311,7 @@ class TestHigherDimensionalEuclidean:
             (Point(sp, (0.0, 0.0, 0.0)), 0.5),
             (Point(sp, (1.0, 1.0, 1.0)), 0.5),
         ))
-        cfg = ValidationConfig(solver=SolverConfig(grid_step=0.05,
-                                                   grid_radius=0.5))
-        report = validate_localized(mu, cfg)
+        report = validate_localized(mu)
         assert report.passed
-        assert report.convexity["pairs_checked"] > 0
+        assert report.mean.coords == (0.5, 0.5, 0.5)
+        assert report.certificate.sup_tangent_mean <= report.certificate.tol
