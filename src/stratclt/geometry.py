@@ -121,6 +121,12 @@ class SpaceSpec:
         return SpaceSpec(kind, **{name: value})
 
 
+def _wrap_angle(phi: float, alpha: float) -> float:
+    """phi reduced into [0, alpha); a tiny negative phi rounds up to alpha, i.e. 0."""
+    phi = phi % alpha
+    return 0.0 if phi == alpha else phi
+
+
 def _check_finite(values):
     for v in values:
         if not math.isfinite(v):
@@ -183,7 +189,7 @@ class Point:
             _check_finite((r, phi))
             if r < 0:
                 raise DomainError("cone radius must be >= 0")
-            phi = phi % sp.circumference if r > 0.0 else 0.0
+            phi = _wrap_angle(phi, sp.circumference) if r > 0.0 else 0.0
             c = (r, phi)
         object.__setattr__(self, "coords", c)
 
@@ -367,7 +373,7 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
     if r == 0.0:
         return apex(sp)
     psi = math.atan2(y, x)
-    return Point(sp, (r, (phi1 + psi) % sp.circumference))
+    return Point(sp, (r, phi1 + psi))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +427,7 @@ class Direction:
         elif k == D_ANGLE:
             if not (sp.kind == FLAT_CONE and sid == "apex"):
                 raise DomainError("circle directions only exist at the cone apex")
-            d = (float(d[0]) % sp.circumference,)
+            d = (_wrap_angle(float(d[0]), sp.circumference),)
         elif k == D_VECTOR:
             if sp.kind == SPIDER or sid in ("apex", "spine"):
                 raise DomainError("vector directions only exist at smooth points")
@@ -645,19 +651,18 @@ def exp_map(base: Point, v: TangentVector) -> Point:
             return Point(sp, (pg0, s1, t1))
         return Point(sp, (_other_index(pg0), s1, -t1))
     r0, phi0 = base.coords
-    alpha = sp.circumference
     if d.kind == D_ANGLE:
         return Point(sp, (ln, d.data[0]))
     a, b = d.data
     if b == 0.0 and a == -1.0:
         if ln <= r0:
             return Point(sp, (r0 - ln, phi0))
-        return Point(sp, (ln - r0, (phi0 + math.pi) % alpha))
+        return Point(sp, (ln - r0, phi0 + math.pi))
     x = r0 + ln * a
     y = ln * b
     r = math.hypot(x, y)
     psi = math.atan2(y, x)
-    return Point(sp, (r, (phi0 + psi) % alpha))
+    return Point(sp, (r, phi0 + psi))
 
 
 # ---------------------------------------------------------------------------

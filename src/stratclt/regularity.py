@@ -37,24 +37,6 @@ def build_net(base: Point, eps: float, weights: bool = True) -> DirectionNet:
                         arr)
 
 
-def _refine_net(base: Point, net: DirectionNet, eps: float) -> DirectionNet:
-    """Halve the mesh of a uniform net; the result contains the old net."""
-    ds = geo.direction_space(base)
-    coords, w, cov_radius = ds.refine(net.coords())
-    dirs = tuple(ds.from_coord(c) for c in coords)
-    return DirectionNet(base, dirs, float(eps), float(cov_radius),
-                        tuple(float(x) for x in w), np.asarray(coords, dtype=float))
-
-
-def net_is_valid(net: DirectionNet, eps: float | None = None) -> bool:
-    """Exhaustive check against a candidate grid of resolution eps/4."""
-    eps = net.resolution if eps is None else eps
-    ds = geo.direction_space(net.base)
-    cand = ds.grid(eps)
-    dmat = ds.cross(np.atleast_1d(cand) if np.ndim(cand) == 1 else cand, net.coords())
-    return bool(np.all(dmat.min(axis=1) <= eps))
-
-
 def covering_number(base: Point, eps: float) -> int:
     """Upper estimate of the covering number N(eps).
 
@@ -114,24 +96,22 @@ def stratum_dimension_bound(base: Point) -> float:
 def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
     """Covering counts N(2^-n) for n = 1..n_max and the log2 growth slope.
 
-    Counts come from nested nets (each scale refines the previous), and
-    the slope is the least-squares fit over the finer half of the
-    scales.  Constant counts short-circuit to an exact zero estimate.
+    Counts are the sizes of nested net coordinate sets (each scale refines
+    the previous; no direction objects are built), and the slope is the
+    least-squares fit over the finer half of the scales.  Constant counts
+    short-circuit to an exact zero estimate.
     """
     if n_max < 4:
         raise DomainError("need n_max >= 4 for a meaningful slope")
+    ds = geo.direction_space(base)
+    coords, _w, radius = ds.net_coords(0.5)
     scales, counts = [], []
-    net = None
     for n in range(1, n_max + 1):
         eps = 2.0 ** (-n)
-        if net is None:
-            net = build_net(base, eps)
-        else:
-            net = _refine_net(base, net, eps)
-            while net.covering_radius > eps / 2.0 + 1e-15:
-                net = _refine_net(base, net, eps)
+        while radius > eps / 2.0 + 1e-15:
+            coords, _w, radius = ds.refine(coords)
         scales.append(eps)
-        counts.append(len(net))
+        counts.append(len(coords))
     counts_arr = np.array(counts, dtype=float)
     if counts_arr.max() == counts_arr.min():
         slope = 0.0
@@ -148,20 +128,18 @@ def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
 # Modulus of continuity
 
 
-def _pair_lists(net: DirectionNet, radii) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Index pairs (i < j) within each radius, for vectorized moduli."""
-    dmat = net.pairwise_distances()
-    iu, ju = np.triu_indices(len(net), k=1)
-    dvals = dmat[iu, ju]
-    out = []
-    for r in radii:
-        mask = dvals <= r
-        out.append((iu[mask], ju[mask]))
-    return out
+# elements of one working array: net rows per distance block, pairs per chunk
+_BLOCK = 1 << 16
 
 
 def modulus_many(values: np.ndarray, net: DirectionNet, radii) -> np.ndarray:
-    """w(h, r) per row of ``values`` and per radius (rows are fields)."""
+    """w(h, r) per row of ``values`` and per radius (rows are fields).
+
+    The net is walked in row blocks; each block's pairs j > i within the
+    largest radius are sorted by distance, so the pairs within each
+    radius form a prefix and every chunk of |h(V_i) - h(V_j)| is folded
+    into the radii that contain it.  Memory is O(values + block).
+    """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     for r in radii:
         if net.covering_radius > r / 4.0:
@@ -169,17 +147,33 @@ def modulus_many(values: np.ndarray, net: DirectionNet, radii) -> np.ndarray:
                 f"net covering radius {net.covering_radius:.3g} too coarse for "
                 f"modulus radius {r:.3g}"
             )
-    pairs = _pair_lists(net, radii)
-    nrows = values.shape[0]
-    out = np.zeros((nrows, len(pairs)))
-    chunk = max(1, int(2e7 // max(1, max(len(i) for i, _ in pairs) or 1)))
-    for c, (i_idx, j_idx) in enumerate(pairs):
-        if len(i_idx) == 0:
-            continue
-        for lo in range(0, nrows, chunk):
-            hi = min(nrows, lo + chunk)
-            diffs = np.abs(values[lo:hi][:, i_idx] - values[lo:hi][:, j_idx])
-            out[lo:hi, c] = diffs.max(axis=1)
+    radii = np.asarray(radii, dtype=float).ravel()
+    order = np.argsort(radii, kind="stable")
+    ascending = radii[order]
+    # seg[k]: max over pairs with distance in (ascending[k-1], ascending[k]]
+    seg = np.zeros((len(radii), values.shape[0]))
+    vt = np.ascontiguousarray(values.T)
+    coords, ds, m = net.coords(), net.space(), len(net)
+    block = max(1, _BLOCK // m)
+    chunk = max(1, _BLOCK // max(1, values.shape[0]))
+    for lo in range(0, m if len(radii) else 0, block):
+        dist = ds.cross(coords[lo:lo + block], coords)
+        rows, j = np.nonzero(dist <= ascending[-1])
+        keep = j > rows + lo
+        rows, j = rows[keep], j[keep]
+        d = dist[rows, j]
+        s = np.argsort(d, kind="stable")
+        i, j, d = rows[s] + lo, j[s], d[s]
+        start = 0
+        for k, stop in enumerate(np.searchsorted(d, ascending, side="right")):
+            for a in range(start, stop, chunk):
+                b = min(stop, a + chunk)
+                diff = vt[i[a:b]]
+                diff -= vt[j[a:b]]
+                np.maximum(seg[k], np.abs(diff, out=diff).max(axis=0), out=seg[k])
+            start = stop
+    out = np.empty((values.shape[0], len(radii)))
+    out[:, order] = np.maximum.accumulate(seg, axis=0).T
     return out
 
 

@@ -4,13 +4,18 @@ Nothing here calls the package's distance branching or pairing code:
 the cone oracle minimizes over polygonal paths using only the local
 flat metric, the book oracle minimizes over spine crossing points, and
 the tangent-statistics oracles enumerate pairings from explicit angle
-tables.
+tables.  The net-statistics references at the end are the plain
+all-pairs and per-pair forms of the package's blocked statistics; they
+take net distances from the package, so they check the blocking and
+vectorization, not the metric.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
+
+from stratclt.geometry import DirectionNet, direction_space
 
 
 def cone_distance_oracle(alpha: float, p, q, segments: int = 60) -> float:
@@ -181,3 +186,69 @@ def closed_form_mean(space: dict, atoms) -> list:
                 far += w * r
         psi = (psi + math.atan2(y, x)) % alpha
     return [(math.hypot(x, y) - far) / total, psi]
+
+
+# ---------------------------------------------------------------------------
+# Net statistics in their plain forms
+
+
+def refine_net(base, net: DirectionNet, eps: float) -> DirectionNet:
+    """Halve the mesh of a uniform net; the result contains the old net."""
+    ds = direction_space(base)
+    coords, w, cov_radius = ds.refine(net.coords())
+    dirs = tuple(ds.from_coord(c) for c in coords)
+    return DirectionNet(base, dirs, float(eps), float(cov_radius),
+                        tuple(float(x) for x in w), np.asarray(coords, dtype=float))
+
+
+def net_is_valid(net: DirectionNet, eps: float | None = None) -> bool:
+    """Exhaustive check against a candidate grid of resolution eps/4."""
+    eps = net.resolution if eps is None else eps
+    ds = direction_space(net.base)
+    cand = ds.grid(eps)
+    dmat = ds.cross(np.atleast_1d(cand) if np.ndim(cand) == 1 else cand, net.coords())
+    return bool(np.all(dmat.min(axis=1) <= eps))
+
+
+def modulus_all_pairs(values: np.ndarray, net: DirectionNet, radii) -> np.ndarray:
+    """w(h, r) from the full distance matrix and every index pair i < j."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    dmat = net.pairwise_distances()
+    iu, ju = np.triu_indices(len(net), k=1)
+    dvals = dmat[iu, ju]
+    out = np.zeros((values.shape[0], len(radii)))
+    for c, r in enumerate(radii):
+        mask = dvals <= r
+        if mask.any():
+            out[:, c] = np.abs(values[:, iu[mask]] - values[:, ju[mask]]).max(axis=1)
+    return out
+
+
+def increment_pairs_loop(values: np.ndarray, sim, n: int, gamma2: float,
+                         gamma4: float) -> list:
+    """Increment fourth-moment rows by a Python loop over net pairs i < j."""
+    m = len(sim.net)
+    dmat = sim.net.pairwise_distances()
+    tau = sim.pair - sim.mean_vec
+    w = sim.weights
+    rows = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = float(dmat[i, j])
+            bound = 2.0 * (2.0 * (1.0 + gamma2) * d * d) ** 2 \
+                + 8.0 * (1.0 + gamma4) * d**4 / n
+            delta = tau[:, i] - tau[:, j]
+            e2 = float(w @ delta**2)
+            e4 = float(w @ delta**4)
+            exact = 3.0 * (1.0 - 1.0 / n) * e2 * e2 + e4 / n
+            diffs4 = (values[:, i] - values[:, j]) ** 4
+            mc = float(diffs4.mean())
+            se = float(diffs4.std(ddof=1) / math.sqrt(values.shape[0]))
+            rows.append({
+                "i": i, "j": j, "angular_distance": d, "bound": bound,
+                "exact_fourth_moment": exact, "mc_fourth_moment": mc,
+                "mc_se": se, "ratio": mc / bound if bound > 0.0 else 0.0,
+                "exact_ok": bool(exact <= bound * (1 + 1e-12) + 1e-300),
+                "passed": bool(mc <= bound + 3.0 * se),
+            })
+    return rows

@@ -34,12 +34,11 @@ from stratclt.fields import pairing_matrix
 from stratclt.geometry import D_LEG, D_SIGN
 from stratclt.harness import _FieldSimulator, _PURPOSE_SAMPLES, _modulus_test, ModulusSpec
 from stratclt.cli import main as cli_main
-from stratclt.regularity import _refine_net
 
 from .conftest import load_config
 from .test_fields import bundled_cases
 from .test_geometry import crosses_branch_point, random_point
-from .oracles import comparison_median
+from .oracles import comparison_median, refine_net
 
 SP3 = SpaceSpec.spider(3)
 OB3 = SpaceSpec.open_book(3)
@@ -280,7 +279,7 @@ def test_criterion_09_tightness_and_chaining(book_spine_measure):
     k_range = list(range(2, 7))
     nets = {k_range[0]: build_net(base, 2.0 ** -k_range[0])}
     for k in k_range[1:]:
-        nets[k] = _refine_net(base, nets[k - 1], 2.0 ** -k)
+        nets[k] = refine_net(base, nets[k - 1], 2.0 ** -k)
     fine = nets[k_range[-1]]
     sim = _FieldSimulator(book_spine_measure, base, fine)
     draws = sim.field_rows(907, _PURPOSE_SAMPLES, 0, 1000, 500, 1)

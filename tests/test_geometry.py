@@ -89,6 +89,22 @@ class TestConstruction:
         # angle reduced mod circumference
         assert Point(FC, (1.0, ALPHA + 1.0)).coords == (1.0, 1.0)
 
+    @pytest.mark.parametrize("phi, want", [
+        (-1e-17, 0.0),  # phi % 7 rounds to 7.0 itself
+        (-0.0, 0.0),
+        (math.nextafter(7.0, 0.0), math.nextafter(7.0, 0.0)),
+        (7.0, 0.0),
+    ])
+    def test_cone_angle_stays_in_range(self, phi, want):
+        sp = SpaceSpec.flat_cone(7.0)
+        p = Point(sp, (1.0, phi))
+        assert p.coords == (1.0, want)
+        assert math.copysign(1.0, p.coords[1]) == 1.0
+        assert p == Point(sp, (1.0, want))
+        d = Direction(apex(sp), D_ANGLE, (phi,))
+        assert d.data == (want,)
+        assert 0.0 <= d.data[0] < sp.circumference
+
     def test_space_spec_json_round_trip(self):
         for sp in (E2, SP3, OB3, FC):
             assert SpaceSpec.from_json(sp.to_json()) == sp

@@ -16,9 +16,17 @@ from stratclt import (
     ks_distance,
     run_clt_experiment,
 )
-from stratclt.harness import _FieldSimulator, _PURPOSE_SAMPLES, _martingale_rows
+from stratclt.harness import (
+    _FieldSimulator,
+    _PURPOSE_SAMPLES,
+    _increment_test,
+    _martingale_rows,
+    resolve_net,
+)
+from stratclt.measures import validate_localized
 
 from .conftest import load_config
+from .oracles import increment_pairs_loop
 
 
 def small_config(name, **overrides):
@@ -305,6 +313,42 @@ class TestMomentExpansionOracle:
             e4 = float(w @ delta[:, 0] ** 4)
             expansion = 3.0 * (1.0 - 1.0 / n) * e2 * e2 + e4 / n
             assert abs(float(e_d4[0]) - expansion) <= 1e-12
+
+
+class TestIncrementReference:
+    @pytest.mark.parametrize("name, net, replicates", [
+        ("openbook3_spine.json", None, None),
+        ("flatcone4_star.json", None, None),
+        ("openbook3_spine.json", {"epsilon": 0.1}, 1000),  # 95 directions
+    ])
+    def test_matches_pair_loop(self, name, net, replicates):
+        raw = load_config(name)
+        if net is not None:
+            raw["net"] = net
+        if replicates is not None:
+            raw["replicates"] = replicates
+        cfg = config_from_json(raw, seed=17)
+        base = validate_localized(cfg.measure, cfg.validation_config()).base
+        sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg))
+        n = cfg.sample_sizes[0]
+        values = sim.field_rows(17, _PURPOSE_SAMPLES, 0, n, cfg.replicates)
+        assert net is None or len(sim.net) == 95
+        # the measure's moment constants, and constants shrunk until the
+        # bound splits the pairs, so both flags take both values
+        gammas = (cfg.measure.moment(base, 2), cfg.measure.moment(base, 4))
+        for g2, g4 in (gammas, (-0.8, -0.8)):
+            got = _increment_test(values, sim, n, g2, g4)
+            want = increment_pairs_loop(values, sim, n, g2, g4)
+            assert [(r["i"], r["j"]) for r in got["pairs"]] == \
+                [(r["i"], r["j"]) for r in want]
+            for g, w in zip(got["pairs"], want):
+                assert g.keys() == w.keys()
+                for key in ("angular_distance", "bound", "exact_ok", "passed"):
+                    assert g[key] == w[key], key
+                for key in ("exact_fourth_moment", "mc_fourth_moment", "mc_se", "ratio"):
+                    assert g[key] == pytest.approx(w[key], rel=1e-14, abs=0.0), key
+            assert got["passed"] == all(r["passed"] and r["exact_ok"] for r in want)
+        assert {r["passed"] for r in want} == {r["exact_ok"] for r in want} == {True, False}
 
 
 class TestZeroVarianceDirection:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,13 +19,21 @@ from stratclt import (
     modulus,
     substream,
 )
+from stratclt import regularity as rg
 from stratclt.fields import FieldOnNet
-from stratclt.regularity import ModulusTable, net_is_valid
+from stratclt.geometry import D_LEG, Direction, net_from_directions
+from stratclt.harness import _PURPOSE_MODULUS, _FieldSimulator, config_from_json
+from stratclt.measures import validate_localized
+from stratclt.regularity import ModulusTable, modulus_many
+
+from .conftest import load_config
+from .oracles import modulus_all_pairs, net_is_valid, refine_net
 
 FC = SpaceSpec.flat_cone(3 * math.pi)
 OB3 = SpaceSpec.open_book(3)
 SP3 = SpaceSpec.spider(3)
 E1 = SpaceSpec.euclidean(1)
+E2 = SpaceSpec.euclidean(2)
 ALPHA = 3 * math.pi
 
 
@@ -129,10 +138,9 @@ class TestDimensionConstant:
 
     def test_nestedness(self):
         # refining a net keeps every existing direction
-        from stratclt.regularity import _refine_net
         for base in (apex(FC), Point(OB3, (0, 0.0, 0.0))):
             net = build_net(base, 0.25)
-            fine = _refine_net(base, net, 0.125)
+            fine = refine_net(base, net, 0.125)
             coarse = {d.describe() for d in net.directions}
             finer = {d.describe() for d in fine.directions}
             assert coarse <= finer
@@ -140,6 +148,86 @@ class TestDimensionConstant:
     def test_requires_enough_scales(self):
         with pytest.raises(DomainError):
             dimension_constant(apex(SP3), 3)
+
+    @pytest.mark.parametrize("base", [apex(FC), Point(OB3, (0, 0.2, 0.0)),
+                                      apex(SP3), Point(E2, (0.0, 0.0))])
+    def test_counts_match_nested_nets(self, base):
+        # the counts come from coordinates alone; nets built scale by scale
+        # as direction objects must give the same profile
+        net = build_net(base, 0.5)
+        counts = [len(net)]
+        for n in range(2, 11):
+            eps = 2.0 ** -n
+            net = refine_net(base, net, eps)
+            while net.covering_radius > eps / 2.0 + 1e-15:
+                net = refine_net(base, net, eps)
+            counts.append(len(net))
+        assert dimension_constant(base, 10).counts == tuple(counts)
+
+
+def _shuffled_cone_net():
+    dirs = list(build_net(apex(FC), 0.1).directions)
+    np.random.default_rng(3).shuffle(dirs)
+    return net_from_directions(apex(FC), dirs)
+
+
+# (net, radii): nets of every direction-space model, sizes that leave a
+# partial last block, unsorted and repeated radii, and a one-direction net
+MODULUS_CASES = {
+    "spine_eps8th": (lambda: build_net(Point(OB3, (0, 0.0, 0.0)), 2.0 ** -3),
+                     (0.25, 0.5, 1.0, 2.0, math.pi)),
+    "spine_eps64th": (lambda: build_net(Point(OB3, (0, 0.3, 0.0)), 2.0 ** -6),
+                      (2.0 ** -2, 2.0 ** -3, 2.0 ** -4, 2.0 ** -5)),
+    "cone_apex": (lambda: build_net(apex(FC), 0.05), (0.2, 0.5, 1.0, 4.0)),
+    "euclid2_circle": (lambda: build_net(Point(E2, (0.3, -1.0)), 0.05),
+                       (0.2, 0.7, math.pi)),
+    "spider_apex": (lambda: build_net(apex(SP3), 1.0), (3.0, math.pi)),
+    "shuffled_explicit": (_shuffled_cone_net, (0.5, 0.2, 1.0)),
+    "unsorted_duplicates": (lambda: build_net(apex(FC), 0.05),
+                            (0.5, 0.125, 0.5, 2.0, 0.25, 0.125)),
+    "single_direction": (lambda: net_from_directions(
+        apex(SP3), [Direction(apex(SP3), D_LEG, (1,))]), (13.0, 20.0)),
+}
+
+
+class TestModulusBlocking:
+    @pytest.mark.parametrize("rows_per_block", [None, 7])
+    @pytest.mark.parametrize("case", sorted(MODULUS_CASES))
+    def test_matches_all_pairs(self, case, rows_per_block, monkeypatch):
+        make, radii = MODULUS_CASES[case]
+        net = make()
+        if rows_per_block is not None:
+            # 7 rows per block and a few pairs per chunk
+            monkeypatch.setattr(rg, "_BLOCK", rows_per_block * len(net) + 3)
+        values = np.random.default_rng(len(net)).normal(size=(30, len(net)))
+        got = modulus_many(values, net, radii)
+        assert got.shape == (30, len(radii))
+        assert np.array_equal(got, modulus_all_pairs(values, net, radii))
+
+    def test_some_nets_leave_a_partial_block(self):
+        # the cases above must include a last block shorter than the rest
+        sizes = [len(make()) for make, _ in MODULUS_CASES.values()]
+        assert 1 in sizes
+        assert any(m % 7 for m in sizes)
+        assert any(m % (rg._BLOCK // m) for m in sizes if m > 1)
+
+    def test_memory_bounded_on_bundled_book(self):
+        # the bundled open-book modulus input: 2414 directions, R = 500,
+        # 5 radii; the all-pairs form allocated about 612 MB
+        cfg = config_from_json(load_config("openbook3_spine.json"), seed=42)
+        base = validate_localized(cfg.measure, cfg.validation_config()).base
+        net = build_net(base, cfg.modulus.epsilon)
+        values = _FieldSimulator(cfg.measure, base, net).field_rows(
+            42, _PURPOSE_MODULUS, 0, cfg.modulus.n, cfg.modulus.replicates)
+        radii = [2.0 ** -k for k in cfg.modulus.radii_log2]
+        assert values.shape == (500, 2414) and len(radii) == 5
+        tracemalloc.start()
+        try:
+            modulus_many(values, net, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestModulus:
@@ -221,13 +309,11 @@ class TestChainingStatistic:
     def test_dyadic_decay_on_gaussian_field(self, book_spine_measure):
         # moments of the dyadic increment suprema decay geometrically:
         # fit the constant at the coarsest scale and check finer ones
-        from stratclt.regularity import _refine_net
-
         base = Point(OB3, (0, 0.0, 0.0))
         k_range = list(range(2, 7))
         nets = {k_range[0]: build_net(base, 2.0 ** -k_range[0])}
         for k in k_range[1:]:
-            nets[k] = _refine_net(base, nets[k - 1], 2.0 ** -k)
+            nets[k] = refine_net(base, nets[k - 1], 2.0 ** -k)
         fine = nets[k_range[-1]]
         cov = cov_matrix(book_spine_measure, base, fine)
         sampler = GaussianFieldSampler.build(cov)
