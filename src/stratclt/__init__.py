@@ -56,6 +56,7 @@ from .measures import (
     frechet_mean,
     pushforward,
     sample,
+    tangent_mean,
     validate_localized,
 )
 from .fields import (
@@ -67,7 +68,6 @@ from .fields import (
     empirical_field,
     l2_norm_expectation,
     tangent_cov,
-    tangent_mean,
 )
 from .regularity import (
     CoveringProfile,

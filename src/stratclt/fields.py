@@ -18,81 +18,41 @@ import numpy as np
 from . import geometry as geo
 from .errors import DomainError, NumericalConsistencyError, SpaceMismatchError
 from .geometry import DirectionNet, Point, TangentVector
-from .measures import DiscreteMeasure, TangentMeasure, pushforward
+from .measures import (
+    DiscreteMeasure,
+    TangentMeasure,
+    _require_unit,
+    pushforward,
+    tangent_mean,
+)
 
 CLT_SCALING = "clt"  # 1/sqrt(n)
 LLN_SCALING = "lln"  # 1/n
-
-
-def _stacked_coords(ds, vectors) -> np.ndarray | None:
-    """Direction coords of tangent vectors, zero vectors filled with a
-    placeholder (their rows are masked out by the caller); None if all
-    vectors are zero."""
-    coords = []
-    template = None
-    for v in vectors:
-        if v.is_zero:
-            coords.append(None)
-        else:
-            c = ds.to_coord(v.direction)
-            coords.append(c)
-            template = c
-    if template is None:
-        return None
-    return np.array([template if c is None else c for c in coords])
 
 
 def pairing_matrix(tm: TangentMeasure, net: DirectionNet) -> np.ndarray:
     """P[i, j] = <log x_i, V_j> for atoms i and net directions j."""
     if net.base != tm.base:
         raise SpaceMismatchError("net and tangent measure have different bases")
-    ds = geo.direction_space(tm.base)
-    lengths = tm.lengths
-    coords = _stacked_coords(ds, [v for v, _ in tm.atoms])
-    if coords is None:
-        return np.zeros((len(tm.atoms), len(net)))
-    dmat = ds.cross(coords, net.coords())
-    pair = lengths[:, None] * np.cos(np.minimum(dmat, math.pi))
-    pair[lengths == 0.0, :] = 0.0
-    return pair
-
-
-def tangent_mean_vector(measure: DiscreteMeasure, tm: TangentMeasure,
-                        net: DirectionNet) -> np.ndarray:
-    return measure.weights @ pairing_matrix(tm, net)
-
-
-def tangent_mean(measure: DiscreteMeasure, base: Point, v: TangentVector) -> float:
-    """m(mu, V) = E<log x, V>; equals minus the directional derivative."""
-    _require_unit(v)
-    tm = pushforward(measure, base)
-    return float(sum(w * geo.angular_pairing(x, v) for x, w in tm.atoms))
-
-
-def _require_unit(v: TangentVector):
-    if abs(v.length - 1.0) > 1e-9:
-        raise DomainError("field arguments must be unit tangent vectors")
+    return geo.pairings(tm.base, [v for v, _ in tm.atoms], net.coords())
 
 
 def tangent_cov(measure: DiscreteMeasure, base: Point, v: TangentVector,
                 w: TangentVector) -> float:
     """Centered covariance kernel of the pairing field at (v, w)."""
-    _require_unit(v)
-    _require_unit(w)
-    tm = pushforward(measure, base)
+    coords = _require_unit(base, v, w)
+    logs = [x for x, _ in pushforward(measure, base).atoms]
     weights = measure.weights
-    pv = np.array([geo.angular_pairing(x, v) for x, _ in tm.atoms])
-    pw = np.array([geo.angular_pairing(x, w) for x, _ in tm.atoms])
-    mv = float(weights @ pv)
-    mw = float(weights @ pw)
-    return float(weights @ ((pv - mv) * (pw - mw)))
+    pair = geo.pairings(base, logs, coords)
+    centered = pair - weights @ pair
+    return float(weights @ (centered[:, 0] * centered[:, 1]))
 
 
 def centered_pairing(x: Point, measure: DiscreteMeasure, base: Point,
                      v: TangentVector) -> float:
     """<log x, V> minus the tangent mean: one draw of the centered field."""
-    _require_unit(v)
-    value = geo.angular_pairing(geo.log_map(base, x), v)
+    coords = _require_unit(base, v)
+    value = geo.pairings(base, [geo.log_map(base, x)], coords)[0, 0]
     return float(value - tangent_mean(measure, base, v))
 
 
@@ -125,19 +85,9 @@ def empirical_field(samples: list[Point], measure: DiscreteMeasure, base: Point,
         raise DomainError("empirical field needs at least one sample")
     if scaling not in (CLT_SCALING, LLN_SCALING):
         raise DomainError(f"unknown scaling {scaling!r}")
-    tm = pushforward(measure, base)
-    mean_vec = tangent_mean_vector(measure, tm, net)
-    ds = geo.direction_space(base)
+    mean_vec = measure.weights @ pairing_matrix(pushforward(measure, base), net)
     logs = [geo.log_map(base, x) for x in samples]
-    lengths = np.array([v.length for v in logs])
-    coords = _stacked_coords(ds, logs)
-    if coords is None:
-        sums = -n * mean_vec
-    else:
-        dmat = ds.cross(coords, net.coords())
-        pair = lengths[:, None] * np.cos(np.minimum(dmat, math.pi))
-        pair[lengths == 0.0, :] = 0.0
-        sums = pair.sum(axis=0) - n * mean_vec
+    sums = geo.pairings(base, logs, net.coords()).sum(axis=0) - n * mean_vec
     norm = 1.0 / math.sqrt(n) if scaling == CLT_SCALING else 1.0 / n
     label = f"empirical_{scaling}(n={n})"
     return FieldOnNet(net, norm * sums, label)
@@ -163,12 +113,15 @@ class CovMatrix:
     eigenvectors: np.ndarray
 
 
-def cov_matrix(measure: DiscreteMeasure, base: Point, net: DirectionNet,
-               psd_tol: float = 1e-8) -> CovMatrix:
+# relative tolerance below which negative covariance eigenvalues raise
+_PSD_TOL = 1e-8
+
+
+def cov_matrix(measure: DiscreteMeasure, base: Point, net: DirectionNet) -> CovMatrix:
     """Entrywise tangent covariance on the net.
 
     The matrix is symmetrized by averaging; eigenvalues below
-    ``-psd_tol * max(eig)`` raise, slightly negative ones are clipped
+    ``-_PSD_TOL * max(eig)`` raise, slightly negative ones are clipped
     with a log entry (exactly singular kernels are expected, e.g. on a
     spider net the all-ones vector is a null direction).
     """
@@ -181,7 +134,7 @@ def cov_matrix(measure: DiscreteMeasure, base: Point, net: DirectionNet,
     cov = 0.5 * (cov + cov.T)
     vals, vecs = np.linalg.eigh(cov)
     scale_ref = max(float(vals.max(initial=0.0)), 0.0)
-    floor = -psd_tol * max(scale_ref, 1e-300)
+    floor = -_PSD_TOL * max(scale_ref, 1e-300)
     if vals.min(initial=0.0) < floor:
         raise NumericalConsistencyError(
             f"covariance matrix indefinite: min eigenvalue {vals.min():.3e}"

@@ -512,21 +512,10 @@ def angular_distance(u: Direction, v: Direction) -> float:
     """
     if u.base != v.base:
         raise SpaceMismatchError("directions are based at different points")
-    k = u.kind
-    if k != v.kind:
+    if u.kind != v.kind:
         raise SpaceMismatchError("incompatible direction descriptors")
-    if k == D_LEG or k == D_SIGN:
-        return 0.0 if u.data == v.data else math.pi
-    if k == D_PAGE_ANGLE:
-        p1, a1 = u.data
-        p2, a2 = v.data
-        if p1 == p2:
-            return abs(a1 - a2)
-        return min(a1 + a2, (math.pi - a1) + (math.pi - a2))
-    if k == D_ANGLE:
-        return _cone_gap(u.base.space, u.data[0], v.data[0])
-    dot = float(np.dot(u.data, v.data))
-    return math.acos(min(1.0, max(-1.0, dot)))
+    ds = direction_space(u.base)
+    return float(ds.cross(np.array([ds.to_coord(u)]), np.array([ds.to_coord(v)]))[0, 0])
 
 
 def angular_pairing(v: TangentVector, w: TangentVector) -> float:
@@ -683,10 +672,6 @@ class DiscreteDirections:
         self.labels = list(labels)
         self._make = make
 
-    @property
-    def total_measure(self) -> float:
-        return float(len(self.labels))  # counting measure
-
     def to_coord(self, d: Direction) -> float:
         return float(self.labels.index(d.data[0]))
 
@@ -697,9 +682,6 @@ class DiscreteDirections:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         return np.where(a[:, None] == b[None, :], 0.0, math.pi)
-
-    def grid(self, eps: float) -> np.ndarray:
-        return np.arange(len(self.labels), dtype=float)
 
     def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
         coords = np.arange(len(self.labels), dtype=float)
@@ -718,14 +700,7 @@ class CircleDirections:
         self.length = float(length)
         self._make = make
 
-    @property
-    def total_measure(self) -> float:
-        return self.length
-
     def to_coord(self, d: Direction) -> float:
-        return self._coord_of(d)
-
-    def _coord_of(self, d: Direction) -> float:
         if d.kind == D_ANGLE:
             return d.data[0]
         return math.atan2(d.data[1], d.data[0]) % _TWO_PI
@@ -738,10 +713,6 @@ class CircleDirections:
         b = np.asarray(b, dtype=float)
         d = np.abs(a[:, None] - b[None, :])
         return np.minimum(d, self.length - d)
-
-    def grid(self, eps: float) -> np.ndarray:
-        m = max(1, math.ceil(self.length / (eps / 4.0)))
-        return self.length * np.arange(m) / m
 
     def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
         m = max(1, math.ceil(self.length / eps))
@@ -768,10 +739,6 @@ class SpineDirections:
         self.base = base
         self.pages = int(pages)
 
-    @property
-    def total_measure(self) -> float:
-        return self.pages * math.pi
-
     def to_coord(self, d: Direction) -> np.ndarray:
         return np.array([float(d.data[0]), float(d.data[1])])
 
@@ -787,14 +754,6 @@ class SpineDirections:
         within = np.abs(ta - tb)
         through = np.minimum(ta + tb, (math.pi - ta) + (math.pi - tb))
         return np.where(same, within, through)
-
-    def grid(self, eps: float) -> np.ndarray:
-        m = max(2, math.ceil(math.pi / (eps / 4.0)))
-        thetas = math.pi * np.arange(1, m) / m
-        rows = [np.array([[0.0, 0.0], [0.0, math.pi]])]
-        for p in range(self.pages):
-            rows.append(np.column_stack([np.full(len(thetas), float(p)), thetas]))
-        return np.vstack(rows)
 
     def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
         m = max(1, math.ceil(math.pi / eps))
@@ -825,10 +784,6 @@ class SphereDirections:
         self.base = base
         self.dim = int(dim)
 
-    @property
-    def total_measure(self) -> float | None:
-        return None
-
     def to_coord(self, d: Direction) -> np.ndarray:
         return np.asarray(d.data, dtype=float)
 
@@ -841,17 +796,14 @@ class SphereDirections:
         dots = np.clip(a @ b.T, -1.0, 1.0)
         return np.arccos(dots)
 
-    def grid(self, eps: float):
+    def net_coords(self, eps: float):
         raise DomainError(
-            "direction grids on spheres of dimension >= 2 are not supported; "
+            "direction nets on spheres of dimension >= 2 are not supported; "
             "provide an explicit net instead"
         )
 
-    def net_coords(self, eps: float):
-        self.grid(eps)
-
     def refine(self, coords):
-        self.grid(0.0)
+        self.net_coords(0.0)
 
 
 def direction_space(base: Point):
@@ -901,6 +853,21 @@ def direction_space(base: Point):
     )
 
 
+def pairings(base: Point, vectors, coords) -> np.ndarray:
+    """<v_i, V_j> = |v_i| cos(min(angle, pi)) for tangent vectors v_i at
+    base and unit directions V_j given by direction-space coordinates;
+    rows of zero vectors are zero."""
+    lengths = np.array([v.length for v in vectors], dtype=float)
+    out = np.zeros((len(lengths), len(coords)))
+    nonzero = lengths > 0.0
+    if nonzero.any():
+        ds = direction_space(base)
+        rows = np.array([ds.to_coord(v.direction) for v in vectors if not v.is_zero])
+        out[nonzero] = lengths[nonzero, None] * np.cos(
+            np.minimum(ds.cross(rows, coords), math.pi))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Direction nets
 
@@ -945,13 +912,17 @@ class DirectionNet:
         return [d.describe() for d in self.directions]
 
 
-def net_from_directions(base: Point, directions, weights=None,
-                        probe_eps: float = 0.01) -> DirectionNet:
+# candidate-net resolution for measuring the covering radius of explicit nets
+_PROBE_EPS = 0.01
+
+
+def net_from_directions(base: Point, directions, weights=None) -> DirectionNet:
     """Wrap an explicit list of directions as a net (counting weights).
 
-    The covering radius is measured against a fine candidate grid where
-    one exists (it is exactly 0 for a complete net on a finite direction
-    space); on spheres without grids the diameter pi is recorded.
+    The covering radius is measured against the uniform net of
+    resolution ``_PROBE_EPS / 4`` where one exists (it is exactly 0 for
+    a complete net on a finite direction space); on spheres without
+    nets the diameter pi is recorded.
     """
     dirs = tuple(directions)
     if not dirs:
@@ -964,8 +935,8 @@ def net_from_directions(base: Point, directions, weights=None,
     ds = direction_space(base)
     coords = np.array([ds.to_coord(d) for d in dirs])
     try:
-        cand = ds.grid(probe_eps)
-        cov_radius = float(ds.cross(np.asarray(cand), coords).min(axis=1).max())
+        cand = ds.net_coords(_PROBE_EPS / 4.0)[0]
+        cov_radius = float(ds.cross(cand, coords).min(axis=1).max())
     except DomainError:
         cov_radius = math.pi
     return DirectionNet(base, dirs, max(cov_radius, 1e-12), cov_radius,

@@ -158,17 +158,28 @@ def sample(measure: DiscreteMeasure, stream: np.random.Generator,
 # Directional derivative and escape cone
 
 
+def _require_unit(base: Point, *vs: TangentVector) -> np.ndarray:
+    """Direction coordinates of unit tangent vectors at base, one row each."""
+    for v in vs:
+        if abs(v.length - 1.0) > 1e-9:
+            raise DomainError("direction arguments must be unit tangent vectors")
+        if v.base != base:
+            raise SpaceMismatchError("tangent vector is based at a different point")
+    ds = geo.direction_space(base)
+    return np.array([ds.to_coord(v.direction) for v in vs])
+
+
+def tangent_mean(measure: DiscreteMeasure, base: Point, v: TangentVector) -> float:
+    """m(mu, V) = E<log x, V>; equals minus the directional derivative."""
+    coords = _require_unit(base, v)
+    logs = [x for x, _ in pushforward(measure, base).atoms]
+    return float(measure.weights @ geo.pairings(base, logs, coords)[:, 0])
+
+
 def directional_derivative(measure: DiscreteMeasure, base: Point,
                            v: TangentVector) -> float:
     """One-sided derivative of the Fréchet function at base along unit v."""
-    _require_unit(v)
-    tm = pushforward(measure, base)
-    return -sum(w * geo.angular_pairing(x, v) for x, w in tm.atoms)
-
-
-def _require_unit(v: TangentVector):
-    if abs(v.length - 1.0) > 1e-9:
-        raise DomainError("direction argument must be a unit tangent vector")
+    return -tangent_mean(measure, base, v)
 
 
 def escape_cone_contains(measure: DiscreteMeasure, base: Point,
@@ -179,9 +190,7 @@ def escape_cone_contains(measure: DiscreteMeasure, base: Point,
     a positive value beyond tol is reported as evidence that base is not
     the mean (a warning, since the membership answer is still False).
     """
-    _require_unit(v)
-    tm = pushforward(measure, base)
-    mean_value = sum(w * geo.angular_pairing(x, v) for x, w in tm.atoms)
+    mean_value = tangent_mean(measure, base, v)
     if mean_value > tol:
         warnings.warn(
             f"tangent mean value {mean_value:.3e} > 0: base is not a Fréchet "

@@ -18,7 +18,11 @@ from .errors import DomainError
 from .geometry import DirectionNet, Point
 
 
-def build_net(base: Point, eps: float, weights: bool = True) -> DirectionNet:
+# elements of one working array: net rows per distance block, pairs per chunk
+_BLOCK = 1 << 16
+
+
+def build_net(base: Point, eps: float) -> DirectionNet:
     """An eps-net on the space of directions at base.
 
     Every direction lies within eps of the net; on the circle-like
@@ -31,10 +35,8 @@ def build_net(base: Point, eps: float, weights: bool = True) -> DirectionNet:
     ds = geo.direction_space(base)
     coords, w, cov_radius = ds.net_coords(eps)
     dirs = tuple(ds.from_coord(c) for c in coords)
-    arr = np.asarray(coords, dtype=float)
     return DirectionNet(base, dirs, float(eps), float(cov_radius),
-                        tuple(float(x) for x in w) if weights else None,
-                        arr)
+                        tuple(float(x) for x in w), np.asarray(coords, dtype=float))
 
 
 def covering_number(base: Point, eps: float) -> int:
@@ -44,7 +46,22 @@ def covering_number(base: Point, eps: float) -> int:
     net at nominal scale eps has covering radius eps/2, so its
     cardinality is a certified upper bound.
     """
-    return len(build_net(base, eps, weights=False))
+    if not eps > 0.0:
+        raise DomainError("net resolution must be positive")
+    return len(geo.direction_space(base).net_coords(eps)[0])
+
+
+def _min_separation(ds, coords: np.ndarray) -> float:
+    """Least distance between two distinct members of coords, in row blocks."""
+    m = len(coords)
+    block = max(1, _BLOCK // m)
+    least = np.inf
+    for lo in range(0, m, block):
+        dist = ds.cross(coords[lo:lo + block], coords)
+        rows = np.arange(len(dist))
+        dist[rows, rows + lo] = np.inf
+        least = min(least, float(dist.min()))
+    return least
 
 
 def covering_number_bounds(base: Point, eps: float) -> tuple[int, int]:
@@ -55,20 +72,16 @@ def covering_number_bounds(base: Point, eps: float) -> tuple[int, int]:
     (eps/2)-ball contains at most one of its members).
     """
     upper = covering_number(base, eps)
-    packed = build_net(base, 2.0 * eps, weights=False)
-    dmat = packed.pairwise_distances()
+    ds = geo.direction_space(base)
+    packed = ds.net_coords(2.0 * eps)[0]
     m = len(packed)
-    if m > 1:
-        off = dmat[~np.eye(m, dtype=bool)]
-        if off.min() <= eps:
-            # uniform spacing did not exceed eps; thin to every other point
-            keep = packed.coords()[::2]
-            ds = geo.direction_space(base)
-            sub = ds.cross(keep, keep)
-            nsub = len(keep)
-            if nsub > 1 and sub[~np.eye(nsub, dtype=bool)].min() <= eps:
-                return 1, upper
-            return nsub, upper
+    if m > 1 and _min_separation(ds, packed) <= eps:
+        # uniform spacing did not exceed eps; thin to every other point
+        keep = packed[::2]
+        nsub = len(keep)
+        if nsub > 1 and _min_separation(ds, keep) <= eps:
+            return 1, upper
+        return nsub, upper
     return m, upper
 
 
@@ -126,10 +139,6 @@ def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
 
 # ---------------------------------------------------------------------------
 # Modulus of continuity
-
-
-# elements of one working array: net rows per distance block, pairs per chunk
-_BLOCK = 1 << 16
 
 
 def modulus_many(values: np.ndarray, net: DirectionNet, radii) -> np.ndarray:

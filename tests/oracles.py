@@ -205,8 +205,8 @@ def net_is_valid(net: DirectionNet, eps: float | None = None) -> bool:
     """Exhaustive check against a candidate grid of resolution eps/4."""
     eps = net.resolution if eps is None else eps
     ds = direction_space(net.base)
-    cand = ds.grid(eps)
-    dmat = ds.cross(np.atleast_1d(cand) if np.ndim(cand) == 1 else cand, net.coords())
+    cand = ds.net_coords(eps / 4.0)[0]
+    dmat = ds.cross(cand, net.coords())
     return bool(np.all(dmat.min(axis=1) <= eps))
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,20 @@ import pytest
 from stratclt.cli import main
 
 from .conftest import CONFIG_DIR, load_config
+
+
+# SHA-256 of each output of `clt --seed 42` on small_clt_config (the
+# bundled spider3_uniform experiment, shrunk); the manifest is excluded
+CLT_DIGESTS = {
+    "cov.csv": "68ce42635a8cda3216e081b103ae1b29aef5c7a2dfc34739483b0539f1d32f47",
+    "cov_matrix.csv": "2005e081d5050c10d35d6ed3c20b89a44ece773f87b5d4046de2b4e11494b96a",
+    "increments.csv": "97d3b2e2547977627e7d9a5a186c71ce5fe755e62a5f996b9741e4e380ba9c48",
+    "ks.csv": "9b41eca6b9115117e7427542d4a84e1ef34812239a4b686fc57a7e7172d1249a",
+    "mahalanobis.csv": "ee3b34fdc38ff7edbbf8650f75370020c73452740fe701f580fd75d6d9dd75e8",
+    "martingale.csv": "b7068cc2eafb710fd7adcc53ccaa07ba5146232e353f538ef321c1eec65d705c",
+    "moments.csv": "1c922f93f6085cfff6dac8ee2141eb33518cf7ebd4a43fbbc7a5f74819d50052",
+    "report.json": "a5efa6e89fe032203572013eeec781fd9bd3cad824381a0cf45b6e1b14bdbd5b",
+}
 
 
 def write_json(path: Path, obj) -> str:
@@ -138,6 +153,9 @@ class TestClt:
         assert contents[0].keys() == contents[1].keys()
         for name in contents[0]:
             assert contents[0][name] == contents[1][name], name
+        digests = {name: hashlib.sha256(blob).hexdigest()
+                   for name, blob in contents[0].items()}
+        assert digests == CLT_DIGESTS
 
     def test_field_rerun_invariance(self, tmp_path, capsys):
         raw = {

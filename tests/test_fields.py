@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -306,7 +307,7 @@ class TestL2Norm:
             pytest.approx(3.0 * l2_norm_expectation(cov), rel=1e-12)
 
     def test_missing_weights_rejected(self, spider_uniform, spider_apex):
-        net = build_net(spider_apex, 1.0, weights=False)
+        net = dataclasses.replace(build_net(spider_apex, 1.0), weights=None)
         cov = cov_matrix(spider_uniform, spider_apex, net)
         with pytest.raises(DomainError):
             l2_norm_expectation(cov)

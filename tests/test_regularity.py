@@ -21,7 +21,7 @@ from stratclt import (
 )
 from stratclt import regularity as rg
 from stratclt.fields import FieldOnNet
-from stratclt.geometry import D_LEG, Direction, net_from_directions
+from stratclt.geometry import D_LEG, Direction, direction_space, net_from_directions
 from stratclt.harness import _PURPOSE_MODULUS, _FieldSimulator, config_from_json
 from stratclt.measures import validate_localized
 from stratclt.regularity import ModulusTable, modulus_many
@@ -113,6 +113,40 @@ class TestCoveringNumbers:
                 lower, upper = covering_number_bounds(base, eps)
                 assert lower <= upper
                 assert upper / lower <= 4.0
+
+    def test_bad_resolution(self):
+        for eps in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                covering_number(apex(FC), eps)
+            with pytest.raises(DomainError):
+                covering_number_bounds(apex(FC), eps)
+
+    @pytest.mark.parametrize("rows_per_block", [None, 7])
+    def test_min_separation_matches_full_matrix(self, rows_per_block, monkeypatch):
+        repeated = build_net(apex(FC), 0.5).coords()[[0, 3, 5, 3, 9]]
+        cases = [(apex(FC), repeated)] + [
+            (base, build_net(base, eps).coords())
+            for base, eps in ((apex(FC), 0.3), (Point(OB3, (0, 0.0, 0.0)), 0.4),
+                              (apex(SP3), 1.0), (Point(E1, (0.5,)), 1.0),
+                              (Point(E2, (0.0, 1.0)), 0.5))]
+        for base, coords in cases:
+            if rows_per_block is not None:
+                monkeypatch.setattr(rg, "_BLOCK", rows_per_block * len(coords) + 3)
+            ds = direction_space(base)
+            full = ds.cross(coords, coords)[~np.eye(len(coords), dtype=bool)]
+            assert rg._min_separation(ds, coords) == full.min()
+
+    def test_bounds_memory_bounded(self):
+        # 4826 packed directions; the full distance matrix and its
+        # off-diagonal copy took about 530 MB
+        tracemalloc.start()
+        try:
+            bounds = covering_number_bounds(apex(FC), 2.0 ** -10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bounds == (4826, 9651)
+        assert peak < 32e6
 
 
 class TestDimensionConstant:
