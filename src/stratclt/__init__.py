@@ -7,15 +7,7 @@ nets, and a seeded Monte Carlo harness that verifies the convergence of
 scaled empirical tangent fields to their Gaussian limit.
 """
 
-try:
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        __version__ = version("stratclt")
-    except PackageNotFoundError:
-        __version__ = "0.1.0"
-except ImportError:  # pragma: no cover
-    __version__ = "0.1.0"
+__version__ = "0.1.0"
 
 from .errors import (
     AmbiguousGeodesicError,

@@ -180,12 +180,19 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_matrix_csv(path, header, values: np.ndarray):
-    # descriptors such as 'vec:1,0' contain commas; csv quotes them
+    # descriptors such as 'vec:1,0' contain commas, so csv writes the header;
+    # numbers need no quoting and are formatted as format_float does, one
+    # block of rows per string
+    row_fmt = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        out.writerows([format_float(x) for x in row] for row in values)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, len(values), _CSV_BLOCK_ROWS):
+            blk = values[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row_fmt * len(blk)) % tuple(blk.ravel().tolist()))
 
 
 def write_fields_csv(path, net: DirectionNet, values: np.ndarray):

@@ -791,10 +791,12 @@ class SphereDirections:
         return Direction(self.base, D_VECTOR, tuple(float(x) for x in c))
 
     def cross(self, a, b) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        dots = np.clip(a @ b.T, -1.0, 1.0)
-        return np.arccos(dots)
+        # 2 atan2(|a - b|, |a + b|) is exact near 0 and pi, where the
+        # arccos of a dot product is not
+        a = np.atleast_2d(np.asarray(a, dtype=float))[:, None, :]
+        b = np.atleast_2d(np.asarray(b, dtype=float))[None, :, :]
+        return 2.0 * np.arctan2(np.linalg.norm(a - b, axis=-1),
+                                np.linalg.norm(a + b, axis=-1))
 
     def net_coords(self, eps: float):
         raise DomainError(

@@ -208,6 +208,42 @@ def config_from_json(obj: dict, seed: int,
 # Elementary statistics
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def normal_cdf(x) -> np.ndarray:
+    """Standard normal CDF, elementwise, as erfc(-x / sqrt 2) / 2.
+
+    erfc keeps the lower tail that 1 + erf(x / sqrt 2) loses to
+    cancellation.
+    """
+    z = -np.asarray(x, dtype=float) / math.sqrt(2.0)
+    return 0.5 * _erfc(z).astype(float)
+
+
+def chi2_cdf(dof: int, x) -> np.ndarray:
+    """Chi-square CDF with integer ``dof`` >= 1, elementwise in ``x``.
+
+    With y = x / 2 it is the Poisson sum 1 - e^-y sum_{j < dof/2} y^j / j!
+    for even dof and erf(sqrt y) - e^-y sum_{j < (dof-1)/2}
+    y^(j+1/2) / Gamma(j + 3/2) for odd dof; each term is
+    exp(k log y - y - lgamma(k + 1)), so none under- or overflows.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    pos = x > 0
+    y = x[pos] / 2.0
+    if dof % 2 == 0:
+        head, k = 1.0, np.arange(dof // 2, dtype=float)
+    else:
+        head, k = _erf(np.sqrt(y)).astype(float), np.arange((dof - 1) // 2) + 0.5
+    log_norm = np.array([math.lgamma(kk + 1.0) for kk in k])
+    terms = np.exp(np.log(y)[:, None] * k - y[:, None] - log_norm)
+    out[pos] = head - terms.sum(axis=1)
+    return out
+
+
 def ks_distance(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov sup distance against a cdf callable."""
     arr = np.sort(np.asarray(samples, dtype=float))
@@ -309,8 +345,6 @@ def _cov_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float) -> dict:
 
 def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
              zero_tol: float) -> dict:
-    from scipy.special import ndtr  # deferred: only clt needs scipy
-
     diag = np.diag(cov.entries)
     scale = max(float(diag.max(initial=0.0)), 0.0)
     rows = []
@@ -322,7 +356,7 @@ def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
                          "max_abs": sup_abs, "passed": sup_abs <= zero_tol})
             continue
         sigma = math.sqrt(var)
-        d = ks_distance(values[:, j], lambda x: ndtr(x / sigma))
+        d = ks_distance(values[:, j], lambda x: normal_cdf(x / sigma))
         rows.append({"direction": j, "variance": var, "ks": d, "max_abs": None,
                      "passed": d < threshold})
     return {"threshold": threshold, "directions": rows,
@@ -331,8 +365,6 @@ def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
 
 def _mahalanobis_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
                       zero_tol: float) -> dict:
-    from scipy.special import chdtr  # deferred: only clt needs scipy
-
     vals, vecs = cov.eigenvalues, cov.eigenvectors
     lam_max = float(vals.max(initial=0.0))
     keep = vals > 1e-10 * max(lam_max, 1e-300)
@@ -343,7 +375,7 @@ def _mahalanobis_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
                 "threshold": threshold, "passed": sup_abs <= zero_tol}
     white = vecs[:, keep] / np.sqrt(vals[keep])
     stat = np.sum((values @ white) ** 2, axis=1)
-    d = ks_distance(stat, lambda x: chdtr(dof, x))
+    d = ks_distance(stat, lambda x: chi2_cdf(dof, x))
     return {"dof": dof, "ks": d, "max_abs": None, "threshold": threshold,
             "passed": d < threshold}
 

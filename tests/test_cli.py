@@ -18,11 +18,11 @@ CLT_DIGESTS = {
     "cov.csv": "68ce42635a8cda3216e081b103ae1b29aef5c7a2dfc34739483b0539f1d32f47",
     "cov_matrix.csv": "2005e081d5050c10d35d6ed3c20b89a44ece773f87b5d4046de2b4e11494b96a",
     "increments.csv": "97d3b2e2547977627e7d9a5a186c71ce5fe755e62a5f996b9741e4e380ba9c48",
-    "ks.csv": "9b41eca6b9115117e7427542d4a84e1ef34812239a4b686fc57a7e7172d1249a",
-    "mahalanobis.csv": "ee3b34fdc38ff7edbbf8650f75370020c73452740fe701f580fd75d6d9dd75e8",
+    "ks.csv": "220f71dcc8aa838eec05a47e8323e47823a23b3193738c74bc93ae933c74b871",
+    "mahalanobis.csv": "7bd7f65873cf47ddf55f7a7acee5356cae6396e525eb66d2105aff8cdb019495",
     "martingale.csv": "b7068cc2eafb710fd7adcc53ccaa07ba5146232e353f538ef321c1eec65d705c",
     "moments.csv": "1c922f93f6085cfff6dac8ee2141eb33518cf7ebd4a43fbbc7a5f74819d50052",
-    "report.json": "a5efa6e89fe032203572013eeec781fd9bd3cad824381a0cf45b6e1b14bdbd5b",
+    "report.json": "362ebee0e9241c005b79359b7313d7702a7d29c2698ce0695f86ddaf17f7c971",
 }
 
 
@@ -392,19 +392,55 @@ class TestCsvRoundTrip:
                             skiprows=1)
         assert np.array_equal(parsed, direct)  # bit-faithful round trip
 
+    @pytest.mark.parametrize("rows", [0, 1, 4097])
+    def test_block_writer_matches_csv_writer(self, tmp_path, rows):
+        from stratclt.fields import _write_matrix_csv, format_float
+        values = np.vstack([[[-0.0, 1e-300, 123456789.0], [np.nan, np.inf, -5e-324]],
+                            np.random.default_rng(3).standard_normal((rows, 3))])[:rows]
+        header = ["vec:1,0", "leg:2", 'say "x"']
+        _write_matrix_csv(tmp_path / "block.csv", header, values)
+        with open(tmp_path / "rows.csv", "w", encoding="utf-8", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(header)
+            out.writerows([format_float(x) for x in row] for row in values)
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def scipy_loaded_after(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; the last line it prints says
+    whether scipy was imported."""
+    import subprocess, sys, os
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nprint('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
 
 class TestInfrastructure:
     def test_import_leaves_scipy_unloaded(self):
-        # scipy is imported only by the clt statistics that need it
-        import subprocess, sys, os
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, stratclt.cli; print('scipy' in sys.modules)"],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        # stratclt needs only numpy at run time; scipy is a test oracle
+        assert scipy_loaded_after("import sys, stratclt.cli") == "False"
+
+    @pytest.mark.parametrize("command", ["clt", "field", "mean"])
+    def test_runs_leave_scipy_unloaded(self, tmp_path, command):
+        if command == "clt":
+            cfg = small_clt_config(tmp_path, tests=["cov", "ks", "mahalanobis",
+                                                    "moments", "increments",
+                                                    "martingale"])
+            argv = ["clt", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]
+        elif command == "field":
+            argv = ["field", "--config", str(CONFIG_DIR / "field_example.json"),
+                    "--seed", "1", "--out", str(tmp_path / "o"),
+                    "--draws", "50", "--empirical-n", "100"]
+        else:
+            argv = ["mean", "--config",
+                    str(CONFIG_DIR / "spider3_weighted.measure.json")]
+        code = (f"import sys\nfrom stratclt.cli import main\n"
+                f"assert main({argv!r}) in (0, 2)")
+        assert scipy_loaded_after(code) == "False"
 
     def test_numerical_error_maps_to_exit_4(self, tmp_path, capsys, monkeypatch):
         from stratclt import harness

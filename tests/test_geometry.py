@@ -385,11 +385,13 @@ class TestAngular:
         assert abs(conical_distance(v, w) - d_space) <= 1e-12
 
     @pytest.mark.parametrize("base", [Point(E2, (0.3, -0.2)), Point(OB3, (1, 0.5, 0.8)),
-                                      Point(FC, (1.2, 0.4))])
+                                      Point(FC, (1.2, 0.4)),
+                                      Point(SpaceSpec.euclidean(3), (0.0, 0.0, 0.0))])
     @pytest.mark.parametrize("near", [((1.0, 0.0), (1.0, 1e-9)),
                                       ((0.0, 1.0), (-1e-9, 1.0))])
     def test_nearby_vector_directions(self, base, near):
-        u, v = (Direction(base, D_VECTOR, d) for d in near)
+        pad = (0.0,) * max(base.space.dim - 2, 0)  # euclidean(3): the plane z = 0
+        u, v = (Direction(base, D_VECTOR, d + pad) for d in near)
         assert abs(angular_distance(u, v) - 1e-9) <= 1e-15
 
     def test_homogeneity(self, spider_apex):

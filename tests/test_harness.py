@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats as sstats
+from scipy import special, stats as sstats
 
 from stratclt import (
     ConfigError,
@@ -16,16 +16,19 @@ from stratclt import (
     ks_distance,
     run_clt_experiment,
 )
+from stratclt import harness
 from stratclt.harness import (
     _FieldSimulator,
     _PURPOSE_SAMPLES,
     _increment_test,
     _martingale_rows,
+    chi2_cdf,
+    normal_cdf,
     resolve_net,
 )
 from stratclt.measures import validate_localized
 
-from .conftest import load_config
+from .conftest import EXPERIMENT_FILES, load_config
 from .oracles import increment_pairs_loop
 
 
@@ -58,6 +61,42 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(Exception):
             ks_distance([], sstats.norm.cdf)
+
+
+class TestCdfs:
+    # scipy.special is the independent oracle for the numpy CDFs the gates use
+    def test_normal_cdf_matches_ndtr(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 160_001),
+                            np.random.default_rng(5).standard_normal(100_000)])
+        assert np.max(np.abs(normal_cdf(x) - special.ndtr(x))) <= 4.5e-16
+
+    def test_chi2_cdf_matches_chdtr(self):
+        q = np.linspace(0.0005, 0.9995, 400)
+        for dof in range(1, 201):
+            x = np.concatenate([[0.0], sstats.chi2.ppf(q, dof),
+                                np.linspace(0.0, 6.0 * dof + 100.0, 200)])
+            err = np.max(np.abs(chi2_cdf(dof, x) - special.chdtr(dof, x)))
+            assert err <= 1e-13, dof
+
+    def test_chi2_cdf_zero_at_and_below_origin(self):
+        for dof in (1, 2, 7):
+            assert np.array_equal(chi2_cdf(dof, [-3.0, -0.0, 0.0]), np.zeros(3))
+
+    @pytest.mark.parametrize("name", EXPERIMENT_FILES)
+    def test_gates_match_scipy_cdfs(self, name, monkeypatch):
+        raw = load_config(name)
+        raw["tests"] = ["ks", "mahalanobis"]
+        ours = run_clt_experiment(config_from_json(raw, seed=42)).per_n
+        monkeypatch.setattr(harness, "normal_cdf", special.ndtr)
+        monkeypatch.setattr(harness, "chi2_cdf", special.chdtr)
+        ref = run_clt_experiment(config_from_json(raw, seed=42)).per_n
+        for n, tests in ours.items():
+            pairs = list(zip(tests["ks"]["directions"], ref[n]["ks"]["directions"]))
+            pairs += [(tests[t], ref[n][t]) for t in ("ks", "mahalanobis")]
+            for a, b in pairs:
+                assert a["passed"] == b["passed"]
+                if "ks" in a and a["ks"] is not None:
+                    assert abs(a["ks"] - b["ks"]) <= 1e-15
 
 
 class TestCompareCovariance:
