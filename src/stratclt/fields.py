@@ -102,8 +102,10 @@ class CovMatrix:
     """Covariance kernel evaluated on a net, with a PSD audit trail.
 
     ``entries`` are the exact (symmetrized) kernel values; eigenvalues
-    in [-tol, 0) are recorded in ``psd_repair`` and treated as zero by
-    the sampler factorization.
+    in [-tol, 0) are recorded in ``psd_repair`` and clipped to zero.
+    ``gram_factor`` is the m x k matrix F^T with F = diag(sqrt w)(P - 1 m^T)
+    over the k atoms, so F^T F reproduces ``entries`` and is positive
+    semidefinite by construction.
     """
 
     net: DirectionNet
@@ -111,6 +113,7 @@ class CovMatrix:
     psd_repair: tuple
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    gram_factor: np.ndarray
 
 
 # relative tolerance below which negative covariance eigenvalues raise
@@ -141,20 +144,26 @@ def cov_matrix(measure: DiscreteMeasure, base: Point, net: DirectionNet) -> CovM
         )
     repaired = tuple(float(v) for v in vals[vals < 0.0])
     vals = np.maximum(vals, 0.0)
-    return CovMatrix(net, cov, repaired, vals, vecs)
+    gram = (np.sqrt(w)[:, None] * centered).T
+    return CovMatrix(net, cov, repaired, vals, vecs, gram)
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianFieldSampler:
-    """Centered Gaussian field on a net with a fixed covariance factor."""
+    """Centered Gaussian field on a net with a fixed covariance factor.
+
+    The factor is the Gram factor F^T of the covariance, one column per
+    atom, so each draw is z @ F for k standard normals z.  Unlike an
+    eigendecomposition it takes no square roots of rounding-noise
+    eigenvalues, and the draws do not move with the last bit of an entry.
+    """
 
     cov: CovMatrix
     factor: np.ndarray
 
     @staticmethod
     def build(cov: CovMatrix) -> "GaussianFieldSampler":
-        factor = cov.eigenvectors @ np.diag(np.sqrt(cov.eigenvalues))
-        return GaussianFieldSampler(cov, factor)
+        return GaussianFieldSampler(cov, cov.gram_factor)
 
     def draw_matrix(self, stream: np.random.Generator, draws: int) -> np.ndarray:
         z = stream.standard_normal((draws, self.factor.shape[1]))

@@ -256,6 +256,59 @@ def ks_distance(samples, cdf) -> float:
     return float(np.max(np.maximum(np.abs(hi - f), np.abs(lo - f))))
 
 
+# Abramowitz & Stegun 7.1.26: erfc(x) = t (a1 + t (a2 + ... + t a5)) e^(-x^2)
+# with t = 1 / (1 + p x) for x >= 0, to within 1.5e-7
+_AS_P = 0.3275911
+_AS_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+# bracket half-width of the exact KS: above the rough CDF's error (at most
+# 7.0e-8 measured on [-40, 40]) plus the rounding of either deviation
+_KS_DELTA = 1e-6
+# columns per block: temporaries stay R x 16 (one block of all 95 columns
+# of a fine net ran about 2x slower)
+_KS_BLOCK = 16
+
+
+def _rough_normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF to within 1e-7, vectorized (A&S 7.1.26)."""
+    x = np.abs(z) / math.sqrt(2.0)
+    t = 1.0 / (1.0 + _AS_P * x)
+    poly = np.zeros_like(t)
+    for a in reversed(_AS_A):
+        poly += a
+        poly *= t
+    tail = 0.5 * poly * np.exp(-x * x)
+    return np.where(z >= 0.0, 1.0 - tail, tail)
+
+
+def _normal_ks(values: np.ndarray, cols, sigma) -> np.ndarray:
+    """KS distance of each column ``values[:, cols[c]]`` against
+    N(0, sigma[c]^2), equal bit for bit to ``ks_distance`` with
+    ``normal_cdf(x / sigma[c])``.
+
+    The exact CDF is evaluated only where the maximum can be.  Each
+    deviation d_i = max(|i/n - F(x_i)|, |F(x_i) - (i-1)/n|) is first
+    taken with the rough CDF, which puts every rough deviation within
+    delta of its exact one.  So the exact maximizer's rough deviation is
+    at least D - delta, and every rough deviation is at most D + delta:
+    the indices within 2 delta of the rough maximum always hold the
+    exact maximizer, and the exact deviations, taken over them with the
+    expressions of ``ks_distance``, have the same maximum D.
+    """
+    n = values.shape[0]
+    i = np.arange(n)[:, None]
+    out = np.zeros(len(cols))
+    for lo in range(0, len(cols), _KS_BLOCK):
+        sig = sigma[lo:lo + _KS_BLOCK]
+        srt = np.sort(values[:, cols[lo:lo + _KS_BLOCK]], axis=0)
+        rough = _rough_normal_cdf(srt / sig)
+        dev = np.maximum(np.abs((i + 1) / n - rough), np.abs(i / n - rough))
+        rows, c = np.nonzero(dev >= dev.max(axis=0) - 2.0 * _KS_DELTA)
+        f = normal_cdf(srt[rows, c] / sig[c])
+        d = np.maximum(np.abs((rows + 1) / n - f), np.abs(rows / n - f))
+        np.maximum.at(out, lo + c, d)
+    return out
+
+
 def compare_covariance(empirical: np.ndarray, analytic) -> tuple[float, float]:
     """(sup entry error, relative Frobenius error) against the analytic kernel.
 
@@ -347,16 +400,18 @@ def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
              zero_tol: float) -> dict:
     diag = np.diag(cov.entries)
     scale = max(float(diag.max(initial=0.0)), 0.0)
+    normal = np.flatnonzero(diag > 1e-12 * max(scale, 1.0))
+    ks = dict(zip(normal.tolist(),
+                  _normal_ks(values, normal, np.sqrt(diag[normal])).tolist()))
     rows = []
     for j in range(values.shape[1]):
         var = float(diag[j])
-        if var <= 1e-12 * max(scale, 1.0):
+        if j not in ks:
             sup_abs = float(np.max(np.abs(values[:, j])))
             rows.append({"direction": j, "variance": var, "ks": None,
                          "max_abs": sup_abs, "passed": sup_abs <= zero_tol})
             continue
-        sigma = math.sqrt(var)
-        d = ks_distance(values[:, j], lambda x: normal_cdf(x / sigma))
+        d = ks[j]
         rows.append({"direction": j, "variance": var, "ks": d, "max_abs": None,
                      "passed": d < threshold})
     return {"threshold": threshold, "directions": rows,
@@ -388,11 +443,24 @@ def _exact_fourth(t: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return 3.0 * (1.0 - 1.0 / n) * e2 * e2 + (t2 * t2) @ w / n
 
 
-def _mc_fourth(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of x^4 (squared twice, not pow) over ``axis`` and its standard error."""
-    x4 = x * x
+def _mc_fourth(x: np.ndarray, axis: int,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of x^4 (squared twice, not pow) over ``axis`` and its standard error.
+
+    x^4 goes into ``out`` (which may be x itself) and is then overwritten by
+    its squared deviations.  The ufunc sequence is the one ``mean`` and
+    ``std(ddof=1)`` run, with the mean reused inside the variance, so both
+    results equal ``x4.mean(axis)`` and ``x4.std(axis, ddof=1) / sqrt(r)``
+    bit for bit.
+    """
+    r = x.shape[axis]
+    x4 = np.square(x, out=out)
     x4 *= x4
-    return x4.mean(axis=axis), x4.std(axis=axis, ddof=1) / math.sqrt(x.shape[axis])
+    mean = np.add.reduce(x4, axis=axis, keepdims=True) / r
+    x4 -= mean
+    np.square(x4, out=x4)
+    var = np.add.reduce(x4, axis=axis) / (r - 1)
+    return mean.squeeze(axis), np.sqrt(var, out=var) / math.sqrt(r)
 
 
 def _moment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
@@ -417,16 +485,23 @@ def _moment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
 def _increment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
                     gamma2: float, gamma4: float) -> dict:
     """Fourth moments of G(V_i) - G(V_j) for all net pairs i < j, one row
-    i at a time; each pair's bound is the scalar formula in Python floats."""
+    i at a time; each pair's bound is the scalar formula in Python floats.
+
+    Row i's increments are written into one preallocated (m - 1) x R
+    buffer, and ``_mc_fourth`` raises them to the fourth power in place,
+    so a row costs no full-size temporaries.
+    """
     m = len(sim.net)
     dmat = sim.net.pairwise_distances()
     tau_t = np.ascontiguousarray((sim.pair - sim.mean_vec).T)
     vals_t = np.ascontiguousarray(values.T)
+    buf = np.empty((m - 1, vals_t.shape[1]))
     c2, c4 = 2.0 * (1.0 + gamma2), 8.0 * (1.0 + gamma4)
     rows = []
     for i in range(m - 1):
         exact = _exact_fourth(tau_t[i] - tau_t[i + 1:], sim.weights, n)
-        mc, se = _mc_fourth(vals_t[i] - vals_t[i + 1:], 1)
+        incr = np.subtract(vals_t[i], vals_t[i + 1:], out=buf[:m - 1 - i])
+        mc, se = _mc_fourth(incr, 1, out=incr)
         for j, d, e, c, s in zip(range(i + 1, m), dmat[i, i + 1:].tolist(),
                                  exact.tolist(), mc.tolist(), se.tolist()):
             bound = 2.0 * (c2 * d * d) ** 2 + c4 * d**4 / n
@@ -439,6 +514,29 @@ def _increment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
             })
     return {"pairs": rows,
             "passed": all(r["passed"] and r["exact_ok"] for r in rows)}
+
+
+def _increment_summary(result: dict) -> dict:
+    """The increments result with its per-pair rows folded into one bin per
+    floor(log2 d): each bin's pair count, failed count, worst ratio and
+    the pair that attains it.  Pairs at d = 0 (repeated directions) get
+    the bin with ``log2_distance`` None."""
+    bins = {}
+    for r in result["pairs"]:
+        d = r["angular_distance"]
+        key = math.frexp(d)[1] - 1 if d > 0.0 else None
+        b = bins.get(key)
+        if b is None:
+            b = bins[key] = {"log2_distance": key, "pairs": 0, "failed": 0,
+                             "worst_ratio": r["ratio"],
+                             "worst_pair": [r["i"], r["j"]]}
+        b["pairs"] += 1
+        b["failed"] += not (r["passed"] and r["exact_ok"])
+        if r["ratio"] > b["worst_ratio"]:
+            b["worst_ratio"], b["worst_pair"] = r["ratio"], [r["i"], r["j"]]
+    order = sorted(bins, key=lambda k: -math.inf if k is None else k)
+    return {"pairs": len(result["pairs"]), "bins": [bins[k] for k in order],
+            "passed": result["passed"]}
 
 
 def _martingale_rows(head: np.ndarray, incr: np.ndarray, cov: fl.CovMatrix,
@@ -529,8 +627,12 @@ class CLTReport:
     passed: bool
 
     def to_json(self) -> dict:
+        # increments.csv holds every pair; the JSON keeps a per-bin summary
         per_n = {}
         for n, tests in self.per_n.items():
+            if "increments" in tests:
+                tests = dict(tests,
+                             increments=_increment_summary(tests["increments"]))
             per_n[str(n)] = tests
         mod = None
         if self.modulus is not None:

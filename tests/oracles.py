@@ -104,7 +104,10 @@ def sq_distances(space: dict, pts: np.ndarray, x) -> np.ndarray:
     alpha = float(space["circumference"])
     d = np.abs(pts[:, 1] - x[1]) % alpha
     ang = np.minimum(np.minimum(d, alpha - d), math.pi)
-    return pts[:, 0] ** 2 + x[0] ** 2 - 2.0 * pts[:, 0] * x[0] * np.cos(ang)
+    # the law of cosines as (r - s)^2 + 4 r s sin^2(ang / 2): every term is
+    # nonnegative, so nearly coincident points do not cancel to below zero
+    r, s = pts[:, 0], x[0]
+    return (r - s) ** 2 + 4.0 * r * s * np.sin(0.5 * ang) ** 2
 
 
 def frechet_values(space: dict, atoms, pts: np.ndarray) -> np.ndarray:

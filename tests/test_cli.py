@@ -22,7 +22,15 @@ CLT_DIGESTS = {
     "mahalanobis.csv": "7bd7f65873cf47ddf55f7a7acee5356cae6396e525eb66d2105aff8cdb019495",
     "martingale.csv": "b7068cc2eafb710fd7adcc53ccaa07ba5146232e353f538ef321c1eec65d705c",
     "moments.csv": "1c922f93f6085cfff6dac8ee2141eb33518cf7ebd4a43fbbc7a5f74819d50052",
-    "report.json": "362ebee0e9241c005b79359b7313d7702a7d29c2698ce0695f86ddaf17f7c971",
+    "report.json": "f2bb9f9360a1e886c388d99e4d81599935cdda92552a5caca297351408154545",
+}
+
+# SHA-256 of the per-direction and per-pair CSVs of `clt --seed 42` on
+# openbook3_spine with a 95-direction net (epsilon 0.1, modulus test off)
+FINE_NET_DIGESTS = {
+    "increments.csv": "3c7b0617f64ae4b78f8e343c12f2a506f0109cb0cd08755f421419c21bd8067a",
+    "ks.csv": "7bb3e7176102a5e2c95b463dd7029f2ab6194115571d2d6e486cdb1ea1d87df2",
+    "moments.csv": "7bf8e8e97018013135d174492808c0d470e87b0741414feeb8251d9196db369b",
 }
 
 
@@ -156,6 +164,22 @@ class TestClt:
         digests = {name: hashlib.sha256(blob).hexdigest()
                    for name, blob in contents[0].items()}
         assert digests == CLT_DIGESTS
+
+    def test_fine_net_outputs(self, tmp_path, capsys):
+        raw = load_config("openbook3_spine.json")
+        raw["net"] = {"epsilon": 0.1}
+        raw["tests"] = [t for t in raw["tests"] if t != "modulus"]
+        raw.pop("modulus")
+        outdir = tmp_path / "fine"
+        code = main(["clt", "--config", write_json(tmp_path / "c.json", raw),
+                     "--seed", "42", "--out", str(outdir)])
+        assert code == 0
+        capsys.readouterr()
+        for name, digest in FINE_NET_DIGESTS.items():
+            assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest, name
+        # increments.csv holds all 4465 pairs; report.json summarizes them
+        # per distance bin, which keeps it far below the 2.1 MB of per-pair rows
+        assert (outdir / "report.json").stat().st_size < 400_000
 
     def test_field_rerun_invariance(self, tmp_path, capsys):
         raw = {

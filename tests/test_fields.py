@@ -252,6 +252,27 @@ class TestGaussianSampler:
             recon = sampler.factor @ sampler.factor.T
             assert np.max(np.abs(recon - cov.entries)) <= 1e-8
 
+    def test_draws_ignore_last_bit_of_entries(self):
+        # a rank-2 kernel on five directions at the origin of R^3: an
+        # eigendecomposition factor took square roots of its rounding-noise
+        # eigenvalues, so a one-ulp change of an entry moved the draws
+        space = {"kind": "euclidean", "dim": 3}
+        mu = DiscreteMeasure.from_json({"space": space, "atoms": [
+            {"point": [1.0, 0.0, 0.0], "weight": 1 / 3},
+            {"point": [0.0, 1.0, 0.0], "weight": 1 / 3},
+            {"point": [-1.0, -1.0, 0.0], "weight": 1 / 3}]})
+        o = Point(mu.space, (0.0, 0.0, 0.0))
+        vectors = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                   (0.6, 0.8, 0.0), (0.0, 0.6, 0.8)]
+        net = net_from_directions(o, [Direction(o, D_VECTOR, v) for v in vectors])
+        cov = cov_matrix(mu, o, net)
+        entries = cov.entries.copy()
+        entries[3, 3] = np.nextafter(entries[3, 3], np.inf)
+        nudged = dataclasses.replace(cov, entries=entries)
+        draws = [GaussianFieldSampler.build(c).draw_matrix(substream(3, 0), 500)
+                 for c in (cov, nudged)]
+        assert np.array_equal(draws[0], draws[1])
+
     def test_zero_cov_zero_field(self, spider3):
         mu = DiscreteMeasure(spider3, ((Point(spider3, (0, 2.0)), 1.0),))
         a = apex(spider3)

@@ -20,7 +20,12 @@ from stratclt import harness
 from stratclt.harness import (
     _FieldSimulator,
     _PURPOSE_SAMPLES,
+    _increment_summary,
     _increment_test,
+    _ks_test,
+    _mc_fourth,
+    _normal_ks,
+    _rough_normal_cdf,
     _martingale_rows,
     chi2_cdf,
     normal_cdf,
@@ -388,6 +393,127 @@ class TestIncrementReference:
                     assert g[key] == pytest.approx(w[key], rel=1e-14, abs=0.0), key
             assert got["passed"] == all(r["passed"] and r["exact_ok"] for r in want)
         assert {r["passed"] for r in want} == {r["exact_ok"] for r in want} == {True, False}
+
+
+def fine_values(name, net, n, replicates, seed=17):
+    """(sim, values) for a bundled config on the given net at sample size n."""
+    raw = load_config(name)
+    raw["net"] = net
+    cfg = config_from_json(raw, seed=seed)
+    base = validate_localized(cfg.measure, cfg.validation_config()).base
+    sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg))
+    return sim, sim.field_rows(seed, _PURPOSE_SAMPLES, 0, n, replicates)
+
+
+class TestMcFourth:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_mean_and_std(self, axis):
+        x = np.random.default_rng(5).standard_normal((301, 17)) * 3.0
+        x4 = x * x
+        x4 *= x4
+        want = (x4.mean(axis=axis),
+                x4.std(axis=axis, ddof=1) / math.sqrt(x.shape[axis]))
+        # a fresh result, a separate buffer, the input itself, and leading
+        # rows of a larger buffer as _increment_test passes them
+        inplace, spare = x.copy(), np.empty((400, 17))
+        for arg, out in ((x, None), (x, np.empty_like(x)), (inplace, inplace),
+                         (x, spare[:301])):
+            got = _mc_fourth(arg, axis, out=out)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.array_equal(g, w)
+
+
+class TestIncrementNets:
+    @pytest.mark.parametrize("net", [
+        {"page_angles": [[0, 0.5]]},
+        {"page_angles": [[0, 0.5], [1, 2.0]]},
+        {"epsilon": 0.1},  # 95 directions
+    ])
+    def test_rows_match_per_pair_moments(self, net):
+        sim, values = fine_values("openbook3_spine.json", net, 1000, 400)
+        m = len(sim.net)
+        got = _increment_test(values, sim, 1000, 1.0, 1.0)
+        assert [(r["i"], r["j"]) for r in got["pairs"]] == \
+            [(i, j) for i in range(m) for j in range(i + 1, m)]
+        for r in got["pairs"][::37]:
+            x = values[:, r["i"]] - values[:, r["j"]]
+            x4 = x * x
+            x4 *= x4
+            assert r["mc_fourth_moment"] == x4.mean()
+            assert r["mc_se"] == x4.std(ddof=1) / math.sqrt(len(x))
+
+    @pytest.mark.parametrize("gammas", [(1.0, 1.0), (-0.8, -0.8)])
+    def test_summary_matches_rows(self, gammas):
+        # a repeated direction puts one pair at distance 0
+        sim, values = fine_values("spider3_uniform.json", {"legs": [0, 0, 1, 2]},
+                                  100, 300)
+        inc = _increment_test(values, sim, 100, *gammas)
+        sim95, values95 = fine_values("openbook3_spine.json", {"epsilon": 0.1},
+                                      1000, 300)
+        inc95 = _increment_test(values95, sim95, 1000, *gammas)
+        for result, m in ((inc, 4), (inc95, 95)):
+            summary = _increment_summary(result)
+            assert summary["pairs"] == m * (m - 1) // 2
+            assert sum(b["pairs"] for b in summary["bins"]) == summary["pairs"]
+            assert summary["passed"] == result["passed"]
+            for b in summary["bins"]:
+                k = b["log2_distance"]
+                rows = [r for r in result["pairs"]
+                        if (None if r["angular_distance"] == 0.0
+                            else math.floor(math.log2(r["angular_distance"]))) == k]
+                worst = max(rows, key=lambda r: r["ratio"])
+                assert b["pairs"] == len(rows)
+                assert b["failed"] == sum(not (r["passed"] and r["exact_ok"])
+                                          for r in rows)
+                assert b["worst_ratio"] == worst["ratio"]
+                assert b["worst_pair"] == [worst["i"], worst["j"]]
+        assert [b["log2_distance"] for b in _increment_summary(inc)["bins"]] == [None, 1]
+        if gammas[0] < 0.0:
+            assert any(b["failed"] for b in _increment_summary(inc95)["bins"])
+
+
+class TestBracketedKs:
+    def test_rough_cdf_error(self):
+        z = np.linspace(-40.0, 40.0, 160_001)
+        assert np.max(np.abs(_rough_normal_cdf(z) - normal_cdf(z))) <= 1e-7
+
+    def test_equals_ks_distance_on_random_samples(self):
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            n = int(rng.integers(1, 400))
+            sigma = float(np.exp(rng.uniform(-3.0, 3.0)))
+            x = rng.standard_normal((n, 1)) * sigma * rng.uniform(0.5, 2.0)
+            if trial % 3 == 0:
+                x = np.round(x, 1)  # ties
+            want = ks_distance(x[:, 0], lambda t: normal_cdf(t / sigma))
+            assert _normal_ks(x, np.array([0]), np.array([sigma]))[0] == want
+
+    def test_equals_ks_distance_at_midpoint_quantiles(self):
+        # every deviation is 1/(2n) up to rounding, far inside the rough
+        # CDF's error, so the maximum sits at an index the rough CDF cannot
+        # single out; only the bracket keeps it
+        for n in (10, 99, 1000, 4000):
+            for sigma in (0.3, 1.0, 7.0):
+                x = special.ndtri((np.arange(n) + 0.5) / n)[:, None] * sigma
+                want = ks_distance(x[:, 0], lambda t: normal_cdf(t / sigma))
+                assert _normal_ks(x, np.array([0]), np.array([sigma]))[0] == want
+
+    @pytest.mark.parametrize("name, net", [
+        ("spider3_uniform.json", {"legs": [0, 1, 2]}),
+        ("flatcone4_star.json", {"epsilon": 0.5}),
+        ("openbook3_spine.json", {"epsilon": 0.1}),
+    ])
+    def test_equals_ks_distance_on_lattice_fields(self, name, net):
+        # at n = 100 the field takes few distinct values: ties everywhere
+        sim, values = fine_values(name, net, 100, 500)
+        cov = cov_matrix(sim.measure, sim.base, sim.net)
+        rows = _ks_test(values, cov, 0.03, 1e-10)["directions"]
+        assert len(rows) == len(sim.net)
+        for j, r in enumerate(rows):
+            sigma = math.sqrt(cov.entries[j, j])
+            want = ks_distance(values[:, j], lambda t: normal_cdf(t / sigma))
+            assert r["ks"] == want
 
 
 class TestZeroVarianceDirection:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stratclt import (
@@ -106,6 +106,11 @@ def test_open_book_mean_beats_oracle_grid(raw):
 
 @settings(max_examples=40)
 @given(measures("flat_cone"))
+# the solver's and the oracle's means agree to 1e-17 here; the law of
+# cosines as r^2 + s^2 - 2 r s cos read their squared distance below zero
+@example({"space": {"kind": "flat_cone", "circumference": 7.0},
+          "atoms": [{"point": [1.0, 0.0], "weight": 7.0 / 15.0},
+                    {"point": [1.0, 4.0], "weight": 8.0 / 15.0}]})
 def test_flat_cone_mean_beats_oracle_grid(raw):
     check_against_grid(raw)
 
