@@ -272,11 +272,7 @@ def cmd_field(args) -> int:
         base = geo.Point.of(measure.space, raw["base"])
     else:
         base = mz.frechet_mean(measure).mean
-    net_spec = raw["net"]
-    if isinstance(net_spec, dict) and "epsilon" in net_spec:
-        net = rg.build_net(base, float(net_spec["epsilon"]))
-    else:
-        net = geo.net_from_directions(base, hz._directions_from_spec(base, net_spec))
+    net = hz.resolve_net(base, raw["net"])
     cov = fl.cov_matrix(measure, base, net)
     sampler = fl.GaussianFieldSampler.build(cov)
     draws = sampler.draw_matrix(substream(args.seed, _PURPOSE_GAUSSIAN),

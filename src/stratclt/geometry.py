@@ -416,7 +416,8 @@ class Direction:
         elif k == D_PAGE_ANGLE:
             if not (sp.kind == OPEN_BOOK and sid == "spine"):
                 raise DomainError("page-angle directions only exist on the spine")
-            page, theta = int(d[0]), float(d[1])
+            page, theta = d
+            page, theta = int(page), float(theta)
             if not 0.0 <= theta <= math.pi:
                 raise DomainError("page angle must lie in [0, pi]")
             if not 0 <= page < sp.pages:

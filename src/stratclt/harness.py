@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -49,47 +49,42 @@ _NORMALIZATION_NOTE = (
 # Config
 
 
+class _NumericSpec:
+    """Base of the frozen spec dataclasses: each field takes the type of
+    its default, and a tuple default holds integers."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            name = f"{type(self).__name__}.{f.name}"
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                value = tuple(mz.json_number(x, name, int) for x in value)
+            else:
+                value = mz.json_number(value, name, type(f.default))
+            object.__setattr__(self, f.name, value)
+
+
 @dataclass(frozen=True)
-class Thresholds:
+class Thresholds(_NumericSpec):
     ks: float = 0.03
     mahalanobis_ks: float = 0.05
     cov_sup: float = 0.05
     zero_variance: float = 1e-10
     modulus_min_drop: float = 1.5
 
-    def to_json(self):
-        return {
-            "ks": self.ks,
-            "mahalanobis_ks": self.mahalanobis_ks,
-            "cov_sup": self.cov_sup,
-            "zero_variance": self.zero_variance,
-            "modulus_min_drop": self.modulus_min_drop,
-        }
-
 
 @dataclass(frozen=True)
-class ModulusSpec:
+class ModulusSpec(_NumericSpec):
     epsilon: float = 2.0 ** -8
     radii_log2: tuple = (2, 3, 4, 5, 6)
     n: int = 1000
     replicates: int = 500
 
-    def to_json(self):
-        return {
-            "epsilon": self.epsilon,
-            "radii_log2": list(self.radii_log2),
-            "n": self.n,
-            "replicates": self.replicates,
-        }
-
 
 @dataclass(frozen=True)
-class MartingaleSpec:
+class MartingaleSpec(_NumericSpec):
     n: int = 1000
     k: int = 1000
-
-    def to_json(self):
-        return {"n": self.n, "k": self.k}
 
 
 @dataclass(frozen=True)
@@ -98,16 +93,15 @@ class ExperimentConfig:
     sample_sizes: tuple
     replicates: int
     seed: int
+    net: dict  # JSON net spec: {"epsilon": e} or explicit directions
     base: Point | None = None
-    net_epsilon: float | None = None
-    net_spec: dict | None = None  # explicit directions, JSON form
     tests: tuple = ALL_TESTS
     thresholds: Thresholds = field(default_factory=Thresholds)
     martingale: MartingaleSpec = field(default_factory=MartingaleSpec)
     modulus: ModulusSpec = field(default_factory=ModulusSpec)
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.sample_sizes)
+        ns = tuple(mz.json_number(n, "sample size", int) for n in self.sample_sizes)
         if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("sample sizes must be nonempty and strictly increasing")
         if any(n < 1 for n in ns):
@@ -117,10 +111,7 @@ class ExperimentConfig:
         unknown = set(self.tests) - set(ALL_TESTS)
         if unknown:
             raise ConfigError(f"unknown tests: {sorted(unknown)}")
-        if self.net_epsilon is None and self.net_spec is None:
-            raise ConfigError("config needs a net: epsilon or explicit directions")
         object.__setattr__(self, "sample_sizes", ns)
-        object.__setattr__(self, "tests", tuple(self.tests))
 
     def echo(self) -> dict:
         out = {
@@ -129,36 +120,45 @@ class ExperimentConfig:
             "replicates": self.replicates,
             "seed": self.seed,
             "tests": list(self.tests),
-            "thresholds": self.thresholds.to_json(),
-            "martingale": self.martingale.to_json(),
-            "modulus": self.modulus.to_json(),
+            "thresholds": asdict(self.thresholds),
+            "martingale": asdict(self.martingale),
+            "modulus": dict(asdict(self.modulus),
+                            radii_log2=list(self.modulus.radii_log2)),
+            "net": self.net,
         }
         if self.base is not None:
             out["base"] = self.base.to_coords()
-        out["net"] = ({"epsilon": self.net_epsilon}
-                      if self.net_epsilon is not None else self.net_spec)
         return out
 
     def validation_config(self) -> mz.ValidationConfig:
         return mz.ValidationConfig(base=self.base)
 
 
+_NET_DIRECTIONS = {"legs": geo.D_LEG, "signs": geo.D_SIGN, "angles": geo.D_ANGLE,
+                   "page_angles": geo.D_PAGE_ANGLE, "vectors": geo.D_VECTOR}
+
+
 def _directions_from_spec(base: Point, spec: dict):
     """Explicit net directions from their JSON form, validated per base."""
-    if "legs" in spec:
-        return [geo.Direction(base, geo.D_LEG, (i,)) for i in spec["legs"]]
-    if "signs" in spec:
-        return [geo.Direction(base, geo.D_SIGN, (s,)) for s in spec["signs"]]
-    if "angles" in spec:
-        return [geo.Direction(base, geo.D_ANGLE, (a,)) for a in spec["angles"]]
-    if "page_angles" in spec:
-        return [
-            geo.Direction(base, geo.D_PAGE_ANGLE, (p, th)) for p, th in spec["page_angles"]
-        ]
-    if "vectors" in spec:
-        return [geo.Direction(base, geo.D_VECTOR, tuple(v)) for v in spec["vectors"]]
-    raise ConfigError("net spec needs 'epsilon' or one of "
-                      "legs/signs/angles/page_angles/vectors")
+    for key, kind in _NET_DIRECTIONS.items():
+        if key in spec:
+            multi = kind in (geo.D_PAGE_ANGLE, geo.D_VECTOR)
+            try:
+                return [geo.Direction(base, kind, tuple(x) if multi else (x,))
+                        for x in spec[key]]
+            except (TypeError, ValueError, IndexError) as exc:
+                raise ConfigError(f"malformed net {key}: {exc}") from exc
+    raise ConfigError("net spec needs 'epsilon' or one of " + "/".join(_NET_DIRECTIONS))
+
+
+def resolve_net(base: Point, spec) -> DirectionNet:
+    """The net a JSON net spec asks for at base: the uniform net of
+    resolution ``epsilon``, or the explicit directions."""
+    if not isinstance(spec, dict):
+        raise ConfigError("net spec must be an object")
+    if "epsilon" in spec:
+        return rg.build_net(base, mz.json_number(spec["epsilon"], "net epsilon"))
+    return geo.net_from_directions(base, _directions_from_spec(base, spec))
 
 
 def config_from_json(obj: dict, seed: int,
@@ -171,37 +171,21 @@ def config_from_json(obj: dict, seed: int,
         if obj.get("base") is not None:
             base = Point.of(measure.space, obj["base"])
         net = obj["net"]
-        ns = obj["sample_sizes"]
-        reps = obj["replicates"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed experiment config: {exc}") from exc
-    try:
+        ns = tuple(obj["sample_sizes"])
+        reps = mz.json_number(obj["replicates"], "replicates", int)
+        tests = tuple(obj.get("tests", ALL_TESTS))
         th = Thresholds(**obj.get("thresholds", {}))
         mart = MartingaleSpec(**obj.get("martingale", {}))
-        mod_raw = dict(obj.get("modulus", {}))
-        if "radii_log2" in mod_raw:
-            mod_raw["radii_log2"] = tuple(mod_raw["radii_log2"])
-        mod = ModulusSpec(**mod_raw)
-    except TypeError as exc:
+        mod = ModulusSpec(**obj.get("modulus", {}))
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc
-    kwargs = dict(
-        measure=measure,
-        sample_sizes=tuple(ns),
-        replicates=int(reps),
-        seed=int(seed),
-        base=base,
-        tests=tuple(obj.get("tests", ALL_TESTS)),
-        thresholds=th,
-        martingale=mart,
-        modulus=mod,
-    )
-    if isinstance(net, dict) and "epsilon" in net:
-        kwargs["net_epsilon"] = float(net["epsilon"])
-    elif isinstance(net, dict):
-        kwargs["net_spec"] = net
-    else:
+    if not isinstance(net, dict):
         raise ConfigError("net spec must be an object")
-    return ExperimentConfig(**kwargs)
+    if "epsilon" in net:
+        net = {"epsilon": mz.json_number(net["epsilon"], "net epsilon")}
+    return ExperimentConfig(measure=measure, sample_sizes=ns, replicates=reps,
+                            seed=int(seed), net=net, base=base,
+                            tests=tests, thresholds=th, martingale=mart, modulus=mod)
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +642,6 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def resolve_net(base: Point, cfg: ExperimentConfig) -> DirectionNet:
-    if cfg.net_epsilon is not None:
-        return rg.build_net(base, cfg.net_epsilon)
-    dirs = _directions_from_spec(base, cfg.net_spec)
-    return geo.net_from_directions(base, dirs)
-
-
 def run_clt_experiment(cfg: ExperimentConfig) -> CLTReport:
     """Run the configured tests and assemble a deterministic report."""
     localization = mz.validate_localized(cfg.measure, cfg.validation_config())
@@ -672,7 +649,7 @@ def run_clt_experiment(cfg: ExperimentConfig) -> CLTReport:
         raise LocalizationError("measure failed localization checks",
                                 report=localization)
     base = localization.base
-    net = resolve_net(base, cfg)
+    net = resolve_net(base, cfg.net)
     sim = _FieldSimulator(cfg.measure, base, net)
     cov = fl.cov_matrix(cfg.measure, base, net)
     gamma2 = cfg.measure.moment(base, 2)

@@ -9,10 +9,12 @@ exp_o(tV) and
 
 where W is the total weight and m(V) = E<log_o X, V> the tangent mean.
 The mean is therefore exp_o(max(0, m*) V* / W) for the exact maximum
-(m*, V*) of m over the directions at o: the weighted average, the leg
-rule on spiders, the fold rule on open books and an arc-wise maximum on
-the flat-cone circle.  Every solve is certified by the first-order
-optimality condition sup_V E<log X, V> <= tol at the returned point.
+(m*, V*) of m over the directions at o.  One kernel, ``_cone_max``,
+finds it for any signed masses: the weighted average, the leg rule on
+spiders, the fold rule on open books and an arc-wise circle maximum on
+flat cones.  On the atom coordinates it gives the mean; on the unit
+charts of log X at the mean, the first-order certificate sup_V
+E<log X, V> <= tol and the stickiness.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ def reject_solver_key(obj: dict, key: str) -> None:
             f"the {key!r} key is not accepted: Fréchet means are now solved "
             "exactly in closed form and take no solver settings"
         )
+
+
+def json_number(value, name: str, kind: type = float):
+    """A JSON number as ``kind`` (integral for int), else a ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -92,9 +103,8 @@ class DiscreteMeasure:
         try:
             reject_solver_key(obj, "solver")
             space = SpaceSpec.from_json(obj["space"])
-            atoms = [
-                (Point.of(space, a["point"]), a["weight"]) for a in obj["atoms"]
-            ]
+            atoms = [(Point.of(space, a["point"]), json_number(a["weight"], "atom weight"))
+                     for a in obj["atoms"]]
         except (KeyError, TypeError, IndexError) as exc:
             raise ConfigError(f"malformed measure file: {exc}") from exc
         return DiscreteMeasure(space, tuple(atoms))
@@ -233,62 +243,69 @@ def _circle_max(alpha: float, angles, masses) -> tuple[float, float]:
     return float(values[i]), float(cand[i] % alpha)
 
 
-def _tangent_sup(tm: TangentMeasure) -> tuple[float, float | None]:
-    """Exact sup over unit directions V at the base of E<log X, V>, and the
-    same sup over the directions that leave the base's stratum (None at
-    smooth points, where no direction leaves it)."""
-    base = tm.base
-    sp = base.space
-    sid, _ = geo.stratum_of(base)
-    singular = sid in ("apex", "spine")
-    dirs = [(v.direction.data, w * v.length) for v, w in tm.atoms if not v.is_zero]
-    if not dirs:
-        return 0.0, (0.0 if singular else None)
-    data = np.array([d for d, _ in dirs], dtype=float)
-    mass = np.array([m for _, m in dirs])
+def _cone_max(space: SpaceSpec, singular: bool, chart,
+              masses: np.ndarray) -> tuple[float, tuple | np.ndarray, float | None]:
+    """Exact sup over unit V of sum_i masses_i <v_i, V>, the chart of
+    max(sup, 0) V* for a maximizer V*, and the sup over the directions
+    that leave the stratum (None at smooth points, where none does).
+
+    ``chart`` holds one array per chart coordinate of the tangent vectors
+    v_i: (leg, r) at a spider apex, (page, s, t) at a spine point and
+    (r, phi) at a flat-cone apex; at smooth points it is the transpose of
+    the matrix of the vectors themselves.  The masses may be signed.
+    """
     if not singular:
         # the tangent cone is a vector space and the pairing a dot product
-        return float(np.linalg.norm(mass @ data)), None
-    if sp.kind == geo.SPIDER:
-        legs = data[:, 0]
-        best = max(float(mass @ np.where(legs == leg, 1.0, -1.0))
-                   for leg in range(sp.legs))
-        return best, best
-    if sp.kind == geo.OPEN_BOOK:
-        # V = (page q, theta) pairs to cos(theta) s_part + sin(theta) tau_q
-        pages, theta = data[:, 0], data[:, 1]
-        s_part = float(mass @ np.cos(theta))
-        taus = [float(mass @ (np.sin(theta) * np.where(pages == q, 1.0, -1.0)))
-                for q in range(sp.pages)]
-        best = max(math.hypot(s_part, t) if t > 0.0 else abs(s_part) for t in taus)
-        return best, max(taus)
-    best, _ = _circle_max(sp.circumference, data[:, 0], mass)
-    return best, best
+        peak = masses @ chart.T
+        return float(np.linalg.norm(peak)), peak, None
+    if space.kind == geo.SPIDER:
+        # leg rule: leg l pairs to r_i on leg l and to -r_i off it
+        legs, r = chart
+        m = [float(masses @ np.where(legs == leg, r, -r)) for leg in range(space.legs)]
+        leg = int(np.argmax(m))
+        return m[leg], (leg, m[leg] if m[leg] > 0.0 else 0.0), m[leg]
+    if space.kind == geo.OPEN_BOOK:
+        # fold rule (Hotz et al. 2013): (page q, theta) pairs to
+        # s_i cos(theta) + t_i sin(theta) on page q and s_i cos(theta) -
+        # t_i sin(theta) off it, so the sup is |(S, tau_q)| or |S|
+        pages, s, t = chart
+        s_sum = float(masses @ s)
+        tau = [float(masses @ np.where(pages == q, t, -t)) for q in range(space.pages)]
+        q = int(np.argmax(tau))
+        sup = math.hypot(s_sum, tau[q]) if tau[q] > 0.0 else abs(s_sum)
+        return sup, (q, s_sum, max(tau[q], 0.0)), tau[q]
+    r, phi = chart
+    sup, theta = _circle_max(space.circumference, phi, masses * r)
+    return sup, (sup if sup > 0.0 else 0.0, theta), sup
+
+
+def _unit_chart(space: SpaceSpec, singular: bool, data: np.ndarray):
+    """The ``_cone_max`` chart of unit directions, from their rows of
+    ``Direction.data``: (leg) -> (leg, 1), (page, theta) -> (page,
+    cos theta, sin theta), (phi) -> (1, phi), and vectors unchanged."""
+    if not singular:
+        return data.T
+    if space.kind == geo.SPIDER:
+        return data[:, 0], np.ones(len(data))
+    if space.kind == geo.OPEN_BOOK:
+        return data[:, 0], np.cos(data[:, 1]), np.sin(data[:, 1])
+    return np.ones(len(data)), data[:, 0]
 
 
 def _closed_form_mean(measure: DiscreteMeasure) -> Point:
-    """exp_o(max(0, m*) V* / W) at the cone point o of the space."""
+    """exp_o(max(0, m*) V* / W), with the atom coordinates as charts of log_o x."""
     sp = measure.space
     w = measure.weights
     total = float(w.sum())
     coords = np.array([p.coords for p in measure.points], dtype=float)
+    _, peak, _ = _cone_max(sp, sp.kind != geo.EUCLIDEAN, coords.T, w)
     if sp.kind == geo.EUCLIDEAN:
-        return Point(sp, tuple((w @ coords) / total))
-    if sp.kind == geo.SPIDER:
-        # leg rule: at most one leg has a positive tangent mean
-        legs, r = coords.T
-        m = [float(w @ np.where(legs == leg, r, -r)) for leg in range(sp.legs)]
-        leg = int(np.argmax(m))
-        return Point(sp, (leg, m[leg] / total)) if m[leg] > 0.0 else geo.apex(sp)
-    if sp.kind == geo.OPEN_BOOK:
-        # fold rule (Hotz et al. 2013) at the spine point (0, s_bar, 0)
-        pages, s, t = coords.T
-        tau = [float(w @ np.where(pages == q, t, -t)) for q in range(sp.pages)]
-        q = int(np.argmax(tau))
-        return Point(sp, (q, float(w @ s) / total, max(tau[q], 0.0) / total))
-    r, phi = coords.T
-    m, theta = _circle_max(sp.circumference, phi, w * r)
-    return Point(sp, (m / total, theta)) if m > _TOL else geo.apex(sp)
+        return Point(sp, tuple(peak / total))
+    if sp.kind == geo.FLAT_CONE:
+        r, theta = peak
+        return Point(sp, (r / total, theta)) if r > _TOL else geo.apex(sp)
+    # (leg, r) and (page, s, t): the index stays, the lengths scale
+    return Point(sp, (peak[0], *(x / total for x in peak[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +356,16 @@ class MeanDiagnostics:
 def _certify(measure: DiscreteMeasure,
              mean: Point) -> tuple[FirstOrderCertificate, float | None]:
     """The certificate at mean, and the sup of the tangent mean over the
-    directions leaving its stratum."""
-    sup, outward = _tangent_sup(pushforward(measure, mean))
+    directions leaving its stratum: ``_cone_max`` on the unit charts of
+    log x at mean, with masses w |log x|."""
+    singular = geo.stratum_of(mean)[0] in ("apex", "spine")
+    logs = [(v, w) for v, w in pushforward(measure, mean).atoms if not v.is_zero]
+    sup, outward = 0.0, (0.0 if singular else None)
+    if logs:
+        data = np.array([v.direction.data for v, _ in logs], dtype=float)
+        masses = np.array([w * v.length for v, w in logs])
+        sup, _, outward = _cone_max(mean.space, singular,
+                                    _unit_chart(mean.space, singular, data), masses)
     if not sup <= _TOL:
         raise NumericalConsistencyError(
             f"first-order certificate failed at {mean.to_coords()}: "

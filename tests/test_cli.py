@@ -34,6 +34,32 @@ FINE_NET_DIGESTS = {
 }
 
 
+CLOSED_FORM_MEASURES = {
+    "cone_off_apex":
+        {"space": {"kind": "flat_cone", "circumference": 3 * math.pi},
+         "atoms": [{"point": [1.0, 0.0], "weight": 0.6},
+                   {"point": [1.0, 1.0], "weight": 0.4}]},
+    "euclidean3_four":
+        {"space": {"kind": "euclidean", "dim": 3},
+         "atoms": [{"point": [1.0, 0.0, 0.0], "weight": 0.25},
+                   {"point": [0.0, 1.0, 0.0], "weight": 0.25},
+                   {"point": [0.0, 0.0, 1.0], "weight": 0.25},
+                   {"point": [-1.0, -1.0, 0.5], "weight": 0.25}]},
+}
+
+# SHA-256 of the JSON that `mean` prints for each bundled measure file
+# and each CLOSED_FORM_MEASURES entry
+MEAN_DIGESTS = {
+    "euclidean_pm1.measure.json": "ee8224af0033355b77092e35e68ce2adfdb5701318bb522d8d7bbd9c1de72cc9",
+    "flatcone4_star.measure.json": "5f50e6ca0bbded7f33ab680cddcb03738b1047ce3cbb0decacebc8b4838f0264",
+    "openbook3_spine.measure.json": "b30b8a487f0b34140f490625ea94a7af63a990e4a82d5b6d5ce85fb52ab703bf",
+    "spider3_uniform.measure.json": "e8b52ce0b3ab6904e6856965a5da35e860e172b83c66967b4ed970344614aec9",
+    "spider3_weighted.measure.json": "c674488072895f50ddac202071b8feeca196059a3e3ecbe425675b7b00b79f11",
+    "cone_off_apex": "78edc459f0d253c2cc2c3690dba9ad58b58fdeecfeeec8001c72a283c04dfebb",
+    "euclidean3_four": "cb7ff5988de39b989b0106e0a64c8335af1654533c6ab944e8a6dc2b243d314b",
+}
+
+
 def write_json(path: Path, obj) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
@@ -93,19 +119,10 @@ class TestMean:
 
     @pytest.mark.parametrize("name, measure, want", [
         # alpha = 3 pi: the mean is off the apex, in the wedge of both atoms
-        ("cone_off_apex",
-         {"space": {"kind": "flat_cone", "circumference": 3 * math.pi},
-          "atoms": [{"point": [1.0, 0.0], "weight": 0.6},
-                    {"point": [1.0, 1.0], "weight": 0.4}]},
+        ("cone_off_apex", CLOSED_FORM_MEASURES["cone_off_apex"],
          [math.hypot(0.6 + 0.4 * math.cos(1.0), 0.4 * math.sin(1.0)),
           math.atan2(0.4 * math.sin(1.0), 0.6 + 0.4 * math.cos(1.0))]),
-        ("euclidean3_four",
-         {"space": {"kind": "euclidean", "dim": 3},
-          "atoms": [{"point": [1.0, 0.0, 0.0], "weight": 0.25},
-                    {"point": [0.0, 1.0, 0.0], "weight": 0.25},
-                    {"point": [0.0, 0.0, 1.0], "weight": 0.25},
-                    {"point": [-1.0, -1.0, 0.5], "weight": 0.25}]},
-         [0.0, 0.0, 0.375]),
+        ("euclidean3_four", CLOSED_FORM_MEASURES["euclidean3_four"], [0.0, 0.0, 0.375]),
     ])
     def test_closed_form_means(self, tmp_path, capsys, name, measure, want):
         code = main(["mean", "--config", write_json(tmp_path / f"{name}.json", measure)])
@@ -113,6 +130,16 @@ class TestMean:
         out = json.loads(capsys.readouterr().out)
         assert out["mean"]["coords"] == pytest.approx(want, abs=1e-9)
         assert out["certificate"]["sup_tangent_mean"] <= out["certificate"]["tol"]
+
+    @pytest.mark.parametrize("name", sorted(MEAN_DIGESTS))
+    def test_outputs_pinned(self, tmp_path, capsys, name):
+        if name in CLOSED_FORM_MEASURES:
+            path = write_json(tmp_path / f"{name}.json", CLOSED_FORM_MEASURES[name])
+        else:
+            path = str(CONFIG_DIR / name)
+        assert main(["mean", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MEAN_DIGESTS[name]
 
     def test_flatcone_star_sticky_apex(self, capsys):
         code = main(["mean", "--config",
@@ -391,6 +418,40 @@ class TestField:
         assert emp.shape == (200, 3)
         # per-replicate leg sums telescope to zero
         assert np.max(np.abs(emp.sum(axis=1))) < 1e-10
+
+
+class TestMalformedNumbers:
+    """A value of the wrong type is a ConfigError where it is parsed:
+    exit 3 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("command, keys, value", [
+        ("clt", ("replicates",), "abc"),
+        ("clt", ("sample_sizes",), "abc"),
+        ("clt", ("net",), {"epsilon": "x"}),
+        ("clt", ("net",), {"legs": 3}),
+        ("clt", ("thresholds",), {"ks": "x"}),
+        ("clt", ("martingale",), {"n": "x"}),
+        ("clt", ("measure", "atoms", 0, "weight"), "x"),
+        ("field", ("net",), 5),
+        ("field", ("net",), {"epsilon": "x"}),
+    ], ids=["replicates", "sample_sizes", "net_epsilon", "net_legs", "thresholds",
+            "martingale", "weight", "field_net", "field_net_epsilon"])
+    def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value):
+        if command == "clt":
+            raw = load_config("spider3_uniform.json")
+            raw.update(sample_sizes=[200], replicates=150)
+        else:
+            raw = load_config("field_example.json")
+        target = raw
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        code = main([command, "--config", write_json(tmp_path / "c.json", raw),
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestCsvRoundTrip:

@@ -9,6 +9,7 @@ from stratclt import (
     ConfigError,
     LocalizationError,
     Point,
+    SpaceSpec,
     compare_covariance,
     config_from_json,
     cov_matrix,
@@ -147,6 +148,18 @@ class TestConfigValidation:
         raw["tests"] = ["cov", "bogus"]
         with pytest.raises(ConfigError):
             config_from_json(raw, seed=1)
+
+    @pytest.mark.parametrize("spec", [
+        {"page_angles": [[0, 1.0, 5.0]]},
+        {"page_angles": [[0]]},
+        {"page_angles": [["x", 1.0]]},
+        {"vectors": [[1.0, 0.0]]},
+    ])
+    def test_malformed_explicit_net(self, spec):
+        # checked when the net is resolved at the base: the spine point here
+        spine = Point(SpaceSpec.open_book(3), (0, 0.0, 0.0))
+        with pytest.raises(ConfigError):
+            resolve_net(spine, spec)
 
 
 class TestDeterminism:
@@ -373,7 +386,7 @@ class TestIncrementReference:
             raw["replicates"] = replicates
         cfg = config_from_json(raw, seed=17)
         base = validate_localized(cfg.measure, cfg.validation_config()).base
-        sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg))
+        sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg.net))
         n = cfg.sample_sizes[0]
         values = sim.field_rows(17, _PURPOSE_SAMPLES, 0, n, cfg.replicates)
         assert net is None or len(sim.net) == 95
@@ -401,7 +414,7 @@ def fine_values(name, net, n, replicates, seed=17):
     raw["net"] = net
     cfg = config_from_json(raw, seed=seed)
     base = validate_localized(cfg.measure, cfg.validation_config()).base
-    sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg))
+    sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg.net))
     return sim, sim.field_rows(seed, _PURPOSE_SAMPLES, 0, n, replicates)
 
 

@@ -24,8 +24,11 @@ from stratclt import (
     substream,
     validate_localized,
 )
+from stratclt import geometry as geo
+from stratclt import measures as mz
 from stratclt.geometry import D_LEG, D_SIGN, D_VECTOR
 from stratclt.measures import sample_indices
+from stratclt.regularity import build_net
 
 from .oracles import (
     enumeration_moments,
@@ -315,3 +318,45 @@ class TestHigherDimensionalEuclidean:
         assert report.passed
         assert report.mean.coords == (0.5, 0.5, 0.5)
         assert report.certificate.sup_tangent_mean <= report.certificate.tol
+
+
+class TestConeMaxSignedMasses:
+    """``_cone_max`` is the exact sup of sum_i xi_i <v_i, V> for signed
+    xi, as in the Gaussian field G = xi P.  Each term is |xi_i||v_i|-
+    Lipschitz in V (the capped angle is 1-Lipschitz), so the max over a
+    net of covering radius rho lies within rho sum_i |xi_i||v_i| below
+    the sup, and never above it; both sides allow 1e-12 of rounding."""
+
+    CASES = {
+        "spider_apex": (SpaceSpec.spider(4), (0, 0.0),
+                        [(0, 1.0), (1, 0.5), (1, 2.0), (3, 0.7), (2, 0.0)]),
+        "spine_point": (SpaceSpec.open_book(3), (0, 0.3, 0.0),
+                        [(0, 1.0, 0.5), (1, -0.4, 1.2), (2, 0.3, 0.8),
+                         (0, -1.5, 0.0), (2, 0.3, 0.0), (1, 0.9, 2.0)]),
+        "cone_apex": (SpaceSpec.flat_cone(3 * math.pi), (0.0, 0.0),
+                      [(1.0, 0.0), (0.5, 2.0), (1.5, 4.5), (0.8, 7.0),
+                       (0.0, 0.0), (1.2, 9.0)]),
+        "page_point": (SpaceSpec.open_book(3), (1, 0.2, 0.7),
+                       [(0, 1.0, 0.5), (1, -0.4, 1.2), (2, 0.3, 0.8),
+                        (1, 0.2, 0.7), (0, 0.5, 0.0)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_kernel_sup_against_fine_net(self, case):
+        space, base_coords, atoms = self.CASES[case]
+        base = Point(space, base_coords)
+        logs = [geo.log_map(base, Point(space, x)) for x in atoms]
+        lengths = np.array([v.length for v in logs])
+        net = build_net(base, 2.0 ** -10)
+        table = geo.pairings(base, logs, net.coords())
+        singular = geo.stratum_of(base)[0] in ("apex", "spine")
+        nz = lengths > 0.0
+        chart = mz._unit_chart(space, singular, np.array(
+            [v.direction.data for v in logs if not v.is_zero], dtype=float))
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            xi = rng.standard_normal(len(atoms))
+            net_max = float(np.max(xi @ table))
+            sup, _, _ = mz._cone_max(space, singular, chart, xi[nz] * lengths[nz])
+            slack = net.covering_radius * float(np.abs(xi) @ lengths)
+            assert net_max - 1e-12 <= sup <= net_max + slack + 1e-12
