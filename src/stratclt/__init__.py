@@ -10,10 +10,8 @@ scaled empirical tangent fields to their Gaussian limit.
 __version__ = "0.1.0"
 
 from .errors import (
-    AmbiguousGeodesicError,
     ConfigError,
     DomainError,
-    LocalizationError,
     NumericalConsistencyError,
     SpaceMismatchError,
     StratcltError,

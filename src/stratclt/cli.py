@@ -26,15 +26,7 @@ from . import geometry as geo
 from . import harness as hz
 from . import measures as mz
 from . import regularity as rg
-from .errors import (
-    AmbiguousGeodesicError,
-    ConfigError,
-    DomainError,
-    LocalizationError,
-    NumericalConsistencyError,
-    SpaceMismatchError,
-    StratcltError,
-)
+from .errors import ConfigError, NumericalConsistencyError, StratcltError
 from .rng import substream
 
 EXIT_OK = 0
@@ -185,16 +177,7 @@ def _report_csvs(report: hz.CLTReport, outdir: Path) -> list[str]:
 def cmd_clt(args) -> int:
     raw = _load_json(args.config)
     cfg = hz.config_from_json(raw, seed=args.seed)
-    try:
-        report = hz.run_clt_experiment(cfg)
-    except LocalizationError as exc:
-        refusal = {
-            "error": "localization failure",
-            "detail": str(exc),
-            "report": exc.report.to_json() if exc.report is not None else None,
-        }
-        print(json.dumps(refusal, sort_keys=True), file=sys.stderr)
-        return EXIT_INPUT
+    report = hz.run_clt_experiment(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -263,6 +246,8 @@ def cmd_cover(args) -> int:
 
 
 def cmd_field(args) -> int:
+    if args.draws < 1 or args.empirical_n is not None and args.empirical_n < 1:
+        raise ConfigError("--draws and --empirical-n must be >= 1")
     raw = _load_json(args.config)
     if "net" not in raw:
         raise ConfigError("field config needs a net spec")
@@ -349,10 +334,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, SpaceMismatchError,
-            AmbiguousGeodesicError, LocalizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NumericalConsistencyError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -4,7 +4,10 @@ The central object is the pairing matrix P[i, j] = <log x_i, V_j>
 between the atoms of a pushed-forward measure and the directions of a
 net.  Because measures are finitely supported, the tangent mean vector,
 the covariance kernel, centered fields and their exact moments are all
-small dense computations on P.
+small dense computations on P.  The covariance on a net is the Gram
+matrix F^T F of F = diag(sqrt w)(P - 1 m^T), one row per atom, so it is
+positive semidefinite by construction, and Gaussian fields are drawn as
+z @ F from k standard normals.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import DomainError, NumericalConsistencyError, SpaceMismatchError
+from .errors import DomainError, SpaceMismatchError
 from .geometry import DirectionNet, Point, TangentVector
 from .measures import (
     DiscreteMeasure,
@@ -99,10 +102,9 @@ def empirical_field(samples: list[Point], measure: DiscreteMeasure, base: Point,
 
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
-    """Covariance kernel evaluated on a net, with a PSD audit trail.
+    """Covariance kernel evaluated on a net, with its Gram factor.
 
-    ``entries`` are the exact (symmetrized) kernel values; eigenvalues
-    in [-tol, 0) are recorded in ``psd_repair`` and clipped to zero.
+    ``entries`` are the exact (symmetrized) kernel values.
     ``gram_factor`` is the m x k matrix F^T with F = diag(sqrt w)(P - 1 m^T)
     over the k atoms, so F^T F reproduces ``entries`` and is positive
     semidefinite by construction.
@@ -110,23 +112,15 @@ class CovMatrix:
 
     net: DirectionNet
     entries: np.ndarray
-    psd_repair: tuple
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     gram_factor: np.ndarray
 
 
-# relative tolerance below which negative covariance eigenvalues raise
-_PSD_TOL = 1e-8
-
-
 def cov_matrix(measure: DiscreteMeasure, base: Point, net: DirectionNet) -> CovMatrix:
-    """Entrywise tangent covariance on the net.
+    """Entrywise tangent covariance on the net, symmetrized by averaging.
 
-    The matrix is symmetrized by averaging; eigenvalues below
-    ``-_PSD_TOL * max(eig)`` raise, slightly negative ones are clipped
-    with a log entry (exactly singular kernels are expected, e.g. on a
-    spider net the all-ones vector is a null direction).
+    It is a Gram matrix, so it needs no positive-semidefiniteness check;
+    it may be exactly singular (on a spider net the all-ones vector is a
+    null direction).
     """
     tm = pushforward(measure, base)
     pair = pairing_matrix(tm, net)
@@ -135,39 +129,30 @@ def cov_matrix(measure: DiscreteMeasure, base: Point, net: DirectionNet) -> CovM
     centered = pair - mean_vec
     cov = centered.T @ (w[:, None] * centered)
     cov = 0.5 * (cov + cov.T)
-    vals, vecs = np.linalg.eigh(cov)
-    scale_ref = max(float(vals.max(initial=0.0)), 0.0)
-    floor = -_PSD_TOL * max(scale_ref, 1e-300)
-    if vals.min(initial=0.0) < floor:
-        raise NumericalConsistencyError(
-            f"covariance matrix indefinite: min eigenvalue {vals.min():.3e}"
-        )
-    repaired = tuple(float(v) for v in vals[vals < 0.0])
-    vals = np.maximum(vals, 0.0)
     gram = (np.sqrt(w)[:, None] * centered).T
-    return CovMatrix(net, cov, repaired, vals, vecs, gram)
+    return CovMatrix(net, cov, gram)
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianFieldSampler:
-    """Centered Gaussian field on a net with a fixed covariance factor.
+    """Centered Gaussian field on a net with the covariance of ``cov``.
 
-    The factor is the Gram factor F^T of the covariance, one column per
-    atom, so each draw is z @ F for k standard normals z.  Unlike an
+    Each draw is z @ F for k standard normals z, through the Gram factor
+    F^T of the covariance, one column per atom.  Unlike an
     eigendecomposition it takes no square roots of rounding-noise
     eigenvalues, and the draws do not move with the last bit of an entry.
     """
 
     cov: CovMatrix
-    factor: np.ndarray
 
     @staticmethod
     def build(cov: CovMatrix) -> "GaussianFieldSampler":
-        return GaussianFieldSampler(cov, cov.gram_factor)
+        return GaussianFieldSampler(cov)
 
     def draw_matrix(self, stream: np.random.Generator, draws: int) -> np.ndarray:
-        z = stream.standard_normal((draws, self.factor.shape[1]))
-        return z @ self.factor.T
+        factor = self.cov.gram_factor
+        z = stream.standard_normal((draws, factor.shape[1]))
+        return z @ factor.T
 
     def draw(self, stream: np.random.Generator) -> "FieldOnNet":
         return FieldOnNet(self.cov.net, self.draw_matrix(stream, 1)[0], "gaussian")

@@ -23,9 +23,9 @@ Conventions fixed here and relied on everywhere else:
   equality is tuple equality;
 * the angle used in the angular pairing is ``min(d_s, pi)`` even where
   the angular metric itself exceeds pi;
-* a flat-cone pair with both radii positive and circle gap exactly pi
-  raises :class:`AmbiguousGeodesicError` from the geodesic and log
-  operations rather than tie-breaking (distance is still defined);
+* a flat-cone pair with both radii positive and circle gap >= pi is
+  joined through the apex; at a gap of exactly pi that path is still
+  the unique geodesic, as in every CAT(0) space;
 * geodesic continuation through a singular stratum is deterministic:
   through a spider apex or across a spine the path continues into the
   lowest-index other leg/page, and through a cone apex it continues at
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguousGeodesicError, DomainError, SpaceMismatchError
+from .errors import DomainError, SpaceMismatchError
 
 EUCLIDEAN = "euclidean"
 SPIDER = "spider"
@@ -354,12 +354,7 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
         return Point(sp, (t * r2, phi2))
     if r2 == 0.0:
         return Point(sp, ((1.0 - t) * r1, phi1))
-    gap = _cone_gap(sp, phi1, phi2)
-    if gap == math.pi:
-        raise AmbiguousGeodesicError(
-            "flat cone geodesic is treated as ambiguous at circle gap exactly pi"
-        )
-    if gap > math.pi:
+    if _cone_gap(sp, phi1, phi2) >= math.pi:
         arc = t * (r1 + r2)
         if arc <= r1:
             return Point(sp, (r1 - arc, phi1))
@@ -584,12 +579,7 @@ def log_map(base: Point, x: Point) -> TangentVector:
         return TangentVector(base, Direction(base, D_ANGLE, (phi1,)), r1)
     if r1 == 0.0:
         return TangentVector(base, Direction(base, D_VECTOR, (-1.0, 0.0)), r0)
-    gap = _cone_gap(sp, phi0, phi1)
-    if gap == math.pi:
-        raise AmbiguousGeodesicError(
-            "log map is ambiguous on a flat cone at circle gap exactly pi"
-        )
-    if gap > math.pi:
+    if _cone_gap(sp, phi0, phi1) >= math.pi:
         return TangentVector(base, Direction(base, D_VECTOR, (-1.0, 0.0)), r0 + r1)
     delta = _cone_signed_gap(sp, phi0, phi1)
     vx = r1 * math.cos(delta) - r0

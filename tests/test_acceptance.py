@@ -29,7 +29,6 @@ from stratclt import (
     run_clt_experiment,
     tangent_mean,
 )
-from stratclt.errors import AmbiguousGeodesicError
 from stratclt.fields import pairing_matrix
 from stratclt.geometry import D_LEG, D_SIGN
 from stratclt.harness import _FieldSimulator, _PURPOSE_SAMPLES, _modulus_test, ModulusSpec
@@ -72,10 +71,7 @@ def test_criterion_01_geometry_axioms():
         checked = 0
         while checked < 10_000:
             a, b, c = (random_point(space, rng) for _ in range(3))
-            try:
-                mid = geodesic_point(b, c, 0.5)
-            except AmbiguousGeodesicError:
-                continue
+            mid = geodesic_point(b, c, 0.5)
             comparison = comparison_median(distance(b, c), distance(a, b),
                                            distance(a, c))
             assert distance(a, mid) <= comparison + 1e-9
@@ -96,10 +92,7 @@ def test_criterion_01_geometry_axioms():
         done = 0
         while done < 10_000:
             base, x = random_point(space, rng), random_point(space, rng)
-            try:
-                v = log_map(base, x)
-            except AmbiguousGeodesicError:
-                continue
+            v = log_map(base, x)
             if not crosses_branch_point(base, x):
                 assert distance(exp_map(base, v), x) <= 1e-10
             done += 1

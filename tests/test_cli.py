@@ -22,7 +22,7 @@ CLT_DIGESTS = {
     "mahalanobis.csv": "7bd7f65873cf47ddf55f7a7acee5356cae6396e525eb66d2105aff8cdb019495",
     "martingale.csv": "b7068cc2eafb710fd7adcc53ccaa07ba5146232e353f538ef321c1eec65d705c",
     "moments.csv": "1c922f93f6085cfff6dac8ee2141eb33518cf7ebd4a43fbbc7a5f74819d50052",
-    "report.json": "f2bb9f9360a1e886c388d99e4d81599935cdda92552a5caca297351408154545",
+    "report.json": "79aedd1b816983a1a14c703746ed65af0a4c70ec994b0d2954ce5ed18230e438",
 }
 
 # SHA-256 of the per-direction and per-pair CSVs of `clt --seed 42` on
@@ -255,24 +255,27 @@ class TestClt:
         assert "report.json" in manifest["outputs"]
         assert manifest["config_sha256"]
 
-    def test_localization_refusal_exit_3(self, tmp_path, capsys):
+    def test_gap_pi_base_runs(self, tmp_path, capsys):
+        # atom 1 sits at circle gap exactly pi from the given base: its one
+        # geodesic runs through the apex, and the run goes ahead
+        base = [0.6, 0.0]
         raw = {
             "measure": {
                 "space": {"kind": "flat_cone", "circumference": 3 * math.pi},
                 "atoms": [{"point": [1.0, 0.0], "weight": 0.8},
                           {"point": [1.0, math.pi], "weight": 0.2}],
             },
-            "base": [0.6, 0.0],
+            "base": base,
             "net": {"epsilon": 0.5},
             "sample_sizes": [200],
             "replicates": 150,
         }
-        cfg = write_json(tmp_path / "c.json", raw)
-        code = main(["clt", "--config", cfg, "--seed", "1",
-                     "--out", str(tmp_path / "o")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "localization" in err
+        outdir = tmp_path / "o"
+        code = main(["clt", "--config", write_json(tmp_path / "c.json", raw),
+                     "--seed", "1", "--out", str(outdir)])
+        assert code in (0, 2)
+        capsys.readouterr()
+        assert json.loads((outdir / "report.json").read_text())["base"] == base
 
 
 class TestCover:
@@ -424,30 +427,40 @@ class TestMalformedNumbers:
     """A value of the wrong type is a ConfigError where it is parsed:
     exit 3 with a message, never a traceback."""
 
-    @pytest.mark.parametrize("command, keys, value", [
-        ("clt", ("replicates",), "abc"),
-        ("clt", ("sample_sizes",), "abc"),
-        ("clt", ("net",), {"epsilon": "x"}),
-        ("clt", ("net",), {"legs": 3}),
-        ("clt", ("thresholds",), {"ks": "x"}),
-        ("clt", ("martingale",), {"n": "x"}),
-        ("clt", ("measure", "atoms", 0, "weight"), "x"),
-        ("field", ("net",), 5),
-        ("field", ("net",), {"epsilon": "x"}),
+    @pytest.mark.parametrize("command, keys, value, flags", [
+        ("clt", ("replicates",), "abc", ()),
+        ("clt", ("sample_sizes",), "abc", ()),
+        ("clt", ("net",), {"epsilon": "x"}, ()),
+        ("clt", ("net",), {"legs": 3}, ()),
+        ("clt", ("thresholds",), {"ks": "x"}, ()),
+        ("clt", ("martingale",), {"n": "x"}, ()),
+        ("clt", ("measure", "atoms", 0, "weight"), "x", ()),
+        ("field", ("net",), 5, ()),
+        ("field", ("net",), {"epsilon": "x"}, ()),
+        ("clt", ("modulus",), {"n": -5}, ()),
+        ("clt", ("modulus",), {"replicates": 0}, ()),
+        ("clt", ("martingale",), {"n": -5}, ()),
+        ("clt", ("martingale",), {"k": 0}, ()),
+        ("field", (), None, ("--empirical-n", "-3")),
+        ("field", (), None, ("--draws", "-3")),
     ], ids=["replicates", "sample_sizes", "net_epsilon", "net_legs", "thresholds",
-            "martingale", "weight", "field_net", "field_net_epsilon"])
-    def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value):
+            "martingale", "weight", "field_net", "field_net_epsilon", "modulus_n",
+            "modulus_replicates", "martingale_n", "martingale_k", "field_empirical_n",
+            "field_draws"])
+    def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value,
+                                      flags):
         if command == "clt":
             raw = load_config("spider3_uniform.json")
             raw.update(sample_sizes=[200], replicates=150)
         else:
             raw = load_config("field_example.json")
-        target = raw
-        for key in keys[:-1]:
-            target = target[key]
-        target[keys[-1]] = value
+        if keys:
+            target = raw
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
         code = main([command, "--config", write_json(tmp_path / "c.json", raw),
-                     "--seed", "1", "--out", str(tmp_path / "o")])
+                     "--seed", "1", "--out", str(tmp_path / "o"), *flags])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ")

@@ -170,14 +170,9 @@ class TestCovMatrix:
         cov = cov_matrix(spider_uniform, spider_apex, net)
         expected = np.full((3, 3), -4.0 / 9.0) + np.eye(3) * (8.0 / 9.0 + 4.0 / 9.0)
         assert np.max(np.abs(cov.entries - expected)) <= 1e-12
-        eigs = np.sort(cov.eigenvalues)
-        assert eigs == pytest.approx([0.0, 4.0 / 3.0, 4.0 / 3.0], abs=1e-12)
-
-    def test_psd_repair_logged(self, spider_uniform, spider_apex):
-        # the exactly singular spider kernel rounds to a tiny negative eig
-        net = build_net(spider_apex, 1.0)
-        cov = cov_matrix(spider_uniform, spider_apex, net)
-        assert all(v <= 0.0 and v >= -1e-12 for v in cov.psd_repair)
+        # the eigenvalues of entries are the squared singular values of F^T
+        s2 = np.linalg.svd(cov.gram_factor, compute_uv=False) ** 2
+        assert s2 == pytest.approx([4.0 / 3.0, 4.0 / 3.0, 0.0], abs=1e-12)
 
     def test_euclidean_pm1_matrix(self, euclid_pm1):
         b = Point(euclid_pm1.space, (0.0,))
@@ -248,8 +243,8 @@ class TestGaussianSampler:
     def test_factor_reproduces_entries(self):
         for mu, base, net in bundled_cases():
             cov = cov_matrix(mu, base, net)
-            sampler = GaussianFieldSampler.build(cov)
-            recon = sampler.factor @ sampler.factor.T
+            factor = GaussianFieldSampler.build(cov).cov.gram_factor
+            recon = factor @ factor.T
             assert np.max(np.abs(recon - cov.entries)) <= 1e-8
 
     def test_draws_ignore_last_bit_of_entries(self):

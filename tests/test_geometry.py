@@ -6,7 +6,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stratclt import (
-    AmbiguousGeodesicError,
     Direction,
     DomainError,
     Point,
@@ -65,8 +64,18 @@ def crosses_branch_point(base, x):
         r0, a0 = base.coords
         r1, a1 = x.coords
         gap = min(abs(a0 - a1), sp.circumference - abs(a0 - a1))
-        return r0 > 0.0 and r1 > 0.0 and gap > math.pi
+        return r0 > 0.0 and r1 > 0.0 and gap >= math.pi
     return False
+
+
+@st.composite
+def gap_pi_pair(draw):
+    """A flat-cone base p = (r1, 0) and two points at radius r2: one at
+    circle gap exactly pi from p, one at pi - 1 ulp or pi + 1 ulp."""
+    sp = SpaceSpec.flat_cone(draw(st.floats(2.0 * math.pi, 4.0 * math.pi)))
+    r1, r2 = (draw(st.floats(1e-6, 1e3)) for _ in range(2))
+    near = math.nextafter(math.pi, draw(st.sampled_from((0.0, math.inf))))
+    return Point(sp, (r1, 0.0)), (Point(sp, (r2, math.pi)), Point(sp, (r2, near)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +201,21 @@ class TestGeodesics:
             for _ in range(200):
                 p, q = random_point(space, rng), random_point(space, rng)
                 t = float(rng.random())
-                try:
-                    mid = geodesic_point(p, q, t)
-                except AmbiguousGeodesicError:
-                    continue
+                mid = geodesic_point(p, q, t)
                 assert distance(p, mid) == pytest.approx(t * distance(p, q),
                                                          rel=1e-12, abs=1e-12)
 
-    def test_cone_ambiguity_raises(self):
-        p = Point(FC, (1.0, 0.0))
-        q = Point(FC, (1.0, math.pi))
-        with pytest.raises(AmbiguousGeodesicError):
-            geodesic_point(p, q, 0.5)
-        assert distance(p, q) == pytest.approx(2.0)  # distance stays defined
+    @given(gap_pi_pair(), st.floats(0.0, 1.0))
+    def test_cone_gap_pi_geodesic(self, case, t):
+        # at circle gap pi the one geodesic runs through the apex; at
+        # pi - 1 ulp it passes within rounding of it
+        p, qs = case
+        for q in qs:
+            d = distance(p, q)
+            mid = geodesic_point(p, q, t)
+            r = p.coords[0] + q.coords[0]
+            assert distance(p, mid) == pytest.approx(t * d, rel=0.0, abs=1e-12 * r)
+            assert distance(mid, q) == pytest.approx((1.0 - t) * d, rel=0.0, abs=1e-12 * r)
 
     def test_fraction_domain(self):
         with pytest.raises(DomainError):
@@ -255,27 +266,28 @@ class TestLogExp:
         for space in (E2, E1, SP3, OB3, FC):
             for _ in range(400):
                 base, x = random_point(space, rng), random_point(space, rng)
-                try:
-                    v = log_map(base, x)
-                except AmbiguousGeodesicError:
-                    continue
+                v = log_map(base, x)
                 assert distance(base, x) == pytest.approx(v.length, abs=1e-12)
                 back = exp_map(base, v)
                 if not crosses_branch_point(base, x):
                     assert distance(back, x) <= 1e-10
                     plain += 1
                 if v.length > 0:
-                    try:
-                        again = log_map(base, back)
-                    except AmbiguousGeodesicError:
-                        continue  # log not unique at the exp image
+                    again = log_map(base, back)
                     assert again.length == pytest.approx(v.length, abs=1e-12)
                     assert angular_distance(again.direction, v.direction) <= 1e-12
         assert plain > 500  # the qualified branch is not vacuous
 
-    def test_log_ambiguous_on_cone(self):
-        with pytest.raises(AmbiguousGeodesicError):
-            log_map(Point(FC, (1.0, 0.0)), Point(FC, (2.0, math.pi)))
+    @given(gap_pi_pair())
+    def test_cone_gap_pi_log(self, case):
+        # the log has the length of the distance on both sides of gap pi,
+        # and moving the target by 1 ulp across gap pi moves the log by
+        # rounding only: the through-apex branch is continuous there
+        p, (at_pi, near) = case
+        for q in (at_pi, near):
+            assert log_map(p, q).length == distance(p, q)
+        r = p.coords[0] + near.coords[0]
+        assert conical_distance(log_map(p, at_pi), log_map(p, near)) <= 1e-9 * r
 
     def test_exp_through_singularities(self):
         # spider leg: beyond the apex continues into the lowest other leg
@@ -462,10 +474,7 @@ class TestMetricProperties:
         checked = 0
         while checked < 800:
             a, b, c = (random_point(space, rng) for _ in range(3))
-            try:
-                mid = geodesic_point(b, c, 0.5)
-            except AmbiguousGeodesicError:
-                continue
+            mid = geodesic_point(b, c, 0.5)
             med = distance(a, mid)
             comparison = comparison_median(distance(b, c), distance(a, b),
                                            distance(a, c))
@@ -566,11 +575,8 @@ class TestGeodesicInternalConsistency:
                 if p == q:
                     continue
                 s, t = sorted(rng.random(2))
-                try:
-                    gs = geodesic_point(p, q, float(s))
-                    gt = geodesic_point(p, q, float(t))
-                except AmbiguousGeodesicError:
-                    continue
+                gs = geodesic_point(p, q, float(s))
+                gt = geodesic_point(p, q, float(t))
                 expected = (t - s) * distance(p, q)
                 assert distance(gs, gt) == pytest.approx(expected, rel=1e-10,
                                                          abs=1e-10)
@@ -586,12 +592,9 @@ class TestGeodesicInternalConsistency:
                 p, q = random_point(space, rng), random_point(space, rng)
                 if p == q or distance(p, q) < 1e-6:
                     continue
-                try:
-                    v = log_map(p, q)
-                    near = geodesic_point(p, q, 1e-3)
-                    w = log_map(p, near)
-                except AmbiguousGeodesicError:
-                    continue
+                v = log_map(p, q)
+                near = geodesic_point(p, q, 1e-3)
+                w = log_map(p, near)
                 if w.is_zero:
                     continue
                 assert angular_distance(v.direction, w.direction) <= 1e-6

@@ -7,7 +7,6 @@ from scipy import special, stats as sstats
 
 from stratclt import (
     ConfigError,
-    LocalizationError,
     Point,
     SpaceSpec,
     compare_covariance,
@@ -16,6 +15,7 @@ from stratclt import (
     build_net,
     ks_distance,
     run_clt_experiment,
+    substream,
 )
 from stratclt import harness
 from stratclt.harness import (
@@ -190,26 +190,6 @@ class TestDeterminism:
             rep_b.per_n[200]["cov"]["sup_error"]
 
 
-class TestRefusals:
-    def test_non_localized_measure_refused(self, cone3pi):
-        mu_json = {
-            "space": {"kind": "flat_cone", "circumference": 3 * math.pi},
-            "atoms": [{"point": [1.0, 0.0], "weight": 0.8},
-                      {"point": [1.0, math.pi], "weight": 0.2}],
-        }
-        raw = {
-            "measure": mu_json,
-            "base": [0.6, 0.0],
-            "net": {"epsilon": 0.5},
-            "sample_sizes": [200],
-            "replicates": 150,
-        }
-        cfg = config_from_json(raw, seed=5)
-        with pytest.raises(LocalizationError) as err:
-            run_clt_experiment(cfg)
-        assert not err.value.report.logs["passed"]
-
-
 class TestPointMassTrivial:
     def test_all_fields_identically_zero(self, spider3):
         raw = {
@@ -283,6 +263,29 @@ class TestStatisticalInvariants:
         t = rep.per_n[10000]["mahalanobis"]
         assert t["ks"] < 0.05
         assert t["passed"]
+
+
+class TestMahalanobisIdentity:
+    @pytest.mark.parametrize("name", EXPERIMENT_FILES)
+    def test_pearson_at_full_rank(self, name):
+        # at rank k - 1 the whitened squared norm of each replicate is
+        # Pearson's chi-square of the counts it was simulated from
+        cfg = config_from_json(load_config(name), seed=42)
+        base = validate_localized(cfg.measure, cfg.validation_config()).base
+        net = resolve_net(base, cfg.net)
+        sim = _FieldSimulator(cfg.measure, base, net)
+        cov = cov_matrix(cfg.measure, base, net)
+        w = sim.weights
+        for i, n in enumerate(cfg.sample_sizes):
+            white = harness._whiten(
+                sim.field_rows(42, _PURPOSE_SAMPLES, i, n, cfg.replicates), cov)
+            assert white.shape[1] == sim.k - 1
+            counts = substream(42, _PURPOSE_SAMPLES, i).multinomial(
+                n, sim.probs, size=cfg.replicates)
+            pearson = ((counts - n * w) ** 2 / (n * w)).sum(axis=1)
+            # relative to the chi-square mean dof where a count row hits n w
+            np.testing.assert_allclose(np.sum(white ** 2, axis=1), pearson,
+                                       rtol=1e-12, atol=1e-12 * (sim.k - 1))
 
 
 class TestMartingaleResidual:
