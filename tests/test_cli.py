@@ -255,9 +255,10 @@ class TestClt:
         assert "report.json" in manifest["outputs"]
         assert manifest["config_sha256"]
 
-    def test_gap_pi_base_runs(self, tmp_path, capsys):
-        # atom 1 sits at circle gap exactly pi from the given base: its one
-        # geodesic runs through the apex, and the run goes ahead
+    def test_localization_refusal_exit_3(self, tmp_path, capsys):
+        # atom 1 sits at circle gap exactly pi from the given base. This
+        # config was once refused with exit 3 as non-localized; its one
+        # geodesic runs through the apex, so the run now goes ahead
         base = [0.6, 0.0]
         raw = {
             "measure": {

@@ -190,6 +190,28 @@ class TestDeterminism:
             rep_b.per_n[200]["cov"]["sup_error"]
 
 
+class TestRefusals:
+    def test_non_localized_measure_refused(self, cone3pi):
+        # the gap-pi config once refused as non-localized: its one geodesic
+        # runs through the apex, so the experiment runs at the given base
+        mu_json = {
+            "space": {"kind": "flat_cone", "circumference": 3 * math.pi},
+            "atoms": [{"point": [1.0, 0.0], "weight": 0.8},
+                      {"point": [1.0, math.pi], "weight": 0.2}],
+        }
+        raw = {
+            "measure": mu_json,
+            "base": [0.6, 0.0],
+            "net": {"epsilon": 0.5},
+            "sample_sizes": [200],
+            "replicates": 150,
+        }
+        cfg = config_from_json(raw, seed=5)
+        report = run_clt_experiment(cfg)
+        assert report.base == Point(cone3pi, (0.6, 0.0))
+        assert list(report.per_n) == [200]
+
+
 class TestPointMassTrivial:
     def test_all_fields_identically_zero(self, spider3):
         raw = {

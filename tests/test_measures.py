@@ -115,6 +115,19 @@ class TestPushforward:
         for (v, _w), (x, _) in zip(tm.atoms, book_spine_measure.atoms):
             assert v.length == pytest.approx(distance(base, x), abs=1e-12)
 
+    def test_ambiguous_atom_named(self, cone3pi):
+        # atom 1 sits at circle gap exactly pi from the base, where its log
+        # was once refused as ambiguous: its one geodesic runs through the
+        # apex, so its log points at the apex with length r1 + r2
+        mu = DiscreteMeasure(cone3pi, (
+            (Point(cone3pi, (1.0, 0.0)), 0.5),
+            (Point(cone3pi, (1.0, math.pi)), 0.5),
+        ))
+        base = Point(cone3pi, (0.6, 0.0))
+        tm = pushforward(mu, base)
+        v = tm.atoms[1][0]
+        assert v.length == distance(base, mu.atoms[1][0]) == 1.6
+        assert v.direction == geo.log_map(base, apex(cone3pi)).direction
 
 
 class TestDirectionalDerivative:
@@ -194,6 +207,22 @@ class TestValidateLocalized:
         report = validate_localized(mu)
         assert report.mean.coords == (0.5, 0.5)
         assert report.certificate.sup_tangent_mean <= report.certificate.tol
+
+    def test_flatcone_ambiguous_log_fails_bullet_c(self, cone3pi):
+        # atoms at circle gap exactly pi seen from the given base, once
+        # refused as an ambiguous log: the base is used as it is, and every
+        # atom has its one log there
+        mu = DiscreteMeasure(cone3pi, (
+            (Point(cone3pi, (1.0, 0.0)), 0.8),
+            (Point(cone3pi, (1.0, math.pi)), 0.2),
+        ))
+        base = Point(cone3pi, (0.6, 0.0))
+        report = validate_localized(mu, ValidationConfig(base=base))
+        assert report.base == base
+        assert report.mean is None and report.certificate is None
+        tm = pushforward(mu, report.base)
+        assert [v.length for v, _ in tm.atoms] == [
+            distance(base, x) for x, _ in mu.atoms]
 
     def test_given_base_used_as_is(self, spider_uniform, spider3):
         # a given base is not checked: no mean is solved or certified
