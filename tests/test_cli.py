@@ -33,6 +33,18 @@ FINE_NET_DIGESTS = {
     "moments.csv": "7bf8e8e97018013135d174492808c0d470e87b0741414feeb8251d9196db369b",
 }
 
+# SHA-256 of modulus.csv from `clt --seed 1 --format csv` in
+# TestOutputFormats.test_format_csv_only_includes_modulus
+MODULUS_CSV_DIGEST = "127e7d2927c167c342a29bdf4e5b5b3d7980dfc0552507d30432a77627253166"
+
+# SHA-256 of the outputs and stdout of `cover --n-max 8 --out` at the apex
+# of a flat cone of circumference 3 pi (TestCover.test_cone_slope)
+COVER_DIGESTS = {
+    "covering.csv": "99a0118dfc6809b5ba0b0b9e6c4c5f58b80686779be17a595e7e43117448ca88",
+    "covering.json": "dd5b31b8b951940dc7392d628dea1a386daf62ff263a5e53d26b14abf994f253",
+    "stdout": "5f63e8d7f39bf0904bf70ba531264c9131ad67a82d844a9aab2843d7066e429d",
+}
+
 
 CLOSED_FORM_MEASURES = {
     "cone_off_apex":
@@ -303,11 +315,16 @@ class TestCover:
                      "--base", "[0.0, 0.0]", "--n-max", "8",
                      "--out", str(outdir)])
         assert code == 0
-        out = json.loads(capsys.readouterr().out)
+        stdout = capsys.readouterr().out
+        out = json.loads(stdout)
         assert 0.9 <= out["d_estimate"] <= 1.1
         lines = (outdir / "covering.csv").read_text().strip().splitlines()
         assert lines[0] == "scale,count"
         assert len(lines) == 9
+        digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                   for name in ("covering.csv", "covering.json")}
+        digests["stdout"] = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+        assert digests == COVER_DIGESTS
 
     def test_invalid_base_exit_3(self, capsys):
         code = main(["cover", "--space", '{"kind":"spider","legs":3}',
@@ -602,6 +619,8 @@ class TestOutputFormats:
             assert expected in names, expected
         header = (outdir / "modulus.csv").read_text().splitlines()[0]
         assert header == "radius,replicate,w,aggregate"
+        digest = hashlib.sha256((outdir / "modulus.csv").read_bytes()).hexdigest()
+        assert digest == MODULUS_CSV_DIGEST
 
 
 class TestCsvQuoting:
