@@ -26,7 +26,7 @@ from . import geometry as geo
 from . import harness as hz
 from . import measures as mz
 from . import regularity as rg
-from .errors import ConfigError, NumericalConsistencyError, StratcltError
+from .errors import ConfigError, NumericalConsistencyError, StratcltError, json_number
 from .rng import substream
 
 EXIT_OK = 0
@@ -37,8 +37,6 @@ EXIT_NUMERICAL = 4
 _PURPOSE_GAUSSIAN = 20
 _PURPOSE_FIELD_EMPIRICAL = 21
 COVER_N_MAX = 16
-
-_F = fl.format_float
 
 
 def _load_json(path: str) -> dict:
@@ -51,39 +49,35 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def _write_manifest(outdir: Path, command: str, config_path: str | None,
-                    seed: int | None, outputs: list[str]):
-    manifest = {
-        "tool": "stratclt",
-        "version": __version__,
-        "command": command,
-        "config_path": config_path,
-        "config_sha256": _sha256_file(config_path) if config_path else None,
-        "seed": seed,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "outputs": sorted(outputs),
-    }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _dump_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _write_manifest(outdir: Path, command: str, config_path: str | None,
+                    seed: int | None, outputs: list[str]):
+    _dump_json(outdir / "manifest.json", {
+        "tool": "stratclt",
+        "version": __version__,
+        "command": command,
+        "config_path": config_path,
+        "config_sha256": (hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
+                          if config_path else None),
+        "seed": seed,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "outputs": sorted(outputs),
+    })
+
+
 def _write_csv(path: Path, rows) -> None:
+    """Rows of raw values, one cell format for every table: a float is
+    written by ``fl.format_float``, None as an empty cell (as csv writes
+    it) and anything else as is."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerows(
+            [fl.format_float(x) if isinstance(x, float) else x for x in row]
+            for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -102,76 +96,11 @@ def cmd_mean(args) -> int:
 
 
 def _report_csvs(report: hz.CLTReport, outdir: Path) -> list[str]:
-    outputs = []
-    net_desc = report.net.descriptors()
-
-    def emit(name, rows):
-        _write_csv(outdir / name, rows)
-        outputs.append(name)
-
     fl.write_cov_csv(outdir / "cov_matrix.csv", report.analytic_cov)
-    outputs.append("cov_matrix.csv")
-
-    cov_rows = [("n", "sup_error", "frobenius_rel", "threshold", "passed")]
-    ks_rows = [("n", "direction", "descriptor", "variance", "ks", "max_abs", "passed")]
-    mah_rows = [("n", "dof", "ks", "max_abs", "passed")]
-    mom_rows = [("n", "direction", "descriptor", "mc_fourth_moment", "mc_se",
-                 "exact_fourth_moment", "bound", "ratio", "exact_ok", "passed")]
-    inc_rows = [("n", "i", "j", "angular_distance", "mc_fourth_moment", "mc_se",
-                 "exact_fourth_moment", "bound", "exact_ok", "passed")]
-    for n, tests in report.per_n.items():
-        if "cov" in tests:
-            t = tests["cov"]
-            cov_rows.append((n, _F(t["sup_error"]), _F(t["frobenius_rel"]),
-                             _F(t["threshold"]), t["passed"]))
-        if "ks" in tests:
-            for r in tests["ks"]["directions"]:
-                ks_rows.append((n, r["direction"], net_desc[r["direction"]],
-                                _F(r["variance"]),
-                                "" if r["ks"] is None else _F(r["ks"]),
-                                "" if r["max_abs"] is None else _F(r["max_abs"]),
-                                r["passed"]))
-        if "mahalanobis" in tests:
-            t = tests["mahalanobis"]
-            mah_rows.append((n, t["dof"],
-                             "" if t["ks"] is None else _F(t["ks"]),
-                             "" if t["max_abs"] is None else _F(t["max_abs"]),
-                             t["passed"]))
-        if "moments" in tests:
-            for r in tests["moments"]["directions"]:
-                mom_rows.append((n, r["direction"], net_desc[r["direction"]],
-                                 _F(r["mc_fourth_moment"]), _F(r["mc_se"]),
-                                 _F(r["exact_fourth_moment"]), _F(r["bound"]),
-                                 _F(r["ratio"]), r["exact_ok"], r["passed"]))
-        if "increments" in tests:
-            for r in tests["increments"]["pairs"]:
-                inc_rows.append((n, r["i"], r["j"], _F(r["angular_distance"]),
-                                 _F(r["mc_fourth_moment"]), _F(r["mc_se"]),
-                                 _F(r["exact_fourth_moment"]), _F(r["bound"]),
-                                 r["exact_ok"], r["passed"]))
-    if len(cov_rows) > 1:
-        emit("cov.csv", cov_rows)
-    if len(ks_rows) > 1:
-        emit("ks.csv", ks_rows)
-    if len(mah_rows) > 1:
-        emit("mahalanobis.csv", mah_rows)
-    if len(mom_rows) > 1:
-        emit("moments.csv", mom_rows)
-    if len(inc_rows) > 1:
-        emit("increments.csv", inc_rows)
-
-    if report.martingale is not None:
-        rows = [("direction", "descriptor", "residual", "bound", "cross_moment",
-                 "cross_bound", "passed")]
-        for r in report.martingale["directions"]:
-            rows.append((r["direction"], net_desc[r["direction"]],
-                         _F(r["residual"]), _F(r["bound"]), _F(r["cross_moment"]),
-                         _F(r["cross_bound"]), r["passed"]))
-        emit("martingale.csv", rows)
-
-    if report.modulus is not None:
-        emit("modulus.csv", list(report.modulus["table"].to_csv_rows()))
-    return outputs
+    tables = report.tables()
+    for name, rows in tables.items():
+        _write_csv(outdir / name, rows)
+    return ["cov_matrix.csv", *tables]
 
 
 def cmd_clt(args) -> int:
@@ -208,11 +137,11 @@ def cmd_cover(args) -> int:
         raw = _load_json(args.config)
         try:
             space_json, base_json = raw["space"], raw["base"]
-            n_max = int(raw.get("n_max", args.n_max))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(
                 f"malformed cover config, which needs 'space' and 'base': {exc!r}"
             ) from exc
+        n_max = json_number(raw.get("n_max", args.n_max), "n_max", int)
         space = geo.SpaceSpec.from_json(space_json)
         base = geo.Point.of(space, base_json)
     else:
@@ -248,9 +177,12 @@ def cmd_cover(args) -> int:
 def cmd_field(args) -> int:
     if args.draws < 1 or args.empirical_n is not None and args.empirical_n < 1:
         raise ConfigError("--draws and --empirical-n must be >= 1")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     raw = _load_json(args.config)
-    if "net" not in raw:
-        raise ConfigError("field config needs a net spec")
+    for key in ("measure", "net"):
+        if not isinstance(raw, dict) or key not in raw:
+            raise ConfigError(f"field config needs a {key!r} entry")
     mz.reject_solver_key(raw, "solver")
     measure = mz.DiscreteMeasure.from_json(raw["measure"])
     if raw.get("base") is not None:

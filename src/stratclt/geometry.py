@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SpaceMismatchError
+from .errors import DomainError, SpaceMismatchError, json_number
 
 EUCLIDEAN = "euclidean"
 SPIDER = "spider"
@@ -53,6 +53,12 @@ _TWO_PI = 2.0 * math.pi
 # Spaces and points
 
 
+# kind -> (parameter, type, least value); a flat cone of circumference
+# at least 2 pi is CAT(0)
+_SPACE_PARAMS = {EUCLIDEAN: ("dim", int, 1), SPIDER: ("legs", int, 3),
+                 OPEN_BOOK: ("pages", int, 2), FLAT_CONE: ("circumference", float, _TWO_PI)}
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """One of the four model spaces, with its defining parameter."""
@@ -64,61 +70,44 @@ class SpaceSpec:
     circumference: float = 0.0
 
     def __post_init__(self):
-        if self.kind == EUCLIDEAN:
-            if self.dim < 1:
-                raise DomainError("euclidean dim must be >= 1")
-        elif self.kind == SPIDER:
-            if self.legs < 3:
-                raise DomainError("spider needs at least 3 legs")
-        elif self.kind == OPEN_BOOK:
-            if self.pages < 2:
-                raise DomainError("open book needs at least 2 pages")
-        elif self.kind == FLAT_CONE:
-            if not self.circumference >= _TWO_PI:
-                raise DomainError("flat cone circumference must be >= 2*pi for CAT(0)")
-        else:
+        if not isinstance(self.kind, str) or self.kind not in _SPACE_PARAMS:
             raise DomainError(f"unknown space kind {self.kind!r}")
+        name, cast, least = _SPACE_PARAMS[self.kind]
+        value = json_number(getattr(self, name),
+                            f"the numeric {name!r} of a {self.kind} space", cast)
+        if not value >= least:
+            raise DomainError(f"{self.kind} {name} must be >= {least:.6g}, got {value}")
+        object.__setattr__(self, name, value)
 
     @staticmethod
     def euclidean(dim: int) -> "SpaceSpec":
-        return SpaceSpec(EUCLIDEAN, dim=int(dim))
+        return SpaceSpec(EUCLIDEAN, dim=dim)
 
     @staticmethod
     def spider(legs: int) -> "SpaceSpec":
-        return SpaceSpec(SPIDER, legs=int(legs))
+        return SpaceSpec(SPIDER, legs=legs)
 
     @staticmethod
     def open_book(pages: int) -> "SpaceSpec":
-        return SpaceSpec(OPEN_BOOK, pages=int(pages))
+        return SpaceSpec(OPEN_BOOK, pages=pages)
 
     @staticmethod
     def flat_cone(circumference: float) -> "SpaceSpec":
-        return SpaceSpec(FLAT_CONE, circumference=float(circumference))
+        return SpaceSpec(FLAT_CONE, circumference=circumference)
 
     def to_json(self) -> dict:
-        if self.kind == EUCLIDEAN:
-            return {"kind": EUCLIDEAN, "dim": self.dim}
-        if self.kind == SPIDER:
-            return {"kind": SPIDER, "legs": self.legs}
-        if self.kind == OPEN_BOOK:
-            return {"kind": OPEN_BOOK, "pages": self.pages}
-        return {"kind": FLAT_CONE, "circumference": self.circumference}
+        name = _SPACE_PARAMS[self.kind][0]
+        return {"kind": self.kind, name: getattr(self, name)}
 
     @staticmethod
     def from_json(obj: dict) -> "SpaceSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise DomainError("space spec must be an object with a 'kind' field")
         kind = obj["kind"]
-        params = {EUCLIDEAN: ("dim", int), SPIDER: ("legs", int),
-                  OPEN_BOOK: ("pages", int), FLAT_CONE: ("circumference", float)}
-        if not isinstance(kind, str) or kind not in params:
+        if not isinstance(kind, str) or kind not in _SPACE_PARAMS:
             raise DomainError(f"unknown space kind {kind!r}")
-        name, cast = params[kind]
-        try:
-            value = cast(obj[name])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"{kind} space spec needs a numeric {name!r}") from exc
-        return SpaceSpec(kind, **{name: value})
+        name = _SPACE_PARAMS[kind][0]
+        return SpaceSpec(kind, **{name: obj.get(name)})
 
 
 def _wrap_angle(phi: float, alpha: float) -> float:
@@ -268,9 +257,8 @@ def distance(p: Point, q: Point) -> float:
     if sp.kind == SPIDER:
         l1, r1 = p.coords
         l2, r2 = q.coords
-        if l1 == l2 or r1 == 0.0 or r2 == 0.0:
-            return abs(r1 - r2) if l1 == l2 else r1 + r2
-        return r1 + r2
+        # radius 0 is stored on leg 0, so the apex needs no branch
+        return abs(r1 - r2) if l1 == l2 else r1 + r2
     if sp.kind == OPEN_BOOK:
         p1, s1, t1 = p.coords
         p2, s2, t2 = q.coords
@@ -802,48 +790,24 @@ class SphereDirections:
 def direction_space(base: Point):
     """The vectorized direction-space model at a base point."""
     sp = base.space
-    sid, _ = stratum_of(base)
-    if sp.kind == SPIDER:
-        if sid == "apex":
-            return DiscreteDirections(
-                base,
-                list(range(sp.legs)),
-                lambda leg: Direction(base, D_LEG, (leg,)),
-            )
-        return DiscreteDirections(
-            base, [1, -1], lambda s: Direction(base, D_SIGN, (s,))
-        )
-    if sp.kind == EUCLIDEAN:
-        if sp.dim == 1:
-            return DiscreteDirections(
-                base, [1, -1], lambda s: Direction(base, D_VECTOR, (float(s),))
-            )
-        if sp.dim == 2:
-            return CircleDirections(
-                base,
-                _TWO_PI,
-                lambda a: Direction(base, D_VECTOR, (math.cos(a), math.sin(a))),
-            )
-        return SphereDirections(base, sp.dim)
-    if sp.kind == OPEN_BOOK:
-        if sid == "spine":
-            return SpineDirections(base, sp.pages)
+    sid, dim = stratum_of(base)
+    if sp.kind == SPIDER and sid == "apex":
+        return DiscreteDirections(base, list(range(sp.legs)),
+                                  lambda leg: Direction(base, D_LEG, (leg,)))
+    if sp.kind == OPEN_BOOK and sid == "spine":
+        return SpineDirections(base, sp.pages)
+    if sp.kind == FLAT_CONE and sid == "apex":
+        return CircleDirections(base, sp.circumference,
+                                lambda a: Direction(base, D_ANGLE, (a,)))
+    # smooth points: the stratum dimension fixes the sphere of directions
+    if dim == 1:
+        kind = D_SIGN if sp.kind == SPIDER else D_VECTOR
+        return DiscreteDirections(base, [1, -1], lambda s: Direction(base, kind, (s,)))
+    if dim == 2:
         return CircleDirections(
-            base,
-            _TWO_PI,
-            lambda a: Direction(base, D_VECTOR, (math.cos(a), math.sin(a))),
-        )
-    if sid == "apex":
-        return CircleDirections(
-            base,
-            sp.circumference,
-            lambda a: Direction(base, D_ANGLE, (a,)),
-        )
-    return CircleDirections(
-        base,
-        _TWO_PI,
-        lambda a: Direction(base, D_VECTOR, (math.cos(a), math.sin(a))),
-    )
+            base, _TWO_PI,
+            lambda a: Direction(base, D_VECTOR, (math.cos(a), math.sin(a))))
+    return SphereDirections(base, sp.dim)
 
 
 def pairings(base: Point, vectors, coords) -> np.ndarray:

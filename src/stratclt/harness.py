@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import fields as fl
 from . import geometry as geo
 from . import measures as mz
 from . import regularity as rg
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, json_number
 from .geometry import DirectionNet, Point
 from .measures import DiscreteMeasure
 from .rng import substream
@@ -51,22 +52,28 @@ _NORMALIZATION_NOTE = (
 
 class _NumericSpec:
     """Base of the frozen spec dataclasses: each field takes the type of
-    its default, a tuple default holds integers, and a field named in
-    ``_floors`` is at least its floor."""
+    its default, a tuple default holds integers and is nonempty, a field
+    named in ``_floors`` is at least its floor and one named in
+    ``_positive`` is above 0."""
 
     _floors = {}
+    _positive = ()
 
     def __post_init__(self):
         for f in fields(self):
             name = f"{type(self).__name__}.{f.name}"
             value = getattr(self, f.name)
             if isinstance(f.default, tuple):
-                value = tuple(mz.json_number(x, name, int) for x in value)
+                value = tuple(json_number(x, name, int) for x in value)
+                if not value:
+                    raise ConfigError(f"{name} must be nonempty")
             else:
-                value = mz.json_number(value, name, type(f.default))
+                value = json_number(value, name, type(f.default))
             floor = self._floors.get(f.name)
-            if floor is not None and value < floor:
+            if floor is not None and not value >= floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")
+            if f.name in self._positive and not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
             object.__setattr__(self, f.name, value)
 
 
@@ -77,6 +84,8 @@ class Thresholds(_NumericSpec):
     cov_sup: float = 0.05
     zero_variance: float = 1e-10
     modulus_min_drop: float = 1.5
+    _floors = {"zero_variance": 0.0}
+    _positive = ("ks", "mahalanobis_ks", "cov_sup", "modulus_min_drop")
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,13 @@ class MartingaleSpec(_NumericSpec):
     k: int = 1000
     _floors = {"n": 1, "k": 1}
 
+    def __post_init__(self):
+        super().__post_init__()
+        # numpy's hypergeometric draws of the head counts need n + k < 1e9
+        if self.n + self.k >= 10 ** 9:
+            raise ConfigError(f"MartingaleSpec.n + k must be below 1e9, got "
+                              f"{self.n + self.k}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -109,16 +125,18 @@ class ExperimentConfig:
     modulus: ModulusSpec = field(default_factory=ModulusSpec)
 
     def __post_init__(self):
-        ns = tuple(mz.json_number(n, "sample size", int) for n in self.sample_sizes)
+        ns = tuple(json_number(n, "sample size", int) for n in self.sample_sizes)
         if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("sample sizes must be nonempty and strictly increasing")
         if any(n < 1 for n in ns):
             raise ConfigError("sample sizes must be positive")
         if self.replicates < 100:
             raise ConfigError("statistical tests need at least 100 replicates")
-        unknown = set(self.tests) - set(ALL_TESTS)
+        if self.seed < 0:
+            raise ConfigError(f"the seed must be >= 0, got {self.seed}")
+        unknown = [t for t in self.tests if t not in ALL_TESTS]
         if unknown:
-            raise ConfigError(f"unknown tests: {sorted(unknown)}")
+            raise ConfigError(f"unknown tests: {unknown}")
         object.__setattr__(self, "sample_sizes", ns)
 
     def echo(self) -> dict:
@@ -165,7 +183,7 @@ def resolve_net(base: Point, spec) -> DirectionNet:
     if not isinstance(spec, dict):
         raise ConfigError("net spec must be an object")
     if "epsilon" in spec:
-        return rg.build_net(base, mz.json_number(spec["epsilon"], "net epsilon"))
+        return rg.build_net(base, json_number(spec["epsilon"], "net epsilon"))
     return geo.net_from_directions(base, _directions_from_spec(base, spec))
 
 
@@ -180,7 +198,7 @@ def config_from_json(obj: dict, seed: int,
             base = Point.of(measure.space, obj["base"])
         net = obj["net"]
         ns = tuple(obj["sample_sizes"])
-        reps = mz.json_number(obj["replicates"], "replicates", int)
+        reps = json_number(obj["replicates"], "replicates", int)
         tests = tuple(obj.get("tests", ALL_TESTS))
         th = Thresholds(**obj.get("thresholds", {}))
         mart = MartingaleSpec(**obj.get("martingale", {}))
@@ -190,7 +208,7 @@ def config_from_json(obj: dict, seed: int,
     if not isinstance(net, dict):
         raise ConfigError("net spec must be an object")
     if "epsilon" in net:
-        net = {"epsilon": mz.json_number(net["epsilon"], "net epsilon")}
+        net = {"epsilon": json_number(net["epsilon"], "net epsilon")}
     return ExperimentConfig(measure=measure, sample_sizes=ns, replicates=reps,
                             seed=int(seed), net=net, base=base,
                             tests=tests, thresholds=th, martingale=mart, modulus=mod)
@@ -621,6 +639,28 @@ def _modulus_test(measure: DiscreteMeasure, base: Point, seed: int,
 # ---------------------------------------------------------------------------
 # Experiment driver
 
+# One table per CSV of a report: (file, test, the key of the result's rows
+# or None for one row from the result itself, columns).  "n" is the sample
+# size of a per-n test and "descriptor" the net descriptor of the row's
+# "direction"; every other column is a key of the row.
+CSV_TABLES = (
+    ("cov.csv", "cov", None,
+     ("n", "sup_error", "frobenius_rel", "threshold", "passed")),
+    ("ks.csv", "ks", "directions",
+     ("n", "direction", "descriptor", "variance", "ks", "max_abs", "passed")),
+    ("mahalanobis.csv", "mahalanobis", None,
+     ("n", "dof", "ks", "max_abs", "passed")),
+    ("moments.csv", "moments", "directions",
+     ("n", "direction", "descriptor", "mc_fourth_moment", "mc_se",
+      "exact_fourth_moment", "bound", "ratio", "exact_ok", "passed")),
+    ("increments.csv", "increments", "pairs",
+     ("n", "i", "j", "angular_distance", "mc_fourth_moment", "mc_se",
+      "exact_fourth_moment", "bound", "exact_ok", "passed")),
+    ("martingale.csv", "martingale", "directions",
+     ("direction", "descriptor", "residual", "bound", "cross_moment",
+      "cross_bound", "passed")),
+)
+
 
 @dataclass(frozen=True, eq=False)
 class CLTReport:
@@ -660,6 +700,32 @@ class CLTReport:
             "modulus": mod,
             "passed": self.passed,
         }
+
+    def tables(self) -> dict:
+        """{file name: [header, *rows of raw values]} for each CSV of the
+        report with at least one row: the ``CSV_TABLES`` and modulus.csv."""
+        desc = self.net.descriptors()
+        out = {}
+        for name, test, key, cols in CSV_TABLES:
+            if test == "martingale":
+                results = [] if self.martingale is None else [(None, self.martingale)]
+            else:
+                results = [(n, t[test]) for n, t in self.per_n.items() if test in t]
+            # the columns are resolved once per table: a getter over the
+            # row keys, with "n" put in front and "descriptor" added per row
+            get = operator.itemgetter(*(c for c in cols if c != "n"))
+            lead_n, named = cols[0] == "n", "descriptor" in cols
+            rows = [cols]
+            for n, result in results:
+                for r in result[key] if key else [result]:
+                    if named:
+                        r = dict(r, descriptor=desc[r["direction"]])
+                    rows.append((n, *get(r)) if lead_n else get(r))
+            if len(rows) > 1:
+                out[name] = rows
+        if self.modulus is not None:
+            out["modulus.csv"] = list(self.modulus["table"].to_csv_rows())
+        return out
 
 
 def config_hash(config: dict) -> str:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import ConfigError, DomainError, NumericalConsistencyError, SpaceMismatchError
+from .errors import (ConfigError, DomainError, NumericalConsistencyError, SpaceMismatchError,
+                     json_number)
 from .geometry import Point, SpaceSpec, TangentVector
 
 _WEIGHT_TOL = 1e-12
@@ -41,15 +42,6 @@ def reject_solver_key(obj: dict, key: str) -> None:
             f"the {key!r} key is not accepted: Fréchet means are now solved "
             "exactly in closed form and take no solver settings"
         )
-
-
-def json_number(value, name: str, kind: type = float):
-    """A JSON number as ``kind`` (integral for int), else a ConfigError."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or kind is int and isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}")
-    return kind(value)
 
 
 @dataclass(frozen=True)

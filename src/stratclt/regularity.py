@@ -97,8 +97,7 @@ class CoveringProfile:
 
     def to_csv_rows(self):
         yield ("scale", "count")
-        for s, c in zip(self.scales, self.counts):
-            yield (f"{s:.17g}", str(c))
+        yield from zip(self.scales, self.counts)
 
 
 def stratum_dimension_bound(base: Point) -> float:
@@ -210,10 +209,9 @@ class ModulusTable:
 
     def to_csv_rows(self):
         yield ("radius", "replicate", "w", "aggregate")
-        for c, r in enumerate(self.radii):
-            for rep in range(self.w.shape[0]):
-                yield (f"{r:.17g}", str(rep), f"{self.w[rep, c]:.17g}",
-                       f"{self.aggregate[c]:.17g}")
+        for c, (r, agg) in enumerate(zip(self.radii, self.aggregate)):
+            for rep, w in enumerate(self.w[:, c].tolist()):
+                yield (r, rep, w, agg)
 
 
 def holder_estimate(values: np.ndarray, net: DirectionNet,

@@ -441,8 +441,11 @@ class TestField:
         assert np.max(np.abs(emp.sum(axis=1))) < 1e-10
 
 
+_DELETE = object()  # TestMalformedNumbers: delete the key instead of setting it
+
+
 class TestMalformedNumbers:
-    """A value of the wrong type is a ConfigError where it is parsed:
+    """A malformed or missing value is a ConfigError where it is parsed:
     exit 3 with a message, never a traceback."""
 
     @pytest.mark.parametrize("command, keys, value, flags", [
@@ -461,24 +464,51 @@ class TestMalformedNumbers:
         ("clt", ("martingale",), {"k": 0}, ()),
         ("field", (), None, ("--empirical-n", "-3")),
         ("field", (), None, ("--draws", "-3")),
+        ("clt", (), None, ("--seed", "-1")),
+        ("field", (), None, ("--seed", "-1")),
+        ("clt", ("tests",), [["ks"]], ()),
+        ("clt", ("modulus",), {"radii_log2": []}, ()),
+        ("field", ("measure",), _DELETE, ()),
+        ("clt", ("sample_sizes",), [10 ** 20], ()),
+        ("clt", ("martingale",), {"n": 10 ** 9 - 1, "k": 1}, ()),
+        ("clt", ("thresholds",), {"ks": -1.0}, ()),
+        ("clt", ("thresholds",), {"modulus_min_drop": 0.0}, ()),
+        ("clt", ("thresholds",), {"zero_variance": -1e-3}, ()),
+        ("cover", ("space", "legs"), "3", ()),
+        ("cover", ("space", "legs"), 3.7, ()),
+        ("cover", ("n_max",), "5", ()),
+        ("cover", ("n_max",), 5.5, ()),
     ], ids=["replicates", "sample_sizes", "net_epsilon", "net_legs", "thresholds",
             "martingale", "weight", "field_net", "field_net_epsilon", "modulus_n",
             "modulus_replicates", "martingale_n", "martingale_k", "field_empirical_n",
-            "field_draws"])
+            "field_draws", "clt_seed", "field_seed", "tests_list", "modulus_no_radii",
+            "field_no_measure", "sample_size_overflow", "martingale_hypergeometric",
+            "threshold_ks", "threshold_min_drop", "threshold_zero_variance",
+            "cover_legs_string", "cover_legs_fraction", "cover_n_max_string",
+            "cover_n_max_fraction"])
     def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value,
                                       flags):
         if command == "clt":
             raw = load_config("spider3_uniform.json")
-            raw.update(sample_sizes=[200], replicates=150)
-        else:
+            raw.update(sample_sizes=[200], replicates=150,
+                       tests=[*raw["tests"], "modulus"])
+        elif command == "field":
             raw = load_config("field_example.json")
+        else:
+            raw = {"space": {"kind": "spider", "legs": 3}, "base": [0, 0.0],
+                   "n_max": 6}
         if keys:
             target = raw
             for key in keys[:-1]:
                 target = target[key]
-            target[keys[-1]] = value
-        code = main([command, "--config", write_json(tmp_path / "c.json", raw),
-                     "--seed", "1", "--out", str(tmp_path / "o"), *flags])
+            if value is _DELETE:
+                del target[keys[-1]]
+            else:
+                target[keys[-1]] = value
+        argv = [command, "--config", write_json(tmp_path / "c.json", raw)]
+        if command != "cover":
+            argv += ["--seed", "1", "--out", str(tmp_path / "o")]
+        code = main([*argv, *flags])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ")
