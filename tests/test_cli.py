@@ -45,6 +45,15 @@ COVER_DIGESTS = {
     "stdout": "5f63e8d7f39bf0904bf70ba531264c9131ad67a82d844a9aab2843d7066e429d",
 }
 
+# SHA-256 of the outputs of `field --seed 7 --draws 20000 --empirical-n 1000`
+# on the bundled field_example config; the empirical rows repeat within
+# and across the writer's 4096-row blocks
+FIELD_DIGESTS = {
+    "cov_matrix.csv": "2005e081d5050c10d35d6ed3c20b89a44ece773f87b5d4046de2b4e11494b96a",
+    "empirical_draws.csv": "51a2fcc4a8ecbf92302eb077b6f7387bbc25bd63309acb86e7590383f5495aef",
+    "gaussian_draws.csv": "d0bf30b95886964df13a0ab2cf3f19b4393347ac49e64e137ab342ff20e5dd7e",
+}
+
 
 CLOSED_FORM_MEASURES = {
     "cone_off_apex":
@@ -439,6 +448,17 @@ class TestField:
         assert emp.shape == (200, 3)
         # per-replicate leg sums telescope to zero
         assert np.max(np.abs(emp.sum(axis=1))) < 1e-10
+
+    def test_output_digests(self, tmp_path, capsys):
+        outdir = tmp_path / "field"
+        code = main(["field", "--config", str(CONFIG_DIR / "field_example.json"),
+                     "--seed", "7", "--out", str(outdir), "--draws", "20000",
+                     "--empirical-n", "1000"])
+        assert code == 0
+        capsys.readouterr()
+        digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                   for name in FIELD_DIGESTS}
+        assert digests == FIELD_DIGESTS
 
 
 _DELETE = object()  # TestMalformedNumbers: delete the key instead of setting it
