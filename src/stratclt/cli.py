@@ -26,7 +26,8 @@ from . import geometry as geo
 from . import harness as hz
 from . import measures as mz
 from . import regularity as rg
-from .errors import ConfigError, NumericalConsistencyError, StratcltError, json_number
+from .errors import (ConfigError, NumericalConsistencyError, StratcltError, json_number,
+                     reject_unknown_keys)
 from .rng import substream
 
 EXIT_OK = 0
@@ -184,6 +185,7 @@ def cmd_field(args) -> int:
         if not isinstance(raw, dict) or key not in raw:
             raise ConfigError(f"field config needs a {key!r} entry")
     mz.reject_solver_key(raw, "solver")
+    reject_unknown_keys(raw, ("measure", "base", "net"), "field config")
     measure = mz.DiscreteMeasure.from_json(raw["measure"])
     if raw.get("base") is not None:
         base = geo.Point.of(measure.space, raw["base"])
@@ -192,18 +194,19 @@ def cmd_field(args) -> int:
     net = hz.resolve_net(base, raw["net"])
     cov = fl.cov_matrix(measure, base, net)
     sampler = fl.GaussianFieldSampler.build(cov)
-    draws = sampler.draw_matrix(substream(args.seed, _PURPOSE_GAUSSIAN),
-                                args.draws)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = ["gaussian_draws.csv", "cov_matrix.csv"]
-    fl.write_fields_csv(outdir / "gaussian_draws.csv", net, draws)
+    # the draws are bound to no name, so they are freed before the
+    # empirical fields are simulated and do not add to the peak RSS
+    fl.write_fields_csv(outdir / "gaussian_draws.csv", net, sampler.draw_matrix(
+        substream(args.seed, _PURPOSE_GAUSSIAN), args.draws))
     fl.write_cov_csv(outdir / "cov_matrix.csv", cov)
     if args.empirical_n:
         sim = hz._FieldSimulator(measure, base, net)
         emp = sim.field_rows(args.seed, _PURPOSE_FIELD_EMPIRICAL, 0,
                              args.empirical_n, args.draws)
-        fl.write_fields_csv(outdir / "empirical_draws.csv", net, emp)
+        fl.write_empirical_fields_csv(outdir / "empirical_draws.csv", net, emp)
         outputs.append("empirical_draws.csv")
     _write_manifest(outdir, "field", args.config, args.seed, outputs)
     print(json.dumps({"out": str(outdir), "draws": args.draws}, sort_keys=True))

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and ``json_number``, the
-check through which every parser of a numeric setting raises ConfigError."""
+"""Exception types shared across the package, and ``json_number`` and
+``reject_unknown_keys``, the checks through which the parsers of numeric
+settings and of config objects raise ConfigError."""
 
 
 class StratcltError(Exception):
@@ -31,3 +32,14 @@ def json_number(value, name: str, kind: type = float):
         what = "a 64-bit integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     return kind(value)
+
+
+def reject_unknown_keys(obj, known: tuple, what: str) -> None:
+    """A ConfigError unless ``obj`` is a JSON object whose keys are all
+    in ``known``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {unknown}; the known keys are "
+                          f"{sorted(known)}")

@@ -169,29 +169,79 @@ def l2_norm_expectation(cov: CovMatrix) -> float:
 # ---------------------------------------------------------------------------
 # CSV export (17 significant digits round-trips 64-bit floats)
 
+_FLOAT_FORMAT = "%.17g"
+
 
 def format_float(x: float) -> str:
-    return f"{x:.17g}"
+    return _FLOAT_FORMAT % x
 
 
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_matrix_csv(path, header, values: np.ndarray):
+def _row_blocks(values: np.ndarray):
+    """The CSV text of the rows, one string per block of rows, each
+    formatted by one ``%``."""
+    row_fmt = ",".join([_FLOAT_FORMAT] * values.shape[1]) + "\n"
+    for start in range(0, len(values), _CSV_BLOCK_ROWS):
+        blk = values[start:start + _CSV_BLOCK_ROWS]
+        yield (row_fmt * len(blk)) % tuple(blk.ravel().tolist())
+
+
+def _distinct_row_blocks(values: np.ndarray):
+    """The text of ``_row_blocks``, formatting each distinct row once and
+    gathering the lines of each block in row order.
+
+    Rows are keyed on their bit patterns, not compared as floats, so
+    0.0 and -0.0 or two NaN payloads never share a key.  A stable sort
+    groups equal rows in row order; a row's line is formatted in the block
+    of its first occurrence and dropped after the block of its last, so
+    rows that do not repeat are held no longer than a block.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    rows = len(bits)
+    order = np.lexsort(bits.T)
+    starts = np.ones(rows + 1, dtype=bool)  # starts[i]: order[i] opens a group
+    for lo in range(1, rows, _CSV_BLOCK_ROWS):
+        hi = min(rows, lo + _CSV_BLOCK_ROWS)
+        starts[lo:hi] = (bits[order[lo:hi]] != bits[order[lo - 1:hi - 1]]).any(axis=1)
+    first, last = order[starts[:-1]], order[starts[1:]]
+    inverse = np.empty(rows, dtype=np.intp)
+    inverse[order] = np.cumsum(starts[:-1]) - 1
+    lines = np.empty(len(first), dtype=object)
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        stop = start + _CSV_BLOCK_ROWS
+        new = np.flatnonzero((first >= start) & (first < stop))
+        text = "".join(_row_blocks(bits[first[new]].view(np.float64)))
+        lines[new] = np.array(text.split("\n")[:-1], dtype=object)
+        yield "\n".join(lines[inverse[start:stop]].tolist()) + "\n"
+        lines[(last >= start) & (last < stop)] = None
+
+
+def _write_matrix_csv(path, header, blocks):
     # descriptors such as 'vec:1,0' contain commas, so csv writes the header;
-    # numbers need no quoting and are formatted as format_float does, one
-    # block of rows per string
-    row_fmt = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    # numbers need no quoting and come as strings from one of the block
+    # generators above
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        for start in range(0, len(values), _CSV_BLOCK_ROWS):
-            blk = values[start:start + _CSV_BLOCK_ROWS]
-            fh.write((row_fmt * len(blk)) % tuple(blk.ravel().tolist()))
+        fh.writelines(blocks)
 
 
 def write_fields_csv(path, net: DirectionNet, values: np.ndarray):
-    _write_matrix_csv(path, net.descriptors(), np.atleast_2d(values))
+    """One field per row, in the order given."""
+    _write_matrix_csv(path, net.descriptors(), _row_blocks(np.atleast_2d(values)))
+
+
+def write_empirical_fields_csv(path, net: DirectionNet, values: np.ndarray):
+    """The bytes of write_fields_csv, for empirical fields.
+
+    A field of n samples is (c @ P - n m) / sqrt(n) for a multinomial count
+    vector c, so its rows lie on a lattice and repeat; each distinct row
+    is formatted once.
+    """
+    _write_matrix_csv(path, net.descriptors(),
+                      _distinct_row_blocks(np.atleast_2d(values)))
 
 
 def write_cov_csv(path, cov: CovMatrix):
-    _write_matrix_csv(path, cov.net.descriptors(), cov.entries)
+    _write_matrix_csv(path, cov.net.descriptors(), _row_blocks(cov.entries))

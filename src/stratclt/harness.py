@@ -26,7 +26,7 @@ from . import fields as fl
 from . import geometry as geo
 from . import measures as mz
 from . import regularity as rg
-from .errors import ConfigError, DomainError, json_number
+from .errors import ConfigError, DomainError, json_number, reject_unknown_keys
 from .geometry import DirectionNet, Point
 from .measures import DiscreteMeasure
 from .rng import substream
@@ -53,8 +53,8 @@ _NORMALIZATION_NOTE = (
 class _NumericSpec:
     """Base of the frozen spec dataclasses: each field takes the type of
     its default, a tuple default holds integers and is nonempty, a field
-    named in ``_floors`` is at least its floor and one named in
-    ``_positive`` is above 0."""
+    named in ``_floors`` (each entry, for a tuple) is at least its floor
+    and one named in ``_positive`` is above 0."""
 
     _floors = {}
     _positive = ()
@@ -70,7 +70,8 @@ class _NumericSpec:
             else:
                 value = json_number(value, name, type(f.default))
             floor = self._floors.get(f.name)
-            if floor is not None and not value >= floor:
+            entries = value if isinstance(value, tuple) else (value,)
+            if floor is not None and not all(x >= floor for x in entries):
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")
             if f.name in self._positive and not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
@@ -90,11 +91,17 @@ class Thresholds(_NumericSpec):
 
 @dataclass(frozen=True)
 class ModulusSpec(_NumericSpec):
+    """The modulus table: fields of n samples on an epsilon-net and the
+    radii 2^-m, m in ``radii_log2``.  Each m is at least -1: every
+    direction space has diameter at most pi < 4, so a radius of 4 or more
+    holds every pair and repeats the modulus at pi, while radius 2 can
+    still leave pairs out (and 2.0 ** -m stays finite)."""
+
     epsilon: float = 2.0 ** -8
     radii_log2: tuple = (2, 3, 4, 5, 6)
     n: int = 1000
     replicates: int = 500
-    _floors = {"n": 1, "replicates": 100}
+    _floors = {"n": 1, "replicates": 100, "radii_log2": -1}
 
 
 @dataclass(frozen=True)
@@ -187,11 +194,16 @@ def resolve_net(base: Point, spec) -> DirectionNet:
     return geo.net_from_directions(base, _directions_from_spec(base, spec))
 
 
+_CONFIG_KEYS = ("measure", "base", "net", "sample_sizes", "replicates", "tests",
+               "thresholds", "martingale", "modulus")
+
+
 def config_from_json(obj: dict, seed: int,
                      threads: int | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON form and seed; ``threads`` is ignored."""
     try:
         mz.reject_solver_key(obj, "validation")
+        reject_unknown_keys(obj, _CONFIG_KEYS, "experiment config")
         measure = DiscreteMeasure.from_json(obj["measure"])
         base = None
         if obj.get("base") is not None:

@@ -498,6 +498,9 @@ class TestMalformedNumbers:
         ("cover", ("space", "legs"), 3.7, ()),
         ("cover", ("n_max",), "5", ()),
         ("cover", ("n_max",), 5.5, ()),
+        ("clt", ("modulus",), {"radii_log2": [-2000]}, ()),
+        ("clt", ("bogus_key",), 1, ()),
+        ("field", ("bogus_key",), 1, ()),
     ], ids=["replicates", "sample_sizes", "net_epsilon", "net_legs", "thresholds",
             "martingale", "weight", "field_net", "field_net_epsilon", "modulus_n",
             "modulus_replicates", "martingale_n", "martingale_k", "field_empirical_n",
@@ -505,7 +508,8 @@ class TestMalformedNumbers:
             "field_no_measure", "sample_size_overflow", "martingale_hypergeometric",
             "threshold_ks", "threshold_min_drop", "threshold_zero_variance",
             "cover_legs_string", "cover_legs_fraction", "cover_n_max_string",
-            "cover_n_max_fraction"])
+            "cover_n_max_fraction", "modulus_radius_overflow", "clt_unknown_key",
+            "field_unknown_key"])
     def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value,
                                       flags):
         if command == "clt":
@@ -560,16 +564,30 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("rows", [0, 1, 4097])
     def test_block_writer_matches_csv_writer(self, tmp_path, rows):
-        from stratclt.fields import _write_matrix_csv, format_float
-        values = np.vstack([[[-0.0, 1e-300, 123456789.0], [np.nan, np.inf, -5e-324]],
-                            np.random.default_rng(3).standard_normal((rows, 3))])[:rows]
+        # the row blocks of the draw CSVs and the distinct-row blocks of the
+        # empirical CSV both match format_float row by row, on rows that
+        # repeat within and across blocks and differ only in the sign of a
+        # zero, a NaN payload or the sign of an infinity
+        from stratclt.fields import (_distinct_row_blocks, _row_blocks,
+                                     _write_matrix_csv, format_float)
+        nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        special = np.array([[-0.0, 1e-300, 123456789.0], [np.nan, np.inf, -5e-324],
+                            [0.0, 1e-300, 123456789.0], [-np.nan, -np.inf, nan_payload]])
+        rng = np.random.default_rng(3)
+        shape = (max(0, rows - 2 * len(special)), 3)
+        # every other row from a signed lattice, so rows repeat; the rest normal
+        middle = rng.integers(-2, 3, shape) * rng.choice([-1.0, 1.0], shape) / 7.0
+        middle[::2] = rng.standard_normal(middle[::2].shape)
+        values = np.vstack([special, middle, special])[:rows]
         header = ["vec:1,0", "leg:2", 'say "x"']
-        _write_matrix_csv(tmp_path / "block.csv", header, values)
         with open(tmp_path / "rows.csv", "w", encoding="utf-8", newline="") as fh:
             out = csv.writer(fh, lineterminator="\n")
             out.writerow(header)
             out.writerows([format_float(x) for x in row] for row in values)
-        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        expected = (tmp_path / "rows.csv").read_bytes()
+        for blocks in (_row_blocks, _distinct_row_blocks):
+            _write_matrix_csv(tmp_path / "block.csv", header, blocks(values))
+            assert (tmp_path / "block.csv").read_bytes() == expected, blocks.__name__
 
 
 def scipy_loaded_after(code: str) -> str:

@@ -149,6 +149,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_json(raw, seed=1)
 
+    @pytest.mark.parametrize("radii_log2, ok", [
+        ([-1, 2], True), ([-2], False), ([-2000], False)])
+    def test_modulus_radius_floor(self, radii_log2, ok):
+        # radius 2 can leave pairs out of a direction space of diameter pi;
+        # radius 4 or more cannot
+        raw = small_config("spider3_uniform.json")
+        raw["modulus"] = {"radii_log2": radii_log2}
+        if ok:
+            assert config_from_json(raw, seed=1).modulus.radii_log2 == tuple(radii_log2)
+        else:
+            with pytest.raises(ConfigError, match="radii_log2 must be >= -1"):
+                config_from_json(raw, seed=1)
+
+    def test_unknown_top_level_key(self):
+        raw = small_config("spider3_uniform.json")
+        raw["bogus_key"] = 1
+        with pytest.raises(ConfigError, match="bogus_key"):
+            config_from_json(raw, seed=1)
+
     @pytest.mark.parametrize("spec", [
         {"page_angles": [[0, 1.0, 5.0]]},
         {"page_angles": [[0]]},
