@@ -13,22 +13,13 @@ Exit codes: 0 ok, 2 statistical failure, 3 input/precondition failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from . import fields as fl
-from . import geometry as geo
-from . import harness as hz
-from . import measures as mz
-from . import regularity as rg
 from .errors import (ConfigError, NumericalConsistencyError, StratcltError, json_number,
                      reject_unknown_keys)
-from .rng import substream
 
 EXIT_OK = 0
 EXIT_STATISTICAL = 2
@@ -58,6 +49,8 @@ def _dump_json(path: Path, obj) -> None:
 
 def _write_manifest(outdir: Path, command: str, config_path: str | None,
                     seed: int | None, outputs: list[str]):
+    import hashlib
+    from datetime import datetime, timezone
     _dump_json(outdir / "manifest.json", {
         "tool": "stratclt",
         "version": __version__,
@@ -73,11 +66,13 @@ def _write_manifest(outdir: Path, command: str, config_path: str | None,
 
 def _write_csv(path: Path, rows) -> None:
     """Rows of raw values, one cell format for every table: a float is
-    written by ``fl.format_float``, None as an empty cell (as csv writes
+    written by ``fields.format_float``, None as an empty cell (as csv writes
     it) and anything else as is."""
+    import csv
+    from .fields import format_float
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(
-            [fl.format_float(x) if isinstance(x, float) else x for x in row]
+            [format_float(x) if isinstance(x, float) else x for x in row]
             for row in rows)
 
 
@@ -86,6 +81,7 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def cmd_mean(args) -> int:
+    from . import measures as mz
     raw = _load_json(args.config)
     diag = mz.frechet_mean(mz.DiscreteMeasure.from_json(raw))
     print(json.dumps(diag.to_json(), sort_keys=True))
@@ -96,7 +92,8 @@ def cmd_mean(args) -> int:
 # clt
 
 
-def _report_csvs(report: hz.CLTReport, outdir: Path) -> list[str]:
+def _report_csvs(report, outdir: Path) -> list[str]:
+    from . import fields as fl
     fl.write_cov_csv(outdir / "cov_matrix.csv", report.analytic_cov)
     tables = report.tables()
     for name, rows in tables.items():
@@ -105,6 +102,7 @@ def _report_csvs(report: hz.CLTReport, outdir: Path) -> list[str]:
 
 
 def cmd_clt(args) -> int:
+    from . import harness as hz
     raw = _load_json(args.config)
     cfg = hz.config_from_json(raw, seed=args.seed)
     report = hz.run_clt_experiment(cfg)
@@ -134,6 +132,7 @@ def _json_arg(name: str, text: str):
 
 
 def cmd_cover(args) -> int:
+    from . import geometry as geo, regularity as rg
     if args.config:
         raw = _load_json(args.config)
         try:
@@ -176,6 +175,8 @@ def cmd_cover(args) -> int:
 
 
 def cmd_field(args) -> int:
+    from . import fields as fl, geometry as geo, harness as hz, measures as mz
+    from .rng import substream
     if args.draws < 1 or args.empirical_n is not None and args.empirical_n < 1:
         raise ConfigError("--draws and --empirical-n must be >= 1")
     if args.seed < 0:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SpaceMismatchError, json_number
+from .errors import DomainError, SpaceMismatchError, json_number, reject_unknown_keys
 
 EUCLIDEAN = "euclidean"
 SPIDER = "spider"
@@ -107,6 +107,7 @@ class SpaceSpec:
         if not isinstance(kind, str) or kind not in _SPACE_PARAMS:
             raise DomainError(f"unknown space kind {kind!r}")
         name = _SPACE_PARAMS[kind][0]
+        reject_unknown_keys(obj, ("kind", name), f"{kind} space spec")
         return SpaceSpec(kind, **{name: obj.get(name)})
 
 

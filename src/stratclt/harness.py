@@ -169,27 +169,36 @@ class ExperimentConfig:
 
 _NET_DIRECTIONS = {"legs": geo.D_LEG, "signs": geo.D_SIGN, "angles": geo.D_ANGLE,
                    "page_angles": geo.D_PAGE_ANGLE, "vectors": geo.D_VECTOR}
+_NET_KEYS = ("epsilon", *_NET_DIRECTIONS)
+
+
+def _net_key(spec) -> str:
+    """The one key of a JSON net spec: ``epsilon`` or a list of directions."""
+    if not isinstance(spec, dict):
+        raise ConfigError("net spec must be an object")
+    keys = [key for key in _NET_KEYS if key in spec]
+    # the first known key picks the net; every other key is unknown to it
+    reject_unknown_keys(spec, keys[:1] or _NET_KEYS, "net spec")
+    if not keys:
+        raise ConfigError("net spec needs 'epsilon' or one of " + "/".join(_NET_DIRECTIONS))
+    return keys[0]
 
 
 def _directions_from_spec(base: Point, spec: dict):
     """Explicit net directions from their JSON form, validated per base."""
-    for key, kind in _NET_DIRECTIONS.items():
-        if key in spec:
-            multi = kind in (geo.D_PAGE_ANGLE, geo.D_VECTOR)
-            try:
-                return [geo.Direction(base, kind, tuple(x) if multi else (x,))
-                        for x in spec[key]]
-            except (TypeError, ValueError, IndexError) as exc:
-                raise ConfigError(f"malformed net {key}: {exc}") from exc
-    raise ConfigError("net spec needs 'epsilon' or one of " + "/".join(_NET_DIRECTIONS))
+    key = _net_key(spec)
+    kind = _NET_DIRECTIONS[key]
+    multi = kind in (geo.D_PAGE_ANGLE, geo.D_VECTOR)
+    try:
+        return [geo.Direction(base, kind, tuple(x) if multi else (x,)) for x in spec[key]]
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"malformed net {key}: {exc}") from exc
 
 
 def resolve_net(base: Point, spec) -> DirectionNet:
     """The net a JSON net spec asks for at base: the uniform net of
     resolution ``epsilon``, or the explicit directions."""
-    if not isinstance(spec, dict):
-        raise ConfigError("net spec must be an object")
-    if "epsilon" in spec:
+    if _net_key(spec) == "epsilon":
         return rg.build_net(base, json_number(spec["epsilon"], "net epsilon"))
     return geo.net_from_directions(base, _directions_from_spec(base, spec))
 
@@ -217,9 +226,7 @@ def config_from_json(obj: dict, seed: int,
         mod = ModulusSpec(**obj.get("modulus", {}))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc
-    if not isinstance(net, dict):
-        raise ConfigError("net spec must be an object")
-    if "epsilon" in net:
+    if _net_key(net) == "epsilon":
         net = {"epsilon": json_number(net["epsilon"], "net epsilon")}
     return ExperimentConfig(measure=measure, sample_sizes=ns, replicates=reps,
                             seed=int(seed), net=net, base=base,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import (ConfigError, DomainError, NumericalConsistencyError, SpaceMismatchError,
-                     json_number)
+                     json_number, reject_unknown_keys)
 from .geometry import Point, SpaceSpec, TangentVector
 
 _WEIGHT_TOL = 1e-12
@@ -88,9 +88,13 @@ class DiscreteMeasure:
     def from_json(obj: dict) -> "DiscreteMeasure":
         try:
             reject_solver_key(obj, "solver")
+            reject_unknown_keys(obj, ("space", "atoms"), "measure")
             space = SpaceSpec.from_json(obj["space"])
-            atoms = [(Point.of(space, a["point"]), json_number(a["weight"], "atom weight"))
-                     for a in obj["atoms"]]
+            atoms = []
+            for a in obj["atoms"]:
+                reject_unknown_keys(a, ("point", "weight"), "atom")
+                atoms.append((Point.of(space, a["point"]),
+                              json_number(a["weight"], "atom weight")))
         except (KeyError, TypeError, IndexError) as exc:
             raise ConfigError(f"malformed measure file: {exc}") from exc
         return DiscreteMeasure(space, tuple(atoms))
@@ -192,6 +196,13 @@ def escape_cone_contains(measure: DiscreteMeasure, base: Point,
 # Exact maximization of the tangent mean
 
 
+def _breakpoints(alpha: float, angles: np.ndarray) -> np.ndarray:
+    """The sorted distinct angles_i +- pi mod alpha: np.unique of finite
+    values, without the numpy.ma import np.unique makes."""
+    breaks = np.sort(np.concatenate([(angles + math.pi) % alpha, (angles - math.pi) % alpha]))
+    return breaks[np.append(True, breaks[1:] != breaks[:-1])]
+
+
 def _circle_max(alpha: float, angles, masses) -> tuple[float, float]:
     """Exact maximum and a maximizer of the tangent mean on a circle of
     directions of circumference alpha (the flat-cone apex).
@@ -203,8 +214,7 @@ def _circle_max(alpha: float, angles, masses) -> tuple[float, float]:
     """
     angles = np.asarray(angles, dtype=float) % alpha
     masses = np.asarray(masses, dtype=float)
-    breaks = np.unique(np.concatenate([(angles + math.pi) % alpha,
-                                       (angles - math.pi) % alpha]))
+    breaks = _breakpoints(alpha, angles)
     ends = np.append(breaks, breaks[0] + alpha)
     mids = 0.5 * (ends[:-1] + ends[1:])
     delta = (mids[:, None] - angles[None, :]) % alpha

@@ -501,6 +501,12 @@ class TestMalformedNumbers:
         ("clt", ("modulus",), {"radii_log2": [-2000]}, ()),
         ("clt", ("bogus_key",), 1, ()),
         ("field", ("bogus_key",), 1, ()),
+        ("clt", ("measure", "bogus_key"), 1, ()),
+        ("clt", ("measure", "atoms", 0, "bogus_key"), 1, ()),
+        ("clt", ("measure", "space", "bogus_key"), 1, ()),
+        ("clt", ("net",), {"epsilon": 0.4, "legs": [0]}, ()),
+        ("clt", ("net",), {"legs": [0, 1, 2], "bogus_key": 1}, ()),
+        ("field", ("net",), {"epsilon": 0.4, "legs": [0]}, ()),
     ], ids=["replicates", "sample_sizes", "net_epsilon", "net_legs", "thresholds",
             "martingale", "weight", "field_net", "field_net_epsilon", "modulus_n",
             "modulus_replicates", "martingale_n", "martingale_k", "field_empirical_n",
@@ -509,7 +515,8 @@ class TestMalformedNumbers:
             "threshold_ks", "threshold_min_drop", "threshold_zero_variance",
             "cover_legs_string", "cover_legs_fraction", "cover_n_max_string",
             "cover_n_max_fraction", "modulus_radius_overflow", "clt_unknown_key",
-            "field_unknown_key"])
+            "field_unknown_key", "measure_unknown_key", "atom_unknown_key",
+            "space_unknown_key", "net_mixed_keys", "net_unknown_key", "field_net_mixed_keys"])
     def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value,
                                       flags):
         if command == "clt":
@@ -590,23 +597,39 @@ class TestCsvRoundTrip:
             assert (tmp_path / "block.csv").read_bytes() == expected, blocks.__name__
 
 
-def scipy_loaded_after(code: str) -> str:
-    """Run ``code`` in a fresh interpreter; the last line it prints says
-    whether scipy was imported."""
+def loaded_after(code: str, *modules: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter and return which of ``modules``
+    it left in ``sys.modules``."""
     import subprocess, sys, os
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", code + "\nprint('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nimport json, sys\n"
+         f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# every public name of the package, each reachable as stratclt.<name>
+EXPORTS = (
+    "CLTReport ConfigError CovMatrix CoveringProfile Direction DirectionNet DiscreteMeasure "
+    "DomainError ExperimentConfig FieldOnNet GaussianFieldSampler MeanDiagnostics ModulusTable "
+    "NumericalConsistencyError Point SpaceMismatchError SpaceSpec StratcltError TangentMeasure "
+    "TangentVector ValidationConfig __version__ angular_distance angular_pairing apex "
+    "build_net centered_pairing compare_covariance config_from_json conical_distance "
+    "cov_matrix covering_number covering_number_bounds dimension_constant "
+    "directional_derivative distance empirical_field errors escape_cone_contains exp_map "
+    "fields frechet_function frechet_mean geodesic_point geometry harness holder_estimate "
+    "ks_distance l2_norm_expectation log_map measures modulus net_from_directions pushforward "
+    "regularity rng run_clt_experiment sample scale stratum_of substream tangent_cov "
+    "tangent_mean validate_localized zero_vector").split()
 
 
 class TestInfrastructure:
     def test_import_leaves_scipy_unloaded(self):
         # stratclt needs only numpy at run time; scipy is a test oracle
-        assert scipy_loaded_after("import sys, stratclt.cli") == "False"
+        assert loaded_after("import stratclt.cli", "scipy") == []
 
     @pytest.mark.parametrize("command", ["clt", "field", "mean"])
     def test_runs_leave_scipy_unloaded(self, tmp_path, command):
@@ -622,9 +645,28 @@ class TestInfrastructure:
         else:
             argv = ["mean", "--config",
                     str(CONFIG_DIR / "spider3_weighted.measure.json")]
-        code = (f"import sys\nfrom stratclt.cli import main\n"
+        code = (f"from stratclt.cli import main\n"
                 f"assert main({argv!r}) in (0, 2)")
-        assert scipy_loaded_after(code) == "False"
+        assert loaded_after(code, "scipy") == []
+
+    def test_cli_import_loads_no_subcommand_modules(self):
+        assert loaded_after("import stratclt.cli", "stratclt.harness", "stratclt.fields",
+                            "stratclt.regularity", "numpy.random", "hashlib") == []
+
+    def test_mean_loads_only_its_modules(self):
+        argv = ["mean", "--config", str(CONFIG_DIR / "flatcone4_star.measure.json")]
+        code = f"from stratclt.cli import main\nassert main({argv!r}) == 0"
+        assert loaded_after(code, "numpy.ma", "numpy.random", "stratclt.harness") == []
+
+    def test_exports_resolve_on_first_access(self):
+        import stratclt
+        assert loaded_after("import stratclt", "stratclt.geometry", "numpy") == []
+        code = f"import stratclt\nfor name in {EXPORTS!r}:\n    getattr(stratclt, name)"
+        assert loaded_after(code, "stratclt.harness") == ["stratclt.harness"]
+        assert stratclt.DiscreteMeasure is stratclt.measures.DiscreteMeasure
+        assert set(EXPORTS) <= set(dir(stratclt))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            stratclt.no_such_name
 
     def test_numerical_error_maps_to_exit_4(self, tmp_path, capsys, monkeypatch):
         from stratclt import harness
@@ -634,8 +676,6 @@ class TestInfrastructure:
             raise NumericalConsistencyError("synthetic indefinite matrix")
 
         monkeypatch.setattr(harness, "run_clt_experiment", boom)
-        import stratclt.cli as cli
-        monkeypatch.setattr(cli.hz, "run_clt_experiment", boom)
         cfg = small_clt_config(tmp_path)
         code = main(["clt", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o")])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stratclt import (
     DiscreteMeasure,
@@ -367,3 +369,27 @@ class TestConeMaxSignedMasses:
             sup, _, _ = mz._cone_max(space, singular, chart, xi[nz] * lengths[nz])
             slack = net.covering_radius * float(np.abs(xi) @ lengths)
             assert net_max - 1e-12 <= sup <= net_max + slack + 1e-12
+
+
+@st.composite
+def circle_angles(draw):
+    """A circumference and atom angles on it, with exact ties and the
+    angles 0 and alpha - pi, whose breakpoints meet at 0."""
+    alpha = draw(st.one_of(st.sampled_from([2 * math.pi, 3 * math.pi, 7.0]),
+                           st.floats(2 * math.pi, 40.0)))
+    pool = draw(st.lists(st.floats(0.0, alpha, exclude_max=True), min_size=1, max_size=4))
+    angles = draw(st.lists(st.sampled_from([*pool, 0.0, alpha - math.pi]),
+                           min_size=1, max_size=8))
+    return alpha, np.array(angles)
+
+
+class TestBreakpoints:
+    @given(circle_angles())
+    def test_equal_to_np_unique(self, case):
+        # the circle kernel's sorted distinct breakpoints, bit for bit
+        alpha, angles = case
+        expected = np.unique(np.concatenate([(angles + math.pi) % alpha,
+                                             (angles - math.pi) % alpha]))
+        got = mz._breakpoints(alpha, angles)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
