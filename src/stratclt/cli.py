@@ -135,9 +135,10 @@ def cmd_cover(args) -> int:
     from . import geometry as geo, regularity as rg
     if args.config:
         raw = _load_json(args.config)
+        reject_unknown_keys(raw, ("space", "base", "n_max"), "cover config")
         try:
             space_json, base_json = raw["space"], raw["base"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ConfigError(
                 f"malformed cover config, which needs 'space' and 'base': {exc!r}"
             ) from exc

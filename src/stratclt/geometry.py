@@ -641,7 +641,19 @@ def exp_map(base: Point, v: TangentVector) -> Point:
 # of: a finite set of pi-separated points, a circle with the arc metric,
 # or k semicircles glued at two poles.  The classes below hold direction
 # coordinates in numpy arrays so nets, pairing matrices and covariance
-# kernels can be computed without per-element Python work.
+# kernels can be computed without per-element Python work.  ``dist`` is
+# the metric, elementwise over broadcast coordinate arrays, and ``cross``
+# is its outer form.
+#
+# ``chains(coords, reach)`` lists paths through a net as (net indices,
+# arc positions t), with t nondecreasing along each path.  Every pair of
+# directions within r <= reach lies on some path at a t-gap of at most r,
+# and from each position the directions ahead at a t-gap of at most r
+# that lie within r come first, so they form one contiguous forward run.
+# Both hold in exact arithmetic; a t-gap can round a few ulps above the
+# distance it equals, and CHAIN_SLACK on every reach in t absorbs that.
+
+CHAIN_SLACK = 1e-9
 
 
 class DiscreteDirections:
@@ -658,10 +670,20 @@ class DiscreteDirections:
     def from_coord(self, c) -> Direction:
         return self._make(self.labels[int(round(c))])
 
+    def dist(self, a, b) -> np.ndarray:
+        return np.where(a == b, 0.0, math.pi)
+
     def cross(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        return np.where(a[:, None] == b[None, :], 0.0, math.pi)
+        return self.dist(a[:, None], b[None, :])
+
+    def chains(self, coords, reach: float) -> list:
+        """The label order at t = pi x label (equal labels adjacent at
+        t-gap 0), or at t = 0 when reach >= pi holds every pair."""
+        order = np.argsort(coords, kind="stable")
+        t = coords[order] * math.pi if reach < math.pi else np.zeros(len(order))
+        return [(order, t)]
 
     def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
         coords = np.arange(len(self.labels), dtype=float)
@@ -688,11 +710,26 @@ class CircleDirections:
     def from_coord(self, c) -> Direction:
         return self._make(float(c))
 
+    def dist(self, a, b) -> np.ndarray:
+        d = np.abs(a - b)
+        return np.minimum(d, self.length - d)
+
     def cross(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        d = np.abs(a[:, None] - b[None, :])
-        return np.minimum(d, self.length - d)
+        return self.dist(a[:, None], b[None, :])
+
+    def chains(self, coords, reach: float) -> list:
+        """The sorted cyclic order, continued past the end by the
+        directions within reach of the last, at t = arc length: a t-gap
+        is at least the distance and equals it in one of the two cyclic
+        orders of a pair."""
+        m = len(coords)
+        order = np.argsort(coords, kind="stable")
+        t = coords[order]
+        t = np.concatenate([t, t[:-1] + self.length])
+        t = t[:np.searchsorted(t, t[m - 1] + reach + CHAIN_SLACK, side="right")]
+        return [(order[np.arange(len(t)) % m], t)]
 
     def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
         m = max(1, math.ceil(self.length / eps))
@@ -725,15 +762,48 @@ class SpineDirections:
     def from_coord(self, c) -> Direction:
         return Direction(self.base, D_PAGE_ANGLE, (int(round(c[0])), float(c[1])))
 
-    def cross(self, a, b) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        pa, ta = a[:, 0][:, None], a[:, 1][:, None]
-        pb, tb = b[None, :, 0], b[None, :, 1]
+    def dist(self, a, b) -> np.ndarray:
+        pa, ta = a[..., 0], a[..., 1]
+        pb, tb = b[..., 0], b[..., 1]
         same = pa == pb
         within = np.abs(ta - tb)
         through = np.minimum(ta + tb, (math.pi - ta) + (math.pi - tb))
         return np.where(same, within, through)
+
+    def cross(self, a, b) -> np.ndarray:
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.atleast_2d(np.asarray(b, dtype=float))
+        return self.dist(a[:, None, :], b[None, :, :])
+
+    def chains(self, coords, reach: float) -> list:
+        """Each page line pole-page-pole at t = theta, and for each pair of
+        pages p < q and each pole a chain through it: page p's directions
+        within reach of the pole, the pole, then page q's, at t = -/+ the
+        distance to the pole.  A t-gap is at least the distance; it
+        equals it for pairs on one page or with a pole on a page line, and
+        for pairs on two pages within reach on a chain through a pole."""
+        page, theta = coords[:, 0], coords[:, 1]
+        north = np.flatnonzero(theta == 0.0)
+        south = np.flatnonzero(theta == math.pi)
+        near = reach + CHAIN_SLACK
+        lines, out = [], []
+        for p in range(self.pages):
+            on = np.flatnonzero((page == p) & (theta > 0.0) & (theta < math.pi))
+            on = on[np.argsort(theta[on], kind="stable")]
+            lines.append(on)
+            idx = np.concatenate([north, on, south])
+            out.append((idx, theta[idx]))
+        for p in range(self.pages):
+            for q in range(p + 1, self.pages):
+                for pole, gap in ((north, theta), (south, math.pi - theta)):
+                    a = lines[p][gap[lines[p]] <= near]
+                    b = lines[q][gap[lines[q]] <= near]
+                    a = a[np.argsort(-gap[a], kind="stable")]
+                    b = b[np.argsort(gap[b], kind="stable")]
+                    idx = np.concatenate([a, pole, b])
+                    t = np.concatenate([-gap[a], np.zeros(len(pole)), gap[b]])
+                    out.append((idx, t))
+        return out
 
     def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
         m = max(1, math.ceil(math.pi / eps))
@@ -770,13 +840,16 @@ class SphereDirections:
     def from_coord(self, c) -> Direction:
         return Direction(self.base, D_VECTOR, tuple(float(x) for x in c))
 
-    def cross(self, a, b) -> np.ndarray:
+    def dist(self, a, b) -> np.ndarray:
         # 2 atan2(|a - b|, |a + b|) is exact near 0 and pi, where the
         # arccos of a dot product is not
-        a = np.atleast_2d(np.asarray(a, dtype=float))[:, None, :]
-        b = np.atleast_2d(np.asarray(b, dtype=float))[None, :, :]
         return 2.0 * np.arctan2(np.linalg.norm(a - b, axis=-1),
                                 np.linalg.norm(a + b, axis=-1))
+
+    def cross(self, a, b) -> np.ndarray:
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.atleast_2d(np.asarray(b, dtype=float))
+        return self.dist(a[:, None, :], b[None, :, :])
 
     def net_coords(self, eps: float):
         raise DomainError(
@@ -786,6 +859,11 @@ class SphereDirections:
 
     def refine(self, coords):
         self.net_coords(0.0)
+
+    def chains(self, coords, reach):
+        raise DomainError(
+            "direction chains on spheres of dimension >= 2 are not supported"
+        )
 
 
 def direction_space(base: Point):

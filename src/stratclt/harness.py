@@ -382,14 +382,18 @@ class _FieldSimulator:
         self.k = len(self.weights)
 
     def _centered(self, counts: np.ndarray, n: int) -> np.ndarray:
-        return counts @ self.pair - n * self.mean_vec
+        out = counts @ self.pair
+        out -= n * self.mean_vec
+        return out
 
     def field_rows(self, seed: int, purpose: int, n_index: int, n: int,
                    replicates: int, threads: int | None = None) -> np.ndarray:
         """Rows of G_n on the net; ``threads`` is accepted and ignored."""
         rng = substream(seed, purpose, n_index)
         counts = rng.multinomial(n, self.probs, size=replicates).astype(float)
-        return self._centered(counts, n) / math.sqrt(n)
+        out = self._centered(counts, n)
+        out /= math.sqrt(n)
+        return out
 
     def partial_sum_rows(self, seed: int, n: int, k: int,
                          replicates: int) -> tuple[np.ndarray, np.ndarray]:

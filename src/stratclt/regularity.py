@@ -5,6 +5,18 @@ the legs of a spider, uniform arcs on circles of directions, and poles
 plus uniform page angles on the spine graph.  Dyadic profiles refine
 nets by doubling, so the scales are nested and dyadic counts double
 exactly away from the coarsest scales.
+
+The modulus of continuity w(h, r), the largest |h(V) - h(U)| over net
+pairs within angular distance r, is taken from window extrema along
+the chains of the direction space (``geometry``: the cyclic order on a
+circle, the label order on a finite set, page lines and through-pole
+chains at a spine point).  On a chain the pairs within r of a position
+form one forward run, so w is the largest max - min of h over the
+runs' windows, found by doubling in blocks of replicates; memory is
+O(block x chain length) beyond the input.  Float subtraction rounds
+monotonically, so fl(max - min) is the largest |fl(h(V) - h(U))| in a
+window and the result is bit-identical to the all-pairs maximum.
+Spheres of directions have no chains and are refused.
 """
 
 from __future__ import annotations
@@ -18,8 +30,10 @@ from .errors import DomainError
 from .geometry import DirectionNet, Point
 
 
-# elements of one working array: net rows per distance block, pairs per chunk
-_BLOCK = 1 << 16
+# elements of one working array: a block of net rows against the net, of
+# chain positions against the steps ahead, of replicates along a chain, or
+# of replicates by pairs
+_BLOCK = 1 << 15
 
 
 def build_net(base: Point, eps: float) -> DirectionNet:
@@ -140,13 +154,142 @@ def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
 # Modulus of continuity
 
 
+def _band(t: np.ndarray, r: float) -> int:
+    """The most steps from a position along a chain (arc positions t,
+    nondecreasing) to a later one at a t-gap of at most r (+ slack)."""
+    ends = np.searchsorted(t, t + (r + geo.CHAIN_SLACK), side="right")
+    return int((ends - np.arange(1, len(t) + 1)).max(initial=0))
+
+
+def _runs(values: np.ndarray, ds, coords: np.ndarray, idx: np.ndarray,
+          t: np.ndarray, radii: np.ndarray, out: np.ndarray) -> list:
+    """Window ends per radius along one chain (net indices idx, arc
+    positions t).
+
+    Per radius r, position i looks at the positions ahead at a t-gap of
+    at most r (at most band(r) steps), with distances from ``ds.dist``;
+    K[i] counts the leading ones within r, and the window of position i
+    ends at E[i], the least i' + K[i'] over i' >= i, so every pair inside
+    a window is within r.  The pairs within r that no window holds, which
+    only rounding leaves, are folded into ``out`` here.  The distances
+    go in chunks of ``_BLOCK // len(t)`` steps.
+    """
+    c, n = coords[idx], len(t)
+    pos = np.arange(n)
+    bands = [_band(t, r) for r in radii]
+    count = np.zeros((len(radii), n), dtype=np.intp)
+    open_ = np.ones((len(radii), n), dtype=bool)
+    step = max(1, _BLOCK // n)
+    for k0 in range(1, max(bands) + 1, step):
+        ks = np.arange(k0, min(max(bands), k0 + step - 1) + 1)
+        j = np.minimum(pos[:, None] + ks, n - 1)
+        d = ds.dist(c[:, None], c[j])
+        gap = t[j] - t[:, None]
+        gap[pos[:, None] + ks >= n] = np.inf
+        for q, r in enumerate(radii):
+            cols = bands[q] - k0 + 1
+            if cols <= 0:
+                continue
+            inside = d[:, :cols] <= r
+            inside &= gap[:, :cols] <= r + geo.CHAIN_SLACK
+            run = np.logical_and.accumulate(inside, axis=1)
+            run &= open_[q][:, None]
+            count[q] += run.sum(axis=1)
+            open_[q] = run[:, -1]
+            inside ^= run
+            if inside.any():
+                i, col = np.nonzero(inside)
+                _fold_pairs(values, idx[i], idx[i + ks[col]], out[:, q])
+    ends = []
+    for q in range(len(radii)):
+        e = pos + count[q]
+        end = np.minimum.accumulate(e[::-1])[::-1]
+        cut = e - end
+        if cut.any():
+            # the pairs (i, b), end[i] < b <= e[i], that the suffix minimum cut
+            first = np.repeat(np.cumsum(cut) - cut - end - 1, cut)
+            _fold_pairs(values, idx[np.repeat(pos, cut)],
+                        idx[np.arange(cut.sum()) - first], out[:, q])
+        ends.append(end)
+    return ends
+
+
+def _fold_windows(values: np.ndarray, idx: np.ndarray, ends, out: np.ndarray):
+    """out[:, q] = max(out[:, q], max over windows of radius q of max - min).
+
+    The window of chain position i spans i..ends[q][i].  Extrema come by
+    doubling: level j holds the max and min over 2^j consecutive
+    positions, and a window of length L, 2^j <= L < 2^(j+1), is the union
+    of two level-j spans.  The most common length is taken at every
+    position by slices (positions of another length are zeroed); windows
+    of other lengths that the window before does not hold are gathered.
+    Replicates go in blocks of ``_BLOCK // len(idx)``, laid out
+    position-major so that every slice is one contiguous run.
+    """
+    n = len(idx)
+    pos = np.arange(n)
+    plans = []
+    for q, end in enumerate(ends):
+        length = end - pos + 1
+        if length.max() < 2:
+            continue
+        common = int(np.bincount(length)[2:].argmax()) + 2
+        zero = np.flatnonzero(length[:n - common + 1] != common)
+        other = np.ones(n, dtype=bool)
+        other[1:] = end[1:] > end[:-1]
+        other &= (length >= 2) & (length != common)
+        plans.append((q, common, zero, pos[other], length[other]))
+    if not plans:
+        return
+    top = int(max(max(p[1], p[4].max(initial=0)) for p in plans)).bit_length() - 1
+    rows = max(1, _BLOCK // n)
+    for lo in range(0, values.shape[0], rows):
+        hi = mn = values[lo:lo + rows].T[idx]
+        for j in range(1, top + 1):
+            half = 1 << (j - 1)
+            hi = np.maximum(hi[:-half], hi[half:])
+            mn = np.minimum(mn[:-half], mn[half:])
+            for q, common, zero, starts, lengths in plans:
+                dest = out[lo:lo + rows, q]
+                if common.bit_length() - 1 == j:
+                    cnt, sh = n - common + 1, common - (1 << j)
+                    w = np.maximum(hi[:cnt], hi[sh:sh + cnt])
+                    w -= np.minimum(mn[:cnt], mn[sh:sh + cnt])
+                    w[zero] = 0.0
+                    np.maximum(dest, w.max(axis=0), out=dest)
+                at = np.flatnonzero(lengths >> j == 1)
+                if len(at):
+                    a = starts[at]
+                    c = a + lengths[at] - (1 << j)
+                    w = np.maximum(hi[a], hi[c])
+                    w -= np.minimum(mn[a], mn[c])
+                    np.maximum(dest, w.max(axis=0), out=dest)
+
+
+def _fold_pairs(values: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+                out: np.ndarray):
+    """out = max(out, max over pairs of |h(V_a) - h(V_b)|), in pair chunks."""
+    chunk = max(1, _BLOCK // max(1, values.shape[0]))
+    for a in range(0, len(ia), chunk):
+        diff = values[:, ia[a:a + chunk]]
+        diff -= values[:, ib[a:a + chunk]]
+        np.maximum(out, np.abs(diff, out=diff).max(axis=1), out=out)
+
+
 def modulus_many(values: np.ndarray, net: DirectionNet, radii) -> np.ndarray:
     """w(h, r) per row of ``values`` and per radius (rows are fields).
 
-    The net is walked in row blocks; each block's pairs j > i within the
-    largest radius are sorted by distance, so the pairs within each
-    radius form a prefix and every chunk of |h(V_i) - h(V_j)| is folded
-    into the radii that contain it.  Memory is O(values + block).
+    w(h, r) is the largest |h(V) - h(U)| over net pairs within angular
+    distance r.  The direction space lists chains of net indices (see
+    ``geometry``) on which the pairs within r of a position form one
+    forward run, so w is the largest (max - min) of h over the windows
+    of the runs.  Float subtraction rounds monotonically, so
+    fl(max - min) is the largest |fl(h(V) - h(U))| over a window and the
+    result equals the all-pairs maximum bit for bit; pairs that rounding
+    leaves outside the runs are folded in one by one.  Beyond ``values``
+    memory is O(block x chain length), a block being ``_BLOCK // chain
+    length`` replicates.  Spheres of directions (euclidean dimension
+    >= 3) have no chains and raise DomainError.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     for r in radii:
@@ -156,32 +299,14 @@ def modulus_many(values: np.ndarray, net: DirectionNet, radii) -> np.ndarray:
                 f"modulus radius {r:.3g}"
             )
     radii = np.asarray(radii, dtype=float).ravel()
-    order = np.argsort(radii, kind="stable")
-    ascending = radii[order]
-    # seg[k]: max over pairs with distance in (ascending[k-1], ascending[k]]
-    seg = np.zeros((len(radii), values.shape[0]))
-    vt = np.ascontiguousarray(values.T)
-    coords, ds, m = net.coords(), net.space(), len(net)
-    block = max(1, _BLOCK // m)
-    chunk = max(1, _BLOCK // max(1, values.shape[0]))
-    for lo in range(0, m if len(radii) else 0, block):
-        dist = ds.cross(coords[lo:lo + block], coords)
-        rows, j = np.nonzero(dist <= ascending[-1])
-        keep = j > rows + lo
-        rows, j = rows[keep], j[keep]
-        d = dist[rows, j]
-        s = np.argsort(d, kind="stable")
-        i, j, d = rows[s] + lo, j[s], d[s]
-        start = 0
-        for k, stop in enumerate(np.searchsorted(d, ascending, side="right")):
-            for a in range(start, stop, chunk):
-                b = min(stop, a + chunk)
-                diff = vt[i[a:b]]
-                diff -= vt[j[a:b]]
-                np.maximum(seg[k], np.abs(diff, out=diff).max(axis=0), out=seg[k])
-            start = stop
-    out = np.empty((values.shape[0], len(radii)))
-    out[:, order] = np.maximum.accumulate(seg, axis=0).T
+    out = np.zeros((values.shape[0], len(radii)))
+    if not len(radii):
+        return out
+    ds, coords = net.space(), net.coords()
+    for idx, t in ds.chains(coords, float(radii.max())):
+        if len(idx) > 1:
+            ends = _runs(values, ds, coords, idx, t, radii, out)
+            _fold_windows(values, idx, ends, out)
     return out
 
 

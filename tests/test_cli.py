@@ -507,6 +507,7 @@ class TestMalformedNumbers:
         ("clt", ("net",), {"epsilon": 0.4, "legs": [0]}, ()),
         ("clt", ("net",), {"legs": [0, 1, 2], "bogus_key": 1}, ()),
         ("field", ("net",), {"epsilon": 0.4, "legs": [0]}, ()),
+        ("cover", ("bogus",), 1, ()),
     ], ids=["replicates", "sample_sizes", "net_epsilon", "net_legs", "thresholds",
             "martingale", "weight", "field_net", "field_net_epsilon", "modulus_n",
             "modulus_replicates", "martingale_n", "martingale_k", "field_empirical_n",
@@ -516,7 +517,8 @@ class TestMalformedNumbers:
             "cover_legs_string", "cover_legs_fraction", "cover_n_max_string",
             "cover_n_max_fraction", "modulus_radius_overflow", "clt_unknown_key",
             "field_unknown_key", "measure_unknown_key", "atom_unknown_key",
-            "space_unknown_key", "net_mixed_keys", "net_unknown_key", "field_net_mixed_keys"])
+            "space_unknown_key", "net_mixed_keys", "net_unknown_key", "field_net_mixed_keys",
+            "cover_unknown_key"])
     def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value,
                                       flags):
         if command == "clt":

@@ -306,6 +306,29 @@ class TestStatisticalInvariants:
         assert t["passed"]
 
 
+class TestFieldRowsInPlace:
+    @pytest.mark.parametrize("name", EXPERIMENT_FILES)
+    def test_rows_match_out_of_place(self, name, monkeypatch):
+        # field_rows and partial_sum_rows subtract and divide in place;
+        # the same ufuncs in the same order give the same bits as the
+        # out-of-place expressions
+        cfg = config_from_json(load_config(name), seed=42)
+        base = validate_localized(cfg.measure, cfg.validation_config()).base
+        sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg.net))
+        n, reps = 1000, 200
+        counts = substream(42, _PURPOSE_SAMPLES, 1).multinomial(
+            n, sim.probs, size=reps).astype(float)
+        expected = (counts @ sim.pair - n * sim.mean_vec) / math.sqrt(n)
+        assert np.array_equal(sim.field_rows(42, _PURPOSE_SAMPLES, 1, n, reps),
+                              expected)
+        head, tail = sim.partial_sum_rows(42, n, 300, reps)
+        monkeypatch.setattr(_FieldSimulator, "_centered", lambda self, c, m:
+                            c @ self.pair - m * self.mean_vec)
+        old_head, old_tail = sim.partial_sum_rows(42, n, 300, reps)
+        assert np.array_equal(head, old_head)
+        assert np.array_equal(tail, old_tail)
+
+
 class TestMahalanobisIdentity:
     @pytest.mark.parametrize("name", EXPERIMENT_FILES)
     def test_pearson_at_full_rank(self, name):

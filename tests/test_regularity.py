@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stratclt import (
     DomainError,
@@ -21,7 +24,8 @@ from stratclt import (
 )
 from stratclt import regularity as rg
 from stratclt.fields import FieldOnNet
-from stratclt.geometry import D_LEG, Direction, direction_space, net_from_directions
+from stratclt.geometry import (D_ANGLE, D_LEG, D_PAGE_ANGLE, D_VECTOR, Direction,
+                               direction_space, net_from_directions)
 from stratclt.harness import _PURPOSE_MODULUS, _FieldSimulator, config_from_json
 from stratclt.measures import validate_localized
 from stratclt.regularity import ModulusTable, modulus_many
@@ -205,23 +209,102 @@ def _shuffled_cone_net():
     return net_from_directions(apex(FC), dirs)
 
 
+SPINE = Point(OB3, (0, 0.0, 0.0))
+
+
+def _shuffled_spine_net():
+    # the uniform spine net in random order with both poles listed twice
+    dirs = list(build_net(SPINE, 2.0 ** -3).directions)
+    dirs += [Direction(SPINE, D_PAGE_ANGLE, (0, 0.0)),
+             Direction(SPINE, D_PAGE_ANGLE, (0, math.pi))]
+    np.random.default_rng(5).shuffle(dirs)
+    return net_from_directions(SPINE, dirs)
+
+
+def _off_grid_spine_net():
+    rng = np.random.default_rng(11)
+    return net_from_directions(SPINE, [
+        Direction(SPINE, D_PAGE_ANGLE, (int(p), float(t)))
+        for p, t in zip(rng.integers(0, 3, 150), rng.uniform(0.0, math.pi, 150))])
+
+
 # (net, radii): nets of every direction-space model, sizes that leave a
-# partial last block, unsorted and repeated radii, and a one-direction net
+# partial last block, unsorted and repeated radii, radii at and beyond
+# the diameter, repeated directions, and a one-direction net
 MODULUS_CASES = {
-    "spine_eps8th": (lambda: build_net(Point(OB3, (0, 0.0, 0.0)), 2.0 ** -3),
+    "spine_eps8th": (lambda: build_net(SPINE, 2.0 ** -3),
                      (0.25, 0.5, 1.0, 2.0, math.pi)),
     "spine_eps64th": (lambda: build_net(Point(OB3, (0, 0.3, 0.0)), 2.0 ** -6),
                       (2.0 ** -2, 2.0 ** -3, 2.0 ** -4, 2.0 ** -5)),
+    "spine_shuffled_poles_twice": (_shuffled_spine_net, (0.25, 1.0, math.pi, 0.5)),
+    "spine_off_grid": (_off_grid_spine_net, (0.75, 1.0, 2.0, 3.0)),
+    "book2_spine": (lambda: build_net(Point(SpaceSpec.open_book(2), (0, 1.0, 0.0)),
+                                      2.0 ** -4), (0.25, 1.0, 3.0)),
+    "spine_pi_and_above": (lambda: build_net(SPINE, 2.0 ** -4),
+                           (math.pi, 3.5, 2.0 ** -2)),
     "cone_apex": (lambda: build_net(apex(FC), 0.05), (0.2, 0.5, 1.0, 4.0)),
+    "cone_half_circumference": (lambda: build_net(apex(FC), 0.1),
+                                (ALPHA / 2.0, 5.0, math.pi, 10.0)),
     "euclid2_circle": (lambda: build_net(Point(E2, (0.3, -1.0)), 0.05),
                        (0.2, 0.7, math.pi)),
     "spider_apex": (lambda: build_net(apex(SP3), 1.0), (3.0, math.pi)),
+    "spider_repeated_leg": (lambda: net_from_directions(apex(SP3), [
+        Direction(apex(SP3), D_LEG, (leg,)) for leg in (0, 1, 1, 2, 0, 1)]),
+        (1.0, math.pi)),
+    "euclid1_pm1": (lambda: build_net(Point(E1, (0.3,)), 0.5), (1.0, math.pi, 4.0)),
     "shuffled_explicit": (_shuffled_cone_net, (0.5, 0.2, 1.0)),
     "unsorted_duplicates": (lambda: build_net(apex(FC), 0.05),
                             (0.5, 0.125, 0.5, 2.0, 0.25, 0.125)),
     "single_direction": (lambda: net_from_directions(
         apex(SP3), [Direction(apex(SP3), D_LEG, (1,))]), (13.0, 20.0)),
 }
+
+_REPLICATES = 30
+
+
+def _longest_chain(net, radii):
+    return max(len(idx) for idx, _ in net.space().chains(net.coords(), max(radii)))
+
+
+def _explicit_net(base, dirs):
+    # the kernel, not the net's resolution check, is under test here
+    return dataclasses.replace(net_from_directions(base, dirs), covering_radius=0.0)
+
+
+@st.composite
+def _random_nets(draw):
+    kind = draw(st.sampled_from(["cone", "circle", "spine", "spider", "line"]))
+    size = draw(st.integers(1, 40))
+    grid = st.integers(0, 16)
+    if kind == "cone":
+        base, make = apex(FC), lambda: Direction(apex(FC), D_ANGLE, (
+            draw(grid) * ALPHA / 16.0 if draw(st.booleans())
+            else draw(st.floats(0.0, ALPHA, exclude_max=True)),))
+    elif kind == "circle":
+        base = Point(E2, (0.2, 0.1))
+
+        def make():
+            a = draw(grid) * math.pi / 8.0 if draw(st.booleans()) \
+                else draw(st.floats(0.0, 2.0 * math.pi))
+            return Direction(base, D_VECTOR, (math.cos(a), math.sin(a)))
+    elif kind == "spine":
+        base = Point(SpaceSpec.open_book(draw(st.integers(2, 4))), (0, 0.5, 0.0))
+        pages = base.space.pages
+        make = lambda: Direction(base, D_PAGE_ANGLE, (
+            draw(st.integers(0, pages - 1)),
+            draw(grid) * math.pi / 16.0 if draw(st.booleans())
+            else draw(st.floats(0.0, math.pi))))
+    elif kind == "spider":
+        base = apex(SpaceSpec.spider(4))
+        make = lambda: Direction(base, D_LEG, (draw(st.integers(0, 3)),))
+    else:
+        base = Point(E1, (0.3,))
+        make = lambda: Direction(base, D_VECTOR, (draw(st.sampled_from([-1.0, 1.0])),))
+    net = _explicit_net(base, [make() for _ in range(size)])
+    radii = draw(st.lists(st.sampled_from(
+        [0.0, 0.1, 0.3, math.pi / 4, 1.0, 2.0, math.pi, 4.0, ALPHA / 2.0]),
+        min_size=1, max_size=4))
+    return net, radii
 
 
 class TestModulusBlocking:
@@ -231,23 +314,87 @@ class TestModulusBlocking:
         make, radii = MODULUS_CASES[case]
         net = make()
         if rows_per_block is not None:
-            # 7 rows per block and a few pairs per chunk
-            monkeypatch.setattr(rg, "_BLOCK", rows_per_block * len(net) + 3)
-        values = np.random.default_rng(len(net)).normal(size=(30, len(net)))
+            # 7 replicates per block on the longest chain (so a last
+            # block of 2) and 7 forward steps per distance chunk
+            monkeypatch.setattr(rg, "_BLOCK", rows_per_block * _longest_chain(net, radii))
+        values = np.random.default_rng(len(net)).normal(size=(_REPLICATES, len(net)))
         got = modulus_many(values, net, radii)
-        assert got.shape == (30, len(radii))
+        assert got.shape == (_REPLICATES, len(radii))
         assert np.array_equal(got, modulus_all_pairs(values, net, radii))
 
     def test_some_nets_leave_a_partial_block(self):
-        # the cases above must include a last block shorter than the rest
-        sizes = [len(make()) for make, _ in MODULUS_CASES.values()]
+        # in blocks of 7 replicates the last block is partial, and some
+        # chain's band spans several distance chunks of 7 steps
+        assert _REPLICATES % 7
+        sizes, bands = [], []
+        for make, radii in MODULUS_CASES.values():
+            net = make()
+            sizes.append(len(net))
+            bands += [rg._band(t, max(radii)) for _, t in
+                      net.space().chains(net.coords(), max(radii))]
         assert 1 in sizes
-        assert any(m % 7 for m in sizes)
-        assert any(m % (rg._BLOCK // m) for m in sizes if m > 1)
+        assert any(b > 7 and b % 7 for b in bands)
+
+    @given(_random_nets(), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    def test_random_explicit_nets(self, case, replicates, seed):
+        net, radii = case
+        values = np.random.default_rng(seed).normal(size=(replicates, len(net)))
+        values = np.round(values, 1)  # ties between field values
+        assert np.array_equal(modulus_many(values, net, radii),
+                              modulus_all_pairs(values, net, radii))
+
+    @pytest.mark.parametrize("steps_per_chunk", [None, 2])
+    def test_broken_runs_are_exact(self, steps_per_chunk, monkeypatch):
+        # a metric that puts one pair two steps apart on the circle out of
+        # reach breaks the forward runs around it (as rounding could);
+        # the pairs past the break, also past a chunk boundary, and the
+        # pairs cut from earlier windows still count, the broken pair not
+        net = build_net(apex(FC), 0.05)
+        c = net.coords()
+        ds_class = type(net.space())
+        exact = ds_class.dist
+        monkeypatch.setattr(ds_class, "dist", lambda self, a, b: exact(self, a, b)
+                            + ((a + b == c[10] + c[12]) & (np.abs(a - b) == c[12] - c[10])))
+        folded = []
+        fold = rg._fold_pairs
+        monkeypatch.setattr(rg, "_fold_pairs", lambda v, a, b, o: (
+            folded.append(len(a)), fold(v, a, b, o)))
+        radii = (0.5, 4.0)
+        if steps_per_chunk is not None:
+            monkeypatch.setattr(rg, "_BLOCK", steps_per_chunk * _longest_chain(net, radii))
+        values = np.zeros((2, len(net)))
+        # row 0: at r = 0.5 the largest pair (10, 13) lies past the break
+        values[0, [10, 12, 13]] = 10.0, -10.0, -7.0
+        # row 1: the largest pair (9, 12) is cut from the window of 9
+        values[1, [9, 12]] = 20.0, -10.0
+        got = modulus_many(values, net, radii)
+        assert np.array_equal(got, modulus_all_pairs(values, net, radii))
+        assert got.tolist() == [[17.0, 20.0], [30.0, 30.0]]
+        assert sum(folded) > 0
+
+    def test_radius_at_a_pair_distance_across_angle_zero(self):
+        # past angle 0 the arc position of the later direction rounds
+        # up by a few ulps over the pair's distance; a radius equal to
+        # that distance must still hold the pair
+        dirs = [Direction(apex(FC), D_ANGLE, (a,))
+                for a in (8.975366078145138, 0.04300621803050131, 4.0)]
+        net = _explicit_net(apex(FC), dirs)
+        radii = [float(net.pairwise_distances()[0, 1])]
+        values = np.array([[1.0, -2.0, 0.5]])
+        assert np.array_equal(modulus_many(values, net, radii), [[3.0]])
+
+    def test_sphere_net_refused(self):
+        base = Point(SpaceSpec.euclidean(3), (0.0, 0.0, 0.0))
+        net = net_from_directions(base, [Direction(base, D_VECTOR, v) for v in
+                                         ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))])
+        # a radius of 4 pi passes the resolution check (covering radius pi)
+        with pytest.raises(DomainError, match="chains"):
+            modulus_many(np.zeros((3, 2)), net, [13.0])
 
     def test_memory_bounded_on_bundled_book(self):
         # the bundled open-book modulus input: 2414 directions, R = 500,
-        # 5 radii; the all-pairs form allocated about 612 MB
+        # 5 radii; the all-pairs form allocated about 612 MB, the pair
+        # loop over distance-sorted blocks 13 MB, the window kernel 2.1 MB
         cfg = config_from_json(load_config("openbook3_spine.json"), seed=42)
         base = validate_localized(cfg.measure, cfg.validation_config()).base
         net = build_net(base, cfg.modulus.epsilon)
@@ -261,7 +408,7 @@ class TestModulusBlocking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64e6
+        assert peak < 3e6
 
 
 class TestModulus:
