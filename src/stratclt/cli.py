@@ -28,7 +28,6 @@ EXIT_NUMERICAL = 4
 
 _PURPOSE_GAUSSIAN = 20
 _PURPOSE_FIELD_EMPIRICAL = 21
-COVER_N_MAX = 16
 
 
 def _load_json(path: str) -> dict:
@@ -151,9 +150,9 @@ def cmd_cover(args) -> int:
         space = geo.SpaceSpec.from_json(_json_arg("--space", args.space))
         base = geo.Point.of(space, _json_arg("--base", args.base))
         n_max = args.n_max
-    if n_max > COVER_N_MAX:
+    if n_max > rg.COVER_N_MAX:
         # the finest net has about 2^n_max directions
-        raise ConfigError(f"--n-max must be <= {COVER_N_MAX}, got {n_max}")
+        raise ConfigError(f"--n-max must be <= {rg.COVER_N_MAX}, got {n_max}")
     profile = rg.dimension_constant(base, n_max)
     summary = {
         "d_estimate": profile.d_estimate,
@@ -186,13 +185,10 @@ def cmd_field(args) -> int:
     for key in ("measure", "net"):
         if not isinstance(raw, dict) or key not in raw:
             raise ConfigError(f"field config needs a {key!r} entry")
-    mz.reject_solver_key(raw, "solver")
     reject_unknown_keys(raw, ("measure", "base", "net"), "field config")
     measure = mz.DiscreteMeasure.from_json(raw["measure"])
-    if raw.get("base") is not None:
-        base = geo.Point.of(measure.space, raw["base"])
-    else:
-        base = mz.frechet_mean(measure).mean
+    base = None if raw.get("base") is None else geo.Point.of(measure.space, raw["base"])
+    base = mz.validate_localized(measure, mz.ValidationConfig(base)).base
     net = hz.resolve_net(base, raw["net"])
     cov = fl.cov_matrix(measure, base, net)
     sampler = fl.GaussianFieldSampler.build(cov)

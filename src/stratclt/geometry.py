@@ -420,7 +420,8 @@ class Direction:
             expected = sp.dim if sp.kind == EUCLIDEAN else 2
             if v.shape != (expected,):
                 raise DomainError(f"direction vector must have {expected} components")
-            n = float(np.linalg.norm(v))
+            # hypot where the squared entries underflow (below about 1e-162)
+            n = float(np.linalg.norm(v)) or math.hypot(*v)
             if not math.isfinite(n) or n == 0.0:
                 raise DomainError("direction vector must be nonzero and finite")
             d = tuple(float(x) for x in v / n)
@@ -537,8 +538,7 @@ def log_map(base: Point, x: Point) -> TangentVector:
     sp = base.space
     if sp.kind == EUCLIDEAN:
         diff = np.asarray(x.coords) - np.asarray(base.coords)
-        ln = float(np.linalg.norm(diff))
-        return TangentVector(base, Direction(base, D_VECTOR, tuple(diff)), ln)
+        return _vector(base, tuple(diff), float(np.linalg.norm(diff)))
     if sp.kind == SPIDER:
         l0, r0 = base.coords
         l1, r1 = x.coords
@@ -560,8 +560,7 @@ def log_map(base: Point, x: Point) -> TangentVector:
             vec = (s1 - s0, t1 - t0)
         else:
             vec = (s1 - s0, -t1 - t0)  # unfold x's page across the spine
-        ln = math.hypot(*vec)
-        return TangentVector(base, Direction(base, D_VECTOR, vec), ln)
+        return _vector(base, vec, math.hypot(*vec))
     r0, phi0 = base.coords
     r1, phi1 = x.coords
     if r0 == 0.0:
@@ -573,8 +572,14 @@ def log_map(base: Point, x: Point) -> TangentVector:
     delta = _cone_signed_gap(sp, phi0, phi1)
     vx = r1 * math.cos(delta) - r0
     vy = r1 * math.sin(delta)
-    ln = math.hypot(vx, vy)
-    return TangentVector(base, Direction(base, D_VECTOR, (vx, vy)), ln)
+    return _vector(base, (vx, vy), math.hypot(vx, vy))
+
+
+def _vector(base: Point, vec: tuple, ln: float) -> TangentVector:
+    """Length ln along chart vector vec; zero if ln is (an offset that underflows)."""
+    if ln == 0.0:
+        return zero_vector(base)
+    return TangentVector(base, Direction(base, D_VECTOR, vec), ln)
 
 
 def _other_index(i: int) -> int:
@@ -642,8 +647,8 @@ def exp_map(base: Point, v: TangentVector) -> Point:
 # or k semicircles glued at two poles.  The classes below hold direction
 # coordinates in numpy arrays so nets, pairing matrices and covariance
 # kernels can be computed without per-element Python work.  ``dist`` is
-# the metric, elementwise over broadcast coordinate arrays, and ``cross``
-# is its outer form.
+# the metric, elementwise over broadcast coordinate arrays, and the shared
+# ``cross`` is its outer form.
 #
 # ``chains(coords, reach)`` lists paths through a net as (net indices,
 # arc positions t), with t nondecreasing along each path.  Every pair of
@@ -656,7 +661,15 @@ def exp_map(base: Point, v: TangentVector) -> Point:
 CHAIN_SLACK = 1e-9
 
 
-class DiscreteDirections:
+class _Directions:
+    def cross(self, a, b) -> np.ndarray:
+        """dist from each member of a to each of b (scalars or rows)."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        return self.dist(a[:, None], b[None])
+
+
+class DiscreteDirections(_Directions):
     """Finitely many pairwise pi-separated directions (spider apex, lines)."""
 
     def __init__(self, base: Point, labels: list, make):
@@ -672,11 +685,6 @@ class DiscreteDirections:
 
     def dist(self, a, b) -> np.ndarray:
         return np.where(a == b, 0.0, math.pi)
-
-    def cross(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return self.dist(a[:, None], b[None, :])
 
     def chains(self, coords, reach: float) -> list:
         """The label order at t = pi x label (equal labels adjacent at
@@ -694,7 +702,7 @@ class DiscreteDirections:
         return coords, np.ones(len(coords)), 0.0
 
 
-class CircleDirections:
+class CircleDirections(_Directions):
     """Directions forming a circle of circumference L with the arc metric."""
 
     def __init__(self, base: Point, length: float, make):
@@ -714,11 +722,6 @@ class CircleDirections:
         d = np.abs(a - b)
         return np.minimum(d, self.length - d)
 
-    def cross(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return self.dist(a[:, None], b[None, :])
-
     def chains(self, coords, reach: float) -> list:
         """The sorted cyclic order, continued past the end by the
         directions within reach of the last, at t = arc length: a t-gap
@@ -732,20 +735,17 @@ class CircleDirections:
         return [(order[np.arange(len(t)) % m], t)]
 
     def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
-        m = max(1, math.ceil(self.length / eps))
-        coords = self.length * np.arange(m) / m
+        return self._uniform(max(1, math.ceil(self.length / eps)))
+
+    def _uniform(self, m: int) -> tuple[np.ndarray, np.ndarray, float]:
         spacing = self.length / m
-        weights = np.full(m, spacing)
-        return coords, weights, spacing / 2.0
+        return self.length * np.arange(m) / m, np.full(m, spacing), spacing / 2.0
 
     def refine(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        m = len(coords)
-        out = self.length * np.arange(2 * m) / (2 * m)
-        spacing = self.length / (2 * m)
-        return out, np.full(2 * m, spacing), spacing / 2.0
+        return self._uniform(2 * len(coords))
 
 
-class SpineDirections:
+class SpineDirections(_Directions):
     """Directions at a spine point: k semicircles glued at two poles.
 
     Coordinates are (page, theta) rows; the poles are (0, 0) and
@@ -769,11 +769,6 @@ class SpineDirections:
         within = np.abs(ta - tb)
         through = np.minimum(ta + tb, (math.pi - ta) + (math.pi - tb))
         return np.where(same, within, through)
-
-    def cross(self, a, b) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        return self.dist(a[:, None, :], b[None, :, :])
 
     def chains(self, coords, reach: float) -> list:
         """Each page line pole-page-pole at t = theta, and for each pair of
@@ -826,7 +821,7 @@ class SpineDirections:
         return self._uniform(2 * (per_page + 1))
 
 
-class SphereDirections:
+class SphereDirections(_Directions):
     """Unit sphere in euclidean d >= 2, great-circle metric (no net grids
     beyond d = 2, which is handled by CircleDirections)."""
 
@@ -845,11 +840,6 @@ class SphereDirections:
         # arccos of a dot product is not
         return 2.0 * np.arctan2(np.linalg.norm(a - b, axis=-1),
                                 np.linalg.norm(a + b, axis=-1))
-
-    def cross(self, a, b) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        return self.dist(a[:, None, :], b[None, :, :])
 
     def net_coords(self, eps: float):
         raise DomainError(
@@ -917,14 +907,15 @@ class DirectionNet:
     the finite direction spaces).  ``weights``, when present, are
     quadrature weights summing to the total measure of the sphere of
     directions (counting measure on legs, arclength on circles).
+    ``coords()`` holds the directions in direction-space coordinates.
     """
 
     base: Point
     directions: tuple
     resolution: float
     covering_radius: float
-    weights: tuple | None = None
-    _coords: np.ndarray | None = field(default=None, compare=False, repr=False)
+    weights: tuple | None
+    _coords: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.directions)
@@ -933,12 +924,7 @@ class DirectionNet:
         return direction_space(self.base)
 
     def coords(self) -> np.ndarray:
-        if self._coords is not None:
-            return self._coords
-        ds = self.space()
-        arr = np.array([ds.to_coord(d) for d in self.directions])
-        object.__setattr__(self, "_coords", arr)
-        return arr
+        return self._coords
 
     def pairwise_distances(self) -> np.ndarray:
         c = self.coords()

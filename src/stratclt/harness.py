@@ -95,13 +95,15 @@ class ModulusSpec(_NumericSpec):
     radii 2^-m, m in ``radii_log2``.  Each m is at least -1: every
     direction space has diameter at most pi < 4, so a radius of 4 or more
     holds every pair and repeats the modulus at pi, while radius 2 can
-    still leave pairs out (and 2.0 ** -m stays finite)."""
+    still leave pairs out (and 2.0 ** -m stays finite).  epsilon is at
+    least 2^-COVER_N_MAX, the finest net scale."""
 
     epsilon: float = 2.0 ** -8
     radii_log2: tuple = (2, 3, 4, 5, 6)
     n: int = 1000
     replicates: int = 500
-    _floors = {"n": 1, "replicates": 100, "radii_log2": -1}
+    _floors = {"epsilon": 2.0 ** -rg.COVER_N_MAX, "n": 1, "replicates": 100,
+               "radii_log2": -1}
 
 
 @dataclass(frozen=True)
@@ -197,9 +199,12 @@ def _directions_from_spec(base: Point, spec: dict):
 
 def resolve_net(base: Point, spec) -> DirectionNet:
     """The net a JSON net spec asks for at base: the uniform net of
-    resolution ``epsilon``, or the explicit directions."""
+    resolution ``epsilon`` >= 2^-COVER_N_MAX, or the explicit directions."""
     if _net_key(spec) == "epsilon":
-        return rg.build_net(base, json_number(spec["epsilon"], "net epsilon"))
+        eps = json_number(spec["epsilon"], "net epsilon")
+        if not eps >= 2.0 ** -rg.COVER_N_MAX:
+            raise ConfigError(f"net epsilon must be >= 2^-{rg.COVER_N_MAX}, got {eps!r}")
+        return rg.build_net(base, eps)
     return geo.net_from_directions(base, _directions_from_spec(base, spec))
 
 
@@ -211,7 +216,6 @@ def config_from_json(obj: dict, seed: int,
                      threads: int | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON form and seed; ``threads`` is ignored."""
     try:
-        mz.reject_solver_key(obj, "validation")
         reject_unknown_keys(obj, _CONFIG_KEYS, "experiment config")
         measure = DiscreteMeasure.from_json(obj["measure"])
         base = None

@@ -35,15 +35,6 @@ _WEIGHT_TOL = 1e-12
 _TOL = 1e-9
 
 
-def reject_solver_key(obj: dict, key: str) -> None:
-    """Refuse mean-solver settings: the means are exact and take none."""
-    if key in obj:
-        raise ConfigError(
-            f"the {key!r} key is not accepted: Fréchet means are now solved "
-            "exactly in closed form and take no solver settings"
-        )
-
-
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely supported probability measure on a model space."""
@@ -87,7 +78,6 @@ class DiscreteMeasure:
     @staticmethod
     def from_json(obj: dict) -> "DiscreteMeasure":
         try:
-            reject_solver_key(obj, "solver")
             reject_unknown_keys(obj, ("space", "atoms"), "measure")
             space = SpaceSpec.from_json(obj["space"])
             atoms = []

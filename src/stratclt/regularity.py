@@ -21,6 +21,7 @@ Spheres of directions have no chains and are refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,12 @@ from .errors import DomainError
 from .geometry import DirectionNet, Point
 
 
-# elements of one working array: a block of net rows against the net, of
-# chain positions against the steps ahead, of replicates along a chain, or
-# of replicates by pairs
+# elements of one working array: chain positions by steps ahead,
+# replicates by chain positions, or replicates by pairs
 _BLOCK = 1 << 15
+
+# the finest scale 2^-COVER_N_MAX of a cover profile, a net or a modulus net
+COVER_N_MAX = 16
 
 
 def build_net(base: Point, eps: float) -> DirectionNet:
@@ -65,38 +68,22 @@ def covering_number(base: Point, eps: float) -> int:
     return len(geo.direction_space(base).net_coords(eps)[0])
 
 
-def _min_separation(ds, coords: np.ndarray) -> float:
-    """Least distance between two distinct members of coords, in row blocks."""
-    m = len(coords)
-    block = max(1, _BLOCK // m)
-    least = np.inf
-    for lo in range(0, m, block):
-        dist = ds.cross(coords[lo:lo + block], coords)
-        rows = np.arange(len(dist))
-        dist[rows, rows + lo] = np.inf
-        least = min(least, float(dist.min()))
-    return least
-
-
 def covering_number_bounds(base: Point, eps: float) -> tuple[int, int]:
     """(lower, upper) sandwich for N(eps).
 
-    The upper bound is the (eps/2)-net cardinality; the lower bound is
-    the cardinality of a family with pairwise distances > eps (each
-    (eps/2)-ball contains at most one of its members).
+    The upper bound is the (eps/2)-net cardinality.  The lower bound is
+    the size of the uniform net at scale 2 eps when its members are
+    pairwise more than eps apart (each (eps/2)-ball then contains at most
+    one of them), and 1 otherwise.  Neighbours in that net are twice its
+    covering radius apart on circles and spines, and pi apart on the
+    finite direction sets, whose covering radius is 0.
     """
     upper = covering_number(base, eps)
-    ds = geo.direction_space(base)
-    packed = ds.net_coords(2.0 * eps)[0]
-    m = len(packed)
-    if m > 1 and _min_separation(ds, packed) <= eps:
-        # uniform spacing did not exceed eps; thin to every other point
-        keep = packed[::2]
-        nsub = len(keep)
-        if nsub > 1 and _min_separation(ds, keep) <= eps:
-            return 1, upper
-        return nsub, upper
-    return m, upper
+    packed, _w, radius = geo.direction_space(base).net_coords(2.0 * eps)
+    separation = 2.0 * radius if radius > 0.0 else math.pi
+    if len(packed) > 1 and separation <= eps:
+        return 1, upper
+    return len(packed), upper
 
 
 @dataclass(frozen=True)

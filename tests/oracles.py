@@ -204,6 +204,25 @@ def refine_net(base, net: DirectionNet, eps: float) -> DirectionNet:
                         tuple(float(x) for x in w), np.asarray(coords, dtype=float))
 
 
+def min_separation(ds, coords: np.ndarray) -> float:
+    """Least distance between two distinct members of coords, from the
+    full distance matrix."""
+    dist = ds.cross(coords, coords)
+    return float(dist[~np.eye(len(coords), dtype=bool)].min())
+
+
+def packing_lower_bound(base, eps: float) -> int:
+    """Lower bound on N(eps) by an all-pairs scan: the size of the uniform
+    net at 2 eps if its members are more than eps apart, else of every
+    other member if those are, else 1."""
+    ds = direction_space(base)
+    packed = ds.net_coords(2.0 * eps)[0]
+    for coords in (packed, packed[::2]):
+        if len(coords) < 2 or min_separation(ds, coords) > eps:
+            return len(coords)
+    return 1
+
+
 def net_is_valid(net: DirectionNet, eps: float | None = None) -> bool:
     """Exhaustive check against a candidate grid of resolution eps/4."""
     eps = net.resolution if eps is None else eps

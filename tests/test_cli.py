@@ -187,7 +187,7 @@ class TestMean:
         code = main(argv + ["--config", write_json(tmp_path / "c.json", raw)])
         assert code == 3
         err = capsys.readouterr().err
-        assert f"'{key}'" in err and "exactly" in err
+        assert f"'{key}'" in err and "unknown" in err
         assert "Traceback" not in err
 
 
@@ -420,7 +420,7 @@ class TestField:
                      "--seed", "3", "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "'solver'" in err and "exactly" in err
+        assert "'solver'" in err and "unknown" in err
         assert "Traceback" not in err
 
     def test_missing_net_exit_3(self, tmp_path, capsys):
@@ -547,6 +547,29 @@ class TestMalformedNumbers:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("clt", "net", {"epsilon": 1e-300}),
+        ("clt", "net", {"epsilon": 5e-324}),
+        ("clt", "modulus", {"epsilon": 1e-300}),
+        ("field", "net", {"epsilon": 1e-300}),
+    ], ids=["net", "net_subnormal", "modulus", "field_net"])
+    def test_epsilon_below_finest_scale_exit_3(self, tmp_path, capsys, command, key,
+                                               value):
+        # a uniform net on the circle of directions at the sticky apex would
+        # need 4 pi / epsilon directions
+        raw = load_config("flatcone4_star.json")
+        if command == "field":
+            raw = {"measure": raw["measure"]}
+        elif key == "modulus":
+            raw["tests"] = ["modulus"]
+        raw[key] = value
+        code = main([command, "--config", write_json(tmp_path / "c.json", raw),
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "epsilon must be >=" in err
+        assert "Traceback" not in err
+
 
 class TestCsvRoundTrip:
     def test_seventeen_digits(self, tmp_path, capsys):
@@ -669,6 +692,18 @@ class TestInfrastructure:
         assert set(EXPORTS) <= set(dir(stratclt))
         with pytest.raises(AttributeError, match="no_such_name"):
             stratclt.no_such_name
+
+    def test_benchmark_layer_suite_passes(self):
+        # the layer suite rebinds and calls package names; a renamed or
+        # dropped one fails it
+        import subprocess, sys
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", "clt-bundled",
+             "--seed", "1", "--trace", "1"],
+            capture_output=True, text=True, cwd=CONFIG_DIR.parent, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, result
 
     def test_numerical_error_maps_to_exit_4(self, tmp_path, capsys, monkeypatch):
         from stratclt import harness

@@ -9,6 +9,7 @@ from stratclt import (
     ConfigError,
     Point,
     SpaceSpec,
+    apex,
     compare_covariance,
     config_from_json,
     cov_matrix,
@@ -179,6 +180,13 @@ class TestConfigValidation:
         spine = Point(SpaceSpec.open_book(3), (0, 0.0, 0.0))
         with pytest.raises(ConfigError):
             resolve_net(spine, spec)
+
+
+    def test_net_epsilon_floor(self):
+        legs = apex(SpaceSpec.spider(3))
+        assert len(resolve_net(legs, {"epsilon": 2.0 ** -16})) == 3
+        with pytest.raises(ConfigError, match="2\\^-16"):
+            resolve_net(legs, {"epsilon": math.nextafter(2.0 ** -16, 0.0)})
 
 
 class TestDeterminism:

@@ -31,7 +31,7 @@ from stratclt.measures import validate_localized
 from stratclt.regularity import ModulusTable, modulus_many
 
 from .conftest import load_config
-from .oracles import modulus_all_pairs, net_is_valid, refine_net
+from .oracles import modulus_all_pairs, net_is_valid, packing_lower_bound, refine_net
 
 FC = SpaceSpec.flat_cone(3 * math.pi)
 OB3 = SpaceSpec.open_book(3)
@@ -87,6 +87,17 @@ class TestBuildNet:
             build_net(base, 0.5)
 
 
+PACKING_BASES = {
+    "spider3_apex": apex(SP3), "spider5_apex": apex(SpaceSpec.spider(5)),
+    "spider3_leg": Point(SP3, (1, 0.5)), "line": Point(E1, (0.3,)),
+    "plane": Point(E2, (0.0, 1.0)), "book3_spine": Point(OB3, (0, 0.0, 0.0)),
+    "book2_spine": Point(SpaceSpec.open_book(2), (0, 1.0, 0.0)),
+    "book3_page": Point(OB3, (1, 0.5, 2.0)), "cone3pi_apex": apex(FC),
+    "cone2pi_apex": apex(SpaceSpec.flat_cone(2 * math.pi)),
+    "cone7_apex": apex(SpaceSpec.flat_cone(7.0)), "cone3pi_off_apex": Point(FC, (1.0, 2.0)),
+}
+
+
 class TestCoveringNumbers:
     def test_spider_constant(self):
         for eps in (0.1, 0.5, 1.0, 2.0):
@@ -125,24 +136,21 @@ class TestCoveringNumbers:
             with pytest.raises(DomainError):
                 covering_number_bounds(apex(FC), eps)
 
-    @pytest.mark.parametrize("rows_per_block", [None, 7])
-    def test_min_separation_matches_full_matrix(self, rows_per_block, monkeypatch):
-        repeated = build_net(apex(FC), 0.5).coords()[[0, 3, 5, 3, 9]]
-        cases = [(apex(FC), repeated)] + [
-            (base, build_net(base, eps).coords())
-            for base, eps in ((apex(FC), 0.3), (Point(OB3, (0, 0.0, 0.0)), 0.4),
-                              (apex(SP3), 1.0), (Point(E1, (0.5,)), 1.0),
-                              (Point(E2, (0.0, 1.0)), 0.5))]
-        for base, coords in cases:
-            if rows_per_block is not None:
-                monkeypatch.setattr(rg, "_BLOCK", rows_per_block * len(coords) + 3)
-            ds = direction_space(base)
-            full = ds.cross(coords, coords)[~np.eye(len(coords), dtype=bool)]
-            assert rg._min_separation(ds, coords) == full.min()
+    @pytest.mark.parametrize("name", PACKING_BASES)
+    def test_lower_bound_matches_all_pairs_scan(self, name):
+        base = PACKING_BASES[name]
+        # pi, pi/2 and half the length of a circle or semicircle are the
+        # scales where the packed net's separation meets eps
+        length = getattr(direction_space(base), "length", math.pi)
+        eps = [math.pi, math.pi / 2 - 1e-12, math.pi / 2, math.pi / 2 + 1e-12,
+               length / 2 - 1e-12, length / 2, length / 2 + 1e-12]
+        eps += (2.0 ** np.random.default_rng(0).uniform(-8.0, 2.0, 300)).tolist()
+        for e in eps:
+            assert covering_number_bounds(base, e)[0] == packing_lower_bound(base, e), e
 
     def test_bounds_memory_bounded(self):
-        # 4826 packed directions; the full distance matrix and its
-        # off-diagonal copy took about 530 MB
+        # 4826 packed directions, whose full distance matrix would take
+        # about 190 MB
         tracemalloc.start()
         try:
             bounds = covering_number_bounds(apex(FC), 2.0 ** -10)
