@@ -134,22 +134,17 @@ def cmd_cover(args) -> int:
     from . import geometry as geo, regularity as rg
     if args.config:
         raw = _load_json(args.config)
-        reject_unknown_keys(raw, ("space", "base", "n_max"), "cover config")
-        try:
-            space_json, base_json = raw["space"], raw["base"]
-        except KeyError as exc:
-            raise ConfigError(
-                f"malformed cover config, which needs 'space' and 'base': {exc!r}"
-            ) from exc
-        n_max = json_number(raw.get("n_max", args.n_max), "n_max", int)
-        space = geo.SpaceSpec.from_json(space_json)
-        base = geo.Point.of(space, base_json)
+    elif args.space and args.base is not None:
+        raw = {"space": _json_arg("--space", args.space),
+               "base": _json_arg("--base", args.base), "n_max": args.n_max}
     else:
-        if not args.space or args.base is None:
-            raise ConfigError("cover needs --config or both --space and --base")
-        space = geo.SpaceSpec.from_json(_json_arg("--space", args.space))
-        base = geo.Point.of(space, _json_arg("--base", args.base))
-        n_max = args.n_max
+        raise ConfigError("cover needs --config or both --space and --base")
+    reject_unknown_keys(raw, ("space", "base", "n_max"), "cover config")
+    for key in ("space", "base"):
+        if key not in raw:
+            raise ConfigError(f"cover config needs a {key!r} entry")
+    n_max = json_number(raw.get("n_max", args.n_max), "n_max", int)
+    base = geo.Point.of(geo.SpaceSpec.from_json(raw["space"]), raw["base"])
     if n_max > rg.COVER_N_MAX:
         # the finest net has about 2^n_max directions
         raise ConfigError(f"--n-max must be <= {rg.COVER_N_MAX}, got {n_max}")

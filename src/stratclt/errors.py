@@ -31,7 +31,10 @@ def json_number(value, name: str, kind: type = float):
                                 or abs(value) >= 2 ** 63)):
         what = "a 64-bit integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an int beyond the floats
+        raise ConfigError(f"{name} must be within the float range, got {value!r}") from None
 
 
 def reject_unknown_keys(obj, known: tuple, what: str) -> None:

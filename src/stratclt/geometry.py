@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SpaceMismatchError, json_number, reject_unknown_keys
+from .errors import ConfigError, DomainError, SpaceMismatchError, json_number, reject_unknown_keys
 
 EUCLIDEAN = "euclidean"
 SPIDER = "spider"
@@ -117,10 +117,21 @@ def _wrap_angle(phi: float, alpha: float) -> float:
     return 0.0 if phi == alpha else phi
 
 
-def _check_finite(values):
-    for v in values:
-        if not math.isfinite(v):
-            raise DomainError("coordinates must be finite")
+def _coordinate(x, index: bool = False):
+    """x as an int index or a finite float by ``json_number``'s rule, numpy's
+    numbers taken as Python's, else a DomainError."""
+    x = x.item() if isinstance(x, (np.integer, np.floating)) else x
+    try:
+        v = json_number(x, "a coordinate", int if index else float)
+    except ConfigError as exc:
+        raise DomainError(str(exc)) from None
+    if not math.isfinite(v):
+        raise DomainError(f"a coordinate must be finite, got {x!r}")
+    return v
+
+
+# kind -> coordinate names (euclidean: d of them); only leg and page are indices
+_LAYOUTS = {SPIDER: ("leg", "r"), OPEN_BOOK: ("page", "s", "t"), FLAT_CONE: ("r", "phi")}
 
 
 @dataclass(frozen=True)
@@ -136,51 +147,29 @@ class Point:
     coords: tuple
 
     def __post_init__(self):
-        sp = self.space
-        c = self.coords
-        arity = sp.dim if sp.kind == EUCLIDEAN else 3 if sp.kind == OPEN_BOOK else 2
-        if len(c) != arity:
-            raise DomainError(f"{sp.kind} point needs {arity} coordinates, got {len(c)}")
+        sp, c = self.space, self.coords
+        names = _LAYOUTS.get(sp.kind, ("x",) * sp.dim)
+        if len(c) != len(names):
+            raise DomainError(f"{sp.kind} point needs {len(names)} coordinates, got {len(c)}")
+        indexed = sp.kind in (SPIDER, OPEN_BOOK)
         try:
-            if sp.kind == SPIDER:
-                c = (int(c[0]), float(c[1]))
-            elif sp.kind == OPEN_BOOK:
-                c = (int(c[0]), float(c[1]), float(c[2]))
-            elif sp.kind == FLAT_CONE:
-                c = (float(c[0]), float(c[1]))
-            else:
-                c = tuple(float(x) for x in c)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"malformed {sp.kind} coordinates {c!r}") from exc
-        if sp.kind == EUCLIDEAN:
-            _check_finite(c)
-        elif sp.kind == SPIDER:
-            leg, r = c
-            _check_finite((r,))
-            if not 0 <= leg < sp.legs:
-                raise DomainError("spider point is (leg, r) with 0 <= leg < k")
-            if r < 0:
-                raise DomainError("spider radius must be >= 0")
-            if r == 0.0:
-                leg = 0
-            c = (leg, r)
-        elif sp.kind == OPEN_BOOK:
-            page, s, t = c
-            _check_finite((s, t))
-            if not 0 <= page < sp.pages:
-                raise DomainError("open book point is (page, s, t) with 0 <= page < k")
-            if t < 0:
-                raise DomainError("open book height t must be >= 0")
-            if t == 0.0:
-                page = 0
-            c = (page, s, t)
+            c = tuple(_coordinate(x, indexed and i == 0) for i, x in enumerate(c))
+        except DomainError as exc:
+            raise DomainError(f"malformed {sp.kind} coordinates {c!r}: {exc}") from exc
+        if indexed:
+            # (index, .., length): a length 0 lies on every leg or page: index 0
+            count = sp.legs if sp.kind == SPIDER else sp.pages
+            if not 0 <= c[0] < count:
+                raise DomainError(f"{sp.kind} point is ({', '.join(names)}) with "
+                                  f"0 <= {names[0]} < {count}")
+            if c[-1] < 0:
+                raise DomainError(f"{sp.kind} point needs {names[-1]} >= 0")
+            if c[-1] == 0.0:
+                c = (0, *c[1:])
         elif sp.kind == FLAT_CONE:
-            r, phi = c
-            _check_finite((r, phi))
-            if r < 0:
+            if c[0] < 0:
                 raise DomainError("cone radius must be >= 0")
-            phi = _wrap_angle(phi, sp.circumference) if r > 0.0 else 0.0
-            c = (r, phi)
+            c = (c[0], _wrap_angle(c[1], sp.circumference) if c[0] > 0.0 else 0.0)
         object.__setattr__(self, "coords", c)
 
     @staticmethod
@@ -195,12 +184,10 @@ class Point:
 
 
 def apex(space: SpaceSpec) -> Point:
-    """The singular point of a spider or flat cone."""
-    if space.kind == SPIDER:
-        return Point(space, (0, 0.0))
-    if space.kind == FLAT_CONE:
-        return Point(space, (0.0, 0.0))
-    raise DomainError(f"{space.kind} has no apex")
+    """The singular point of a spider, (0, 0.0), or flat cone, (0.0, 0.0)."""
+    if space.kind not in (SPIDER, FLAT_CONE):
+        raise DomainError(f"{space.kind} has no apex")
+    return Point(space, (0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +288,7 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
     """The point at arclength fraction t along the geodesic from p to q."""
     _same_space(p, q)
     _check_fraction(t)
-    if p.coords == q.coords:
-        return p
-    if t == 0.0:
+    if t == 0.0 or p.coords == q.coords:
         return p
     if t == 1.0:
         return q
@@ -326,13 +311,10 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
     if sp.kind == OPEN_BOOK:
         p1, s1, t1 = p.coords
         p2, s2, t2 = q.coords
-        if p1 == p2 or t1 == 0.0 or t2 == 0.0:
-            page = p1 if t1 > 0.0 else p2
-            s = s1 + t * (s2 - s1)
-            h = t1 + t * (t2 - t1)
-            return Point(sp, (page, s, h))
-        # unfold page of q across the spine into h < 0
         s = s1 + t * (s2 - s1)
+        if p1 == p2 or t1 == 0.0 or t2 == 0.0:
+            return Point(sp, (p1 if t1 > 0.0 else p2, s, t1 + t * (t2 - t1)))
+        # unfold page of q across the spine into h < 0
         h = t1 + t * (-t2 - t1)
         if h >= 0.0:
             return Point(sp, (p1, s, h))
@@ -386,14 +368,14 @@ class Direction:
         if k == D_LEG:
             if not (sp.kind == SPIDER and sid == "apex"):
                 raise DomainError("leg directions only exist at a spider apex")
-            leg = int(d[0])
+            leg = _coordinate(d[0], True)
             if not 0 <= leg < sp.legs:
                 raise DomainError("leg index out of range")
             d = (leg,)
         elif k == D_SIGN:
             if not (sp.kind == SPIDER and sid != "apex"):
                 raise DomainError("sign directions only exist on a spider leg")
-            s = int(d[0])
+            s = _coordinate(d[0], True)
             if s not in (-1, 1):
                 raise DomainError("sign direction must be +1 or -1")
             d = (s,)
@@ -401,7 +383,7 @@ class Direction:
             if not (sp.kind == OPEN_BOOK and sid == "spine"):
                 raise DomainError("page-angle directions only exist on the spine")
             page, theta = d
-            page, theta = int(page), float(theta)
+            page, theta = _coordinate(page, True), _coordinate(theta)
             if not 0.0 <= theta <= math.pi:
                 raise DomainError("page angle must lie in [0, pi]")
             if not 0 <= page < sp.pages:
@@ -412,11 +394,11 @@ class Direction:
         elif k == D_ANGLE:
             if not (sp.kind == FLAT_CONE and sid == "apex"):
                 raise DomainError("circle directions only exist at the cone apex")
-            d = (_wrap_angle(float(d[0]), sp.circumference),)
+            d = (_wrap_angle(_coordinate(d[0]), sp.circumference),)
         elif k == D_VECTOR:
             if sp.kind == SPIDER or sid in ("apex", "spine"):
                 raise DomainError("vector directions only exist at smooth points")
-            v = np.asarray(d, dtype=float)
+            v = np.array([_coordinate(x) for x in d])
             expected = sp.dim if sp.kind == EUCLIDEAN else 2
             if v.shape != (expected,):
                 raise DomainError(f"direction vector must have {expected} components")
@@ -538,7 +520,9 @@ def log_map(base: Point, x: Point) -> TangentVector:
     sp = base.space
     if sp.kind == EUCLIDEAN:
         diff = np.asarray(x.coords) - np.asarray(base.coords)
-        return _vector(base, tuple(diff), float(np.linalg.norm(diff)))
+        # math.dist where the squared entries underflow (below about 1e-162)
+        ln = float(np.linalg.norm(diff)) or math.dist(x.coords, base.coords)
+        return _vector(base, tuple(diff), ln)
     if sp.kind == SPIDER:
         l0, r0 = base.coords
         l1, r1 = x.coords

@@ -112,13 +112,6 @@ class MartingaleSpec(_NumericSpec):
     k: int = 1000
     _floors = {"n": 1, "k": 1}
 
-    def __post_init__(self):
-        super().__post_init__()
-        # numpy's hypergeometric draws of the head counts need n + k < 1e9
-        if self.n + self.k >= 10 ** 9:
-            raise ConfigError(f"MartingaleSpec.n + k must be below 1e9, got "
-                              f"{self.n + self.k}")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -135,10 +128,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         ns = tuple(json_number(n, "sample size", int) for n in self.sample_sizes)
-        if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ConfigError("sample sizes must be nonempty and strictly increasing")
-        if any(n < 1 for n in ns):
-            raise ConfigError("sample sizes must be positive")
+        if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ConfigError("sample sizes must be nonempty, positive and strictly increasing")
         if self.replicates < 100:
             raise ConfigError("statistical tests need at least 100 replicates")
         if self.seed < 0:
@@ -401,25 +392,15 @@ class _FieldSimulator:
 
     def partial_sum_rows(self, seed: int, n: int, k: int,
                          replicates: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of (S_n, S_{n+k} - S_n) from one coupled sample per replicate.
+        """Rows of (S_n, S_{n+k} - S_n) from one sample of n + k per replicate.
 
-        The counts of all n + k samples are drawn first; the counts of
-        the first n follow from them by sequential hypergeometric draws,
-        atom by atom, which is their exact conditional law.
+        The draws are i.i.d., so the counts of the first n and of the next
+        k are independent multinomials, drawn in that order from one
+        substream.
         """
         rng = substream(seed, _PURPOSE_MARTINGALE)
-        c_all = rng.multinomial(n + k, self.probs, size=replicates)
-        c_head = np.zeros_like(c_all)
-        pool = np.full(replicates, n + k)
-        left = np.full(replicates, n)
-        for i in range(self.k - 1):
-            pool -= c_all[:, i]
-            c_head[:, i] = rng.hypergeometric(c_all[:, i], pool, left)
-            left -= c_head[:, i]
-        c_head[:, -1] = left
-        head = self._centered(c_head.astype(float), n)
-        tail = self._centered((c_all - c_head).astype(float), k)
-        return head, tail
+        return tuple(self._centered(rng.multinomial(m, self.probs, size=replicates)
+                                    .astype(float), m) for m in (n, k))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from .errors import (ConfigError, DomainError, NumericalConsistencyError, SpaceM
 from .geometry import Point, SpaceSpec, TangentVector
 
 _WEIGHT_TOL = 1e-12
-# first-order certificate tolerance; also the flat-cone apex threshold
+# first-order certificate and stickiness tolerance; the mean reads only a
+# peak within its rounding bound as 0 (``_positive_part``), never this
 _TOL = 1e-9
 
 
@@ -221,11 +222,20 @@ def _circle_max(alpha: float, angles, masses) -> tuple[float, float]:
     return float(values[i]), float(cand[i] % alpha)
 
 
+def _positive_part(value: float, masses, lengths, alpha: float = 0.0) -> float:
+    """max(value, 0) for a float sum_i masses_i lengths_i c_i, read as 0 within
+    its rounding bound; the c_i are +-1 or, for alpha > 0, cosines of angles
+    mod alpha off by up to about 2 alpha eps."""
+    eps = np.finfo(float).eps * float(np.abs(masses) @ np.abs(lengths))
+    return value if value > (len(masses) + 2 + 2 * alpha) * eps else 0.0
+
+
 def _cone_max(space: SpaceSpec, singular: bool, chart,
               masses: np.ndarray) -> tuple[float, tuple | np.ndarray, float | None]:
     """Exact sup over unit V of sum_i masses_i <v_i, V>, the chart of
-    max(sup, 0) V* for a maximizer V*, and the sup over the directions
-    that leave the stratum (None at smooth points, where none does).
+    max(sup, 0) V* for a maximizer V* (``_positive_part`` of the length
+    that leaves the cone point), and the sup over the directions that
+    leave the stratum (None at smooth points, where none does).
 
     ``chart`` holds one array per chart coordinate of the tangent vectors
     v_i: (leg, r) at a spider apex, (page, s, t) at a spine point and
@@ -241,7 +251,7 @@ def _cone_max(space: SpaceSpec, singular: bool, chart,
         legs, r = chart
         m = [float(masses @ np.where(legs == leg, r, -r)) for leg in range(space.legs)]
         leg = int(np.argmax(m))
-        return m[leg], (leg, m[leg] if m[leg] > 0.0 else 0.0), m[leg]
+        return m[leg], (leg, _positive_part(m[leg], masses, r)), m[leg]
     if space.kind == geo.OPEN_BOOK:
         # fold rule (Hotz et al. 2013): (page q, theta) pairs to
         # s_i cos(theta) + t_i sin(theta) on page q and s_i cos(theta) -
@@ -251,10 +261,10 @@ def _cone_max(space: SpaceSpec, singular: bool, chart,
         tau = [float(masses @ np.where(pages == q, t, -t)) for q in range(space.pages)]
         q = int(np.argmax(tau))
         sup = math.hypot(s_sum, tau[q]) if tau[q] > 0.0 else abs(s_sum)
-        return sup, (q, s_sum, max(tau[q], 0.0)), tau[q]
+        return sup, (q, s_sum, _positive_part(tau[q], masses, t)), tau[q]
     r, phi = chart
     sup, theta = _circle_max(space.circumference, phi, masses * r)
-    return sup, (sup if sup > 0.0 else 0.0, theta), sup
+    return sup, (_positive_part(sup, masses, r, space.circumference), theta), sup
 
 
 def _unit_chart(space: SpaceSpec, singular: bool, data: np.ndarray):
@@ -279,9 +289,8 @@ def _closed_form_mean(measure: DiscreteMeasure) -> Point:
     _, peak, _ = _cone_max(sp, sp.kind != geo.EUCLIDEAN, coords.T, w)
     if sp.kind == geo.EUCLIDEAN:
         return Point(sp, tuple(peak / total))
-    if sp.kind == geo.FLAT_CONE:
-        r, theta = peak
-        return Point(sp, (r / total, theta)) if r > _TOL else geo.apex(sp)
+    if sp.kind == geo.FLAT_CONE:  # (r, phi): the length scales, the angle stays
+        return Point(sp, (peak[0] / total, peak[1]))
     # (leg, r) and (page, s, t): the index stays, the lengths scale
     return Point(sp, (peak[0], *(x / total for x in peak[1:])))
 

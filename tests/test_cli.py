@@ -20,9 +20,9 @@ CLT_DIGESTS = {
     "increments.csv": "97d3b2e2547977627e7d9a5a186c71ce5fe755e62a5f996b9741e4e380ba9c48",
     "ks.csv": "220f71dcc8aa838eec05a47e8323e47823a23b3193738c74bc93ae933c74b871",
     "mahalanobis.csv": "7bd7f65873cf47ddf55f7a7acee5356cae6396e525eb66d2105aff8cdb019495",
-    "martingale.csv": "b7068cc2eafb710fd7adcc53ccaa07ba5146232e353f538ef321c1eec65d705c",
+    "martingale.csv": "df2b49e2bc2d2fa3c88ccf789a2aa79cdc93f2bb33a788bb3a5799020e2e7a00",
     "moments.csv": "1c922f93f6085cfff6dac8ee2141eb33518cf7ebd4a43fbbc7a5f74819d50052",
-    "report.json": "79aedd1b816983a1a14c703746ed65af0a4c70ec994b0d2954ce5ed18230e438",
+    "report.json": "f0dfd5e5d5286ab733ce8d54a88ebcec99802fc182992319391be9ae469312a1",
 }
 
 # SHA-256 of the per-direction and per-pair CSVs of `clt --seed 42` on
@@ -490,7 +490,6 @@ class TestMalformedNumbers:
         ("clt", ("modulus",), {"radii_log2": []}, ()),
         ("field", ("measure",), _DELETE, ()),
         ("clt", ("sample_sizes",), [10 ** 20], ()),
-        ("clt", ("martingale",), {"n": 10 ** 9 - 1, "k": 1}, ()),
         ("clt", ("thresholds",), {"ks": -1.0}, ()),
         ("clt", ("thresholds",), {"modulus_min_drop": 0.0}, ()),
         ("clt", ("thresholds",), {"zero_variance": -1e-3}, ()),
@@ -508,17 +507,18 @@ class TestMalformedNumbers:
         ("clt", ("net",), {"legs": [0, 1, 2], "bogus_key": 1}, ()),
         ("field", ("net",), {"epsilon": 0.4, "legs": [0]}, ()),
         ("cover", ("bogus",), 1, ()),
+        ("clt", ("measure", "atoms", 0, "weight"), 10 ** 400, ()),
     ], ids=["replicates", "sample_sizes", "net_epsilon", "net_legs", "thresholds",
             "martingale", "weight", "field_net", "field_net_epsilon", "modulus_n",
             "modulus_replicates", "martingale_n", "martingale_k", "field_empirical_n",
             "field_draws", "clt_seed", "field_seed", "tests_list", "modulus_no_radii",
-            "field_no_measure", "sample_size_overflow", "martingale_hypergeometric",
+            "field_no_measure", "sample_size_overflow",
             "threshold_ks", "threshold_min_drop", "threshold_zero_variance",
             "cover_legs_string", "cover_legs_fraction", "cover_n_max_string",
             "cover_n_max_fraction", "modulus_radius_overflow", "clt_unknown_key",
             "field_unknown_key", "measure_unknown_key", "atom_unknown_key",
             "space_unknown_key", "net_mixed_keys", "net_unknown_key", "field_net_mixed_keys",
-            "cover_unknown_key"])
+            "cover_unknown_key", "weight_beyond_floats"])
     def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value,
                                       flags):
         if command == "clt":
@@ -568,6 +568,60 @@ class TestMalformedNumbers:
         err = capsys.readouterr().err
         assert code == 3
         assert "epsilon must be >=" in err
+        assert "Traceback" not in err
+
+    def test_martingale_counts_need_no_joint_bound(self):
+        # the head and tail counts are two multinomial draws, so n and k
+        # take the range of the sample sizes each, with no bound on n + k
+        from stratclt.harness import MartingaleSpec
+        spec = MartingaleSpec(n=10 ** 9, k=1)
+        assert (spec.n, spec.k) == (10 ** 9, 1)
+
+    @pytest.mark.parametrize("config, keys, value, message", [
+        ("spider3_uniform.json", ("measure", "atoms", 0, "point"), [1.5, 1.0],
+         "malformed spider coordinates"),
+        ("spider3_uniform.json", ("measure", "atoms", 0, "point"), [True, 1.0],
+         "malformed spider coordinates"),
+        ("spider3_uniform.json", ("measure", "atoms", 0, "point"), ["1", 1.0],
+         "malformed spider coordinates"),
+        ("spider3_uniform.json", ("measure", "atoms", 0, "point"), [1, "1.0"],
+         "malformed spider coordinates"),
+        ("openbook3_spine.json", ("measure", "atoms", 0, "point"), [2.9, 0.0, 1.0],
+         "malformed open_book coordinates"),
+        ("spider3_uniform.json", ("base",), [True, 0.0], "malformed spider coordinates"),
+        ("spider3_uniform.json", ("net",), {"legs": [0, 1.5, 2]}, "malformed net legs"),
+        ("openbook3_spine.json", ("net",), {"page_angles": [[1.7, 0.5], [0, 1.0]]},
+         "malformed net page_angles"),
+        ("flatcone4_star.json", ("net",), {"angles": [math.nan]}, "malformed net angles"),
+        ("flatcone4_star.json", ("net",), {"angles": [math.inf]}, "malformed net angles"),
+        ("flatcone4_star.json", ("net",), {"angles": [10 ** 400]}, "malformed net angles"),
+    ], ids=["atom_leg_fraction", "atom_leg_bool", "atom_leg_string", "atom_radius_string",
+            "atom_page_fraction", "base_leg_bool", "net_leg_fraction", "net_page_fraction",
+            "net_angle_nan", "net_angle_infinity", "net_angle_beyond_floats"])
+    def test_malformed_coordinates_exit_3(self, tmp_path, capsys, config, keys, value,
+                                          message):
+        # an index is an integer (1.0 is one) and a coordinate a finite
+        # number, never a bool or a string
+        raw = load_config(config)
+        raw.update(sample_sizes=[200], replicates=150)
+        target = raw
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        code = main(["clt", "--config", write_json(tmp_path / "c.json", raw),
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("base", ["[1.5, 1.0]", '["1", "1.0"]'])
+    def test_cover_base_coordinates_exit_3(self, capsys, base):
+        code = main(["cover", "--space", '{"kind":"spider","legs":3}',
+                     "--base", base, "--n-max", "6"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "malformed spider coordinates" in err
         assert "Traceback" not in err
 
 

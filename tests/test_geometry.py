@@ -130,6 +130,31 @@ class TestConstruction:
         with pytest.raises(DomainError):
             Point(E2, (1.0, math.nan))
 
+    @pytest.mark.parametrize("space, coords", [
+        (SP3, (1.5, 1.0)), (SP3, (True, 1.0)), (SP3, ("1", 1.0)), (SP3, (1, "1.0")),
+        (OB3, (2.9, 0.0, 1.0)), (FC, (1.0, math.inf)), (E2, (1.0, 10 ** 400)),
+    ])
+    def test_loosely_typed_coordinates(self, space, coords):
+        with pytest.raises(DomainError, match="malformed"):
+            Point(space, coords)
+
+    def test_numpy_and_integral_coordinates(self):
+        # numpy numbers are numbers, and an integral float is an index
+        assert Point(SP3, (np.int64(2), np.float32(1.5))).coords == (2, 1.5)
+        assert Point(OB3, (2.0, np.int8(1), 1)).coords == (2, 1.0, 1.0)
+        assert type(Point(SP3, (np.int64(2), 1.0)).coords[0]) is int
+        assert Direction(apex(SP3), D_LEG, (np.int64(1),)).data == (1,)
+
+    @pytest.mark.parametrize("kind, data", [
+        (D_LEG, (1.5,)), (D_LEG, (True,)), (D_ANGLE, (10 ** 400,)), (D_ANGLE, (math.nan,)),
+    ])
+    def test_malformed_direction_data(self, kind, data):
+        # a DomainError (a ValueError) for every malformed entry, an int
+        # beyond the floats included
+        space = SP3 if kind == D_LEG else FC
+        with pytest.raises(DomainError):
+            Direction(apex(space), kind, data)
+
 
 # ---------------------------------------------------------------------------
 # distance
@@ -238,6 +263,15 @@ class TestLogExp:
         assert v.length == pytest.approx(5.0, abs=1e-12)
         page, theta = v.direction.data
         assert page == 1 and theta == pytest.approx(math.atan2(4.0, 3.0), abs=1e-15)
+
+    @pytest.mark.parametrize("space, a, b", [
+        (E2, (0.0, 0.0), (1.7e-274, 0.0)),
+        (SpaceSpec.euclidean(1), (0.0,), (1e-200,)),
+    ])
+    def test_log_length_is_distance_below_underflow(self, space, a, b):
+        # the squared offset underflows to 0; the log still has the distance
+        p, q = Point(space, a), Point(space, b)
+        assert log_map(p, q).length == distance(p, q) == b[0]
 
     def test_log_zero_vector(self):
         p = Point(E2, (1.0, 1.0))

@@ -399,6 +399,20 @@ class TestMartingaleResidual:
             assert r["cross_moment"] > r["cross_bound"]
             assert r["cross_moment"] == pytest.approx(n * diag[r["direction"]], rel=0.2)
 
+    @pytest.mark.parametrize("name", EXPERIMENT_FILES)
+    def test_partial_sums_are_two_multinomial_draws(self, name):
+        # the head counts of n draws, then the tail counts of k draws, from
+        # one martingale substream
+        cfg = config_from_json(load_config(name), seed=42)
+        base = validate_localized(cfg.measure, cfg.validation_config()).base
+        sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg.net))
+        n, k, reps = 700, 300, 200
+        rng = substream(42, harness._PURPOSE_MARTINGALE)
+        counts = [rng.multinomial(m, sim.probs, size=reps).astype(float) for m in (n, k)]
+        head, tail = sim.partial_sum_rows(42, n, k, reps)
+        assert np.array_equal(head, sim._centered(counts[0], n))
+        assert np.array_equal(tail, sim._centered(counts[1], k))
+
 
 class TestMomentExpansionOracle:
     """Exhaustive enumeration over all ordered sample tuples at tiny n:

@@ -83,6 +83,35 @@ class TestFrechetMean:
         # at a sticky apex the tangent mean is negative in every direction
         assert diag.certificate.sup_tangent_mean == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
+    @pytest.mark.parametrize("r", [1e-12, 1e-300])
+    def test_cone_atom_near_apex_is_its_mean(self, r):
+        # the mean is exp_o(max(sup, 0) V* / W) at every radius: no snap to
+        # the apex below the certificate tolerance
+        sp = SpaceSpec.flat_cone(2.0 * math.pi)
+        atom = Point(sp, (r, 1.0))
+        diag = frechet_mean(DiscreteMeasure(sp, ((atom, 1.0),)))
+        assert diag.mean == atom
+        assert diag.frechet_value == 0.0
+
+    @pytest.mark.parametrize("space, atoms, cone_point", [
+        (SpaceSpec.flat_cone(3.0 * math.pi), [((1.0, 0.0), 0.5), ((1.0, math.pi), 0.5)],
+         (0.0, 0.0)),
+        (SpaceSpec.spider(3), [((0, 0.1), 1 / 3), ((0, 0.2), 1 / 3), ((1, 0.3), 1 / 3)],
+         (0, 0.0)),
+        (SpaceSpec.open_book(3),
+         [((0, 0.5, 0.1), 1 / 3), ((0, 0.5, 0.2), 1 / 3), ((1, 0.5, 0.3), 1 / 3)],
+         (0, 0.5, 0.0)),
+    ], ids=["cone_antipodal_pair", "spider_balanced_legs", "book_balanced_pages"])
+    def test_balanced_mean_stays_at_cone_point(self, space, atoms, cone_point):
+        # the tangent mean along the peak direction is exactly 0 but rounds
+        # to about 1e-17 > 0; within its rounding bound it reads as 0, so the
+        # mean stays at the cone point (apex or spine), not on a smooth stratum
+        mu = DiscreteMeasure(space, tuple((Point(space, c), w) for c, w in atoms))
+        diag = frechet_mean(mu)
+        assert diag.mean == Point(space, cone_point)
+        assert geo.stratum_of(diag.mean)[0] in ("apex", "spine")
+        assert not diag.sticky
+
     def test_point_mass_short_circuit(self, spider3):
         mu = DiscreteMeasure(spider3, ((Point(spider3, (2, 1.2)), 0.5),
                                        (Point(spider3, (2, 1.2)), 0.5)))
