@@ -64,9 +64,9 @@ def _write_manifest(outdir: Path, command: str, config_path: str | None,
 
 
 def _write_csv(path: Path, rows) -> None:
-    """Rows of raw values, one cell format for every table: a float is
-    written by ``fields.format_float``, None as an empty cell (as csv writes
-    it) and anything else as is."""
+    """Rows of raw values, written as they are read, one cell format for
+    every table: a float is written by ``fields.format_float``, None as an
+    empty cell (as csv writes it) and anything else as is."""
     import csv
     from .fields import format_float
     with open(path, "w", encoding="utf-8", newline="") as fh:

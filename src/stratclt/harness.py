@@ -518,75 +518,92 @@ def _moment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
             "passed": all(r["passed"] and r["exact_ok"] for r in rows)}
 
 
+# one row per net pair i < j, in the order (0, 1), (0, 2), ..., (m - 2, m - 1)
+_PAIR_DTYPE = np.dtype([
+    ("i", np.int64), ("j", np.int64), ("angular_distance", float), ("bound", float),
+    ("exact_fourth_moment", float), ("mc_fourth_moment", float), ("mc_se", float),
+    ("ratio", float), ("exact_ok", bool), ("passed", bool)])
+# elements of one chunk of increments: about 1 MB, whatever R
+_INCREMENT_CHUNK = 2 ** 17
+
+
 def _increment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
                     gamma2: float, gamma4: float) -> dict:
-    """Fourth moments of G(V_i) - G(V_j) for all net pairs i < j, one row
-    i at a time; each pair's bound is the scalar formula in Python floats.
+    """Fourth moments of G(V_i) - G(V_j) for all net pairs i < j, as one
+    structured array of ``_PAIR_DTYPE`` rows under "pairs".
 
-    Row i's increments are written into one preallocated (m - 1) x R
-    buffer, and ``_mc_fourth`` raises them to the fourth power in place,
-    so a row costs no full-size temporaries.
+    Each pair's bound is the scalar formula in Python floats.  The
+    increments of row i are taken from a contiguous transposed copy of
+    ``values``, a chunk of up to 2^17 / R pairs at a time, and
+    ``_mc_fourth`` raises each chunk to the fourth power in place.  So
+    the working set is two R x m arrays, ``values`` and its copy, whatever
+    the number of pairs.
     """
     m = len(sim.net)
-    dmat = sim.net.pairwise_distances()
+    iu, ju = np.triu_indices(m, 1)
+    pairs = np.zeros(len(iu), dtype=_PAIR_DTYPE)
+    pairs["i"], pairs["j"] = iu, ju
+    dist = sim.net.pairwise_distances()[iu, ju]
+    pairs["angular_distance"] = dist
+    c2, c4 = 2.0 * (1.0 + gamma2), 8.0 * (1.0 + gamma4)
+    bound = pairs["bound"]
+    bound[:] = [2.0 * (c2 * d * d) ** 2 + c4 * d**4 / n for d in dist.tolist()]
+    exact, mc, se = (pairs[f] for f in ("exact_fourth_moment", "mc_fourth_moment", "mc_se"))
     tau_t = np.ascontiguousarray((sim.pair - sim.mean_vec).T)
     vals_t = np.ascontiguousarray(values.T)
-    buf = np.empty((m - 1, vals_t.shape[1]))
-    c2, c4 = 2.0 * (1.0 + gamma2), 8.0 * (1.0 + gamma4)
-    rows = []
+    r = vals_t.shape[1]
+    buf = np.empty((max(1, min(m - 1, _INCREMENT_CHUNK // r)), r))
     for i in range(m - 1):
-        exact = _exact_fourth(tau_t[i] - tau_t[i + 1:], sim.weights, n)
-        incr = np.subtract(vals_t[i], vals_t[i + 1:], out=buf[:m - 1 - i])
-        mc, se = _mc_fourth(incr, 1, out=incr)
-        for j, d, e, c, s in zip(range(i + 1, m), dmat[i, i + 1:].tolist(),
-                                 exact.tolist(), mc.tolist(), se.tolist()):
-            bound = 2.0 * (c2 * d * d) ** 2 + c4 * d**4 / n
-            rows.append({
-                "i": i, "j": j, "angular_distance": d, "bound": bound,
-                "exact_fourth_moment": e, "mc_fourth_moment": c,
-                "mc_se": s, "ratio": c / bound if bound > 0.0 else 0.0,
-                "exact_ok": e <= bound * (1 + 1e-12) + 1e-300,
-                "passed": c <= bound + 3.0 * s,
-            })
-    return {"pairs": rows,
-            "passed": all(r["passed"] and r["exact_ok"] for r in rows)}
+        at = i * m - i * (i + 3) // 2 - 1  # pair (i, j) is row at + j
+        exact[at + i + 1:at + m] = _exact_fourth(tau_t[i] - tau_t[i + 1:], sim.weights, n)
+        for lo in range(i + 1, m, len(buf)):
+            hi = min(lo + len(buf), m)
+            incr = np.subtract(vals_t[i], vals_t[lo:hi], out=buf[:hi - lo])
+            mc[at + lo:at + hi], se[at + lo:at + hi] = _mc_fourth(incr, 1, out=incr)
+    np.divide(mc, bound, out=pairs["ratio"], where=bound > 0.0)
+    pairs["exact_ok"] = exact <= bound * (1 + 1e-12) + 1e-300
+    pairs["passed"] = mc <= bound + 3.0 * se
+    return {"pairs": pairs,
+            "passed": bool(np.all(pairs["passed"] & pairs["exact_ok"]))}
 
 
 def _increment_summary(result: dict) -> dict:
-    """The increments result with its per-pair rows folded into one bin per
+    """The increments result with its pairs folded into one bin per
     floor(log2 d): each bin's pair count, failed count, worst ratio and
-    the pair that attains it.  Pairs at d = 0 (repeated directions) get
-    the bin with ``log2_distance`` None."""
-    bins = {}
-    for r in result["pairs"]:
-        d = r["angular_distance"]
-        key = math.frexp(d)[1] - 1 if d > 0.0 else None
-        b = bins.get(key)
-        if b is None:
-            b = bins[key] = {"log2_distance": key, "pairs": 0, "failed": 0,
-                             "worst_ratio": r["ratio"],
-                             "worst_pair": [r["i"], r["j"]]}
-        b["pairs"] += 1
-        b["failed"] += not (r["passed"] and r["exact_ok"])
-        if r["ratio"] > b["worst_ratio"]:
-            b["worst_ratio"], b["worst_pair"] = r["ratio"], [r["i"], r["j"]]
-    order = sorted(bins, key=lambda k: -math.inf if k is None else k)
-    return {"pairs": len(result["pairs"]), "bins": [bins[k] for k in order],
-            "passed": result["passed"]}
+    the first pair that attains it.  Pairs at d = 0 (repeated directions)
+    get the bin with ``log2_distance`` None."""
+    pairs = result["pairs"]
+    dist, ratio = pairs["angular_distance"], pairs["ratio"]
+    failed = ~(pairs["passed"] & pairs["exact_ok"])
+    pos = dist > 0.0
+    log2 = np.frexp(dist)[1] - 1
+    keys = ([] if pos.all() else [None]) + sorted(set(log2[pos].tolist()))
+    bins = []
+    for key in keys:
+        sel = np.flatnonzero(~pos if key is None else pos & (log2 == key))
+        worst = sel[np.argmax(ratio[sel])]
+        bins.append({"log2_distance": key, "pairs": len(sel),
+                     "failed": int(np.count_nonzero(failed[sel])),
+                     "worst_ratio": float(ratio[worst]),
+                     "worst_pair": [int(pairs["i"][worst]), int(pairs["j"][worst])]})
+    return {"pairs": len(pairs), "bins": bins, "passed": result["passed"]}
 
 
 def _martingale_rows(head: np.ndarray, incr: np.ndarray, cov: fl.CovMatrix,
-                     n: int, k: int) -> list:
+                     n: int, k: int, out: np.ndarray | None = None) -> list:
     """Per-direction residual mean(incr) and cross-moment mean(head * incr).
 
     For a martingale both vanish in expectation; with independent
     increments their standard errors are sqrt(k Sigma_jj / R) and
     sqrt(n k) Sigma_jj / sqrt(R), and each gate sits at four of them.
+    The product head * incr goes into ``out`` (which may be head itself),
+    or into a new array; no other argument is written, so with
+    ``out=head`` the working set is the two R x m arrays of the rows.
     """
     replicates = head.shape[0]
     diag = np.maximum(np.diag(cov.entries), 0.0)
     residual = np.abs(incr.mean(axis=0))
-    cross = np.abs((head * incr).mean(axis=0))
+    cross = np.abs(np.multiply(head, incr, out=out).mean(axis=0))
     res_bound = 4.0 * np.sqrt(k * diag / replicates)
     cross_bound = 4.0 * math.sqrt(n * k) * diag / math.sqrt(replicates)
     passed = (residual <= res_bound + 1e-10) & (cross <= cross_bound + 1e-10)
@@ -598,7 +615,7 @@ def _martingale_rows(head: np.ndarray, incr: np.ndarray, cov: fl.CovMatrix,
 def _martingale_test(sim: _FieldSimulator, cov: fl.CovMatrix, seed: int,
                      spec: MartingaleSpec, replicates: int) -> dict:
     head, tail = sim.partial_sum_rows(seed, spec.n, spec.k, replicates)
-    rows = _martingale_rows(head, tail, cov, spec.n, spec.k)
+    rows = _martingale_rows(head, tail, cov, spec.n, spec.k, out=head)
     return {
         "n": spec.n, "k": spec.k, "replicates": replicates,
         "conditional_scaling_sqrt_n_over_n_plus_k":
@@ -710,8 +727,9 @@ class CLTReport:
         }
 
     def tables(self) -> dict:
-        """{file name: [header, *rows of raw values]} for each CSV of the
-        report with at least one row: the ``CSV_TABLES`` and modulus.csv."""
+        """{file name: rows} for each CSV of the report with at least one
+        row, the ``CSV_TABLES`` and modulus.csv.  The rows are the header
+        and then raw values, made as they are read."""
         desc = self.net.descriptors()
         out = {}
         for name, test, key, cols in CSV_TABLES:
@@ -719,21 +737,36 @@ class CLTReport:
                 results = [] if self.martingale is None else [(None, self.martingale)]
             else:
                 results = [(n, t[test]) for n, t in self.per_n.items() if test in t]
-            # the columns are resolved once per table: a getter over the
-            # row keys, with "n" put in front and "descriptor" added per row
-            get = operator.itemgetter(*(c for c in cols if c != "n"))
-            lead_n, named = cols[0] == "n", "descriptor" in cols
-            rows = [cols]
-            for n, result in results:
-                for r in result[key] if key else [result]:
-                    if named:
-                        r = dict(r, descriptor=desc[r["direction"]])
-                    rows.append((n, *get(r)) if lead_n else get(r))
-            if len(rows) > 1:
-                out[name] = rows
+            if any(len(result[key]) if key else 1 for _, result in results):
+                out[name] = _table_rows(cols, key, results, desc)
         if self.modulus is not None:
-            out["modulus.csv"] = list(self.modulus["table"].to_csv_rows())
+            out["modulus.csv"] = self.modulus["table"].to_csv_rows()
         return out
+
+
+# structured-array rows made into Python rows per block as a table is read
+_CSV_BLOCK = 4096
+
+
+def _table_rows(cols: tuple, key, results: list, desc: list):
+    """The header ``cols`` and then the row of each (n, result) in turn:
+    a dict row through one getter over its keys, with "n" put in front and
+    "descriptor" added, or a block of structured-array rows at a time."""
+    yield cols
+    lead_n, named = cols[0] == "n", "descriptor" in cols
+    names = [c for c in cols if c != "n"]
+    get = operator.itemgetter(*names)
+    for n, result in results:
+        rows = result[key] if key else [result]
+        if isinstance(rows, np.ndarray):
+            for lo in range(0, len(rows), _CSV_BLOCK):
+                for r in rows[lo:lo + _CSV_BLOCK][names].tolist():
+                    yield (n, *r) if lead_n else r
+            continue
+        for r in rows:
+            if named:
+                r = dict(r, descriptor=desc[r["direction"]])
+            yield (n, *get(r)) if lead_n else get(r)
 
 
 def config_hash(config: dict) -> str:
@@ -774,6 +807,8 @@ def run_clt_experiment(cfg: ExperimentConfig) -> CLTReport:
             if "increments" in cfg.tests:
                 tests["increments"] = _increment_test(values, sim, n, gamma2,
                                                       gamma4)
+            # freed before the next sample size's rows or the martingale's
+            del values
         per_n[n] = tests
         all_passed = all_passed and all(t["passed"] for t in tests.values())
 

@@ -201,10 +201,14 @@ def _circle_max(alpha: float, angles, masses) -> tuple[float, float]:
     Between the breakpoints angles_i +- pi each term is either a cosine
     of theta minus a fixed lift of angles_i or the constant -masses_i, so
     the sum is A cos + B sin + C on each arc and peaks at an arc end or
-    at atan2(B, A).
+    at atan2(B, A).  Masses below 1/2 are first scaled up by the power of
+    two that puts the largest into [1/2, 1), which is exact, so the
+    products of subnormal masses with the cosines do not underflow and tie.
     """
     angles = np.asarray(angles, dtype=float) % alpha
     masses = np.asarray(masses, dtype=float)
+    exp = min(math.frexp(float(np.abs(masses).max(initial=0.0)))[1], 0)
+    masses = np.ldexp(masses, -exp)
     breaks = _breakpoints(alpha, angles)
     ends = np.append(breaks, breaks[0] + alpha)
     mids = 0.5 * (ends[:-1] + ends[1:])
@@ -219,7 +223,7 @@ def _circle_max(alpha: float, angles, masses) -> tuple[float, float]:
     d = np.abs(cand[:, None] - angles[None, :]) % alpha
     values = np.cos(np.minimum(np.minimum(d, alpha - d), math.pi)) @ masses
     i = int(np.argmax(values))
-    return float(values[i]), float(cand[i] % alpha)
+    return math.ldexp(float(values[i]), exp), float(cand[i] % alpha)
 
 
 def _positive_part(value: float, masses, lengths, alpha: float = 0.0) -> float:

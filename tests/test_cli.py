@@ -25,12 +25,17 @@ CLT_DIGESTS = {
     "report.json": "f0dfd5e5d5286ab733ce8d54a88ebcec99802fc182992319391be9ae469312a1",
 }
 
-# SHA-256 of the per-direction and per-pair CSVs of `clt --seed 42` on
-# openbook3_spine with a 95-direction net (epsilon 0.1, modulus test off)
+# SHA-256 of each output of `clt --seed 42` on openbook3_spine with a
+# 95-direction net (epsilon 0.1, modulus test off); the manifest is excluded
 FINE_NET_DIGESTS = {
+    "cov.csv": "7176c1885c13bb4a11c8e79d322b90ac9b1509f8e471153e51bdc4af1af5cbd2",
+    "cov_matrix.csv": "94b51a19b6faa56e6d87b45d95686bd3cb97a4bf273724fa7fb88a0e91afc52a",
     "increments.csv": "3c7b0617f64ae4b78f8e343c12f2a506f0109cb0cd08755f421419c21bd8067a",
     "ks.csv": "7bb3e7176102a5e2c95b463dd7029f2ab6194115571d2d6e486cdb1ea1d87df2",
+    "mahalanobis.csv": "fde5c75e911510c8b35e0ddb00daadc4dd8b33e5c648e4a40cd5450f90589fef",
+    "martingale.csv": "1aa16d24f44cd5b61a9c862e248a57a99ee86539e45ed7076beda38cf87bf669",
     "moments.csv": "7bf8e8e97018013135d174492808c0d470e87b0741414feeb8251d9196db369b",
+    "report.json": "98d4cf894545fb6512e84ad29ca4297774b374964134b19a7c1241b01e78f5b0",
 }
 
 # SHA-256 of modulus.csv from `clt --seed 1 --format csv` in

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,8 +488,8 @@ class TestIncrementReference:
             want = increment_pairs_loop(values, sim, n, g2, g4)
             assert [(r["i"], r["j"]) for r in got["pairs"]] == \
                 [(r["i"], r["j"]) for r in want]
+            assert got["pairs"].dtype.names == tuple(want[0].keys())
             for g, w in zip(got["pairs"], want):
-                assert g.keys() == w.keys()
                 for key in ("angular_distance", "bound", "exact_ok", "passed"):
                     assert g[key] == w[key], key
                 for key in ("exact_fourth_moment", "mc_fourth_moment", "mc_se", "ratio"):
@@ -573,6 +574,43 @@ class TestIncrementNets:
         assert [b["log2_distance"] for b in _increment_summary(inc)["bins"]] == [None, 1]
         if gammas[0] < 0.0:
             assert any(b["failed"] for b in _increment_summary(inc95)["bins"])
+
+
+class TestWorkingSet:
+    """tracemalloc peaks on the 95-direction openbook3_spine net at
+    R = 5000: the increments test and a whole run hold a bounded number of
+    R x m arrays, whatever the number of net pairs."""
+
+    R = 5000
+
+    @staticmethod
+    def _peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_increment_test_peak(self):
+        sim, values = fine_values("openbook3_spine.json", {"epsilon": 0.1},
+                                  10000, self.R)
+        assert values.shape == (self.R, 95)
+        # the transposed copy, one chunk of increments and the pair array
+        peak = self._peak(lambda: _increment_test(values, sim, 10000, 1.0, 1.0))
+        assert peak <= 1.6 * values.nbytes
+
+    def test_run_peak(self):
+        raw = load_config("openbook3_spine.json")
+        raw["net"] = {"epsilon": 0.1}
+        raw["replicates"] = self.R
+        raw["tests"] = [t for t in raw["tests"] if t != "modulus"]
+        raw.pop("modulus")
+        cfg = config_from_json(raw, seed=42)
+        reports = []
+        peak = self._peak(lambda: reports.append(run_clt_experiment(cfg)))
+        assert len(reports[0].net) == 95
+        assert peak <= 3 * self.R * 95 * 8
 
 
 class TestBracketedKs:

@@ -83,10 +83,11 @@ class TestFrechetMean:
         # at a sticky apex the tangent mean is negative in every direction
         assert diag.certificate.sup_tangent_mean == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
-    @pytest.mark.parametrize("r", [1e-12, 1e-300])
+    @pytest.mark.parametrize("r", [1e-12, 1e-300, 5e-324])
     def test_cone_atom_near_apex_is_its_mean(self, r):
         # the mean is exp_o(max(sup, 0) V* / W) at every radius: no snap to
-        # the apex below the certificate tolerance
+        # the apex below the certificate tolerance, and a subnormal radius
+        # keeps its angle through the arc search
         sp = SpaceSpec.flat_cone(2.0 * math.pi)
         atom = Point(sp, (r, 1.0))
         diag = frechet_mean(DiscreteMeasure(sp, ((atom, 1.0),)))
