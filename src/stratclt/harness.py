@@ -9,7 +9,17 @@ constants, a partial-sum martingale residual and head-increment
 cross-moment, and modulus-of-continuity tables.
 
 Each sample size draws all its replicates from the stream of (seed,
-purpose, n index), so reports are bit-identical across runs.
+purpose, n index).  The fields are formed from the R x k atom counts
+by one fixed-order product, not by BLAS, and every per-direction sum
+runs along one contiguous row, so reports are bit-identical across
+runs, BLAS thread counts and block sizes.
+
+Working set: one R x m array per sample size, which the covariance and
+Mahalanobis statistics read whole; the KS, moment and increment tests
+read column blocks of it; the martingale test keeps its two R x k count
+matrices and forms column blocks from them, and the modulus table is
+folded a block of replicates at a time as they are formed from the
+counts.
 """
 
 from __future__ import annotations
@@ -287,21 +297,27 @@ _AS_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
 # bracket half-width of the exact KS: above the rough CDF's error (at most
 # 7.0e-8 measured on [-40, 40]) plus the rounding of either deviation
 _KS_DELTA = 1e-6
-# columns per block: temporaries stay R x 16 (one block of all 95 columns
-# of a fine net ran about 2x slower)
-_KS_BLOCK = 16
+# columns per block: the temporaries are about five 4 x R arrays
+_KS_BLOCK = 4
 
 
 def _rough_normal_cdf(z: np.ndarray) -> np.ndarray:
-    """Standard normal CDF to within 1e-7, vectorized (A&S 7.1.26)."""
-    x = np.abs(z) / math.sqrt(2.0)
-    t = 1.0 / (1.0 + _AS_P * x)
-    poly = np.zeros_like(t)
-    for a in reversed(_AS_A):
+    """Standard normal CDF to within 1e-7, vectorized (A&S 7.1.26), in
+    three arrays of the shape of z."""
+    x = np.abs(z)
+    x /= math.sqrt(2.0)
+    t = x * _AS_P
+    t += 1.0
+    np.divide(1.0, t, out=t)
+    poly = t * _AS_A[-1]
+    for a in reversed(_AS_A[:-1]):
         poly += a
         poly *= t
-    tail = 0.5 * poly * np.exp(-x * x)
-    return np.where(z >= 0.0, 1.0 - tail, tail)
+    x *= x
+    np.negative(x, out=x)
+    poly *= 0.5
+    poly *= np.exp(x, out=x)
+    return np.subtract(1.0, poly, out=poly, where=z >= 0.0)
 
 
 def _normal_ks(values: np.ndarray, cols, sigma) -> np.ndarray:
@@ -319,15 +335,21 @@ def _normal_ks(values: np.ndarray, cols, sigma) -> np.ndarray:
     expressions of ``ks_distance``, have the same maximum D.
     """
     n = values.shape[0]
-    i = np.arange(n)[:, None]
+    above, below = np.arange(1, n + 1) / n, np.arange(n) / n
     out = np.zeros(len(cols))
     for lo in range(0, len(cols), _KS_BLOCK):
         sig = sigma[lo:lo + _KS_BLOCK]
-        srt = np.sort(values[:, cols[lo:lo + _KS_BLOCK]], axis=0)
-        rough = _rough_normal_cdf(srt / sig)
-        dev = np.maximum(np.abs((i + 1) / n - rough), np.abs(i / n - rough))
-        rows, c = np.nonzero(dev >= dev.max(axis=0) - 2.0 * _KS_DELTA)
-        f = normal_cdf(srt[rows, c] / sig[c])
+        # the block's columns as contiguous rows, each sorted
+        srt = values.T[cols[lo:lo + _KS_BLOCK]]
+        srt.sort(axis=1)
+        rough = _rough_normal_cdf(srt / sig[:, None])
+        dev = np.subtract(above, rough)
+        np.abs(dev, out=dev)
+        rough -= below
+        np.maximum(dev, np.abs(rough, out=rough), out=dev)
+        del rough
+        c, rows = np.nonzero(dev >= dev.max(axis=1, keepdims=True) - 2.0 * _KS_DELTA)
+        f = normal_cdf(srt[c, rows] / sig[c])
         d = np.maximum(np.abs((rows + 1) / n - f), np.abs(rows / n - f))
         np.maximum.at(out, lo + c, d)
     return out
@@ -354,14 +376,79 @@ def compare_covariance(empirical: np.ndarray, analytic) -> tuple[float, float]:
 # Replicate simulation (counts against the atom pairing matrix)
 
 
+# elements of the scratch chunk of ``_fixed_product``: 256 KB
+_PRODUCT_CHUNK = 2 ** 15
+
+
+def _fixed_product(lhs: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = lhs @ rhs, each cell summed over the inner index a = 0, 1, ...
+    in that order, one rounded product added at a time.
+
+    Every cell is the same float expression whatever the shape of
+    ``out`` or the BLAS in use, so a block of the product equals the same
+    cells of the whole product bit for bit.  Rows of ``out`` go a chunk
+    of ``_PRODUCT_CHUNK`` elements at a time through one scratch chunk.
+    """
+    step = max(1, _PRODUCT_CHUNK // max(1, out.shape[1]))
+    tmp = np.empty((min(step, len(out)), out.shape[1]))
+    for lo in range(0, len(out), step):
+        o = out[lo:lo + step]
+        t = tmp[:len(o)]
+        np.multiply(lhs[lo:lo + step, :1], rhs[0], out=o)
+        for a in range(1, lhs.shape[1]):
+            np.multiply(lhs[lo:lo + step, a:a + 1], rhs[a], out=t)
+            o += t
+    return out
+
+
+class _CountField:
+    """Replicate fields (c P - n m) / scale on a net, R x m, held as the
+    R x k atom count matrix c: scale is sqrt(n) for G_n and 1 for the
+    partial sums S_n (a division by 1 is exact).
+
+    Blocks are formed on demand by ``_fixed_product``, so any block equals
+    the same cells of the whole array bit for bit: a row slice
+    ``field[lo:hi]`` gives replicate-major rows (``regularity.modulus_many``
+    reads a field this way), ``columns(lo, hi)`` direction-major rows, and
+    ``np.asarray(field)`` the whole array.
+    """
+
+    def __init__(self, sim: "_FieldSimulator", counts: np.ndarray, n: int,
+                 scale: float):
+        # direction-major counts, k x R: row a is atom a's count per replicate
+        self.counts_t = np.ascontiguousarray(counts.T, dtype=float)
+        self.sim, self.n, self.scale = sim, n, scale
+        self.shape = (counts.shape[0], sim.pair.shape[1])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        c = self.counts_t[:, rows].T
+        out = _fixed_product(c, self.sim.pair, np.empty((len(c), self.shape[1])))
+        out -= self.n * self.sim.mean_vec
+        out /= self.scale
+        return out
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """The fields at net directions lo..hi - 1, one row per direction."""
+        out = _fixed_product(self.sim.pair_t[lo:hi], self.counts_t,
+                             np.empty((hi - lo, self.shape[0])))
+        out -= (self.n * self.sim.mean_vec[lo:hi])[:, None]
+        out /= self.scale
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:]
+
+
 class _FieldSimulator:
     """Simulates CLT-scaled empirical fields on a net for a discrete measure.
 
     A sample of size n from a discrete measure is summarized by its
     multinomial count vector c over the atoms, and the field values are
-    (c @ P - n * m) / sqrt(n), identical to summing centered pairings
-    sample by sample.  All replicates of one sample size are one
-    multinomial draw from one substream.
+    (c P - n m) / sqrt(n), identical to summing centered pairings sample
+    by sample.  All replicates of one sample size are one multinomial
+    draw from one substream; the fields are formed from the counts by
+    ``_fixed_product``, so their bits do not depend on the block shape or
+    on the BLAS thread count.
     """
 
     def __init__(self, measure: DiscreteMeasure, base: Point, net: DirectionNet):
@@ -370,37 +457,38 @@ class _FieldSimulator:
         self.net = net
         tm = mz.pushforward(measure, base)
         self.pair = fl.pairing_matrix(tm, net)
+        self.pair_t = np.ascontiguousarray(self.pair.T)
         self.weights = measure.weights
         self.mean_vec = self.weights @ self.pair
         # renormalized so weights at the 1e-12 sum tolerance are accepted
         self.probs = self.weights / self.weights.sum()
         self.k = len(self.weights)
 
-    def _centered(self, counts: np.ndarray, n: int) -> np.ndarray:
-        out = counts @ self.pair
-        out -= n * self.mean_vec
-        return out
+    def fields(self, seed: int, purpose: int, n_index: int, n: int,
+               replicates: int) -> _CountField:
+        """G_n on the net for each replicate, kept as its counts."""
+        rng = substream(seed, purpose, n_index)
+        counts = rng.multinomial(n, self.probs, size=replicates)
+        return _CountField(self, counts, n, math.sqrt(n))
 
     def field_rows(self, seed: int, purpose: int, n_index: int, n: int,
                    replicates: int, threads: int | None = None) -> np.ndarray:
-        """Rows of G_n on the net; ``threads`` is accepted and ignored."""
-        rng = substream(seed, purpose, n_index)
-        counts = rng.multinomial(n, self.probs, size=replicates).astype(float)
-        out = self._centered(counts, n)
-        out /= math.sqrt(n)
-        return out
+        """Rows of G_n on the net, one R x m array; ``threads`` is accepted
+        and ignored."""
+        return self.fields(seed, purpose, n_index, n, replicates)[:]
 
     def partial_sum_rows(self, seed: int, n: int, k: int,
-                         replicates: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of (S_n, S_{n+k} - S_n) from one sample of n + k per replicate.
+                         replicates: int) -> tuple[_CountField, _CountField]:
+        """Rows of (S_n, S_{n+k} - S_n) from one sample of n + k per
+        replicate, kept as their counts.
 
         The draws are i.i.d., so the counts of the first n and of the next
         k are independent multinomials, drawn in that order from one
         substream.
         """
         rng = substream(seed, _PURPOSE_MARTINGALE)
-        return tuple(self._centered(rng.multinomial(m, self.probs, size=replicates)
-                                    .astype(float), m) for m in (n, k))
+        return tuple(_CountField(self, rng.multinomial(m, self.probs, size=replicates),
+                                 m, 1.0) for m in (n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +587,34 @@ def _mc_fourth(x: np.ndarray, axis: int,
     return mean.squeeze(axis), np.sqrt(var, out=var) / math.sqrt(r)
 
 
+# elements of one direction-major column block of the moment and
+# martingale tests: 256 KB, whatever R
+_COLUMN_BLOCK = 2 ** 15
+
+
+def _column_ranges(m: int, replicates: int) -> list:
+    """(lo, hi) of each column block of m directions at R replicates."""
+    step = max(1, _COLUMN_BLOCK // max(1, replicates))
+    return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def _columns(values, lo: int, hi: int) -> np.ndarray:
+    """Columns lo..hi - 1 of an R x m array or ``_CountField`` as a new
+    array, one contiguous row per direction: a sum along a row then does
+    not depend on the block width."""
+    if isinstance(values, _CountField):
+        return values.columns(lo, hi)
+    return values[:, lo:hi].T.copy()
+
+
 def _moment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
                  gamma2: float, gamma4: float) -> dict:
     exact = _exact_fourth((sim.pair - sim.mean_vec).T, sim.weights, n)
     bound = 3.0 * gamma2**2 + gamma4 / n
-    mc4, se = _mc_fourth(values, 0)
+    mc4, se = np.empty(values.shape[1]), np.empty(values.shape[1])
+    for lo, hi in _column_ranges(values.shape[1], values.shape[0]):
+        block = _columns(values, lo, hi)
+        mc4[lo:hi], se[lo:hi] = _mc_fourth(block, 1, out=block)
     rows = [{
         "direction": j,
         "mc_fourth_moment": float(mc4[j]),
@@ -523,8 +634,10 @@ _PAIR_DTYPE = np.dtype([
     ("i", np.int64), ("j", np.int64), ("angular_distance", float), ("bound", float),
     ("exact_fourth_moment", float), ("mc_fourth_moment", float), ("mc_se", float),
     ("ratio", float), ("exact_ok", bool), ("passed", bool)])
-# elements of one chunk of increments: about 1 MB, whatever R
-_INCREMENT_CHUNK = 2 ** 17
+# the increments go in blocks of m / _INCREMENT_SHARE columns: the three
+# blocks hold 3/16 of the R x m values, and the number of blocks, which
+# sets the Python overhead, grows only as m
+_INCREMENT_SHARE = 16
 
 
 def _increment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
@@ -532,12 +645,12 @@ def _increment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
     """Fourth moments of G(V_i) - G(V_j) for all net pairs i < j, as one
     structured array of ``_PAIR_DTYPE`` rows under "pairs".
 
-    Each pair's bound is the scalar formula in Python floats.  The
-    increments of row i are taken from a contiguous transposed copy of
-    ``values``, a chunk of up to 2^17 / R pairs at a time, and
-    ``_mc_fourth`` raises each chunk to the fourth power in place.  So
-    the working set is two R x m arrays, ``values`` and its copy, whatever
-    the number of pairs.
+    Each pair's bound is the scalar formula in Python floats.  Rows i
+    and rows j come a block of m / 16 columns at a time, each block as
+    contiguous rows of a copy of those columns of ``values``, and
+    ``_mc_fourth`` raises the increments of each row i against a block of
+    rows j to the fourth power in place.  So beyond ``values`` and the
+    pairs the working set is three such blocks, 3/16 of ``values``.
     """
     m = len(sim.net)
     iu, ju = np.triu_indices(m, 1)
@@ -550,16 +663,24 @@ def _increment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
     bound[:] = [2.0 * (c2 * d * d) ** 2 + c4 * d**4 / n for d in dist.tolist()]
     exact, mc, se = (pairs[f] for f in ("exact_fourth_moment", "mc_fourth_moment", "mc_se"))
     tau_t = np.ascontiguousarray((sim.pair - sim.mean_vec).T)
-    vals_t = np.ascontiguousarray(values.T)
-    r = vals_t.shape[1]
-    buf = np.empty((max(1, min(m - 1, _INCREMENT_CHUNK // r)), r))
+    # pair (i, j) is row at[i] + j
+    at = [i * m - i * (i + 3) // 2 - 1 for i in range(m)]
     for i in range(m - 1):
-        at = i * m - i * (i + 3) // 2 - 1  # pair (i, j) is row at + j
-        exact[at + i + 1:at + m] = _exact_fourth(tau_t[i] - tau_t[i + 1:], sim.weights, n)
-        for lo in range(i + 1, m, len(buf)):
-            hi = min(lo + len(buf), m)
-            incr = np.subtract(vals_t[i], vals_t[lo:hi], out=buf[:hi - lo])
-            mc[at + lo:at + hi], se[at + lo:at + hi] = _mc_fourth(incr, 1, out=incr)
+        exact[at[i] + i + 1:at[i] + m] = _exact_fourth(tau_t[i] - tau_t[i + 1:],
+                                                       sim.weights, n)
+    step = max(1, m // _INCREMENT_SHARE)
+    buf = np.empty((step, values.shape[0]))
+    for i0 in range(0, m - 1, step):
+        i1 = min(i0 + step, m - 1)
+        head = _columns(values, i0, i1)
+        for j0 in range(i0 + 1, m, step):
+            j1 = min(j0 + step, m)
+            tail = _columns(values, j0, j1)
+            for i in range(i0, min(i1, j1 - 1)):
+                lo = max(i + 1, j0)
+                incr = np.subtract(head[i - i0], tail[lo - j0:], out=buf[:j1 - lo])
+                mc[at[i] + lo:at[i] + j1], se[at[i] + lo:at[i] + j1] = \
+                    _mc_fourth(incr, 1, out=incr)
     np.divide(mc, bound, out=pairs["ratio"], where=bound > 0.0)
     pairs["exact_ok"] = exact <= bound * (1 + 1e-12) + 1e-300
     pairs["passed"] = mc <= bound + 3.0 * se
@@ -589,21 +710,25 @@ def _increment_summary(result: dict) -> dict:
     return {"pairs": len(pairs), "bins": bins, "passed": result["passed"]}
 
 
-def _martingale_rows(head: np.ndarray, incr: np.ndarray, cov: fl.CovMatrix,
-                     n: int, k: int, out: np.ndarray | None = None) -> list:
+def _martingale_rows(head, incr, cov: fl.CovMatrix, n: int, k: int) -> list:
     """Per-direction residual mean(incr) and cross-moment mean(head * incr).
 
     For a martingale both vanish in expectation; with independent
     increments their standard errors are sqrt(k Sigma_jj / R) and
     sqrt(n k) Sigma_jj / sqrt(R), and each gate sits at four of them.
-    The product head * incr goes into ``out`` (which may be head itself),
-    or into a new array; no other argument is written, so with
-    ``out=head`` the working set is the two R x m arrays of the rows.
+    ``head`` and ``incr`` are R x m arrays or ``_CountField`` rows, read a
+    column block at a time and not written.
     """
-    replicates = head.shape[0]
+    replicates, m = head.shape
     diag = np.maximum(np.diag(cov.entries), 0.0)
-    residual = np.abs(incr.mean(axis=0))
-    cross = np.abs(np.multiply(head, incr, out=out).mean(axis=0))
+    residual, cross = np.empty(m), np.empty(m)
+    for lo, hi in _column_ranges(m, replicates):
+        h, t = _columns(head, lo, hi), _columns(incr, lo, hi)
+        residual[lo:hi] = t.mean(axis=1)
+        h *= t
+        cross[lo:hi] = h.mean(axis=1)
+    np.abs(residual, out=residual)
+    np.abs(cross, out=cross)
     res_bound = 4.0 * np.sqrt(k * diag / replicates)
     cross_bound = 4.0 * math.sqrt(n * k) * diag / math.sqrt(replicates)
     passed = (residual <= res_bound + 1e-10) & (cross <= cross_bound + 1e-10)
@@ -615,7 +740,7 @@ def _martingale_rows(head: np.ndarray, incr: np.ndarray, cov: fl.CovMatrix,
 def _martingale_test(sim: _FieldSimulator, cov: fl.CovMatrix, seed: int,
                      spec: MartingaleSpec, replicates: int) -> dict:
     head, tail = sim.partial_sum_rows(seed, spec.n, spec.k, replicates)
-    rows = _martingale_rows(head, tail, cov, spec.n, spec.k, out=head)
+    rows = _martingale_rows(head, tail, cov, spec.n, spec.k)
     return {
         "n": spec.n, "k": spec.k, "replicates": replicates,
         "conditional_scaling_sqrt_n_over_n_plus_k":
@@ -630,9 +755,10 @@ def _modulus_test(measure: DiscreteMeasure, base: Point, seed: int,
                   spec: ModulusSpec, min_drop: float) -> dict:
     net = rg.build_net(base, spec.epsilon)
     sim = _FieldSimulator(measure, base, net)
-    values = sim.field_rows(seed, _PURPOSE_MODULUS, 0, spec.n, spec.replicates)
+    # formed a block of replicates at a time as the table folds them
+    fields = sim.fields(seed, _PURPOSE_MODULUS, 0, spec.n, spec.replicates)
     radii = [2.0 ** (-m) for m in spec.radii_log2]
-    table = rg.ModulusTable.from_fields(f"empirical_clt(n={spec.n})", values,
+    table = rg.ModulusTable.from_fields(f"empirical_clt(n={spec.n})", fields,
                                         net, radii)
     agg = np.array(table.aggregate)
     w_trunc = np.minimum(table.w, 1.0)

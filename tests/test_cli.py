@@ -20,27 +20,27 @@ CLT_DIGESTS = {
     "increments.csv": "97d3b2e2547977627e7d9a5a186c71ce5fe755e62a5f996b9741e4e380ba9c48",
     "ks.csv": "220f71dcc8aa838eec05a47e8323e47823a23b3193738c74bc93ae933c74b871",
     "mahalanobis.csv": "7bd7f65873cf47ddf55f7a7acee5356cae6396e525eb66d2105aff8cdb019495",
-    "martingale.csv": "df2b49e2bc2d2fa3c88ccf789a2aa79cdc93f2bb33a788bb3a5799020e2e7a00",
-    "moments.csv": "1c922f93f6085cfff6dac8ee2141eb33518cf7ebd4a43fbbc7a5f74819d50052",
-    "report.json": "f0dfd5e5d5286ab733ce8d54a88ebcec99802fc182992319391be9ae469312a1",
+    "martingale.csv": "19ce51f9b79772bebb740656900bfbdbd53bee5b90d375e3467a4a53652e30f8",
+    "moments.csv": "203044303ae50ff6c22e0b37d5a147cc7c6c19adfb66e2ff1aadd5a455ee0eeb",
+    "report.json": "591b67cd62cd6f15e53a38f681a1cf8adf580e80b229b853f145e6edee295013",
 }
 
 # SHA-256 of each output of `clt --seed 42` on openbook3_spine with a
 # 95-direction net (epsilon 0.1, modulus test off); the manifest is excluded
 FINE_NET_DIGESTS = {
-    "cov.csv": "7176c1885c13bb4a11c8e79d322b90ac9b1509f8e471153e51bdc4af1af5cbd2",
+    "cov.csv": "76070ba3d3a574b58e32bb67d1cd7f6973e047f8780f5b7a3073cdd196f0e49d",
     "cov_matrix.csv": "94b51a19b6faa56e6d87b45d95686bd3cb97a4bf273724fa7fb88a0e91afc52a",
-    "increments.csv": "3c7b0617f64ae4b78f8e343c12f2a506f0109cb0cd08755f421419c21bd8067a",
-    "ks.csv": "7bb3e7176102a5e2c95b463dd7029f2ab6194115571d2d6e486cdb1ea1d87df2",
-    "mahalanobis.csv": "fde5c75e911510c8b35e0ddb00daadc4dd8b33e5c648e4a40cd5450f90589fef",
-    "martingale.csv": "1aa16d24f44cd5b61a9c862e248a57a99ee86539e45ed7076beda38cf87bf669",
-    "moments.csv": "7bf8e8e97018013135d174492808c0d470e87b0741414feeb8251d9196db369b",
-    "report.json": "98d4cf894545fb6512e84ad29ca4297774b374964134b19a7c1241b01e78f5b0",
+    "increments.csv": "e72f9007c5850bbe14ba3a8c9109f730513d40d2867fd2319ad7ed503d1b50db",
+    "ks.csv": "bbc7f93466edf29426d7255e1b2230bb2c982f7c8021f961c651025b22959ead",
+    "mahalanobis.csv": "746b9812642f8241c1cfebe98e5ccd61686632cecf7ee96981105b348136ef3e",
+    "martingale.csv": "a9708100b7ae40e323a3d5d853c7ca3c916955dd232a5297d6100e15ff85d1e7",
+    "moments.csv": "e64cccb84d5f5747d71b737620c071404c926b5e3527cef4ad7869bddc46b073",
+    "report.json": "c6f431386328f8568cbdc22abf4521d61a060bf5c3960b973b1bf22867894426",
 }
 
 # SHA-256 of modulus.csv from `clt --seed 1 --format csv` in
 # TestOutputFormats.test_format_csv_only_includes_modulus
-MODULUS_CSV_DIGEST = "127e7d2927c167c342a29bdf4e5b5b3d7980dfc0552507d30432a77627253166"
+MODULUS_CSV_DIGEST = "15801a748741815c831e0a59137caa8ba012fbc4f8cba7029da0726c62abd875"
 
 # SHA-256 of the outputs and stdout of `cover --n-max 8 --out` at the apex
 # of a flat cone of circumference 3 pi (TestCover.test_cone_slope)
@@ -233,6 +233,27 @@ class TestClt:
         # increments.csv holds all 4465 pairs; report.json summarizes them
         # per distance bin, which keeps it far below the 2.1 MB of per-pair rows
         assert (outdir / "report.json").stat().st_size < 400_000
+
+    def test_blas_thread_count_invariance(self, tmp_path):
+        # the fields are formed without BLAS, so every output of one seed
+        # is the same under one BLAS thread and under two
+        import subprocess, sys, os
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+            outdir = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "stratclt", "clt", "--config",
+                 str(CONFIG_DIR / "openbook3_spine.json"), "--seed", "42",
+                 "--out", str(outdir)], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({f.name: f.read_bytes() for f in outdir.iterdir()
+                            if f.name != "manifest.json"})
+        assert outputs[0].keys() == outputs[1].keys()
+        assert {"modulus.csv", "report.json", "cov.csv"} <= outputs[0].keys()
+        for name in outputs[0]:
+            assert outputs[0][name] == outputs[1][name], name
 
     def test_field_rerun_invariance(self, tmp_path, capsys):
         raw = {

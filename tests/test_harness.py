@@ -19,9 +19,10 @@ from stratclt import (
     run_clt_experiment,
     substream,
 )
-from stratclt import harness
+from stratclt import harness, regularity
 from stratclt.harness import (
     _FieldSimulator,
+    _PURPOSE_MODULUS,
     _PURPOSE_SAMPLES,
     _increment_summary,
     _increment_test,
@@ -30,6 +31,7 @@ from stratclt.harness import (
     _normal_ks,
     _rough_normal_cdf,
     _martingale_rows,
+    _modulus_test,
     chi2_cdf,
     normal_cdf,
     resolve_net,
@@ -315,27 +317,37 @@ class TestStatisticalInvariants:
         assert t["passed"]
 
 
+def fixed_order_product(counts, pair):
+    """counts @ pair with each cell summed over the atoms in order, one
+    rounded product at a time, out of place."""
+    out = counts[:, :1] * pair[0]
+    for a in range(1, len(pair)):
+        out = out + counts[:, a:a + 1] * pair[a]
+    return out
+
+
 class TestFieldRowsInPlace:
     @pytest.mark.parametrize("name", EXPERIMENT_FILES)
-    def test_rows_match_out_of_place(self, name, monkeypatch):
-        # field_rows and partial_sum_rows subtract and divide in place;
-        # the same ufuncs in the same order give the same bits as the
-        # out-of-place expressions
+    def test_rows_match_out_of_place(self, name):
+        # field_rows and partial_sum_rows form the product a chunk at a
+        # time and subtract and divide in place; the same ufuncs in the
+        # same order give the same bits as the out-of-place expressions
         cfg = config_from_json(load_config(name), seed=42)
         base = validate_localized(cfg.measure, cfg.validation_config()).base
         sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg.net))
         n, reps = 1000, 200
         counts = substream(42, _PURPOSE_SAMPLES, 1).multinomial(
             n, sim.probs, size=reps).astype(float)
-        expected = (counts @ sim.pair - n * sim.mean_vec) / math.sqrt(n)
+        expected = (fixed_order_product(counts, sim.pair)
+                    - n * sim.mean_vec) / math.sqrt(n)
         assert np.array_equal(sim.field_rows(42, _PURPOSE_SAMPLES, 1, n, reps),
                               expected)
-        head, tail = sim.partial_sum_rows(42, n, 300, reps)
-        monkeypatch.setattr(_FieldSimulator, "_centered", lambda self, c, m:
-                            c @ self.pair - m * self.mean_vec)
-        old_head, old_tail = sim.partial_sum_rows(42, n, 300, reps)
-        assert np.array_equal(head, old_head)
-        assert np.array_equal(tail, old_tail)
+        rng = substream(42, harness._PURPOSE_MARTINGALE)
+        for got, m in zip(sim.partial_sum_rows(42, n, 300, reps), (n, 300)):
+            c = rng.multinomial(m, sim.probs, size=reps).astype(float)
+            want = fixed_order_product(c, sim.pair) - m * sim.mean_vec
+            assert np.array_equal(np.asarray(got), want)
+            assert np.array_equal(got.columns(0, want.shape[1]), want.T)
 
 
 class TestMahalanobisIdentity:
@@ -393,7 +405,7 @@ class TestMartingaleResidual:
         cov = cov_matrix(spider_uniform, spider_apex, net)
         head, tail = sim.partial_sum_rows(99, n, k, reps)
         assert all(r["passed"] for r in _martingale_rows(head, tail, cov, n, k))
-        rows = _martingale_rows(head, head + tail, cov, n, k)
+        rows = _martingale_rows(head, np.asarray(head) + np.asarray(tail), cov, n, k)
         diag = np.diag(cov.entries)
         for r in rows:
             assert not r["passed"]
@@ -411,8 +423,10 @@ class TestMartingaleResidual:
         rng = substream(42, harness._PURPOSE_MARTINGALE)
         counts = [rng.multinomial(m, sim.probs, size=reps).astype(float) for m in (n, k)]
         head, tail = sim.partial_sum_rows(42, n, k, reps)
-        assert np.array_equal(head, sim._centered(counts[0], n))
-        assert np.array_equal(tail, sim._centered(counts[1], k))
+        assert np.array_equal(np.asarray(head),
+                              fixed_order_product(counts[0], sim.pair) - n * sim.mean_vec)
+        assert np.array_equal(np.asarray(tail),
+                              fixed_order_product(counts[1], sim.pair) - k * sim.mean_vec)
 
 
 class TestMomentExpansionOracle:
@@ -578,8 +592,9 @@ class TestIncrementNets:
 
 class TestWorkingSet:
     """tracemalloc peaks on the 95-direction openbook3_spine net at
-    R = 5000: the increments test and a whole run hold a bounded number of
-    R x m arrays, whatever the number of net pairs."""
+    R = 5000: a run holds one R x m array and the per-direction tests
+    column blocks of it, whatever the number of net pairs; the modulus
+    field is formed from its counts a block of replicates at a time."""
 
     R = 5000
 
@@ -596,9 +611,28 @@ class TestWorkingSet:
         sim, values = fine_values("openbook3_spine.json", {"epsilon": 0.1},
                                   10000, self.R)
         assert values.shape == (self.R, 95)
-        # the transposed copy, one chunk of increments and the pair array
+        # the pair array and three blocks of m / 16 columns
         peak = self._peak(lambda: _increment_test(values, sim, 10000, 1.0, 1.0))
-        assert peak <= 1.6 * values.nbytes
+        assert peak <= 0.5 * values.nbytes
+
+    def test_ks_test_peak(self):
+        sim, values = fine_values("openbook3_spine.json", {"epsilon": 0.1},
+                                  10000, self.R)
+        cov = cov_matrix(sim.measure, sim.base, sim.net)
+        # the sorted block and the rough CDF's arrays, four columns wide
+        peak = self._peak(lambda: _ks_test(values, cov, 0.03, 1e-10))
+        assert peak <= 0.5 * values.nbytes
+
+    def test_modulus_test_peak(self):
+        # the bundled modulus input: 2414 directions, R = 500; its whole
+        # field would be 500 x 2414 x 8 bytes, about 9.7 MB
+        cfg = config_from_json(load_config("openbook3_spine.json"), seed=42)
+        base = validate_localized(cfg.measure, cfg.validation_config()).base
+        results = []
+        peak = self._peak(lambda: results.append(_modulus_test(
+            cfg.measure, base, 42, cfg.modulus, 1.5)))
+        assert results[0]["net_size"] == 2414 and cfg.modulus.replicates == 500
+        assert peak < 500 * 2414 * 8 / 4
 
     def test_run_peak(self):
         raw = load_config("openbook3_spine.json")
@@ -610,7 +644,64 @@ class TestWorkingSet:
         reports = []
         peak = self._peak(lambda: reports.append(run_clt_experiment(cfg)))
         assert len(reports[0].net) == 95
-        assert peak <= 3 * self.R * 95 * 8
+        assert peak <= 1.5 * self.R * 95 * 8
+
+
+# every block size of the replicate simulation, the per-direction tests
+# and the modulus table
+BLOCK_CONSTANTS = ((harness, "_PRODUCT_CHUNK"), (harness, "_KS_BLOCK"),
+                   (harness, "_COLUMN_BLOCK"), (harness, "_INCREMENT_SHARE"),
+                   (regularity, "_BLOCK"))
+
+
+def block_test_config(name: str) -> dict:
+    if name == "book_modulus":
+        raw = small_config("openbook3_spine.json")
+        raw["modulus"] = {"epsilon": 2.0 ** -5, "radii_log2": [2, 3, 4],
+                          "n": 200, "replicates": 100}
+        return raw
+    raw = small_config("openbook3_spine.json", sample_sizes=[1000], replicates=300)
+    raw["net"] = {"epsilon": 0.1}
+    raw["tests"] = [t for t in raw["tests"] if t != "modulus"]
+    raw.pop("modulus")
+    return raw
+
+
+def report_text(raw: dict) -> tuple:
+    rep = run_clt_experiment(config_from_json(raw, seed=5))
+    tables = {name: [repr(row) for row in rows] for name, rows in rep.tables().items()}
+    return json.dumps(rep.to_json(), sort_keys=True), tables
+
+
+class TestBlockSizeInvariance:
+    @pytest.mark.parametrize("size", [1, 2 ** 40])
+    @pytest.mark.parametrize("name", ["book_modulus", "book_fine_net"])
+    def test_reports_identical(self, name, size, monkeypatch):
+        # blocks of one element (one row, one column or one replicate) and
+        # blocks that cover the whole array give the same bits
+        raw = block_test_config(name)
+        want = report_text(raw)
+        for module, attr in BLOCK_CONSTANTS:
+            monkeypatch.setattr(module, attr, size)
+        got = report_text(raw)
+        assert got[0] == want[0]
+        assert got[1].keys() == want[1].keys()
+        for table in want[1]:
+            assert got[1][table] == want[1][table], table
+        if name == "book_modulus":
+            assert "modulus.csv" in want[1]
+        else:
+            assert len(json.loads(want[0])["net"]) == 95
+
+    def test_field_blocks_match_whole_array(self):
+        sim, _ = fine_values("openbook3_spine.json", {"epsilon": 0.1}, 1000, 10)
+        field = sim.fields(3, _PURPOSE_MODULUS, 0, 1000, 37)
+        whole = sim.field_rows(3, _PURPOSE_MODULUS, 0, 1000, 37)
+        assert np.array_equal(np.asarray(field), whole)
+        for lo, hi in ((0, 1), (5, 17), (36, 37), (0, 37)):
+            assert np.array_equal(field[lo:hi], whole[lo:hi])
+        for lo, hi in ((0, 1), (3, 40), (94, 95), (0, 95)):
+            assert np.array_equal(field.columns(lo, hi), whole[:, lo:hi].T)
 
 
 class TestBracketedKs:

@@ -322,8 +322,9 @@ class TestModulusBlocking:
         make, radii = MODULUS_CASES[case]
         net = make()
         if rows_per_block is not None:
-            # 7 replicates per block on the longest chain (so a last
-            # block of 2) and 7 forward steps per distance chunk
+            # 7 forward steps per distance chunk on the longest chain and
+            # at most 7 replicates per block (7 on a net of one chain, so
+            # a last block of 2)
             monkeypatch.setattr(rg, "_BLOCK", rows_per_block * _longest_chain(net, radii))
         values = np.random.default_rng(len(net)).normal(size=(_REPLICATES, len(net)))
         got = modulus_many(values, net, radii)
