@@ -17,16 +17,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "ConfigError DomainError NumericalConsistencyError SpaceMismatchError "
               "StratcltError",
-    "geometry": "Direction DirectionNet Point SpaceSpec TangentVector angular_distance "
-                "angular_pairing apex conical_distance distance exp_map geodesic_point "
-                "log_map net_from_directions scale stratum_of zero_vector",
+    "geometry": "Direction DirectionNet Point SpaceSpec TangentVector apex distance exp_map "
+                "geodesic_point log_map net_from_directions stratum_of zero_vector",
     "measures": "DiscreteMeasure MeanDiagnostics TangentMeasure ValidationConfig "
-                "directional_derivative escape_cone_contains frechet_function "
-                "frechet_mean pushforward sample tangent_mean validate_localized",
-    "fields": "CovMatrix FieldOnNet GaussianFieldSampler centered_pairing cov_matrix "
-              "empirical_field l2_norm_expectation tangent_cov",
-    "regularity": "CoveringProfile ModulusTable build_net covering_number "
-                  "covering_number_bounds dimension_constant holder_estimate modulus",
+                "frechet_function frechet_mean pushforward validate_localized",
+    "fields": "CovMatrix GaussianFieldSampler cov_matrix",
+    "regularity": "CoveringProfile ModulusTable build_net dimension_constant",
     "harness": "CLTReport ExperimentConfig compare_covariance config_from_json "
                "ks_distance run_clt_experiment",
     "rng": "substream",

@@ -38,6 +38,17 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+
+
+def _make_outdir(out: str) -> Path:
+    outdir = Path(out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return outdir
 
 
 def _dump_json(path: Path, obj) -> None:
@@ -105,8 +116,7 @@ def cmd_clt(args) -> int:
     raw = _load_json(args.config)
     cfg = hz.config_from_json(raw, seed=args.seed)
     report = hz.run_clt_experiment(cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
     outputs = []
     if args.format in ("json", "both"):
         _dump_json(outdir / "report.json", report.to_json())
@@ -156,8 +166,7 @@ def cmd_cover(args) -> int:
     }
     print(json.dumps(summary, sort_keys=True))
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = _make_outdir(args.out)
         _write_csv(outdir / "covering.csv", profile.to_csv_rows())
         _dump_json(outdir / "covering.json", summary)
         _write_manifest(outdir, "cover", args.config, None,
@@ -187,8 +196,7 @@ def cmd_field(args) -> int:
     net = hz.resolve_net(base, raw["net"])
     cov = fl.cov_matrix(measure, base, net)
     sampler = fl.GaussianFieldSampler.build(cov)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
     outputs = ["gaussian_draws.csv", "cov_matrix.csv"]
     # the draws are bound to no name, so they are freed before the
     # empirical fields are simulated and do not add to the peak RSS

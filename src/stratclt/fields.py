@@ -13,24 +13,14 @@ z @ F from k standard normals.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
-from .errors import DomainError, SpaceMismatchError
-from .geometry import DirectionNet, Point, TangentVector
-from .measures import (
-    DiscreteMeasure,
-    TangentMeasure,
-    _require_unit,
-    pushforward,
-    tangent_mean,
-)
-
-CLT_SCALING = "clt"  # 1/sqrt(n)
-LLN_SCALING = "lln"  # 1/n
+from .errors import SpaceMismatchError
+from .geometry import DirectionNet, Point
+from .measures import DiscreteMeasure, TangentMeasure, pushforward
 
 
 def pairing_matrix(tm: TangentMeasure, net: DirectionNet) -> np.ndarray:
@@ -38,62 +28,6 @@ def pairing_matrix(tm: TangentMeasure, net: DirectionNet) -> np.ndarray:
     if net.base != tm.base:
         raise SpaceMismatchError("net and tangent measure have different bases")
     return geo.pairings(tm.base, [v for v, _ in tm.atoms], net.coords())
-
-
-def tangent_cov(measure: DiscreteMeasure, base: Point, v: TangentVector,
-                w: TangentVector) -> float:
-    """Centered covariance kernel of the pairing field at (v, w)."""
-    coords = _require_unit(base, v, w)
-    logs = [x for x, _ in pushforward(measure, base).atoms]
-    weights = measure.weights
-    pair = geo.pairings(base, logs, coords)
-    centered = pair - weights @ pair
-    return float(weights @ (centered[:, 0] * centered[:, 1]))
-
-
-def centered_pairing(x: Point, measure: DiscreteMeasure, base: Point,
-                     v: TangentVector) -> float:
-    """<log x, V> minus the tangent mean: one draw of the centered field."""
-    coords = _require_unit(base, v)
-    value = geo.pairings(base, [geo.log_map(base, x)], coords)[0, 0]
-    return float(value - tangent_mean(measure, base, v))
-
-
-@dataclass(frozen=True, eq=False)
-class FieldOnNet:
-    """Real values of one field realization on the directions of a net."""
-
-    net: DirectionNet
-    values: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(self.net),):
-            raise DomainError("field values must match the net length")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("field values must be finite")
-        object.__setattr__(self, "values", vals)
-
-
-def empirical_field(samples: list[Point], measure: DiscreteMeasure, base: Point,
-                    net: DirectionNet, scaling: str = CLT_SCALING) -> FieldOnNet:
-    """Scaled sum of centered pairings over a realized sample list.
-
-    ``clt`` scaling divides by sqrt(n), ``lln`` by n; the two differ by
-    exactly sqrt(n) for the same samples.
-    """
-    n = len(samples)
-    if n == 0:
-        raise DomainError("empirical field needs at least one sample")
-    if scaling not in (CLT_SCALING, LLN_SCALING):
-        raise DomainError(f"unknown scaling {scaling!r}")
-    mean_vec = measure.weights @ pairing_matrix(pushforward(measure, base), net)
-    logs = [geo.log_map(base, x) for x in samples]
-    sums = geo.pairings(base, logs, net.coords()).sum(axis=0) - n * mean_vec
-    norm = 1.0 / math.sqrt(n) if scaling == CLT_SCALING else 1.0 / n
-    label = f"empirical_{scaling}(n={n})"
-    return FieldOnNet(net, norm * sums, label)
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +87,6 @@ class GaussianFieldSampler:
         factor = self.cov.gram_factor
         z = stream.standard_normal((draws, factor.shape[1]))
         return z @ factor.T
-
-    def draw(self, stream: np.random.Generator) -> "FieldOnNet":
-        return FieldOnNet(self.cov.net, self.draw_matrix(stream, 1)[0], "gaussian")
-
-
-def l2_norm_expectation(cov: CovMatrix) -> float:
-    """Quadrature of the diagonal kernel against the net weights."""
-    if cov.net.weights is None:
-        raise DomainError("l2 norm expectation needs net quadrature weights")
-    w = np.asarray(cov.net.weights)
-    return float(w @ np.diag(cov.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -458,56 +458,6 @@ def zero_vector(base: Point) -> TangentVector:
     return TangentVector(base, None, 0.0)
 
 
-def scale(v: TangentVector, t: float) -> TangentVector:
-    """Homogeneous scaling on the tangent cone; only t >= 0 is defined."""
-    t = float(t)
-    if t < 0.0:
-        raise DomainError("cone scaling requires t >= 0")
-    if t == 0.0 or v.is_zero:
-        return zero_vector(v.base)
-    return TangentVector(v.base, v.direction, t * v.length)
-
-
-# ---------------------------------------------------------------------------
-# Angular metric, pairing, conical metric
-
-
-def angular_distance(u: Direction, v: Direction) -> float:
-    """Length metric on the space of directions at a common base point.
-
-    On a flat-cone apex this is the arc metric of a circle of
-    circumference alpha and may exceed pi.
-    """
-    if u.base != v.base:
-        raise SpaceMismatchError("directions are based at different points")
-    if u.kind != v.kind:
-        raise SpaceMismatchError("incompatible direction descriptors")
-    ds = direction_space(u.base)
-    return float(ds.cross(np.array([ds.to_coord(u)]), np.array([ds.to_coord(v)]))[0, 0])
-
-
-def angular_pairing(v: TangentVector, w: TangentVector) -> float:
-    """<V,W> = |V||W| cos(angle), with the angle capped at pi."""
-    if v.base != w.base:
-        raise SpaceMismatchError("tangent vectors are based at different points")
-    if v.is_zero or w.is_zero:
-        return 0.0
-    ang = min(angular_distance(v.direction, w.direction), math.pi)
-    return v.length * w.length * math.cos(ang)
-
-
-def conical_distance(v: TangentVector, w: TangentVector) -> float:
-    """Cone metric sqrt(|V|^2 + |W|^2 - 2<V,W>) on the tangent cone,
-    evaluated in development form for numerical stability."""
-    if v.base != w.base:
-        raise SpaceMismatchError("tangent vectors are based at different points")
-    if v.is_zero or w.is_zero:
-        return v.length + w.length
-    ang = min(angular_distance(v.direction, w.direction), math.pi)
-    return math.hypot(v.length - w.length * math.cos(ang),
-                      w.length * math.sin(ang))
-
-
 # ---------------------------------------------------------------------------
 # Log and exp maps
 
@@ -747,12 +697,17 @@ class SpineDirections(_Directions):
         return Direction(self.base, D_PAGE_ANGLE, (int(round(c[0])), float(c[1])))
 
     def dist(self, a, b) -> np.ndarray:
+        """|theta - theta'| on one page, else the shorter through-pole
+        sum, formed in two arrays of the output's size."""
         pa, ta = a[..., 0], a[..., 1]
         pb, tb = b[..., 0], b[..., 1]
-        same = pa == pb
-        within = np.abs(ta - tb)
-        through = np.minimum(ta + tb, (math.pi - ta) + (math.pi - tb))
-        return np.where(same, within, through)
+        out = np.add(ta, tb)
+        south = np.subtract(math.pi, tb, out=np.empty_like(out))
+        south += math.pi - ta
+        np.minimum(out, south, out=out)
+        within = np.subtract(ta, tb, out=south)
+        np.copyto(out, np.abs(within, out=within), where=pa == pb)
+        return out
 
     def chains(self, coords, reach: float) -> list:
         """Each page line pole-page-pole at t = theta, and for each pair of
@@ -816,9 +771,6 @@ class SphereDirections(_Directions):
     def to_coord(self, d: Direction) -> np.ndarray:
         return np.asarray(d.data, dtype=float)
 
-    def from_coord(self, c) -> Direction:
-        return Direction(self.base, D_VECTOR, tuple(float(x) for x in c))
-
     def dist(self, a, b) -> np.ndarray:
         # 2 atan2(|a - b|, |a + b|) is exact near 0 and pi, where the
         # arccos of a dot product is not
@@ -830,9 +782,6 @@ class SphereDirections(_Directions):
             "direction nets on spheres of dimension >= 2 are not supported; "
             "provide an explicit net instead"
         )
-
-    def refine(self, coords):
-        self.net_coords(0.0)
 
     def chains(self, coords, reach):
         raise DomainError(

@@ -20,7 +20,6 @@ E<log X, V> <= tol and the stickiness.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from . import geometry as geo
 from .errors import (ConfigError, DomainError, NumericalConsistencyError, SpaceMismatchError,
                      json_number, reject_unknown_keys)
-from .geometry import Point, SpaceSpec, TangentVector
+from .geometry import Point, SpaceSpec
 
 _WEIGHT_TOL = 1e-12
 # first-order certificate and stickiness tolerance; the mean reads only a
@@ -99,10 +98,6 @@ class TangentMeasure:
     atoms: tuple  # of (TangentVector, weight)
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms])
-
-    @property
     def lengths(self) -> np.ndarray:
         return np.array([v.length for v, _ in self.atoms])
 
@@ -117,70 +112,6 @@ def frechet_function(measure: DiscreteMeasure, p: Point) -> float:
     if p.space != measure.space:
         raise SpaceMismatchError("evaluation point lives in a different space")
     return 0.5 * sum(w * geo.distance(p, x) ** 2 for x, w in measure.atoms)
-
-
-def sample_indices(measure: DiscreteMeasure, stream: np.random.Generator,
-                   n: int) -> np.ndarray:
-    """n i.i.d. atom indices by inverse-CDF on the weights."""
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
-    cum = np.cumsum(measure.weights)
-    cum[-1] = 1.0  # guard against cumulative rounding
-    idx = np.searchsorted(cum, stream.random(n), side="right")
-    return np.minimum(idx, len(cum) - 1)
-
-
-def sample(measure: DiscreteMeasure, stream: np.random.Generator,
-           n: int) -> list[Point]:
-    """n i.i.d. draws from the measure; bit-reproducible per stream."""
-    pts = measure.points
-    return [pts[i] for i in sample_indices(measure, stream, n)]
-
-
-# ---------------------------------------------------------------------------
-# Directional derivative and escape cone
-
-
-def _require_unit(base: Point, *vs: TangentVector) -> np.ndarray:
-    """Direction coordinates of unit tangent vectors at base, one row each."""
-    for v in vs:
-        if abs(v.length - 1.0) > 1e-9:
-            raise DomainError("direction arguments must be unit tangent vectors")
-        if v.base != base:
-            raise SpaceMismatchError("tangent vector is based at a different point")
-    ds = geo.direction_space(base)
-    return np.array([ds.to_coord(v.direction) for v in vs])
-
-
-def tangent_mean(measure: DiscreteMeasure, base: Point, v: TangentVector) -> float:
-    """m(mu, V) = E<log x, V>; equals minus the directional derivative."""
-    coords = _require_unit(base, v)
-    logs = [x for x, _ in pushforward(measure, base).atoms]
-    return float(measure.weights @ geo.pairings(base, logs, coords)[:, 0])
-
-
-def directional_derivative(measure: DiscreteMeasure, base: Point,
-                           v: TangentVector) -> float:
-    """One-sided derivative of the Fréchet function at base along unit v."""
-    return -tangent_mean(measure, base, v)
-
-
-def escape_cone_contains(measure: DiscreteMeasure, base: Point,
-                         v: TangentVector, tol: float = 1e-9) -> bool:
-    """Whether unit v has vanishing derivative (within tol) at base.
-
-    At a Fréchet mean the tangent mean value is never strictly positive;
-    a positive value beyond tol is reported as evidence that base is not
-    the mean (a warning, since the membership answer is still False).
-    """
-    mean_value = tangent_mean(measure, base, v)
-    if mean_value > tol:
-        warnings.warn(
-            f"tangent mean value {mean_value:.3e} > 0: base is not a Fréchet "
-            "mean of the measure",
-            stacklevel=2,
-        )
-    return abs(mean_value) <= tol
 
 
 # ---------------------------------------------------------------------------

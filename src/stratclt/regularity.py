@@ -24,7 +24,6 @@ size.  Spheres of directions have no chains and are refused.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,36 +56,6 @@ def build_net(base: Point, eps: float) -> DirectionNet:
     dirs = tuple(ds.from_coord(c) for c in coords)
     return DirectionNet(base, dirs, float(eps), float(cov_radius),
                         tuple(float(x) for x in w), np.asarray(coords, dtype=float))
-
-
-def covering_number(base: Point, eps: float) -> int:
-    """Upper estimate of the covering number N(eps).
-
-    N(eps) is the minimal cardinality of an (eps/2)-cover; the uniform
-    net at nominal scale eps has covering radius eps/2, so its
-    cardinality is a certified upper bound.
-    """
-    if not eps > 0.0:
-        raise DomainError("net resolution must be positive")
-    return len(geo.direction_space(base).net_coords(eps)[0])
-
-
-def covering_number_bounds(base: Point, eps: float) -> tuple[int, int]:
-    """(lower, upper) sandwich for N(eps).
-
-    The upper bound is the (eps/2)-net cardinality.  The lower bound is
-    the size of the uniform net at scale 2 eps when its members are
-    pairwise more than eps apart (each (eps/2)-ball then contains at most
-    one of them), and 1 otherwise.  Neighbours in that net are twice its
-    covering radius apart on circles and spines, and pi apart on the
-    finite direction sets, whose covering radius is 0.
-    """
-    upper = covering_number(base, eps)
-    packed, _w, radius = geo.direction_space(base).net_coords(2.0 * eps)
-    separation = 2.0 * radius if radius > 0.0 else math.pi
-    if len(packed) > 1 and separation <= eps:
-        return 1, upper
-    return len(packed), upper
 
 
 @dataclass(frozen=True)
@@ -343,11 +312,6 @@ def modulus_many(values, net: DirectionNet, radii) -> np.ndarray:
     return out
 
 
-def modulus(field, r: float) -> float:
-    """w(h, r): sup of |h(V) - h(U)| over net pairs within angular r."""
-    return float(modulus_many(field.values, field.net, [r])[0, 0])
-
-
 @dataclass(frozen=True)
 class ModulusTable:
     """Per-replicate modulus values and the truncated-mean aggregate."""
@@ -371,25 +335,3 @@ class ModulusTable:
             for rep, w in enumerate(self.w[:, c].tolist()):
                 yield (r, rep, w, agg)
 
-
-def holder_estimate(values: np.ndarray, net: DirectionNet,
-                    radii) -> tuple[float, float]:
-    """Slope of log E[w(., r)] against log r, with the fit residual.
-
-    The estimate describes how fast the expected modulus shrinks with
-    the radius; no pass/fail threshold is attached.
-    """
-    radii = [float(r) for r in radii]
-    if len(radii) < 4:
-        raise DomainError("need at least 4 radii for a slope estimate")
-    w = modulus_many(values, net, radii)
-    means = w.mean(axis=0)
-    if np.all(means == 0.0):
-        raise DomainError("degenerate (all-zero) fields have no modulus slope")
-    if np.any(means <= 0.0):
-        raise DomainError("zero expected modulus at some radius; refine the net")
-    x = np.log(radii)
-    y = np.log(means)
-    coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
-    resid = float(residuals[0]) if len(residuals) else 0.0
-    return float(coeffs[0]), resid

@@ -325,6 +325,29 @@ class TestClt:
         capsys.readouterr()
         assert json.loads((outdir / "report.json").read_text())["base"] == base
 
+    def test_point_mass_modulus_table_is_zero(self, tmp_path, capsys):
+        # a point mass on the spine is its own mean, so every field and the
+        # whole modulus table are zero: the drop ratio is undefined and passes
+        raw = {
+            "measure": {"space": {"kind": "open_book", "pages": 3},
+                        "atoms": [{"point": [0, 0.5, 0.0], "weight": 1.0}]},
+            "net": {"epsilon": 0.5},
+            "sample_sizes": [200],
+            "replicates": 150,
+            "tests": ["modulus"],
+            "modulus": {"epsilon": 2.0 ** -5, "radii_log2": [2, 3, 4],
+                        "n": 100, "replicates": 100},
+        }
+        outdir = tmp_path / "o"
+        code = main(["clt", "--config", write_json(tmp_path / "c.json", raw),
+                     "--seed", "1", "--out", str(outdir)])
+        capsys.readouterr()
+        assert code == 0
+        modulus = json.loads((outdir / "report.json").read_text())["modulus"]
+        assert modulus["aggregate"] == [0.0, 0.0, 0.0]
+        assert modulus["drop_ratio"] is None
+        assert modulus["monotone_within_error"] and modulus["passed"]
+
 
 class TestCover:
     def test_spider_constant(self, capsys):
@@ -394,6 +417,13 @@ class TestCover:
         assert code == 3
         err = capsys.readouterr().err
         assert missing in err
+        assert "Traceback" not in err
+
+    def test_no_input_exit_3(self, capsys):
+        code = main(["cover", "--n-max", "6"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "cover needs --config or both --space and --base" in err
         assert "Traceback" not in err
 
     def test_n_max_cap_exit_3(self, capsys):
@@ -534,6 +564,7 @@ class TestMalformedNumbers:
         ("field", ("net",), {"epsilon": 0.4, "legs": [0]}, ()),
         ("cover", ("bogus",), 1, ()),
         ("clt", ("measure", "atoms", 0, "weight"), 10 ** 400, ()),
+        ("clt", ("measure", "atoms", 0), [[0, 1.0], 0.5], ()),
     ], ids=["replicates", "sample_sizes", "net_epsilon", "net_legs", "thresholds",
             "martingale", "weight", "field_net", "field_net_epsilon", "modulus_n",
             "modulus_replicates", "martingale_n", "martingale_k", "field_empirical_n",
@@ -544,7 +575,7 @@ class TestMalformedNumbers:
             "cover_n_max_fraction", "modulus_radius_overflow", "clt_unknown_key",
             "field_unknown_key", "measure_unknown_key", "atom_unknown_key",
             "space_unknown_key", "net_mixed_keys", "net_unknown_key", "field_net_mixed_keys",
-            "cover_unknown_key", "weight_beyond_floats"])
+            "cover_unknown_key", "weight_beyond_floats", "atom_as_list"])
     def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value,
                                       flags):
         if command == "clt":
@@ -651,6 +682,34 @@ class TestMalformedNumbers:
         assert "Traceback" not in err
 
 
+class TestUnusablePaths:
+    """A config that cannot be read as UTF-8 text, or an output directory
+    that cannot be made, is bad input: exit 3 with a one-line message."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mean", "--config", "TMP"],
+        ["mean", "--config", "UTF16"],
+        ["clt", "--config", "CLT", "--seed", "1", "--out", "FILE"],
+        ["cover", "--space", '{"kind": "spider", "legs": 3}', "--base", "[0, 0.0]",
+         "--n-max", "4", "--out", "FILE"],
+        ["field", "--config", "FIELD", "--seed", "1", "--draws", "10",
+         "--out", "FILE/o"],
+    ], ids=["config_is_directory", "config_not_utf8", "clt_out_is_file",
+            "cover_out_is_file", "field_out_under_file"])
+    def test_exit_3_without_traceback(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
+        paths = {"TMP": str(tmp_path), "UTF16": str(tmp_path / "utf16.json"),
+                 "CLT": small_clt_config(tmp_path), "FILE": str(tmp_path / "file"),
+                 "FILE/o": str(tmp_path / "file" / "o"),
+                 "FIELD": str(CONFIG_DIR / "field_example.json")}
+        code = main([paths.get(a, a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestCsvRoundTrip:
     def test_seventeen_digits(self, tmp_path, capsys):
         raw = {
@@ -719,16 +778,13 @@ def loaded_after(code: str, *modules: str) -> list[str]:
 # every public name of the package, each reachable as stratclt.<name>
 EXPORTS = (
     "CLTReport ConfigError CovMatrix CoveringProfile Direction DirectionNet DiscreteMeasure "
-    "DomainError ExperimentConfig FieldOnNet GaussianFieldSampler MeanDiagnostics ModulusTable "
+    "DomainError ExperimentConfig GaussianFieldSampler MeanDiagnostics ModulusTable "
     "NumericalConsistencyError Point SpaceMismatchError SpaceSpec StratcltError TangentMeasure "
-    "TangentVector ValidationConfig __version__ angular_distance angular_pairing apex "
-    "build_net centered_pairing compare_covariance config_from_json conical_distance "
-    "cov_matrix covering_number covering_number_bounds dimension_constant "
-    "directional_derivative distance empirical_field errors escape_cone_contains exp_map "
-    "fields frechet_function frechet_mean geodesic_point geometry harness holder_estimate "
-    "ks_distance l2_norm_expectation log_map measures modulus net_from_directions pushforward "
-    "regularity rng run_clt_experiment sample scale stratum_of substream tangent_cov "
-    "tangent_mean validate_localized zero_vector").split()
+    "TangentVector ValidationConfig __version__ apex build_net compare_covariance "
+    "config_from_json cov_matrix dimension_constant distance errors exp_map fields "
+    "frechet_function frechet_mean geodesic_point geometry harness ks_distance log_map "
+    "measures net_from_directions pushforward regularity rng run_clt_experiment stratum_of "
+    "substream validate_localized zero_vector").split()
 
 
 class TestInfrastructure:
@@ -770,6 +826,9 @@ class TestInfrastructure:
         assert loaded_after(code, "stratclt.harness") == ["stratclt.harness"]
         assert stratclt.DiscreteMeasure is stratclt.measures.DiscreteMeasure
         assert set(EXPORTS) <= set(dir(stratclt))
+        # the export table names exactly these: a dropped or stale name fails
+        table = {*stratclt._EXPORTS, *stratclt._MODULE_OF, "__version__"}
+        assert set(EXPORTS) == table
         with pytest.raises(AttributeError, match="no_such_name"):
             stratclt.no_such_name
 

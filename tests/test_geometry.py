@@ -12,21 +12,18 @@ from stratclt import (
     SpaceSpec,
     SpaceMismatchError,
     TangentVector,
-    angular_distance,
-    angular_pairing,
     apex,
-    conical_distance,
     distance,
     exp_map,
     geodesic_point,
     log_map,
-    scale,
     stratum_of,
     zero_vector,
 )
 from stratclt.geometry import D_ANGLE, D_LEG, D_PAGE_ANGLE, D_SIGN, D_VECTOR
 
 from .oracles import book_cross_distance_oracle, comparison_median, cone_distance_oracle
+from .reference import angular_distance, angular_pairing, conical_distance, scale
 
 E2 = SpaceSpec.euclidean(2)
 E1 = SpaceSpec.euclidean(1)

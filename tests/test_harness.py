@@ -40,6 +40,7 @@ from stratclt.measures import validate_localized
 
 from .conftest import EXPERIMENT_FILES, load_config
 from .oracles import increment_pairs_loop
+from .reference import sample_indices
 
 
 def small_config(name, **overrides):
@@ -242,6 +243,23 @@ class TestRefusals:
         assert list(report.per_n) == [200]
 
 
+class TestModulusGate:
+    def test_rising_aggregate_fails(self, book_spine_measure, monkeypatch):
+        # a table whose aggregate rises by more than two standard errors
+        # from one radius to the next fails, though its drop ratio passes
+        rows = np.array([0.75, 0.25, 0.5, 0.125])
+        monkeypatch.setattr(regularity, "modulus_many",
+                            lambda values, net, radii: np.tile(rows, (values.shape[0], 1)))
+        spec = harness.ModulusSpec(epsilon=2.0 ** -5, radii_log2=(2, 3, 4, 5),
+                                   n=100, replicates=100)
+        base = Point(SpaceSpec.open_book(3), (0, 0.0, 0.0))
+        result = _modulus_test(book_spine_measure, base, 1, spec, 1.5)
+        assert result["aggregate"] == rows.tolist()
+        assert result["drop_ratio"] == 6.0
+        assert not result["monotone_within_error"]
+        assert not result["passed"]
+
+
 class TestPointMassTrivial:
     def test_all_fields_identically_zero(self, spider3):
         raw = {
@@ -289,7 +307,6 @@ class TestStatisticalInvariants:
         reps = 400
         sups = {n: [] for n in ns}
         from stratclt import substream
-        from stratclt.measures import sample_indices
         for rep in range(reps):
             idx = sample_indices(spider_uniform, substream(77, 50, rep), ns[-1])
             for n in ns:

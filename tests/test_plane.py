@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from stratclt import (Direction, DiscreteMeasure, Point, SpaceSpec, build_net, cov_matrix,
                       distance, exp_map, frechet_function, frechet_mean, geodesic_point,
-                      log_map, net_from_directions, scale)
+                      log_map, net_from_directions)
 from stratclt.geometry import D_ANGLE, D_PAGE_ANGLE, D_VECTOR
+
+from .reference import scale
 
 TOL = 1e-13
 PLANE = SpaceSpec.euclidean(2)

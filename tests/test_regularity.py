@@ -15,15 +15,10 @@ from stratclt import (
     apex,
     build_net,
     cov_matrix,
-    covering_number,
-    covering_number_bounds,
     dimension_constant,
-    holder_estimate,
-    modulus,
     substream,
 )
 from stratclt import regularity as rg
-from stratclt.fields import FieldOnNet
 from stratclt.geometry import (D_ANGLE, D_LEG, D_PAGE_ANGLE, D_VECTOR, Direction,
                                direction_space, net_from_directions)
 from stratclt.harness import _PURPOSE_MODULUS, _FieldSimulator, config_from_json
@@ -32,6 +27,7 @@ from stratclt.regularity import ModulusTable, modulus_many
 
 from .conftest import load_config
 from .oracles import modulus_all_pairs, net_is_valid, packing_lower_bound, refine_net
+from .reference import covering_number_bounds, holder_estimate
 
 FC = SpaceSpec.flat_cone(3 * math.pi)
 OB3 = SpaceSpec.open_book(3)
@@ -108,7 +104,7 @@ class TestCoveringNumbers:
     def test_cone_sandwich(self):
         eps = 2.0 ** -3
         lower, upper = covering_number_bounds(apex(FC), eps)
-        n = covering_number(apex(FC), eps)
+        n = len(build_net(apex(FC), eps))
         assert n == upper
         assert ALPHA / eps * 0.5 <= n <= ALPHA / eps * 2.0
         assert lower <= n
@@ -117,7 +113,7 @@ class TestCoveringNumbers:
     def test_openbook_order(self):
         base = Point(SpaceSpec.open_book(4), (0, 0.0, 0.0))
         eps = 0.1
-        n = covering_number(base, eps)
+        n = len(build_net(base, eps))
         total = 4 * math.pi
         assert total / eps * 0.5 <= n <= total / eps * 2.0 + 4
 
@@ -132,7 +128,7 @@ class TestCoveringNumbers:
     def test_bad_resolution(self):
         for eps in (0.0, -1.0):
             with pytest.raises(DomainError):
-                covering_number(apex(FC), eps)
+                build_net(apex(FC), eps)
             with pytest.raises(DomainError):
                 covering_number_bounds(apex(FC), eps)
 
@@ -423,30 +419,30 @@ class TestModulusBlocking:
 class TestModulus:
     def test_constant_field(self):
         net = build_net(apex(FC), 0.02)
-        f = FieldOnNet(net, np.full(len(net), 1.7), "const")
+        h = np.full(len(net), 1.7)
         for r in (0.1, 0.5, 1.0):
-            assert modulus(f, r) == 0.0
+            assert modulus_many(h[None], net, [r])[0, 0] == 0.0
 
     def test_spider_three_leg_net(self, spider_apex):
         net = build_net(spider_apex, 1.0)
-        f = FieldOnNet(net, np.array([1.0, -0.5, 0.25]), "x")
-        assert modulus(f, 3.0) == 0.0  # no pairs within r < pi
-        assert modulus(f, math.pi) == pytest.approx(1.5)  # max pairwise gap
+        h = np.array([1.0, -0.5, 0.25])
+        assert modulus_many(h[None], net, [3.0])[0, 0] == 0.0  # no pairs within r < pi
+        # the max pairwise gap
+        assert modulus_many(h[None], net, [math.pi])[0, 0] == pytest.approx(1.5)
 
     def test_arclength_field(self):
         # h = distance to a fixed direction is 1-Lipschitz with modulus r
         net = build_net(apex(FC), 0.01)
         coords = net.coords()
         h = np.minimum(coords, ALPHA - coords)
-        f = FieldOnNet(net, h, "dist")
         for r in (0.25, 0.5, 1.0):
-            assert modulus(f, r) == pytest.approx(r, abs=0.02)
+            assert modulus_many(h[None], net, [r])[0, 0] == pytest.approx(r, abs=0.02)
 
     def test_net_too_coarse(self):
         net = build_net(apex(FC), 0.5)
-        f = FieldOnNet(net, np.zeros(len(net)), "z")
+        h = np.zeros(len(net))
         with pytest.raises(DomainError):
-            modulus(f, 0.25)  # covering radius 0.25 > r/4
+            modulus_many(h[None], net, [0.25])  # covering radius 0.25 > r/4
 
     def test_modulus_table_monotone_rows(self):
         net = build_net(apex(FC), 0.01)
