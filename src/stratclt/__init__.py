@@ -17,8 +17,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "ConfigError DomainError NumericalConsistencyError SpaceMismatchError "
               "StratcltError",
-    "geometry": "Direction DirectionNet Point SpaceSpec TangentVector apex distance exp_map "
-                "geodesic_point log_map net_from_directions stratum_of zero_vector",
+    "geometry": "Direction Point SpaceSpec TangentVector apex distance exp_map geodesic_point "
+                "log_map stratum_of zero_vector",
+    "directions": "DirectionNet net_from_directions",
     "measures": "DiscreteMeasure MeanDiagnostics TangentMeasure ValidationConfig "
                 "frechet_function frechet_mean pushforward validate_localized",
     "fields": "CovMatrix GaussianFieldSampler cov_matrix",

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (ConfigError, NumericalConsistencyError, StratcltError, json_number,
-                     reject_unknown_keys)
+                     open_output, reject_unknown_keys)
 
 EXIT_OK = 0
 EXIT_STATISTICAL = 2
@@ -52,7 +52,7 @@ def _make_outdir(out: str) -> Path:
 
 
 def _dump_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -80,7 +80,7 @@ def _write_csv(path: Path, rows) -> None:
     empty cell (as csv writes it) and anything else as is."""
     import csv
     from .fields import format_float
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(
             [format_float(x) if isinstance(x, float) else x for x in row]
             for row in rows)
@@ -115,8 +115,8 @@ def cmd_clt(args) -> int:
     from . import harness as hz
     raw = _load_json(args.config)
     cfg = hz.config_from_json(raw, seed=args.seed)
-    report = hz.run_clt_experiment(cfg)
     outdir = _make_outdir(args.out)
+    report = hz.run_clt_experiment(cfg)
     outputs = []
     if args.format in ("json", "both"):
         _dump_json(outdir / "report.json", report.to_json())
@@ -194,9 +194,9 @@ def cmd_field(args) -> int:
     base = None if raw.get("base") is None else geo.Point.of(measure.space, raw["base"])
     base = mz.validate_localized(measure, mz.ValidationConfig(base)).base
     net = hz.resolve_net(base, raw["net"])
+    outdir = _make_outdir(args.out)
     cov = fl.cov_matrix(measure, base, net)
     sampler = fl.GaussianFieldSampler.build(cov)
-    outdir = _make_outdir(args.out)
     outputs = ["gaussian_draws.csv", "cov_matrix.csv"]
     # the draws are bound to no name, so they are freed before the
     # empirical fields are simulated and do not add to the peak RSS

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and ``json_number`` and
-``reject_unknown_keys``, the checks through which the parsers of numeric
-settings and of config objects raise ConfigError."""
+"""Exception types shared across the package, and ``json_number``,
+``reject_unknown_keys`` and ``open_output``, the checks through which
+the parsers of numeric settings and of config objects and the writers of
+output files raise ConfigError."""
 
 
 class StratcltError(Exception):
@@ -46,3 +47,12 @@ def reject_unknown_keys(obj, known: tuple, what: str) -> None:
     if unknown:
         raise ConfigError(f"unknown {what} key(s) {unknown}; the known keys are "
                           f"{sorted(known)}")
+
+
+def open_output(path, newline: str | None = None):
+    """``path`` opened to write UTF-8 text, else a ConfigError: an output
+    file that cannot be made (a directory, or under a file) is bad input."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc

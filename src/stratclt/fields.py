@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry as geo
-from .errors import SpaceMismatchError
-from .geometry import DirectionNet, Point
+from .directions import DirectionNet, pairings
+from .errors import SpaceMismatchError, open_output
+from .geometry import Point
 from .measures import DiscreteMeasure, TangentMeasure, pushforward
 
 
@@ -27,7 +27,7 @@ def pairing_matrix(tm: TangentMeasure, net: DirectionNet) -> np.ndarray:
     """P[i, j] = <log x_i, V_j> for atoms i and net directions j."""
     if net.base != tm.base:
         raise SpaceMismatchError("net and tangent measure have different bases")
-    return geo.pairings(tm.base, [v for v, _ in tm.atoms], net.coords())
+    return pairings(tm.base, [v for v, _ in tm.atoms], net.coords())
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def _write_matrix_csv(path, header, blocks):
     # descriptors such as 'vec:1,0' contain commas, so csv writes the header;
     # numbers need no quoting and come as strings from one of the block
     # generators above
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(blocks)
 

@@ -16,6 +16,11 @@ nonnegative length; directions at a point are metrized by the angular
 (length) metric, which on a flat-cone apex is the arc metric of a
 circle of circumference ``alpha`` and may exceed pi.
 
+This module is the scalar point layer: points, strata, distances,
+geodesics, directions and the log and exp maps, on tuples of Python
+floats, with no numpy import.  The vectorized direction spaces, pairings
+and direction nets live in ``directions``.
+
 Conventions fixed here and relied on everywhere else:
 
 * boundary identifications are canonicalized (spider radius 0 => leg 0,
@@ -35,9 +40,8 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+import sys
+from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, SpaceMismatchError, json_number, reject_unknown_keys
 
@@ -120,7 +124,10 @@ def _wrap_angle(phi: float, alpha: float) -> float:
 def _coordinate(x, index: bool = False):
     """x as an int index or a finite float by ``json_number``'s rule, numpy's
     numbers taken as Python's, else a DomainError."""
-    x = x.item() if isinstance(x, (np.integer, np.floating)) else x
+    # a numpy number exists only once numpy is loaded, so none is imported here
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, (np.integer, np.floating)):
+        x = x.item()
     try:
         v = json_number(x, "a coordinate", int if index else float)
     except ConfigError as exc:
@@ -398,15 +405,14 @@ class Direction:
         elif k == D_VECTOR:
             if sp.kind == SPIDER or sid in ("apex", "spine"):
                 raise DomainError("vector directions only exist at smooth points")
-            v = np.array([_coordinate(x) for x in d])
+            v = tuple(_coordinate(x) for x in d)
             expected = sp.dim if sp.kind == EUCLIDEAN else 2
-            if v.shape != (expected,):
+            if len(v) != expected:
                 raise DomainError(f"direction vector must have {expected} components")
-            # hypot where the squared entries underflow (below about 1e-162)
-            n = float(np.linalg.norm(v)) or math.hypot(*v)
+            n = math.hypot(*v)
             if not math.isfinite(n) or n == 0.0:
                 raise DomainError("direction vector must be nonzero and finite")
-            d = tuple(float(x) for x in v / n)
+            d = tuple(x / n for x in v)
         else:
             raise DomainError(f"unknown direction kind {k!r}")
         object.__setattr__(self, "data", d)
@@ -469,10 +475,8 @@ def log_map(base: Point, x: Point) -> TangentVector:
         return zero_vector(base)
     sp = base.space
     if sp.kind == EUCLIDEAN:
-        diff = np.asarray(x.coords) - np.asarray(base.coords)
-        # math.dist where the squared entries underflow (below about 1e-162)
-        ln = float(np.linalg.norm(diff)) or math.dist(x.coords, base.coords)
-        return _vector(base, tuple(diff), ln)
+        diff = tuple(b - a for a, b in zip(base.coords, x.coords))
+        return _vector(base, diff, math.dist(x.coords, base.coords))
     if sp.kind == SPIDER:
         l0, r0 = base.coords
         l1, r1 = x.coords
@@ -536,8 +540,7 @@ def exp_map(base: Point, v: TangentVector) -> Point:
     d = v.direction
     ln = v.length
     if sp.kind == EUCLIDEAN:
-        out = np.asarray(base.coords) + ln * np.asarray(d.data)
-        return Point(sp, tuple(float(x) for x in out))
+        return Point(sp, tuple(x + ln * u for x, u in zip(base.coords, d.data)))
     if sp.kind == SPIDER:
         l0, r0 = base.coords
         if d.kind == D_LEG:
@@ -574,325 +577,17 @@ def exp_map(base: Point, v: TangentVector) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized direction spaces
-#
-# The unit tangent sphere at every base point of the model spaces is one
-# of: a finite set of pi-separated points, a circle with the arc metric,
-# or k semicircles glued at two poles.  The classes below hold direction
-# coordinates in numpy arrays so nets, pairing matrices and covariance
-# kernels can be computed without per-element Python work.  ``dist`` is
-# the metric, elementwise over broadcast coordinate arrays, and the shared
-# ``cross`` is its outer form.
-#
-# ``chains(coords, reach)`` lists paths through a net as (net indices,
-# arc positions t), with t nondecreasing along each path.  Every pair of
-# directions within r <= reach lies on some path at a t-gap of at most r,
-# and from each position the directions ahead at a t-gap of at most r
-# that lie within r come first, so they form one contiguous forward run.
-# Both hold in exact arithmetic; a t-gap can round a few ulps above the
-# distance it equals, and CHAIN_SLACK on every reach in t absorbs that.
+# The vectorized direction spaces live in ``directions``, which loads numpy;
+# their names are still read here, the module imported on first access.
 
-CHAIN_SLACK = 1e-9
+_DIRECTIONS = frozenset(
+    "CHAIN_SLACK CircleDirections DirectionNet DiscreteDirections SphereDirections "
+    "SpineDirections direction_space net_from_directions pairings".split())
 
 
-class _Directions:
-    def cross(self, a, b) -> np.ndarray:
-        """dist from each member of a to each of b (scalars or rows)."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return self.dist(a[:, None], b[None])
-
-
-class DiscreteDirections(_Directions):
-    """Finitely many pairwise pi-separated directions (spider apex, lines)."""
-
-    def __init__(self, base: Point, labels: list, make):
-        self.base = base
-        self.labels = list(labels)
-        self._make = make
-
-    def to_coord(self, d: Direction) -> float:
-        return float(self.labels.index(d.data[0]))
-
-    def from_coord(self, c) -> Direction:
-        return self._make(self.labels[int(round(c))])
-
-    def dist(self, a, b) -> np.ndarray:
-        return np.where(a == b, 0.0, math.pi)
-
-    def chains(self, coords, reach: float) -> list:
-        """The label order at t = pi x label (equal labels adjacent at
-        t-gap 0), or at t = 0 when reach >= pi holds every pair."""
-        order = np.argsort(coords, kind="stable")
-        t = coords[order] * math.pi if reach < math.pi else np.zeros(len(order))
-        return [(order, t)]
-
-    def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
-        coords = np.arange(len(self.labels), dtype=float)
-        weights = np.ones(len(self.labels))
-        return coords, weights, 0.0
-
-    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        return coords, np.ones(len(coords)), 0.0
-
-
-class CircleDirections(_Directions):
-    """Directions forming a circle of circumference L with the arc metric."""
-
-    def __init__(self, base: Point, length: float, make):
-        self.base = base
-        self.length = float(length)
-        self._make = make
-
-    def to_coord(self, d: Direction) -> float:
-        if d.kind == D_ANGLE:
-            return d.data[0]
-        return math.atan2(d.data[1], d.data[0]) % _TWO_PI
-
-    def from_coord(self, c) -> Direction:
-        return self._make(float(c))
-
-    def dist(self, a, b) -> np.ndarray:
-        d = np.abs(a - b)
-        return np.minimum(d, self.length - d)
-
-    def chains(self, coords, reach: float) -> list:
-        """The sorted cyclic order, continued past the end by the
-        directions within reach of the last, at t = arc length: a t-gap
-        is at least the distance and equals it in one of the two cyclic
-        orders of a pair."""
-        m = len(coords)
-        order = np.argsort(coords, kind="stable")
-        t = coords[order]
-        t = np.concatenate([t, t[:-1] + self.length])
-        t = t[:np.searchsorted(t, t[m - 1] + reach + CHAIN_SLACK, side="right")]
-        return [(order[np.arange(len(t)) % m], t)]
-
-    def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
-        return self._uniform(max(1, math.ceil(self.length / eps)))
-
-    def _uniform(self, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-        spacing = self.length / m
-        return self.length * np.arange(m) / m, np.full(m, spacing), spacing / 2.0
-
-    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        return self._uniform(2 * len(coords))
-
-
-class SpineDirections(_Directions):
-    """Directions at a spine point: k semicircles glued at two poles.
-
-    Coordinates are (page, theta) rows; the poles are (0, 0) and
-    (0, pi) and belong to every page.
-    """
-
-    def __init__(self, base: Point, pages: int):
-        self.base = base
-        self.pages = int(pages)
-
-    def to_coord(self, d: Direction) -> np.ndarray:
-        return np.array([float(d.data[0]), float(d.data[1])])
-
-    def from_coord(self, c) -> Direction:
-        return Direction(self.base, D_PAGE_ANGLE, (int(round(c[0])), float(c[1])))
-
-    def dist(self, a, b) -> np.ndarray:
-        """|theta - theta'| on one page, else the shorter through-pole
-        sum, formed in two arrays of the output's size."""
-        pa, ta = a[..., 0], a[..., 1]
-        pb, tb = b[..., 0], b[..., 1]
-        out = np.add(ta, tb)
-        south = np.subtract(math.pi, tb, out=np.empty_like(out))
-        south += math.pi - ta
-        np.minimum(out, south, out=out)
-        within = np.subtract(ta, tb, out=south)
-        np.copyto(out, np.abs(within, out=within), where=pa == pb)
-        return out
-
-    def chains(self, coords, reach: float) -> list:
-        """Each page line pole-page-pole at t = theta, and for each pair of
-        pages p < q and each pole a chain through it: page p's directions
-        within reach of the pole, the pole, then page q's, at t = -/+ the
-        distance to the pole.  A t-gap is at least the distance; it
-        equals it for pairs on one page or with a pole on a page line, and
-        for pairs on two pages within reach on a chain through a pole."""
-        page, theta = coords[:, 0], coords[:, 1]
-        north = np.flatnonzero(theta == 0.0)
-        south = np.flatnonzero(theta == math.pi)
-        near = reach + CHAIN_SLACK
-        lines, out = [], []
-        for p in range(self.pages):
-            on = np.flatnonzero((page == p) & (theta > 0.0) & (theta < math.pi))
-            on = on[np.argsort(theta[on], kind="stable")]
-            lines.append(on)
-            idx = np.concatenate([north, on, south])
-            out.append((idx, theta[idx]))
-        for p in range(self.pages):
-            for q in range(p + 1, self.pages):
-                for pole, gap in ((north, theta), (south, math.pi - theta)):
-                    a = lines[p][gap[lines[p]] <= near]
-                    b = lines[q][gap[lines[q]] <= near]
-                    a = a[np.argsort(-gap[a], kind="stable")]
-                    b = b[np.argsort(gap[b], kind="stable")]
-                    idx = np.concatenate([a, pole, b])
-                    t = np.concatenate([-gap[a], np.zeros(len(pole)), gap[b]])
-                    out.append((idx, t))
-        return out
-
-    def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
-        m = max(1, math.ceil(math.pi / eps))
-        return self._uniform(m)
-
-    def _uniform(self, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-        h = math.pi / m
-        rows = [np.array([[0.0, 0.0], [0.0, math.pi]])]
-        weights = [np.full(2, self.pages * h / 2.0)]
-        if m > 1:
-            thetas = h * np.arange(1, m)
-            for p in range(self.pages):
-                rows.append(np.column_stack([np.full(m - 1, float(p)), thetas]))
-                weights.append(np.full(m - 1, h))
-        coords = np.vstack(rows)
-        return coords, np.concatenate(weights), h / 2.0
-
-    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        per_page = (len(coords) - 2) // self.pages
-        return self._uniform(2 * (per_page + 1))
-
-
-class SphereDirections(_Directions):
-    """Unit sphere in euclidean d >= 2, great-circle metric (no net grids
-    beyond d = 2, which is handled by CircleDirections)."""
-
-    def __init__(self, base: Point, dim: int):
-        self.base = base
-        self.dim = int(dim)
-
-    def to_coord(self, d: Direction) -> np.ndarray:
-        return np.asarray(d.data, dtype=float)
-
-    def dist(self, a, b) -> np.ndarray:
-        # 2 atan2(|a - b|, |a + b|) is exact near 0 and pi, where the
-        # arccos of a dot product is not
-        return 2.0 * np.arctan2(np.linalg.norm(a - b, axis=-1),
-                                np.linalg.norm(a + b, axis=-1))
-
-    def net_coords(self, eps: float):
-        raise DomainError(
-            "direction nets on spheres of dimension >= 2 are not supported; "
-            "provide an explicit net instead"
-        )
-
-    def chains(self, coords, reach):
-        raise DomainError(
-            "direction chains on spheres of dimension >= 2 are not supported"
-        )
-
-
-def direction_space(base: Point):
-    """The vectorized direction-space model at a base point."""
-    sp = base.space
-    sid, dim = stratum_of(base)
-    if sp.kind == SPIDER and sid == "apex":
-        return DiscreteDirections(base, list(range(sp.legs)),
-                                  lambda leg: Direction(base, D_LEG, (leg,)))
-    if sp.kind == OPEN_BOOK and sid == "spine":
-        return SpineDirections(base, sp.pages)
-    if sp.kind == FLAT_CONE and sid == "apex":
-        return CircleDirections(base, sp.circumference,
-                                lambda a: Direction(base, D_ANGLE, (a,)))
-    # smooth points: the stratum dimension fixes the sphere of directions
-    if dim == 1:
-        kind = D_SIGN if sp.kind == SPIDER else D_VECTOR
-        return DiscreteDirections(base, [1, -1], lambda s: Direction(base, kind, (s,)))
-    if dim == 2:
-        return CircleDirections(
-            base, _TWO_PI,
-            lambda a: Direction(base, D_VECTOR, (math.cos(a), math.sin(a))))
-    return SphereDirections(base, sp.dim)
-
-
-def pairings(base: Point, vectors, coords) -> np.ndarray:
-    """<v_i, V_j> = |v_i| cos(min(angle, pi)) for tangent vectors v_i at
-    base and unit directions V_j given by direction-space coordinates;
-    rows of zero vectors are zero."""
-    lengths = np.array([v.length for v in vectors], dtype=float)
-    out = np.zeros((len(lengths), len(coords)))
-    nonzero = lengths > 0.0
-    if nonzero.any():
-        ds = direction_space(base)
-        rows = np.array([ds.to_coord(v.direction) for v in vectors if not v.is_zero])
-        out[nonzero] = lengths[nonzero, None] * np.cos(
-            np.minimum(ds.cross(rows, coords), math.pi))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Direction nets
-
-
-@dataclass(frozen=True)
-class DirectionNet:
-    """Finite ordered eps-net on the unit tangent sphere at a base point.
-
-    ``resolution`` is the requested covering scale; ``covering_radius``
-    is the achieved max distance from any direction to the net (0 for
-    the finite direction spaces).  ``weights``, when present, are
-    quadrature weights summing to the total measure of the sphere of
-    directions (counting measure on legs, arclength on circles).
-    ``coords()`` holds the directions in direction-space coordinates.
-    """
-
-    base: Point
-    directions: tuple
-    resolution: float
-    covering_radius: float
-    weights: tuple | None
-    _coords: np.ndarray = field(compare=False, repr=False)
-
-    def __len__(self):
-        return len(self.directions)
-
-    def space(self):
-        return direction_space(self.base)
-
-    def coords(self) -> np.ndarray:
-        return self._coords
-
-    def pairwise_distances(self) -> np.ndarray:
-        c = self.coords()
-        return self.space().cross(c, c)
-
-    def descriptors(self) -> list[str]:
-        return [d.describe() for d in self.directions]
-
-
-# candidate-net resolution for measuring the covering radius of explicit nets
-_PROBE_EPS = 0.01
-
-
-def net_from_directions(base: Point, directions, weights=None) -> DirectionNet:
-    """Wrap an explicit list of directions as a net (counting weights).
-
-    The covering radius is measured against the uniform net of
-    resolution ``_PROBE_EPS / 4`` where one exists (it is exactly 0 for
-    a complete net on a finite direction space); on spheres without
-    nets the diameter pi is recorded.
-    """
-    dirs = tuple(directions)
-    if not dirs:
-        raise DomainError("a direction net needs at least one direction")
-    for d in dirs:
-        if d.base != base:
-            raise SpaceMismatchError("net directions must share the base point")
-    if weights is None:
-        weights = tuple(1.0 for _ in dirs)
-    ds = direction_space(base)
-    coords = np.array([ds.to_coord(d) for d in dirs])
-    try:
-        cand = ds.net_coords(_PROBE_EPS / 4.0)[0]
-        cov_radius = float(ds.cross(cand, coords).min(axis=1).max())
-    except DomainError:
-        cov_radius = math.pi
-    return DirectionNet(base, dirs, max(cov_radius, 1e-12), cov_radius,
-                        tuple(float(w) for w in weights), coords)
+def __getattr__(name: str):
+    if name not in _DIRECTIONS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import directions
+    value = globals()[name] = getattr(directions, name)
+    return value

@@ -36,8 +36,9 @@ from . import fields as fl
 from . import geometry as geo
 from . import measures as mz
 from . import regularity as rg
+from .directions import DirectionNet, net_from_directions
 from .errors import ConfigError, DomainError, json_number, reject_unknown_keys
-from .geometry import DirectionNet, Point
+from .geometry import Point
 from .measures import DiscreteMeasure
 from .rng import substream
 
@@ -206,7 +207,7 @@ def resolve_net(base: Point, spec) -> DirectionNet:
         if not eps >= 2.0 ** -rg.COVER_N_MAX:
             raise ConfigError(f"net epsilon must be >= 2^-{rg.COVER_N_MAX}, got {eps!r}")
         return rg.build_net(base, eps)
-    return geo.net_from_directions(base, _directions_from_spec(base, spec))
+    return net_from_directions(base, _directions_from_spec(base, spec))
 
 
 _CONFIG_KEYS = ("measure", "base", "net", "sample_sizes", "replicates", "tests",

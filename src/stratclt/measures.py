@@ -20,14 +20,13 @@ E<log X, V> <= tol and the stickiness.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import geometry as geo
 from .errors import (ConfigError, DomainError, NumericalConsistencyError, SpaceMismatchError,
                      json_number, reject_unknown_keys)
-from .geometry import Point, SpaceSpec
+from .geometry import _TWO_PI, Point, SpaceSpec
 
 _WEIGHT_TOL = 1e-12
 # first-order certificate and stickiness tolerance; the mean reads only a
@@ -62,7 +61,10 @@ class DiscreteMeasure:
         return [p for p, _ in self.atoms]
 
     @property
-    def weights(self) -> np.ndarray:
+    def weights(self):
+        """The weights as a numpy array (numpy is loaded here, for the
+        callers that work on arrays; the mean needs none)."""
+        import numpy as np
         return np.array([w for _, w in self.atoms])
 
     def moment(self, base: Point, order: int) -> float:
@@ -98,7 +100,9 @@ class TangentMeasure:
     atoms: tuple  # of (TangentVector, weight)
 
     @property
-    def lengths(self) -> np.ndarray:
+    def lengths(self):
+        """The tangent lengths as a numpy array."""
+        import numpy as np
         return np.array([v.length for v, _ in self.atoms])
 
 
@@ -111,18 +115,37 @@ def frechet_function(measure: DiscreteMeasure, p: Point) -> float:
     """Half the weighted mean squared distance to p."""
     if p.space != measure.space:
         raise SpaceMismatchError("evaluation point lives in a different space")
-    return 0.5 * sum(w * geo.distance(p, x) ** 2 for x, w in measure.atoms)
+    return 0.5 * _dot([w for _, w in measure.atoms],
+                      [geo.distance(p, x) ** 2 for x, _ in measure.atoms])
 
 
 # ---------------------------------------------------------------------------
 # Exact maximization of the tangent mean
+#
+# The kernels run on Python floats.  Every sum adds one rounded product at
+# a time, in atom order (``_dot``), so the mean and its certificate are the
+# same float expressions on every machine, whatever BLAS numpy would use.
 
 
-def _breakpoints(alpha: float, angles: np.ndarray) -> np.ndarray:
-    """The sorted distinct angles_i +- pi mod alpha: np.unique of finite
-    values, without the numpy.ma import np.unique makes."""
-    breaks = np.sort(np.concatenate([(angles + math.pi) % alpha, (angles - math.pi) % alpha]))
-    return breaks[np.append(True, breaks[1:] != breaks[:-1])]
+def _dot(xs, ys) -> float:
+    """sum_i xs_i ys_i over nonempty sequences, one rounded product added
+    at a time in the order i = 0, 1, ..."""
+    pairs = zip(xs, ys)
+    x, y = next(pairs)
+    total = x * y
+    for x, y in pairs:
+        total += x * y
+    return total
+
+
+def _argmax(values: list) -> int:
+    """The first index of the largest value, as np.argmax picks it."""
+    return max(range(len(values)), key=values.__getitem__)
+
+
+def _breakpoints(alpha: float, angles) -> list[float]:
+    """The sorted distinct angles_i +- pi mod alpha."""
+    return sorted({(a + s) % alpha for a in angles for s in (math.pi, -math.pi)})
 
 
 def _circle_max(alpha: float, angles, masses) -> tuple[float, float]:
@@ -136,94 +159,103 @@ def _circle_max(alpha: float, angles, masses) -> tuple[float, float]:
     two that puts the largest into [1/2, 1), which is exact, so the
     products of subnormal masses with the cosines do not underflow and tie.
     """
-    angles = np.asarray(angles, dtype=float) % alpha
-    masses = np.asarray(masses, dtype=float)
-    exp = min(math.frexp(float(np.abs(masses).max(initial=0.0)))[1], 0)
-    masses = np.ldexp(masses, -exp)
+    angles = [float(a) % alpha for a in angles]
+    exp = min(math.frexp(max(abs(float(m)) for m in masses))[1], 0)
+    masses = [math.ldexp(m, -exp) for m in masses]
     breaks = _breakpoints(alpha, angles)
-    ends = np.append(breaks, breaks[0] + alpha)
-    mids = 0.5 * (ends[:-1] + ends[1:])
-    delta = (mids[:, None] - angles[None, :]) % alpha
-    delta = np.where(delta > alpha / 2.0, delta - alpha, delta)
-    near = np.abs(delta) < math.pi
-    lift = mids[:, None] - delta
-    a = np.where(near, np.cos(lift), 0.0) @ masses
-    b = np.where(near, np.sin(lift), 0.0) @ masses
-    peaks = ends[:-1] + (np.arctan2(b, a) - ends[:-1]) % (2.0 * math.pi)
-    cand = np.concatenate([breaks, peaks[peaks < ends[1:]]])
-    d = np.abs(cand[:, None] - angles[None, :]) % alpha
-    values = np.cos(np.minimum(np.minimum(d, alpha - d), math.pi)) @ masses
-    i = int(np.argmax(values))
-    return math.ldexp(float(values[i]), exp), float(cand[i] % alpha)
+    ends = [*breaks, breaks[0] + alpha]
+    cand = list(breaks)
+    for lo, hi in zip(ends, ends[1:]):
+        mid = 0.5 * (lo + hi)
+        cos_row, sin_row = [], []
+        for angle in angles:
+            delta = (mid - angle) % alpha
+            if delta > alpha / 2.0:
+                delta -= alpha
+            near = abs(delta) < math.pi
+            cos_row.append(math.cos(mid - delta) if near else 0.0)
+            sin_row.append(math.sin(mid - delta) if near else 0.0)
+        peak = lo + (math.atan2(_dot(sin_row, masses), _dot(cos_row, masses)) - lo) % _TWO_PI
+        if peak < hi:
+            cand.append(peak)
+    values = []
+    for c in cand:
+        gaps = [abs(c - angle) % alpha for angle in angles]
+        values.append(_dot([math.cos(min(d, alpha - d, math.pi)) for d in gaps], masses))
+    i = _argmax(values)
+    return math.ldexp(values[i], exp), cand[i] % alpha
 
 
 def _positive_part(value: float, masses, lengths, alpha: float = 0.0) -> float:
     """max(value, 0) for a float sum_i masses_i lengths_i c_i, read as 0 within
     its rounding bound; the c_i are +-1 or, for alpha > 0, cosines of angles
     mod alpha off by up to about 2 alpha eps."""
-    eps = np.finfo(float).eps * float(np.abs(masses) @ np.abs(lengths))
+    eps = sys.float_info.epsilon * _dot([abs(m) for m in masses], [abs(x) for x in lengths])
     return value if value > (len(masses) + 2 + 2 * alpha) * eps else 0.0
 
 
 def _cone_max(space: SpaceSpec, singular: bool, chart,
-              masses: np.ndarray) -> tuple[float, tuple | np.ndarray, float | None]:
+              masses) -> tuple[float, tuple, float | None]:
     """Exact sup over unit V of sum_i masses_i <v_i, V>, the chart of
     max(sup, 0) V* for a maximizer V* (``_positive_part`` of the length
     that leaves the cone point), and the sup over the directions that
     leave the stratum (None at smooth points, where none does).
 
-    ``chart`` holds one array per chart coordinate of the tangent vectors
-    v_i: (leg, r) at a spider apex, (page, s, t) at a spine point and
-    (r, phi) at a flat-cone apex; at smooth points it is the transpose of
-    the matrix of the vectors themselves.  The masses may be signed.
+    ``chart`` holds one sequence per chart coordinate of the tangent
+    vectors v_i: (leg, r) at a spider apex, (page, s, t) at a spine point
+    and (r, phi) at a flat-cone apex; at smooth points one per coordinate
+    of the vectors themselves.  The masses may be signed.
     """
     if not singular:
         # the tangent cone is a vector space and the pairing a dot product
-        peak = masses @ chart.T
-        return float(np.linalg.norm(peak)), peak, None
+        peak = tuple(_dot(masses, x) for x in chart)
+        return math.hypot(*peak), peak, None
     if space.kind == geo.SPIDER:
         # leg rule: leg l pairs to r_i on leg l and to -r_i off it
         legs, r = chart
-        m = [float(masses @ np.where(legs == leg, r, -r)) for leg in range(space.legs)]
-        leg = int(np.argmax(m))
+        m = [_dot(masses, [x if i == leg else -x for i, x in zip(legs, r)])
+             for leg in range(space.legs)]
+        leg = _argmax(m)
         return m[leg], (leg, _positive_part(m[leg], masses, r)), m[leg]
     if space.kind == geo.OPEN_BOOK:
         # fold rule (Hotz et al. 2013): (page q, theta) pairs to
         # s_i cos(theta) + t_i sin(theta) on page q and s_i cos(theta) -
         # t_i sin(theta) off it, so the sup is |(S, tau_q)| or |S|
         pages, s, t = chart
-        s_sum = float(masses @ s)
-        tau = [float(masses @ np.where(pages == q, t, -t)) for q in range(space.pages)]
-        q = int(np.argmax(tau))
+        s_sum = _dot(masses, s)
+        tau = [_dot(masses, [x if i == q else -x for i, x in zip(pages, t)])
+               for q in range(space.pages)]
+        q = _argmax(tau)
         sup = math.hypot(s_sum, tau[q]) if tau[q] > 0.0 else abs(s_sum)
         return sup, (q, s_sum, _positive_part(tau[q], masses, t)), tau[q]
     r, phi = chart
-    sup, theta = _circle_max(space.circumference, phi, masses * r)
+    sup, theta = _circle_max(space.circumference, phi, [m * x for m, x in zip(masses, r)])
     return sup, (_positive_part(sup, masses, r, space.circumference), theta), sup
 
 
-def _unit_chart(space: SpaceSpec, singular: bool, data: np.ndarray):
+def _unit_chart(space: SpaceSpec, singular: bool, data):
     """The ``_cone_max`` chart of unit directions, from their rows of
     ``Direction.data``: (leg) -> (leg, 1), (page, theta) -> (page,
     cos theta, sin theta), (phi) -> (1, phi), and vectors unchanged."""
     if not singular:
-        return data.T
+        return list(zip(*data))
     if space.kind == geo.SPIDER:
-        return data[:, 0], np.ones(len(data))
+        return [d[0] for d in data], [1.0] * len(data)
     if space.kind == geo.OPEN_BOOK:
-        return data[:, 0], np.cos(data[:, 1]), np.sin(data[:, 1])
-    return np.ones(len(data)), data[:, 0]
+        return ([d[0] for d in data], [math.cos(d[1]) for d in data],
+                [math.sin(d[1]) for d in data])
+    return [1.0] * len(data), [d[0] for d in data]
 
 
 def _closed_form_mean(measure: DiscreteMeasure) -> Point:
     """exp_o(max(0, m*) V* / W), with the atom coordinates as charts of log_o x."""
     sp = measure.space
-    w = measure.weights
-    total = float(w.sum())
-    coords = np.array([p.coords for p in measure.points], dtype=float)
-    _, peak, _ = _cone_max(sp, sp.kind != geo.EUCLIDEAN, coords.T, w)
+    w = [w for _, w in measure.atoms]
+    total = _dot(w, [1.0] * len(w))  # W, the weights added in atom order
+    chart = list(zip(*(p.coords for p in measure.points)))
+    _, peak, _ = _cone_max(sp, sp.kind != geo.EUCLIDEAN, chart, w)
     if sp.kind == geo.EUCLIDEAN:
-        return Point(sp, tuple(peak / total))
+        return Point(sp, tuple(x / total for x in peak))
     if sp.kind == geo.FLAT_CONE:  # (r, phi): the length scales, the angle stays
         return Point(sp, (peak[0] / total, peak[1]))
     # (leg, r) and (page, s, t): the index stays, the lengths scale
@@ -284,8 +316,8 @@ def _certify(measure: DiscreteMeasure,
     logs = [(v, w) for v, w in pushforward(measure, mean).atoms if not v.is_zero]
     sup, outward = 0.0, (0.0 if singular else None)
     if logs:
-        data = np.array([v.direction.data for v, _ in logs], dtype=float)
-        masses = np.array([w * v.length for v, w in logs])
+        data = [v.direction.data for v, _ in logs]
+        masses = [w * v.length for v, w in logs]
         sup, _, outward = _cone_max(mean.space, singular,
                                     _unit_chart(mean.space, singular, data), masses)
     if not sup <= _TOL:

@@ -8,7 +8,7 @@ exactly away from the coarsest scales.
 
 The modulus of continuity w(h, r), the largest |h(V) - h(U)| over net
 pairs within angular distance r, is taken from window extrema along
-the chains of the direction space (``geometry``: the cyclic order on a
+the chains of the direction space (``directions``: the cyclic order on a
 circle, the label order on a finite set, page lines and through-pole
 chains at a spine point).  On a chain the pairs within r of a position
 form one forward run, so w is the largest max - min of h over the
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry as geo
+from .directions import CHAIN_SLACK, DirectionNet, direction_space
 from .errors import DomainError
-from .geometry import DirectionNet, Point
+from .geometry import Point, incident_strata
 
 
 # elements of one working array: chain positions by steps ahead,
@@ -51,7 +51,7 @@ def build_net(base: Point, eps: float) -> DirectionNet:
     """
     if not eps > 0.0:
         raise DomainError("net resolution must be positive")
-    ds = geo.direction_space(base)
+    ds = direction_space(base)
     coords, w, cov_radius = ds.net_coords(eps)
     dirs = tuple(ds.from_coord(c) for c in coords)
     return DirectionNet(base, dirs, float(eps), float(cov_radius),
@@ -75,7 +75,7 @@ class CoveringProfile:
 
 def stratum_dimension_bound(base: Point) -> float:
     """Sum over incident strata of their direction-space dimensions."""
-    return float(sum(max(d - 1, 0) for _sid, d in geo.incident_strata(base)))
+    return float(sum(max(d - 1, 0) for _sid, d in incident_strata(base)))
 
 
 def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
@@ -88,7 +88,7 @@ def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
     """
     if n_max < 4:
         raise DomainError("need n_max >= 4 for a meaningful slope")
-    ds = geo.direction_space(base)
+    ds = direction_space(base)
     coords, _w, radius = ds.net_coords(0.5)
     scales, counts = [], []
     for n in range(1, n_max + 1):
@@ -116,7 +116,7 @@ def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
 def _band(t: np.ndarray, r: float) -> int:
     """The most steps from a position along a chain (arc positions t,
     nondecreasing) to a later one at a t-gap of at most r (+ slack)."""
-    ends = np.searchsorted(t, t + (r + geo.CHAIN_SLACK), side="right")
+    ends = np.searchsorted(t, t + (r + CHAIN_SLACK), side="right")
     return int((ends - np.arange(1, len(t) + 1)).max(initial=0))
 
 
@@ -151,7 +151,7 @@ def _runs(ds, coords: np.ndarray, idx: np.ndarray, t: np.ndarray,
             if cols <= 0:
                 continue
             inside = d[:, :cols] <= r
-            inside &= gap[:, :cols] <= r + geo.CHAIN_SLACK
+            inside &= gap[:, :cols] <= r + CHAIN_SLACK
             run = np.logical_and.accumulate(inside, axis=1)
             run &= open_[q][:, None]
             count[q] += run.sum(axis=1)

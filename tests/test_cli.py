@@ -81,7 +81,7 @@ MEAN_DIGESTS = {
     "openbook3_spine.measure.json": "b30b8a487f0b34140f490625ea94a7af63a990e4a82d5b6d5ce85fb52ab703bf",
     "spider3_uniform.measure.json": "e8b52ce0b3ab6904e6856965a5da35e860e172b83c66967b4ed970344614aec9",
     "spider3_weighted.measure.json": "c674488072895f50ddac202071b8feeca196059a3e3ecbe425675b7b00b79f11",
-    "cone_off_apex": "78edc459f0d253c2cc2c3690dba9ad58b58fdeecfeeec8001c72a283c04dfebb",
+    "cone_off_apex": "bcd4262162198a4fec75a530e6236ab3d70cc0ba9105c86d8d8469169bde97ec",
     "euclidean3_four": "cb7ff5988de39b989b0106e0a64c8335af1654533c6ab944e8a6dc2b243d314b",
 }
 
@@ -684,7 +684,8 @@ class TestMalformedNumbers:
 
 class TestUnusablePaths:
     """A config that cannot be read as UTF-8 text, or an output directory
-    that cannot be made, is bad input: exit 3 with a one-line message."""
+    or output file that cannot be made, is bad input: exit 3 with a
+    one-line message."""
 
     @pytest.mark.parametrize("argv", [
         ["mean", "--config", "TMP"],
@@ -694,20 +695,51 @@ class TestUnusablePaths:
          "--n-max", "4", "--out", "FILE"],
         ["field", "--config", "FIELD", "--seed", "1", "--draws", "10",
          "--out", "FILE/o"],
+        ["clt", "--config", "CLT", "--seed", "1", "--out", "BUSY"],
+        ["cover", "--space", '{"kind": "spider", "legs": 3}', "--base", "[0, 0.0]",
+         "--n-max", "4", "--out", "BUSY"],
+        ["field", "--config", "FIELD", "--seed", "1", "--draws", "10",
+         "--out", "BUSY"],
     ], ids=["config_is_directory", "config_not_utf8", "clt_out_is_file",
-            "cover_out_is_file", "field_out_under_file"])
+            "cover_out_is_file", "field_out_under_file", "clt_report_is_directory",
+            "cover_csv_is_directory", "field_draws_is_directory"])
     def test_exit_3_without_traceback(self, tmp_path, capsys, argv):
         (tmp_path / "file").write_text("x")
         (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
+        # an output directory whose first file of each command is a directory
+        for name in ("report.json", "covering.csv", "gaussian_draws.csv"):
+            (tmp_path / "busy" / name).mkdir(parents=True)
         paths = {"TMP": str(tmp_path), "UTF16": str(tmp_path / "utf16.json"),
                  "CLT": small_clt_config(tmp_path), "FILE": str(tmp_path / "file"),
-                 "FILE/o": str(tmp_path / "file" / "o"),
+                 "FILE/o": str(tmp_path / "file" / "o"), "BUSY": str(tmp_path / "busy"),
                  "FIELD": str(CONFIG_DIR / "field_example.json")}
         code = main([paths.get(a, a) for a in argv])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["clt", "field"])
+    def test_unusable_out_refused_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        # the output directory is made before the work starts, so an
+        # unusable one costs no run
+        from stratclt import fields, harness
+
+        def run(*args):
+            raise AssertionError("the run started before --out was made")
+
+        (tmp_path / "file").write_text("x")
+        if command == "clt":
+            monkeypatch.setattr(harness, "run_clt_experiment", run)
+            argv = ["clt", "--config", str(CONFIG_DIR / "openbook3_spine.json"),
+                    "--seed", "1"]
+        else:
+            monkeypatch.setattr(fields, "cov_matrix", run)
+            argv = ["field", "--config", str(CONFIG_DIR / "field_example.json"),
+                    "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "file")]) == 3
+        assert "cannot create output directory" in capsys.readouterr().err
 
 
 class TestCsvRoundTrip:
@@ -781,7 +813,7 @@ EXPORTS = (
     "DomainError ExperimentConfig GaussianFieldSampler MeanDiagnostics ModulusTable "
     "NumericalConsistencyError Point SpaceMismatchError SpaceSpec StratcltError TangentMeasure "
     "TangentVector ValidationConfig __version__ apex build_net compare_covariance "
-    "config_from_json cov_matrix dimension_constant distance errors exp_map fields "
+    "config_from_json cov_matrix dimension_constant directions distance errors exp_map fields "
     "frechet_function frechet_mean geodesic_point geometry harness ks_distance log_map "
     "measures net_from_directions pushforward regularity rng run_clt_experiment stratum_of "
     "substream validate_localized zero_vector").split()
@@ -814,10 +846,27 @@ class TestInfrastructure:
         assert loaded_after("import stratclt.cli", "stratclt.harness", "stratclt.fields",
                             "stratclt.regularity", "numpy.random", "hashlib") == []
 
-    def test_mean_loads_only_its_modules(self):
-        argv = ["mean", "--config", str(CONFIG_DIR / "flatcone4_star.measure.json")]
-        code = f"from stratclt.cli import main\nassert main({argv!r}) == 0"
-        assert loaded_after(code, "numpy.ma", "numpy.random", "stratclt.harness") == []
+    def test_mean_loads_only_its_modules(self, tmp_path):
+        # the closed-form mean and its certificate run on Python floats:
+        # on every pinned input, neither numpy nor the vectorized direction
+        # spaces load (a module once loaded stays in sys.modules)
+        paths = [write_json(tmp_path / f"{name}.json", CLOSED_FORM_MEASURES[name])
+                 if name in CLOSED_FORM_MEASURES else str(CONFIG_DIR / name)
+                 for name in sorted(MEAN_DIGESTS)]
+        code = (f"from stratclt.cli import main\nfor path in {paths!r}:\n"
+                f"    assert main(['mean', '--config', path]) == 0")
+        assert loaded_after(code, "numpy", "stratclt.directions", "stratclt.harness") == []
+
+    def test_geometry_forwards_direction_spaces(self):
+        # the point layer loads no numpy; the names that moved to
+        # directions still resolve through geometry, on first access
+        from stratclt import directions, geometry
+        assert loaded_after("import stratclt.geometry", "numpy", "stratclt.directions") == []
+        for name in ("CHAIN_SLACK", "DirectionNet", "direction_space", "net_from_directions",
+                     "pairings"):
+            assert getattr(geometry, name) is getattr(directions, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            geometry.no_such_name
 
     def test_exports_resolve_on_first_access(self):
         import stratclt

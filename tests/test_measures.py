@@ -416,6 +416,5 @@ class TestBreakpoints:
         alpha, angles = case
         expected = np.unique(np.concatenate([(angles + math.pi) % alpha,
                                              (angles - math.pi) % alpha]))
-        got = mz._breakpoints(alpha, angles)
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
+        got = mz._breakpoints(alpha, angles.tolist())
+        assert [float(x).hex() for x in got] == [x.hex() for x in expected.tolist()]
