@@ -195,18 +195,19 @@ def cmd_field(args) -> int:
     base = mz.validate_localized(measure, mz.ValidationConfig(base)).base
     net = hz.resolve_net(base, raw["net"])
     outdir = _make_outdir(args.out)
-    cov = fl.cov_matrix(measure, base, net)
-    sampler = fl.GaussianFieldSampler.build(cov)
+    # the one covariance of the net serves the draws and the empirical fields
+    sim = hz._FieldSimulator(measure, base, net)
+    sampler = fl.GaussianFieldSampler.build(sim.cov)
     outputs = ["gaussian_draws.csv", "cov_matrix.csv"]
     # the draws are bound to no name, so they are freed before the
     # empirical fields are simulated and do not add to the peak RSS
     fl.write_fields_csv(outdir / "gaussian_draws.csv", net, sampler.draw_matrix(
         substream(args.seed, _PURPOSE_GAUSSIAN), args.draws))
-    fl.write_cov_csv(outdir / "cov_matrix.csv", cov)
+    fl.write_cov_csv(outdir / "cov_matrix.csv", sim.cov)
     if args.empirical_n:
-        sim = hz._FieldSimulator(measure, base, net)
+        # the whole R x m array; its counts are freed before it is written
         emp = sim.field_rows(args.seed, _PURPOSE_FIELD_EMPIRICAL, 0,
-                             args.empirical_n, args.draws)
+                             args.empirical_n, args.draws)[:]
         fl.write_empirical_fields_csv(outdir / "empirical_draws.csv", net, emp)
         outputs.append("empirical_draws.csv")
     _write_manifest(outdir, "field", args.config, args.seed, outputs)

@@ -66,13 +66,11 @@ class DiscreteDirections(_Directions):
         t = coords[order] * math.pi if reach < math.pi else np.zeros(len(order))
         return [(order, t)]
 
-    def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
-        coords = np.arange(len(self.labels), dtype=float)
-        weights = np.ones(len(self.labels))
-        return coords, weights, 0.0
+    def net_coords(self, eps: float) -> tuple[np.ndarray, float]:
+        return np.arange(len(self.labels), dtype=float), 0.0
 
-    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        return coords, np.ones(len(coords)), 0.0
+    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, float]:
+        return coords, 0.0
 
 
 class CircleDirections(_Directions):
@@ -107,14 +105,13 @@ class CircleDirections(_Directions):
         t = t[:np.searchsorted(t, t[m - 1] + reach + CHAIN_SLACK, side="right")]
         return [(order[np.arange(len(t)) % m], t)]
 
-    def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
+    def net_coords(self, eps: float) -> tuple[np.ndarray, float]:
         return self._uniform(max(1, math.ceil(self.length / eps)))
 
-    def _uniform(self, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-        spacing = self.length / m
-        return self.length * np.arange(m) / m, np.full(m, spacing), spacing / 2.0
+    def _uniform(self, m: int) -> tuple[np.ndarray, float]:
+        return self.length * np.arange(m) / m, self.length / m / 2.0
 
-    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, float]:
         return self._uniform(2 * len(coords))
 
 
@@ -178,23 +175,20 @@ class SpineDirections(_Directions):
                     out.append((idx, t))
         return out
 
-    def net_coords(self, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
+    def net_coords(self, eps: float) -> tuple[np.ndarray, float]:
         m = max(1, math.ceil(math.pi / eps))
         return self._uniform(m)
 
-    def _uniform(self, m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    def _uniform(self, m: int) -> tuple[np.ndarray, float]:
         h = math.pi / m
         rows = [np.array([[0.0, 0.0], [0.0, math.pi]])]
-        weights = [np.full(2, self.pages * h / 2.0)]
         if m > 1:
             thetas = h * np.arange(1, m)
             for p in range(self.pages):
                 rows.append(np.column_stack([np.full(m - 1, float(p)), thetas]))
-                weights.append(np.full(m - 1, h))
-        coords = np.vstack(rows)
-        return coords, np.concatenate(weights), h / 2.0
+        return np.vstack(rows), h / 2.0
 
-    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, float]:
         per_page = (len(coords) - 2) // self.pages
         return self._uniform(2 * (per_page + 1))
 
@@ -276,17 +270,14 @@ class DirectionNet:
 
     ``resolution`` is the requested covering scale; ``covering_radius``
     is the achieved max distance from any direction to the net (0 for
-    the finite direction spaces).  ``weights``, when present, are
-    quadrature weights summing to the total measure of the sphere of
-    directions (counting measure on legs, arclength on circles).
-    ``coords()`` holds the directions in direction-space coordinates.
+    the finite direction spaces).  ``coords()`` holds the directions in
+    direction-space coordinates.
     """
 
     base: Point
     directions: tuple
     resolution: float
     covering_radius: float
-    weights: tuple | None
     _coords: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self):
@@ -310,8 +301,8 @@ class DirectionNet:
 _PROBE_EPS = 0.01
 
 
-def net_from_directions(base: Point, directions, weights=None) -> DirectionNet:
-    """Wrap an explicit list of directions as a net (counting weights).
+def net_from_directions(base: Point, directions) -> DirectionNet:
+    """Wrap an explicit list of directions as a net.
 
     The covering radius is measured against the uniform net of
     resolution ``_PROBE_EPS / 4`` where one exists (it is exactly 0 for
@@ -324,8 +315,6 @@ def net_from_directions(base: Point, directions, weights=None) -> DirectionNet:
     for d in dirs:
         if d.base != base:
             raise SpaceMismatchError("net directions must share the base point")
-    if weights is None:
-        weights = tuple(1.0 for _ in dirs)
     ds = direction_space(base)
     coords = np.array([ds.to_coord(d) for d in dirs])
     try:
@@ -333,5 +322,4 @@ def net_from_directions(base: Point, directions, weights=None) -> DirectionNet:
         cov_radius = float(ds.cross(cand, coords).min(axis=1).max())
     except DomainError:
         cov_radius = math.pi
-    return DirectionNet(base, dirs, max(cov_radius, 1e-12), cov_radius,
-                        tuple(float(w) for w in weights), coords)
+    return DirectionNet(base, dirs, max(cov_radius, 1e-12), cov_radius, coords)

@@ -1,19 +1,27 @@
 """Tangent fields on direction nets.
 
 The central object is the pairing matrix P[i, j] = <log x_i, V_j>
-between the atoms of a pushed-forward measure and the directions of a
-net.  Because measures are finitely supported, the tangent mean vector,
-the covariance kernel, centered fields and their exact moments are all
-small dense computations on P.  The covariance on a net is the Gram
-matrix F^T F of F = diag(sqrt w)(P - 1 m^T), one row per atom, so it is
-positive semidefinite by construction, and Gaussian fields are drawn as
-z @ F from k standard normals.
+between the k atoms of a pushed-forward measure and the m directions of
+a net.  Because measures are finitely supported, everything else is a
+small dense computation on P, held once in a ``CovMatrix``: the weights
+w, the tangent mean m = w P, the centred pairings tau = P - 1 m^T, the
+covariance Sigma = tau^T diag(w) tau and its Gram factor
+F = diag(sqrt w) tau, so Sigma = F^T F is positive semidefinite by
+construction.  A field of n samples is xi tau for the centred counts
+xi = (c - n w) / sqrt n, and a Gaussian field is z F for k standard
+normals z.
+
+Every sum over atoms goes through ``_fixed_product``: the rounded
+products are added one at a time in atom order, with no BLAS, so each
+value is the same float expression whatever the block shape, the BLAS
+kernel or its thread count.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,48 +38,81 @@ def pairing_matrix(tm: TangentMeasure, net: DirectionNet) -> np.ndarray:
     return pairings(tm.base, [v for v, _ in tm.atoms], net.coords())
 
 
+# elements of the scratch chunk of ``_fixed_product``: 256 KB
+_PRODUCT_CHUNK = 2 ** 15
+
+
+def _fixed_product(lhs: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = lhs @ rhs, each cell summed over the inner index a = 0, 1, ...
+    in that order, one rounded product added at a time.
+
+    Every cell is the same float expression whatever the shape of
+    ``out`` or the BLAS in use, so a block of the product equals the same
+    cells of the whole product bit for bit, and so does a block of the
+    transposed product ``rhs^T @ lhs^T``.  Rows of ``out`` go a chunk of
+    ``_PRODUCT_CHUNK`` elements at a time through one scratch chunk.
+    """
+    step = max(1, _PRODUCT_CHUNK // max(1, out.shape[1]))
+    tmp = np.empty((min(step, len(out)), out.shape[1]))
+    for lo in range(0, len(out), step):
+        o = out[lo:lo + step]
+        t = tmp[:len(o)]
+        np.multiply(lhs[lo:lo + step, :1], rhs[0], out=o)
+        for a in range(1, lhs.shape[1]):
+            np.multiply(lhs[lo:lo + step, a:a + 1], rhs[a], out=t)
+            o += t
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Covariance matrices and Gaussian fields
 
 
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
-    """Covariance kernel evaluated on a net, with its Gram factor.
+    """The tangent field of a k-atom measure on a net of m directions.
 
-    ``entries`` are the exact (symmetrized) kernel values.
-    ``gram_factor`` is the m x k matrix F^T with F = diag(sqrt w)(P - 1 m^T)
-    over the k atoms, so F^T F reproduces ``entries`` and is positive
-    semidefinite by construction.
+    ``weights`` w, ``pair`` P (k x m), ``mean_vec`` m = w P, ``tau``
+    = P - 1 m^T and ``gram_factor``, the m x k matrix F^T with
+    F = diag(sqrt w) tau.  ``entries``, the kernel Sigma = tau^T diag(w) tau
+    (symmetrized), is formed on first use: a field simulated on a fine
+    net for its modulus never needs the m x m matrix.
     """
 
     net: DirectionNet
-    entries: np.ndarray
+    weights: np.ndarray
+    pair: np.ndarray
+    mean_vec: np.ndarray
+    tau: np.ndarray
     gram_factor: np.ndarray
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        m = self.tau.shape[1]
+        cov = _fixed_product(self.tau.T, self.weights[:, None] * self.tau, np.empty((m, m)))
+        return 0.5 * (cov + cov.T)
 
 
 def cov_matrix(measure: DiscreteMeasure, base: Point, net: DirectionNet) -> CovMatrix:
-    """Entrywise tangent covariance on the net, symmetrized by averaging.
+    """The tangent field of ``measure`` at ``base`` on ``net``.
 
-    It is a Gram matrix, so it needs no positive-semidefiniteness check;
-    it may be exactly singular (on a spider net the all-ones vector is a
-    null direction).
+    Its kernel is a Gram matrix, so it needs no positive-semidefiniteness
+    check; it may be exactly singular (on a spider net the all-ones
+    vector is a null direction).
     """
-    tm = pushforward(measure, base)
-    pair = pairing_matrix(tm, net)
+    pair = pairing_matrix(pushforward(measure, base), net)
     w = measure.weights
-    mean_vec = w @ pair
-    centered = pair - mean_vec
-    cov = centered.T @ (w[:, None] * centered)
-    cov = 0.5 * (cov + cov.T)
-    gram = (np.sqrt(w)[:, None] * centered).T
-    return CovMatrix(net, cov, gram)
+    mean_vec = _fixed_product(w[None], pair, np.empty((1, pair.shape[1])))[0]
+    tau = pair - mean_vec
+    gram = (np.sqrt(w)[:, None] * tau).T
+    return CovMatrix(net, w, pair, mean_vec, tau, gram)
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianFieldSampler:
     """Centered Gaussian field on a net with the covariance of ``cov``.
 
-    Each draw is z @ F for k standard normals z, through the Gram factor
+    Each draw is z F for k standard normals z, through the Gram factor
     F^T of the covariance, one column per atom.  Unlike an
     eigendecomposition it takes no square roots of rounding-noise
     eigenvalues, and the draws do not move with the last bit of an entry.
@@ -86,7 +127,7 @@ class GaussianFieldSampler:
     def draw_matrix(self, stream: np.random.Generator, draws: int) -> np.ndarray:
         factor = self.cov.gram_factor
         z = stream.standard_normal((draws, factor.shape[1]))
-        return z @ factor.T
+        return _fixed_product(z, factor.T, np.empty((draws, factor.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +199,9 @@ def write_fields_csv(path, net: DirectionNet, values: np.ndarray):
 def write_empirical_fields_csv(path, net: DirectionNet, values: np.ndarray):
     """The bytes of write_fields_csv, for empirical fields.
 
-    A field of n samples is (c @ P - n m) / sqrt(n) for a multinomial count
-    vector c, so its rows lie on a lattice and repeat; each distinct row
-    is formatted once.
+    A field of n samples is xi tau for the centred counts
+    xi = (c - n w) / sqrt n of a multinomial count vector c, so its rows
+    lie on a lattice and repeat; each distinct row is formatted once.
     """
     _write_matrix_csv(path, net.descriptors(),
                       _distinct_row_blocks(np.atleast_2d(values)))

@@ -9,17 +9,22 @@ constants, a partial-sum martingale residual and head-increment
 cross-moment, and modulus-of-continuity tables.
 
 Each sample size draws all its replicates from the stream of (seed,
-purpose, n index).  The fields are formed from the R x k atom counts
-by one fixed-order product, not by BLAS, and every per-direction sum
-runs along one contiguous row, so reports are bit-identical across
-runs, BLAS thread counts and block sizes.
+purpose, n index) and holds them as the k x R centred counts xi of the
+k atoms: a field is G_n = xi tau for the centred pairings tau of the
+net's one ``fields.CovMatrix``.  Every sum over atoms is the
+fixed-order ``fields._fixed_product`` and every other sum a numpy
+reduction along one contiguous row, never BLAS, so the reports are
+bit-identical across runs, BLAS kernels and thread counts and block
+sizes.  The one LAPACK call, the SVD that whitens the Mahalanobis
+statistic, sets only that statistic.
 
-Working set: one R x m array per sample size, which the covariance and
-Mahalanobis statistics read whole; the KS, moment and increment tests
-read column blocks of it; the martingale test keeps its two R x k count
-matrices and forms column blocks from them, and the modulus table is
-folded a block of replicates at a time as they are formed from the
-counts.
+Working set: the counts and one direction-major m x R array per sample
+size, whose rows the KS, moment and increment tests read.  The
+covariance and Mahalanobis statistics are formed in k dimensions, as
+tau^T (xi^T xi / R) tau and as the norms of xi / sqrt(w) in the
+principal axes; the martingale test keeps its two count fields and
+forms blocks of directions from them, and the modulus table is folded a
+block of replicates at a time as they are formed from the counts.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from . import fields as fl
 from . import geometry as geo
 from . import measures as mz
 from . import regularity as rg
-from .directions import DirectionNet, net_from_directions
+from .directions import DirectionNet, SphereDirections, direction_space, net_from_directions
 from .errors import ConfigError, DomainError, json_number, reject_unknown_keys
 from .geometry import Point
 from .measures import DiscreteMeasure
@@ -298,7 +303,7 @@ _AS_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
 # bracket half-width of the exact KS: above the rough CDF's error (at most
 # 7.0e-8 measured on [-40, 40]) plus the rounding of either deviation
 _KS_DELTA = 1e-6
-# columns per block: the temporaries are about five 4 x R arrays
+# rows per block: the temporaries are about five 4 x R arrays
 _KS_BLOCK = 4
 
 
@@ -321,8 +326,8 @@ def _rough_normal_cdf(z: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, poly, out=poly, where=z >= 0.0)
 
 
-def _normal_ks(values: np.ndarray, cols, sigma) -> np.ndarray:
-    """KS distance of each column ``values[:, cols[c]]`` against
+def _normal_ks(values: np.ndarray, rows, sigma) -> np.ndarray:
+    """KS distance of each row ``values[rows[c]]`` against
     N(0, sigma[c]^2), equal bit for bit to ``ks_distance`` with
     ``normal_cdf(x / sigma[c])``.
 
@@ -335,13 +340,13 @@ def _normal_ks(values: np.ndarray, cols, sigma) -> np.ndarray:
     exact maximizer, and the exact deviations, taken over them with the
     expressions of ``ks_distance``, have the same maximum D.
     """
-    n = values.shape[0]
+    n = values.shape[1]
     above, below = np.arange(1, n + 1) / n, np.arange(n) / n
-    out = np.zeros(len(cols))
-    for lo in range(0, len(cols), _KS_BLOCK):
+    out = np.zeros(len(rows))
+    for lo in range(0, len(rows), _KS_BLOCK):
         sig = sigma[lo:lo + _KS_BLOCK]
-        # the block's columns as contiguous rows, each sorted
-        srt = values.T[cols[lo:lo + _KS_BLOCK]]
+        # a copy of the block's rows, each sorted
+        srt = values[rows[lo:lo + _KS_BLOCK]]
         srt.sort(axis=1)
         rough = _rough_normal_cdf(srt / sig[:, None])
         dev = np.subtract(above, rough)
@@ -349,9 +354,9 @@ def _normal_ks(values: np.ndarray, cols, sigma) -> np.ndarray:
         rough -= below
         np.maximum(dev, np.abs(rough, out=rough), out=dev)
         del rough
-        c, rows = np.nonzero(dev >= dev.max(axis=1, keepdims=True) - 2.0 * _KS_DELTA)
-        f = normal_cdf(srt[c, rows] / sig[c])
-        d = np.maximum(np.abs((rows + 1) / n - f), np.abs(rows / n - f))
+        c, at = np.nonzero(dev >= dev.max(axis=1, keepdims=True) - 2.0 * _KS_DELTA)
+        f = normal_cdf(srt[c, at] / sig[c])
+        d = np.maximum(np.abs((at + 1) / n - f), np.abs(at / n - f))
         np.maximum.at(out, lo + c, d)
     return out
 
@@ -368,73 +373,45 @@ def compare_covariance(empirical: np.ndarray, analytic) -> tuple[float, float]:
         raise DomainError("covariance shapes do not match")
     diff = e - a
     sup = float(np.max(np.abs(diff))) if diff.size else 0.0
-    denom = float(np.linalg.norm(a))
-    fro = float(np.linalg.norm(diff))
+    # Frobenius norms by numpy's own sum, not BLAS
+    denom = math.sqrt(float(np.sum(a * a)))
+    fro = math.sqrt(float(np.sum(diff * diff)))
     return sup, fro / denom if denom > 0.0 else fro
 
 
 # ---------------------------------------------------------------------------
-# Replicate simulation (counts against the atom pairing matrix)
-
-
-# elements of the scratch chunk of ``_fixed_product``: 256 KB
-_PRODUCT_CHUNK = 2 ** 15
-
-
-def _fixed_product(lhs: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = lhs @ rhs, each cell summed over the inner index a = 0, 1, ...
-    in that order, one rounded product added at a time.
-
-    Every cell is the same float expression whatever the shape of
-    ``out`` or the BLAS in use, so a block of the product equals the same
-    cells of the whole product bit for bit.  Rows of ``out`` go a chunk
-    of ``_PRODUCT_CHUNK`` elements at a time through one scratch chunk.
-    """
-    step = max(1, _PRODUCT_CHUNK // max(1, out.shape[1]))
-    tmp = np.empty((min(step, len(out)), out.shape[1]))
-    for lo in range(0, len(out), step):
-        o = out[lo:lo + step]
-        t = tmp[:len(o)]
-        np.multiply(lhs[lo:lo + step, :1], rhs[0], out=o)
-        for a in range(1, lhs.shape[1]):
-            np.multiply(lhs[lo:lo + step, a:a + 1], rhs[a], out=t)
-            o += t
-    return out
+# Replicate simulation (centred counts against the centred pairings)
 
 
 class _CountField:
-    """Replicate fields (c P - n m) / scale on a net, R x m, held as the
-    R x k atom count matrix c: scale is sqrt(n) for G_n and 1 for the
-    partial sums S_n (a division by 1 is exact).
+    """Replicate fields xi tau on a net, R x m, held as the centred counts
+    xi = (c - n w) / scale of the R x k atom count matrix c: scale is
+    sqrt(n) for G_n and 1 for the partial sums S_n (a division by 1 is
+    exact).
 
-    Blocks are formed on demand by ``_fixed_product``, so any block equals
-    the same cells of the whole array bit for bit: a row slice
+    Blocks are formed on demand by ``fields._fixed_product``, so any block
+    equals the same cells of the whole array bit for bit: a row slice
     ``field[lo:hi]`` gives replicate-major rows (``regularity.modulus_many``
     reads a field this way), ``columns(lo, hi)`` direction-major rows, and
     ``np.asarray(field)`` the whole array.
     """
 
-    def __init__(self, sim: "_FieldSimulator", counts: np.ndarray, n: int,
-                 scale: float):
-        # direction-major counts, k x R: row a is atom a's count per replicate
-        self.counts_t = np.ascontiguousarray(counts.T, dtype=float)
-        self.sim, self.n, self.scale = sim, n, scale
-        self.shape = (counts.shape[0], sim.pair.shape[1])
+    def __init__(self, cov: fl.CovMatrix, counts: np.ndarray, n: int, scale: float):
+        # direction-major, k x R: row a is atom a's centred count per replicate
+        self.xi = np.ascontiguousarray(counts.T, dtype=float)
+        self.xi -= n * cov.weights[:, None]
+        self.xi /= scale
+        self.cov = cov
+        self.shape = (counts.shape[0], cov.tau.shape[1])
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        c = self.counts_t[:, rows].T
-        out = _fixed_product(c, self.sim.pair, np.empty((len(c), self.shape[1])))
-        out -= self.n * self.sim.mean_vec
-        out /= self.scale
-        return out
+        xi = self.xi[:, rows].T
+        return fl._fixed_product(xi, self.cov.tau, np.empty((len(xi), self.shape[1])))
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
         """The fields at net directions lo..hi - 1, one row per direction."""
-        out = _fixed_product(self.sim.pair_t[lo:hi], self.counts_t,
-                             np.empty((hi - lo, self.shape[0])))
-        out -= (self.n * self.sim.mean_vec[lo:hi])[:, None]
-        out /= self.scale
-        return out
+        return fl._fixed_product(self.cov.tau.T[lo:hi], self.xi,
+                                 np.empty((hi - lo, self.shape[0])))
 
     def __array__(self, dtype=None, copy=None):
         return self[:]
@@ -445,50 +422,37 @@ class _FieldSimulator:
 
     A sample of size n from a discrete measure is summarized by its
     multinomial count vector c over the atoms, and the field values are
-    (c P - n m) / sqrt(n), identical to summing centered pairings sample
-    by sample.  All replicates of one sample size are one multinomial
-    draw from one substream; the fields are formed from the counts by
-    ``_fixed_product``, so their bits do not depend on the block shape or
-    on the BLAS thread count.
+    xi tau with xi = (c - n w) / sqrt(n), identical to summing centred
+    pairings sample by sample.  All replicates of one sample size are one
+    multinomial draw from one substream.  ``cov`` is the net's one
+    ``CovMatrix``, built once: the fields are formed from its tau, and
+    the tests read P, w, m, tau and the kernel from it.
     """
 
     def __init__(self, measure: DiscreteMeasure, base: Point, net: DirectionNet):
-        self.measure = measure
-        self.base = base
-        self.net = net
-        tm = mz.pushforward(measure, base)
-        self.pair = fl.pairing_matrix(tm, net)
-        self.pair_t = np.ascontiguousarray(self.pair.T)
-        self.weights = measure.weights
-        self.mean_vec = self.weights @ self.pair
+        self.cov = fl.cov_matrix(measure, base, net)
         # renormalized so weights at the 1e-12 sum tolerance are accepted
-        self.probs = self.weights / self.weights.sum()
-        self.k = len(self.weights)
-
-    def fields(self, seed: int, purpose: int, n_index: int, n: int,
-               replicates: int) -> _CountField:
-        """G_n on the net for each replicate, kept as its counts."""
-        rng = substream(seed, purpose, n_index)
-        counts = rng.multinomial(n, self.probs, size=replicates)
-        return _CountField(self, counts, n, math.sqrt(n))
+        self.probs = self.cov.weights / self.cov.weights.sum()
 
     def field_rows(self, seed: int, purpose: int, n_index: int, n: int,
-                   replicates: int, threads: int | None = None) -> np.ndarray:
-        """Rows of G_n on the net, one R x m array; ``threads`` is accepted
-        and ignored."""
-        return self.fields(seed, purpose, n_index, n, replicates)[:]
+                   replicates: int, threads: int | None = None) -> _CountField:
+        """G_n on the net for each replicate, held as its counts;
+        ``threads`` is accepted and ignored."""
+        counts = substream(seed, purpose, n_index).multinomial(n, self.probs,
+                                                               size=replicates)
+        return _CountField(self.cov, counts, n, math.sqrt(n))
 
     def partial_sum_rows(self, seed: int, n: int, k: int,
                          replicates: int) -> tuple[_CountField, _CountField]:
         """Rows of (S_n, S_{n+k} - S_n) from one sample of n + k per
-        replicate, kept as their counts.
+        replicate, held as their counts.
 
         The draws are i.i.d., so the counts of the first n and of the next
         k are independent multinomials, drawn in that order from one
         substream.
         """
         rng = substream(seed, _PURPOSE_MARTINGALE)
-        return tuple(_CountField(self, rng.multinomial(m, self.probs, size=replicates),
+        return tuple(_CountField(self.cov, rng.multinomial(m, self.probs, size=replicates),
                                  m, 1.0) for m in (n, k))
 
 
@@ -496,8 +460,17 @@ class _FieldSimulator:
 # Individual tests
 
 
-def _cov_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float) -> dict:
-    emp = values.T @ values / values.shape[0]
+def _cov_test(field: _CountField, cov: fl.CovMatrix, threshold: float) -> dict:
+    """The empirical covariance of the rows xi tau, formed in k dimensions
+    as tau^T (xi^T xi / R) tau from the second moments of the counts."""
+    xi, tau = field.xi, cov.tau
+    k, replicates = xi.shape
+    gram = np.empty((k, k))
+    for a in range(k):
+        gram[a, a:] = gram[a:, a] = np.add.reduce(xi[a:] * xi[a], axis=1)
+    gram /= replicates
+    emp = fl._fixed_product(tau.T, fl._fixed_product(gram, tau, np.empty(tau.shape)),
+                            np.empty((tau.shape[1], tau.shape[1])))
     sup, fro = compare_covariance(emp, cov)
     return {"sup_error": sup, "frobenius_rel": fro, "threshold": threshold,
             "passed": sup < threshold}
@@ -505,16 +478,17 @@ def _cov_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float) -> dict:
 
 def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
              zero_tol: float) -> dict:
+    """Per-direction KS gates on the direction-major m x R ``values``."""
     diag = np.diag(cov.entries)
     scale = max(float(diag.max(initial=0.0)), 0.0)
     normal = np.flatnonzero(diag > 1e-12 * max(scale, 1.0))
     ks = dict(zip(normal.tolist(),
                   _normal_ks(values, normal, np.sqrt(diag[normal])).tolist()))
     rows = []
-    for j in range(values.shape[1]):
+    for j in range(len(values)):
         var = float(diag[j])
         if j not in ks:
-            sup_abs = float(np.max(np.abs(values[:, j])))
+            sup_abs = float(np.max(np.abs(values[j])))
             rows.append({"direction": j, "variance": var, "ks": None,
                          "max_abs": sup_abs, "passed": sup_abs <= zero_tol})
             continue
@@ -525,30 +499,34 @@ def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
             "passed": all(r["passed"] for r in rows)}
 
 
-def _whiten(values: np.ndarray, cov: fl.CovMatrix) -> np.ndarray:
-    """Rows of ``values`` in the principal axes of the covariance, each
-    divided by its standard deviation.
+def _whiten(field: _CountField, cov: fl.CovMatrix) -> np.ndarray:
+    """The replicates in the principal axes of the covariance, each axis
+    divided by its standard deviation, R x dof.
 
     The axes and variances come from the thin SVD U S W^T of the m x k
-    Gram factor, so the covariance is U S^2 U^T at O(m k^2) cost; axes
-    with s^2 <= 1e-10 s_max^2 are dropped as the null space.
+    Gram factor F^T, so the covariance is U S^2 U^T; axes with
+    s^2 <= 1e-10 s_max^2 are dropped as the null space.  A field is
+    xi tau = eta F with eta = xi / sqrt(w), so its whitened coordinates
+    xi tau U_keep / s_keep are eta W_keep, formed in k dimensions.
     """
-    u, s, _ = np.linalg.svd(cov.gram_factor, full_matrices=False)
+    _, s, wt = np.linalg.svd(cov.gram_factor, full_matrices=False)
     keep = s * s > 1e-10 * max(float(s.max(initial=0.0)) ** 2, 1e-300)
-    return values @ (u[:, keep] / s[keep])
+    eta = field.xi / np.sqrt(cov.weights)[:, None]
+    return fl._fixed_product(eta.T, wt[keep].T,
+                             np.empty((eta.shape[1], np.count_nonzero(keep))))
 
 
-def _mahalanobis_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
-                      zero_tol: float) -> dict:
+def _mahalanobis_test(field: _CountField, values: np.ndarray, cov: fl.CovMatrix,
+                      threshold: float, zero_tol: float) -> dict:
     """KS distance of the whitened squared norms against chi-square(dof).
 
-    The field of n samples is xi (P - 1 m^T) with xi = (c - n w) / sqrt n
-    for the atom counts c.  When the covariance has rank k - 1, the
-    whitened squared norm is exactly Pearson's statistic
-    sum_i (c_i - n w_i)^2 / (n w_i), so the gate then tests the multinomial
-    counts rather than the geometry.
+    When the covariance has rank k - 1, the whitened squared norm
+    |eta W_keep|^2 is all of |eta|^2, which is exactly Pearson's statistic
+    sum_i (c_i - n w_i)^2 / (n w_i), so the gate then tests the
+    multinomial counts rather than the geometry.  With no axis left the
+    field must vanish: its largest value in ``values`` is checked.
     """
-    white = _whiten(values, cov)
+    white = _whiten(field, cov)
     dof = white.shape[1]
     if dof == 0:
         sup_abs = float(np.max(np.abs(values))) if values.size else 0.0
@@ -562,10 +540,12 @@ def _mahalanobis_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
 
 def _exact_fourth(t: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """E G^4 for the n-sample CLT field with per-atom centred values t
-    (atoms on the last axis): 3 (1 - 1/n) (E t^2)^2 + E t^4 / n."""
+    (atoms on the last axis): 3 (1 - 1/n) (E t^2)^2 + E t^4 / n, each
+    expectation summed over the atoms in atom order."""
     t2 = t * t
-    e2 = t2 @ w
-    return 3.0 * (1.0 - 1.0 / n) * e2 * e2 + (t2 * t2) @ w / n
+    e2, e4 = (fl._fixed_product(x, w[:, None], np.empty((len(x), 1)))[:, 0]
+              for x in (t2, t2 * t2))
+    return 3.0 * (1.0 - 1.0 / n) * e2 * e2 + e4 / n
 
 
 def _mc_fourth(x: np.ndarray, axis: int,
@@ -588,34 +568,27 @@ def _mc_fourth(x: np.ndarray, axis: int,
     return mean.squeeze(axis), np.sqrt(var, out=var) / math.sqrt(r)
 
 
-# elements of one direction-major column block of the moment and
-# martingale tests: 256 KB, whatever R
+# elements of one block of direction-major rows in the moment, increment
+# and martingale tests: 256 KB, whatever R
 _COLUMN_BLOCK = 2 ** 15
 
 
-def _column_ranges(m: int, replicates: int) -> list:
-    """(lo, hi) of each column block of m directions at R replicates."""
+def _column_ranges(m: int, replicates: int, start: int = 0) -> list:
+    """(lo, hi) of each block of directions start..m - 1 at R replicates."""
     step = max(1, _COLUMN_BLOCK // max(1, replicates))
-    return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
+    return [(lo, min(lo + step, m)) for lo in range(start, m, step)]
 
 
-def _columns(values, lo: int, hi: int) -> np.ndarray:
-    """Columns lo..hi - 1 of an R x m array or ``_CountField`` as a new
-    array, one contiguous row per direction: a sum along a row then does
-    not depend on the block width."""
-    if isinstance(values, _CountField):
-        return values.columns(lo, hi)
-    return values[:, lo:hi].T.copy()
-
-
-def _moment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
+def _moment_test(values: np.ndarray, cov: fl.CovMatrix, n: int,
                  gamma2: float, gamma4: float) -> dict:
-    exact = _exact_fourth((sim.pair - sim.mean_vec).T, sim.weights, n)
+    """Fourth moments of each direction's row of the m x R ``values``,
+    a block of rows at a time, against the exact value and the bound."""
+    m, replicates = values.shape
+    exact = _exact_fourth(cov.tau.T, cov.weights, n)
     bound = 3.0 * gamma2**2 + gamma4 / n
-    mc4, se = np.empty(values.shape[1]), np.empty(values.shape[1])
-    for lo, hi in _column_ranges(values.shape[1], values.shape[0]):
-        block = _columns(values, lo, hi)
-        mc4[lo:hi], se[lo:hi] = _mc_fourth(block, 1, out=block)
+    mc4, se = np.empty(m), np.empty(m)
+    for lo, hi in _column_ranges(m, replicates):
+        mc4[lo:hi], se[lo:hi] = _mc_fourth(values[lo:hi], 1)
     rows = [{
         "direction": j,
         "mc_fourth_moment": float(mc4[j]),
@@ -625,7 +598,7 @@ def _moment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
         "ratio": float(mc4[j] / bound) if bound > 0 else 0.0,
         "exact_ok": bool(exact[j] <= bound * (1 + 1e-12) + 1e-300),
         "passed": bool(mc4[j] <= bound + 3.0 * se[j]),
-    } for j in range(values.shape[1])]
+    } for j in range(m)]
     return {"bound": float(bound), "directions": rows,
             "passed": all(r["passed"] and r["exact_ok"] for r in rows)}
 
@@ -635,53 +608,36 @@ _PAIR_DTYPE = np.dtype([
     ("i", np.int64), ("j", np.int64), ("angular_distance", float), ("bound", float),
     ("exact_fourth_moment", float), ("mc_fourth_moment", float), ("mc_se", float),
     ("ratio", float), ("exact_ok", bool), ("passed", bool)])
-# the increments go in blocks of m / _INCREMENT_SHARE columns: the three
-# blocks hold 3/16 of the R x m values, and the number of blocks, which
-# sets the Python overhead, grows only as m
-_INCREMENT_SHARE = 16
 
 
-def _increment_test(values: np.ndarray, sim: _FieldSimulator, n: int,
+def _increment_test(values: np.ndarray, cov: fl.CovMatrix, n: int,
                     gamma2: float, gamma4: float) -> dict:
     """Fourth moments of G(V_i) - G(V_j) for all net pairs i < j, as one
     structured array of ``_PAIR_DTYPE`` rows under "pairs".
 
-    Each pair's bound is the scalar formula in Python floats.  Rows i
-    and rows j come a block of m / 16 columns at a time, each block as
-    contiguous rows of a copy of those columns of ``values``, and
-    ``_mc_fourth`` raises the increments of each row i against a block of
-    rows j to the fourth power in place.  So beyond ``values`` and the
-    pairs the working set is three such blocks, 3/16 of ``values``.
+    Each pair's bound is the scalar formula in Python floats.  The
+    increments of row i of the direction-major m x R ``values`` against
+    a block of its rows j > i are formed in one new block, which
+    ``_mc_fourth`` raises to the fourth power in place.  So beyond
+    ``values`` and the pairs the working set is one such block.
     """
-    m = len(sim.net)
+    m, replicates = values.shape
     iu, ju = np.triu_indices(m, 1)
     pairs = np.zeros(len(iu), dtype=_PAIR_DTYPE)
     pairs["i"], pairs["j"] = iu, ju
-    dist = sim.net.pairwise_distances()[iu, ju]
+    dist = cov.net.pairwise_distances()[iu, ju]
     pairs["angular_distance"] = dist
     c2, c4 = 2.0 * (1.0 + gamma2), 8.0 * (1.0 + gamma4)
     bound = pairs["bound"]
     bound[:] = [2.0 * (c2 * d * d) ** 2 + c4 * d**4 / n for d in dist.tolist()]
     exact, mc, se = (pairs[f] for f in ("exact_fourth_moment", "mc_fourth_moment", "mc_se"))
-    tau_t = np.ascontiguousarray((sim.pair - sim.mean_vec).T)
-    # pair (i, j) is row at[i] + j
-    at = [i * m - i * (i + 3) // 2 - 1 for i in range(m)]
+    tau_t = cov.tau.T
     for i in range(m - 1):
-        exact[at[i] + i + 1:at[i] + m] = _exact_fourth(tau_t[i] - tau_t[i + 1:],
-                                                       sim.weights, n)
-    step = max(1, m // _INCREMENT_SHARE)
-    buf = np.empty((step, values.shape[0]))
-    for i0 in range(0, m - 1, step):
-        i1 = min(i0 + step, m - 1)
-        head = _columns(values, i0, i1)
-        for j0 in range(i0 + 1, m, step):
-            j1 = min(j0 + step, m)
-            tail = _columns(values, j0, j1)
-            for i in range(i0, min(i1, j1 - 1)):
-                lo = max(i + 1, j0)
-                incr = np.subtract(head[i - i0], tail[lo - j0:], out=buf[:j1 - lo])
-                mc[at[i] + lo:at[i] + j1], se[at[i] + lo:at[i] + j1] = \
-                    _mc_fourth(incr, 1, out=incr)
+        at = i * m - i * (i + 3) // 2 - 1  # pair (i, j) is row at + j
+        exact[at + i + 1:at + m] = _exact_fourth(tau_t[i] - tau_t[i + 1:], cov.weights, n)
+        for lo, hi in _column_ranges(m, replicates, i + 1):
+            incr = values[i] - values[lo:hi]
+            mc[at + lo:at + hi], se[at + lo:at + hi] = _mc_fourth(incr, 1, out=incr)
     np.divide(mc, bound, out=pairs["ratio"], where=bound > 0.0)
     pairs["exact_ok"] = exact <= bound * (1 + 1e-12) + 1e-300
     pairs["passed"] = mc <= bound + 3.0 * se
@@ -711,20 +667,20 @@ def _increment_summary(result: dict) -> dict:
     return {"pairs": len(pairs), "bins": bins, "passed": result["passed"]}
 
 
-def _martingale_rows(head, incr, cov: fl.CovMatrix, n: int, k: int) -> list:
+def _martingale_rows(head: _CountField, incr: _CountField, cov: fl.CovMatrix,
+                     n: int, k: int) -> list:
     """Per-direction residual mean(incr) and cross-moment mean(head * incr).
 
     For a martingale both vanish in expectation; with independent
     increments their standard errors are sqrt(k Sigma_jj / R) and
     sqrt(n k) Sigma_jj / sqrt(R), and each gate sits at four of them.
-    ``head`` and ``incr`` are R x m arrays or ``_CountField`` rows, read a
-    column block at a time and not written.
+    ``head`` and ``incr`` are read a block of directions at a time.
     """
     replicates, m = head.shape
     diag = np.maximum(np.diag(cov.entries), 0.0)
     residual, cross = np.empty(m), np.empty(m)
     for lo, hi in _column_ranges(m, replicates):
-        h, t = _columns(head, lo, hi), _columns(incr, lo, hi)
+        h, t = head.columns(lo, hi), incr.columns(lo, hi)
         residual[lo:hi] = t.mean(axis=1)
         h *= t
         cross[lo:hi] = h.mean(axis=1)
@@ -738,10 +694,10 @@ def _martingale_rows(head, incr, cov: fl.CovMatrix, n: int, k: int) -> list:
              "passed": bool(passed[j])} for j in range(len(diag))]
 
 
-def _martingale_test(sim: _FieldSimulator, cov: fl.CovMatrix, seed: int,
-                     spec: MartingaleSpec, replicates: int) -> dict:
+def _martingale_test(sim: _FieldSimulator, seed: int, spec: MartingaleSpec,
+                     replicates: int) -> dict:
     head, tail = sim.partial_sum_rows(seed, spec.n, spec.k, replicates)
-    rows = _martingale_rows(head, tail, cov, spec.n, spec.k)
+    rows = _martingale_rows(head, tail, sim.cov, spec.n, spec.k)
     return {
         "n": spec.n, "k": spec.k, "replicates": replicates,
         "conditional_scaling_sqrt_n_over_n_plus_k":
@@ -757,7 +713,7 @@ def _modulus_test(measure: DiscreteMeasure, base: Point, seed: int,
     net = rg.build_net(base, spec.epsilon)
     sim = _FieldSimulator(measure, base, net)
     # formed a block of replicates at a time as the table folds them
-    fields = sim.fields(seed, _PURPOSE_MODULUS, 0, spec.n, spec.replicates)
+    fields = sim.field_rows(seed, _PURPOSE_MODULUS, 0, spec.n, spec.replicates)
     radii = [2.0 ** (-m) for m in spec.radii_log2]
     table = rg.ModulusTable.from_fields(f"empirical_clt(n={spec.n})", fields,
                                         net, radii)
@@ -905,9 +861,14 @@ def run_clt_experiment(cfg: ExperimentConfig) -> CLTReport:
     """Run the configured tests and assemble a deterministic report."""
     localization = mz.validate_localized(cfg.measure, cfg.validation_config())
     base = localization.base
+    if "modulus" in cfg.tests and isinstance(direction_space(base), SphereDirections):
+        # the modulus net is always the uniform net of modulus.epsilon
+        raise ConfigError("the modulus test needs a uniform net of directions, and the "
+                          "sphere of directions at this base (euclidean dimension >= 3) "
+                          "has none; remove 'modulus' from tests")
     net = resolve_net(base, cfg.net)
     sim = _FieldSimulator(cfg.measure, base, net)
-    cov = fl.cov_matrix(cfg.measure, base, net)
+    cov = sim.cov
     gamma2 = cfg.measure.moment(base, 2)
     gamma4 = cfg.measure.moment(base, 4)
     th = cfg.thresholds
@@ -919,30 +880,31 @@ def run_clt_experiment(cfg: ExperimentConfig) -> CLTReport:
                                         "increments"}
         tests = {}
         if need_values:
-            values = sim.field_rows(cfg.seed, _PURPOSE_SAMPLES, n_index, n,
-                                    cfg.replicates)
+            field = sim.field_rows(cfg.seed, _PURPOSE_SAMPLES, n_index, n,
+                                   cfg.replicates)
+            # the sample size's one field array, direction-major: m x R
+            values = field.columns(0, len(net))
             if "cov" in cfg.tests:
-                tests["cov"] = _cov_test(values, cov, th.cov_sup)
+                tests["cov"] = _cov_test(field, cov, th.cov_sup)
             if "ks" in cfg.tests:
                 tests["ks"] = _ks_test(values, cov, th.ks, th.zero_variance)
             if "mahalanobis" in cfg.tests:
-                tests["mahalanobis"] = _mahalanobis_test(values, cov,
+                tests["mahalanobis"] = _mahalanobis_test(field, values, cov,
                                                          th.mahalanobis_ks,
                                                          th.zero_variance)
             if "moments" in cfg.tests:
-                tests["moments"] = _moment_test(values, sim, n, gamma2, gamma4)
+                tests["moments"] = _moment_test(values, cov, n, gamma2, gamma4)
             if "increments" in cfg.tests:
-                tests["increments"] = _increment_test(values, sim, n, gamma2,
+                tests["increments"] = _increment_test(values, cov, n, gamma2,
                                                       gamma4)
-            # freed before the next sample size's rows or the martingale's
-            del values
+            # freed before the next sample size's fields or the martingale's
+            del field, values
         per_n[n] = tests
         all_passed = all_passed and all(t["passed"] for t in tests.values())
 
     martingale = None
     if "martingale" in cfg.tests:
-        martingale = _martingale_test(sim, cov, cfg.seed, cfg.martingale,
-                                      cfg.replicates)
+        martingale = _martingale_test(sim, cfg.seed, cfg.martingale, cfg.replicates)
         all_passed = all_passed and martingale["passed"]
 
     modulus = None

@@ -52,10 +52,10 @@ def build_net(base: Point, eps: float) -> DirectionNet:
     if not eps > 0.0:
         raise DomainError("net resolution must be positive")
     ds = direction_space(base)
-    coords, w, cov_radius = ds.net_coords(eps)
+    coords, cov_radius = ds.net_coords(eps)
     dirs = tuple(ds.from_coord(c) for c in coords)
     return DirectionNet(base, dirs, float(eps), float(cov_radius),
-                        tuple(float(x) for x in w), np.asarray(coords, dtype=float))
+                        np.asarray(coords, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,12 @@ def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
     if n_max < 4:
         raise DomainError("need n_max >= 4 for a meaningful slope")
     ds = direction_space(base)
-    coords, _w, radius = ds.net_coords(0.5)
+    coords, radius = ds.net_coords(0.5)
     scales, counts = [], []
     for n in range(1, n_max + 1):
         eps = 2.0 ** (-n)
         while radius > eps / 2.0 + 1e-15:
-            coords, _w, radius = ds.refine(coords)
+            coords, radius = ds.refine(coords)
         scales.append(eps)
         counts.append(len(coords))
     counts_arr = np.array(counts, dtype=float)

@@ -198,10 +198,10 @@ def closed_form_mean(space: dict, atoms) -> list:
 def refine_net(base, net: DirectionNet, eps: float) -> DirectionNet:
     """Halve the mesh of a uniform net; the result contains the old net."""
     ds = direction_space(base)
-    coords, w, cov_radius = ds.refine(net.coords())
+    coords, cov_radius = ds.refine(net.coords())
     dirs = tuple(ds.from_coord(c) for c in coords)
     return DirectionNet(base, dirs, float(eps), float(cov_radius),
-                        tuple(float(x) for x in w), np.asarray(coords, dtype=float))
+                        np.asarray(coords, dtype=float))
 
 
 def min_separation(ds, coords: np.ndarray) -> float:
@@ -246,13 +246,14 @@ def modulus_all_pairs(values: np.ndarray, net: DirectionNet, radii) -> np.ndarra
     return out
 
 
-def increment_pairs_loop(values: np.ndarray, sim, n: int, gamma2: float,
+def increment_pairs_loop(values: np.ndarray, cov, n: int, gamma2: float,
                          gamma4: float) -> list:
-    """Increment fourth-moment rows by a Python loop over net pairs i < j."""
-    m = len(sim.net)
-    dmat = sim.net.pairwise_distances()
-    tau = sim.pair - sim.mean_vec
-    w = sim.weights
+    """Increment fourth-moment rows by a Python loop over net pairs i < j,
+    from the R x m ``values`` and the pairing matrix of ``cov``."""
+    m = len(cov.net)
+    dmat = cov.net.pairwise_distances()
+    tau = cov.pair - cov.mean_vec
+    w = cov.weights
     rows = []
     for i in range(m):
         for j in range(i + 1, m):

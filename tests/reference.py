@@ -17,7 +17,7 @@ import numpy as np
 
 from stratclt import geometry as geo
 from stratclt.errors import DomainError, SpaceMismatchError
-from stratclt.fields import CovMatrix, pairing_matrix
+from stratclt.fields import pairing_matrix
 from stratclt.geometry import Direction, DirectionNet, Point, TangentVector, zero_vector
 from stratclt.measures import DiscreteMeasure, pushforward
 from stratclt.regularity import build_net, modulus_many
@@ -193,14 +193,6 @@ def empirical_field(samples: list[Point], measure: DiscreteMeasure, base: Point,
     return FieldOnNet(net, norm * sums, label)
 
 
-def l2_norm_expectation(cov: CovMatrix) -> float:
-    """Quadrature of the diagonal kernel against the net weights."""
-    if cov.net.weights is None:
-        raise DomainError("l2 norm expectation needs net quadrature weights")
-    w = np.asarray(cov.net.weights)
-    return float(w @ np.diag(cov.entries))
-
-
 # ---------------------------------------------------------------------------
 # Covering sandwich and Hölder slope
 
@@ -216,7 +208,7 @@ def covering_number_bounds(base: Point, eps: float) -> tuple[int, int]:
     finite direction sets, whose covering radius is 0.
     """
     upper = len(build_net(base, eps))
-    packed, _w, radius = geo.direction_space(base).net_coords(2.0 * eps)
+    packed, radius = geo.direction_space(base).net_coords(2.0 * eps)
     separation = 2.0 * radius if radius > 0.0 else math.pi
     if len(packed) > 1 and separation <= eps:
         return 1, upper

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -15,32 +16,32 @@ from .conftest import CONFIG_DIR, load_config
 # SHA-256 of each output of `clt --seed 42` on small_clt_config (the
 # bundled spider3_uniform experiment, shrunk); the manifest is excluded
 CLT_DIGESTS = {
-    "cov.csv": "68ce42635a8cda3216e081b103ae1b29aef5c7a2dfc34739483b0539f1d32f47",
+    "cov.csv": "258b545bd6350a125ea7bc961acb93e903065f2ad8024e4acf8327974064be4b",
     "cov_matrix.csv": "2005e081d5050c10d35d6ed3c20b89a44ece773f87b5d4046de2b4e11494b96a",
-    "increments.csv": "97d3b2e2547977627e7d9a5a186c71ce5fe755e62a5f996b9741e4e380ba9c48",
-    "ks.csv": "220f71dcc8aa838eec05a47e8323e47823a23b3193738c74bc93ae933c74b871",
-    "mahalanobis.csv": "7bd7f65873cf47ddf55f7a7acee5356cae6396e525eb66d2105aff8cdb019495",
-    "martingale.csv": "19ce51f9b79772bebb740656900bfbdbd53bee5b90d375e3467a4a53652e30f8",
-    "moments.csv": "203044303ae50ff6c22e0b37d5a147cc7c6c19adfb66e2ff1aadd5a455ee0eeb",
-    "report.json": "591b67cd62cd6f15e53a38f681a1cf8adf580e80b229b853f145e6edee295013",
+    "increments.csv": "da509a4cebfff26234cfa57e0a7bdd800d66f54d61e251e93530c505f8b7e994",
+    "ks.csv": "69546142faf4216befc3a7852e23c97b78770a86ab133e823a884c1ee3724f65",
+    "mahalanobis.csv": "17670109197f13927bd5d310bb8ac81e8a954f72d5d7f46f8b260f096e22c30e",
+    "martingale.csv": "cb74e065c1be58792faa2c98a963fa701397b19282a8e810df3a7cbc8a456195",
+    "moments.csv": "ff21cf1ce84a977134767a2fae93be40a32a8ac779205fbe376ec080b300385f",
+    "report.json": "6732f063d755b8825ce840a21f0e5b71ff07d4419f591efc671c654f6a539bed",
 }
 
 # SHA-256 of each output of `clt --seed 42` on openbook3_spine with a
 # 95-direction net (epsilon 0.1, modulus test off); the manifest is excluded
 FINE_NET_DIGESTS = {
-    "cov.csv": "76070ba3d3a574b58e32bb67d1cd7f6973e047f8780f5b7a3073cdd196f0e49d",
-    "cov_matrix.csv": "94b51a19b6faa56e6d87b45d95686bd3cb97a4bf273724fa7fb88a0e91afc52a",
-    "increments.csv": "e72f9007c5850bbe14ba3a8c9109f730513d40d2867fd2319ad7ed503d1b50db",
-    "ks.csv": "bbc7f93466edf29426d7255e1b2230bb2c982f7c8021f961c651025b22959ead",
-    "mahalanobis.csv": "746b9812642f8241c1cfebe98e5ccd61686632cecf7ee96981105b348136ef3e",
-    "martingale.csv": "a9708100b7ae40e323a3d5d853c7ca3c916955dd232a5297d6100e15ff85d1e7",
-    "moments.csv": "e64cccb84d5f5747d71b737620c071404c926b5e3527cef4ad7869bddc46b073",
-    "report.json": "c6f431386328f8568cbdc22abf4521d61a060bf5c3960b973b1bf22867894426",
+    "cov.csv": "d7b10b99bb3a571216d6bda97f404046f604ed30e89ef5e44aefe1b738ddfe6f",
+    "cov_matrix.csv": "36c0451c75e7a0859d6e222c7a94ef76d8ce952e3840d195aac4eed40ab8f102",
+    "increments.csv": "cd15fe434018e7e3ed814f35682acfaccc5e1fcb8314816669edf04ad1c4aab6",
+    "ks.csv": "f6df399ad26977d7af87cecea90a77c8529e8482c670569373c97de985b55267",
+    "mahalanobis.csv": "325bdb77cd95f41d0763ff366917b106dd15cb51ad067a1710a1873d0613a598",
+    "martingale.csv": "209106e2ae45bb601b4691af739bb0f9c290dbf7182b4d42b278135d4157f2a8",
+    "moments.csv": "dc44abee4cafabcf0a57aac15c133e49ac8273b68ad52e1fee10709e8daea276",
+    "report.json": "fab80566ac9c3178f387038331d2410213a42d9da90b6bc764d5cc0d278342ba",
 }
 
 # SHA-256 of modulus.csv from `clt --seed 1 --format csv` in
 # TestOutputFormats.test_format_csv_only_includes_modulus
-MODULUS_CSV_DIGEST = "15801a748741815c831e0a59137caa8ba012fbc4f8cba7029da0726c62abd875"
+MODULUS_CSV_DIGEST = "a5a4df9fc3a5606bdc89fef146bd69ec176e7a6f3b34e2a3c27b8f103972be45"
 
 # SHA-256 of the outputs and stdout of `cover --n-max 8 --out` at the apex
 # of a flat cone of circumference 3 pi (TestCover.test_cone_slope)
@@ -55,8 +56,8 @@ COVER_DIGESTS = {
 # and across the writer's 4096-row blocks
 FIELD_DIGESTS = {
     "cov_matrix.csv": "2005e081d5050c10d35d6ed3c20b89a44ece773f87b5d4046de2b4e11494b96a",
-    "empirical_draws.csv": "51a2fcc4a8ecbf92302eb077b6f7387bbc25bd63309acb86e7590383f5495aef",
-    "gaussian_draws.csv": "d0bf30b95886964df13a0ab2cf3f19b4393347ac49e64e137ab342ff20e5dd7e",
+    "empirical_draws.csv": "fffe36acf6ab635fe5e71950105e0c13a1c9ca3b18702d0ebab9eca7b1fe273e",
+    "gaussian_draws.csv": "5fa835db669b3b7a7d6ebd735f14b39a918564837ed0271e84fb497d9fd74a87",
 }
 
 
@@ -254,6 +255,75 @@ class TestClt:
         assert {"modulus.csv", "report.json", "cov.csv"} <= outputs[0].keys()
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], name
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 kernels")
+    def test_blas_kernel_invariance(self, tmp_path):
+        # every sum is taken in a fixed order without BLAS except the SVD
+        # that whitens the Mahalanobis statistic, so only mahalanobis.csv
+        # and report.json, which repeats it, may follow the OpenBLAS kernel
+        import os, subprocess, sys
+        fine = load_config("openbook3_spine.json")
+        fine["net"] = {"epsilon": 0.1}
+        fine["tests"] = [t for t in fine["tests"] if t != "modulus"]
+        fine.pop("modulus")
+        runs = {
+            "fine_net": ["clt", "--config", write_json(tmp_path / "fine.json", fine),
+                         "--seed", "42"],
+            "modulus": ["clt", "--config", str(CONFIG_DIR / "openbook3_spine.json"),
+                        "--seed", "42"],
+            "field": ["field", "--config", str(CONFIG_DIR / "field_example.json"),
+                      "--seed", "42", "--empirical-n", "1000"],
+        }
+        outputs = {}
+        for kernel in ("default", "Prescott", "Sandybridge"):
+            env = dict(os.environ,
+                       PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if kernel != "default":
+                env["OPENBLAS_CORETYPE"] = kernel
+            for name, argv in runs.items():
+                outdir = tmp_path / f"{name}-{kernel}"
+                proc = subprocess.run([sys.executable, "-m", "stratclt", *argv,
+                                       "--out", str(outdir)],
+                                      capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+                outputs[name, kernel] = {
+                    f.name: f.read_bytes() for f in outdir.iterdir()
+                    if f.name not in ("manifest.json", "mahalanobis.csv", "report.json")}
+        assert "modulus.csv" in outputs["modulus", "default"]
+        assert "empirical_draws.csv" in outputs["field", "default"]
+        for name in runs:
+            want = outputs[name, "default"]
+            for kernel in ("Prescott", "Sandybridge"):
+                got = outputs[name, kernel]
+                assert got.keys() == want.keys()
+                for f in want:
+                    assert got[f] == want[f], (name, kernel, f)
+
+    def test_modulus_on_a_sphere_of_directions_refused_first(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the modulus net is the uniform net of modulus.epsilon, and a
+        # sphere of directions has none: refused before any field is drawn
+        from stratclt import harness
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("fields were simulated before the refusal")
+
+        monkeypatch.setattr(harness._FieldSimulator, "field_rows", simulate)
+        raw = {
+            "measure": CLOSED_FORM_MEASURES["euclidean3_four"],
+            "net": {"vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+            "sample_sizes": [200],
+            "replicates": 150,
+            "tests": ["cov", "ks", "modulus"],
+        }
+        code = main(["clt", "--config", write_json(tmp_path / "c.json", raw),
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "modulus" in err and err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_field_rerun_invariance(self, tmp_path, capsys):
         raw = {

@@ -19,7 +19,7 @@ from stratclt import (
     run_clt_experiment,
     substream,
 )
-from stratclt import harness, regularity
+from stratclt import fields, harness, regularity
 from stratclt.harness import (
     _FieldSimulator,
     _PURPOSE_MODULUS,
@@ -290,7 +290,7 @@ class TestStatisticalInvariants:
         for r_count in (500, 2000, 8000):
             sups = []
             for seed in range(5):
-                vals = sim.field_rows(seed, _PURPOSE_SAMPLES, 0, 50, r_count, 1)
+                vals = np.asarray(sim.field_rows(seed, _PURPOSE_SAMPLES, 0, 50, r_count, 1))
                 emp = vals.T @ vals / r_count
                 sups.append(compare_covariance(emp, cov)[0])
             errors[r_count] = float(np.mean(sups))
@@ -310,8 +310,8 @@ class TestStatisticalInvariants:
         for rep in range(reps):
             idx = sample_indices(spider_uniform, substream(77, 50, rep), ns[-1])
             for n in ns:
-                counts = np.bincount(idx[:n], minlength=sim.k).astype(float)
-                gbar = (counts @ sim.pair - n * sim.mean_vec) / n
+                counts = np.bincount(idx[:n], minlength=len(sim.probs)).astype(float)
+                gbar = (counts @ sim.cov.pair - n * sim.cov.mean_vec) / n
                 sups[n].append(np.abs(gbar).max())
         means = {n: float(np.mean(sups[n])) for n in ns}
         assert 1.3 <= means[1000] / means[4000] <= 3.2
@@ -346,23 +346,24 @@ def fixed_order_product(counts, pair):
 class TestFieldRowsInPlace:
     @pytest.mark.parametrize("name", EXPERIMENT_FILES)
     def test_rows_match_out_of_place(self, name):
-        # field_rows and partial_sum_rows form the product a chunk at a
-        # time and subtract and divide in place; the same ufuncs in the
-        # same order give the same bits as the out-of-place expressions
+        # field_rows and partial_sum_rows centre and scale the counts in
+        # place and form the product with tau a chunk at a time; the same
+        # ufuncs in the same order give the same bits as the out-of-place
+        # expressions
         cfg = config_from_json(load_config(name), seed=42)
         base = validate_localized(cfg.measure, cfg.validation_config()).base
         sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg.net))
+        w, tau = sim.cov.weights, sim.cov.tau
         n, reps = 1000, 200
         counts = substream(42, _PURPOSE_SAMPLES, 1).multinomial(
             n, sim.probs, size=reps).astype(float)
-        expected = (fixed_order_product(counts, sim.pair)
-                    - n * sim.mean_vec) / math.sqrt(n)
+        expected = fixed_order_product((counts - n * w) / math.sqrt(n), tau)
         assert np.array_equal(sim.field_rows(42, _PURPOSE_SAMPLES, 1, n, reps),
                               expected)
         rng = substream(42, harness._PURPOSE_MARTINGALE)
         for got, m in zip(sim.partial_sum_rows(42, n, 300, reps), (n, 300)):
             c = rng.multinomial(m, sim.probs, size=reps).astype(float)
-            want = fixed_order_product(c, sim.pair) - m * sim.mean_vec
+            want = fixed_order_product(c - m * w, tau)
             assert np.array_equal(np.asarray(got), want)
             assert np.array_equal(got.columns(0, want.shape[1]), want.T)
 
@@ -377,17 +378,18 @@ class TestMahalanobisIdentity:
         net = resolve_net(base, cfg.net)
         sim = _FieldSimulator(cfg.measure, base, net)
         cov = cov_matrix(cfg.measure, base, net)
-        w = sim.weights
+        w = sim.cov.weights
+        k = len(w)
         for i, n in enumerate(cfg.sample_sizes):
             white = harness._whiten(
                 sim.field_rows(42, _PURPOSE_SAMPLES, i, n, cfg.replicates), cov)
-            assert white.shape[1] == sim.k - 1
+            assert white.shape[1] == k - 1
             counts = substream(42, _PURPOSE_SAMPLES, i).multinomial(
                 n, sim.probs, size=cfg.replicates)
             pearson = ((counts - n * w) ** 2 / (n * w)).sum(axis=1)
             # relative to the chi-square mean dof where a count row hits n w
             np.testing.assert_allclose(np.sum(white ** 2, axis=1), pearson,
-                                       rtol=1e-12, atol=1e-12 * (sim.k - 1))
+                                       rtol=1e-12, atol=1e-12 * (k - 1))
 
 
 class TestMartingaleResidual:
@@ -422,7 +424,11 @@ class TestMartingaleResidual:
         cov = cov_matrix(spider_uniform, spider_apex, net)
         head, tail = sim.partial_sum_rows(99, n, k, reps)
         assert all(r["passed"] for r in _martingale_rows(head, tail, cov, n, k))
-        rows = _martingale_rows(head, np.asarray(head) + np.asarray(tail), cov, n, k)
+        # S_{n+k} held as the summed counts of the head and tail draws
+        rng = substream(99, harness._PURPOSE_MARTINGALE)
+        counts = sum(rng.multinomial(m, sim.probs, size=reps) for m in (n, k))
+        full = harness._CountField(sim.cov, counts, n + k, 1.0)
+        rows = _martingale_rows(head, full, cov, n, k)
         diag = np.diag(cov.entries)
         for r in rows:
             assert not r["passed"]
@@ -440,10 +446,9 @@ class TestMartingaleResidual:
         rng = substream(42, harness._PURPOSE_MARTINGALE)
         counts = [rng.multinomial(m, sim.probs, size=reps).astype(float) for m in (n, k)]
         head, tail = sim.partial_sum_rows(42, n, k, reps)
-        assert np.array_equal(np.asarray(head),
-                              fixed_order_product(counts[0], sim.pair) - n * sim.mean_vec)
-        assert np.array_equal(np.asarray(tail),
-                              fixed_order_product(counts[1], sim.pair) - k * sim.mean_vec)
+        w, tau = sim.cov.weights, sim.cov.tau
+        assert np.array_equal(np.asarray(head), fixed_order_product(counts[0] - n * w, tau))
+        assert np.array_equal(np.asarray(tail), fixed_order_product(counts[1] - k * w, tau))
 
 
 class TestMomentExpansionOracle:
@@ -467,7 +472,7 @@ class TestMomentExpansionOracle:
     def test_fourth_moment_expansion_exact(self, spider_uniform, spider_apex):
         net = build_net(spider_apex, 1.0)
         sim = _FieldSimulator(spider_uniform, spider_apex, net)
-        tau = sim.pair - sim.mean_vec
+        tau = sim.cov.tau
         w = spider_uniform.weights
         for n in (2, 3, 4):
             e_g4, e_gg = self._enumerate(tau, w, n)
@@ -482,7 +487,7 @@ class TestMomentExpansionOracle:
         base = Point(spider3, (1, 0.6))
         net = build_net(base, 1.0)
         sim = _FieldSimulator(spider_weighted, base, net)
-        tau = sim.pair - sim.mean_vec
+        tau = sim.cov.tau
         w = spider_weighted.weights
         delta = (tau[:, 0] - tau[:, 1])[:, None]
         for n in (2, 3):
@@ -509,14 +514,14 @@ class TestIncrementReference:
         base = validate_localized(cfg.measure, cfg.validation_config()).base
         sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg.net))
         n = cfg.sample_sizes[0]
-        values = sim.field_rows(17, _PURPOSE_SAMPLES, 0, n, cfg.replicates)
-        assert net is None or len(sim.net) == 95
+        field = sim.field_rows(17, _PURPOSE_SAMPLES, 0, n, cfg.replicates)
+        assert net is None or len(sim.cov.net) == 95
         # the measure's moment constants, and constants shrunk until the
         # bound splits the pairs, so both flags take both values
         gammas = (cfg.measure.moment(base, 2), cfg.measure.moment(base, 4))
         for g2, g4 in (gammas, (-0.8, -0.8)):
-            got = _increment_test(values, sim, n, g2, g4)
-            want = increment_pairs_loop(values, sim, n, g2, g4)
+            got = _increment_test(field.columns(0, field.shape[1]), sim.cov, n, g2, g4)
+            want = increment_pairs_loop(np.asarray(field), sim.cov, n, g2, g4)
             assert [(r["i"], r["j"]) for r in got["pairs"]] == \
                 [(r["i"], r["j"]) for r in want]
             assert got["pairs"].dtype.names == tuple(want[0].keys())
@@ -530,13 +535,15 @@ class TestIncrementReference:
 
 
 def fine_values(name, net, n, replicates, seed=17):
-    """(sim, values) for a bundled config on the given net at sample size n."""
+    """(sim, values) for a bundled config on the given net at sample size
+    n, the values direction-major, one row per net direction."""
     raw = load_config(name)
     raw["net"] = net
     cfg = config_from_json(raw, seed=seed)
     base = validate_localized(cfg.measure, cfg.validation_config()).base
     sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg.net))
-    return sim, sim.field_rows(seed, _PURPOSE_SAMPLES, 0, n, replicates)
+    field = sim.field_rows(seed, _PURPOSE_SAMPLES, 0, n, replicates)
+    return sim, field.columns(0, field.shape[1])
 
 
 class TestMcFourth:
@@ -566,12 +573,12 @@ class TestIncrementNets:
     ])
     def test_rows_match_per_pair_moments(self, net):
         sim, values = fine_values("openbook3_spine.json", net, 1000, 400)
-        m = len(sim.net)
-        got = _increment_test(values, sim, 1000, 1.0, 1.0)
+        m = len(sim.cov.net)
+        got = _increment_test(values, sim.cov, 1000, 1.0, 1.0)
         assert [(r["i"], r["j"]) for r in got["pairs"]] == \
             [(i, j) for i in range(m) for j in range(i + 1, m)]
         for r in got["pairs"][::37]:
-            x = values[:, r["i"]] - values[:, r["j"]]
+            x = values[r["i"]] - values[r["j"]]
             x4 = x * x
             x4 *= x4
             assert r["mc_fourth_moment"] == x4.mean()
@@ -582,10 +589,10 @@ class TestIncrementNets:
         # a repeated direction puts one pair at distance 0
         sim, values = fine_values("spider3_uniform.json", {"legs": [0, 0, 1, 2]},
                                   100, 300)
-        inc = _increment_test(values, sim, 100, *gammas)
+        inc = _increment_test(values, sim.cov, 100, *gammas)
         sim95, values95 = fine_values("openbook3_spine.json", {"epsilon": 0.1},
                                       1000, 300)
-        inc95 = _increment_test(values95, sim95, 1000, *gammas)
+        inc95 = _increment_test(values95, sim95.cov, 1000, *gammas)
         for result, m in ((inc, 4), (inc95, 95)):
             summary = _increment_summary(result)
             assert summary["pairs"] == m * (m - 1) // 2
@@ -609,8 +616,8 @@ class TestIncrementNets:
 
 class TestWorkingSet:
     """tracemalloc peaks on the 95-direction openbook3_spine net at
-    R = 5000: a run holds one R x m array and the per-direction tests
-    column blocks of it, whatever the number of net pairs; the modulus
+    R = 5000: a run holds one m x R array and the per-direction tests
+    blocks of its rows, whatever the number of net pairs; the modulus
     field is formed from its counts a block of replicates at a time."""
 
     R = 5000
@@ -627,16 +634,16 @@ class TestWorkingSet:
     def test_increment_test_peak(self):
         sim, values = fine_values("openbook3_spine.json", {"epsilon": 0.1},
                                   10000, self.R)
-        assert values.shape == (self.R, 95)
-        # the pair array and three blocks of m / 16 columns
-        peak = self._peak(lambda: _increment_test(values, sim, 10000, 1.0, 1.0))
+        assert values.shape == (95, self.R)
+        # the pair array and one block of rows
+        peak = self._peak(lambda: _increment_test(values, sim.cov, 10000, 1.0, 1.0))
         assert peak <= 0.5 * values.nbytes
 
     def test_ks_test_peak(self):
         sim, values = fine_values("openbook3_spine.json", {"epsilon": 0.1},
                                   10000, self.R)
-        cov = cov_matrix(sim.measure, sim.base, sim.net)
-        # the sorted block and the rough CDF's arrays, four columns wide
+        cov = sim.cov
+        # the sorted block and the rough CDF's arrays, four rows wide
         peak = self._peak(lambda: _ks_test(values, cov, 0.03, 1e-10))
         assert peak <= 0.5 * values.nbytes
 
@@ -664,11 +671,11 @@ class TestWorkingSet:
         assert peak <= 1.5 * self.R * 95 * 8
 
 
-# every block size of the replicate simulation, the per-direction tests
-# and the modulus table
-BLOCK_CONSTANTS = ((harness, "_PRODUCT_CHUNK"), (harness, "_KS_BLOCK"),
-                   (harness, "_COLUMN_BLOCK"), (harness, "_INCREMENT_SHARE"),
-                   (regularity, "_BLOCK"))
+# every block size of the fixed-order product, the per-direction tests,
+# the modulus table and the report's table rows
+BLOCK_CONSTANTS = ((fields, "_PRODUCT_CHUNK"), (harness, "_KS_BLOCK"),
+                   (harness, "_COLUMN_BLOCK"), (regularity, "_BLOCK"),
+                   (harness, "_CSV_BLOCK"))
 
 
 def block_test_config(name: str) -> dict:
@@ -712,8 +719,8 @@ class TestBlockSizeInvariance:
 
     def test_field_blocks_match_whole_array(self):
         sim, _ = fine_values("openbook3_spine.json", {"epsilon": 0.1}, 1000, 10)
-        field = sim.fields(3, _PURPOSE_MODULUS, 0, 1000, 37)
-        whole = sim.field_rows(3, _PURPOSE_MODULUS, 0, 1000, 37)
+        field = sim.field_rows(3, _PURPOSE_MODULUS, 0, 1000, 37)
+        whole = fixed_order_product(field.xi.T, sim.cov.tau)
         assert np.array_equal(np.asarray(field), whole)
         for lo, hi in ((0, 1), (5, 17), (36, 37), (0, 37)):
             assert np.array_equal(field[lo:hi], whole[lo:hi])
@@ -735,7 +742,7 @@ class TestBracketedKs:
             if trial % 3 == 0:
                 x = np.round(x, 1)  # ties
             want = ks_distance(x[:, 0], lambda t: normal_cdf(t / sigma))
-            assert _normal_ks(x, np.array([0]), np.array([sigma]))[0] == want
+            assert _normal_ks(x.T, np.array([0]), np.array([sigma]))[0] == want
 
     def test_equals_ks_distance_at_midpoint_quantiles(self):
         # every deviation is 1/(2n) up to rounding, far inside the rough
@@ -745,7 +752,7 @@ class TestBracketedKs:
             for sigma in (0.3, 1.0, 7.0):
                 x = special.ndtri((np.arange(n) + 0.5) / n)[:, None] * sigma
                 want = ks_distance(x[:, 0], lambda t: normal_cdf(t / sigma))
-                assert _normal_ks(x, np.array([0]), np.array([sigma]))[0] == want
+                assert _normal_ks(x.T, np.array([0]), np.array([sigma]))[0] == want
 
     @pytest.mark.parametrize("name, net", [
         ("spider3_uniform.json", {"legs": [0, 1, 2]}),
@@ -755,12 +762,12 @@ class TestBracketedKs:
     def test_equals_ks_distance_on_lattice_fields(self, name, net):
         # at n = 100 the field takes few distinct values: ties everywhere
         sim, values = fine_values(name, net, 100, 500)
-        cov = cov_matrix(sim.measure, sim.base, sim.net)
+        cov = sim.cov
         rows = _ks_test(values, cov, 0.03, 1e-10)["directions"]
-        assert len(rows) == len(sim.net)
+        assert len(rows) == len(sim.cov.net)
         for j, r in enumerate(rows):
             sigma = math.sqrt(cov.entries[j, j])
-            want = ks_distance(values[:, j], lambda t: normal_cdf(t / sigma))
+            want = ks_distance(values[j], lambda t: normal_cdf(t / sigma))
             assert r["ks"] == want
 
 

@@ -67,12 +67,6 @@ class TestBuildNet:
         pages = {d.data[0] for d in interior}
         assert pages == {0, 1, 2}
 
-    def test_weights_total_measure(self):
-        net = build_net(apex(FC), 0.3)
-        assert sum(net.weights) == pytest.approx(ALPHA, rel=1e-12)
-        spine = build_net(Point(OB3, (0, 0.0, 0.0)), 0.3)
-        assert sum(spine.weights) == pytest.approx(3 * math.pi, rel=1e-12)
-
     def test_bad_resolution(self):
         with pytest.raises(DomainError):
             build_net(apex(SP3), 0.0)
