@@ -23,7 +23,8 @@ _EXPORTS = {
     "measures": "DiscreteMeasure MeanDiagnostics TangentMeasure ValidationConfig "
                 "frechet_function frechet_mean pushforward validate_localized",
     "fields": "CovMatrix GaussianFieldSampler cov_matrix",
-    "regularity": "CoveringProfile ModulusTable build_net dimension_constant",
+    "covering": "CoveringProfile dimension_constant",
+    "regularity": "ModulusTable build_net",
     "harness": "CLTReport ExperimentConfig compare_covariance config_from_json "
                "ks_distance run_clt_experiment",
     "rng": "substream",

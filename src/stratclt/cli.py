@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import (ConfigError, NumericalConsistencyError, StratcltError, json_number,
-                     open_output, reject_unknown_keys)
+from .errors import (ConfigError, NumericalConsistencyError, StratcltError, format_float,
+                     json_number, open_output, reject_unknown_keys)
 
 EXIT_OK = 0
 EXIT_STATISTICAL = 2
@@ -76,10 +76,9 @@ def _write_manifest(outdir: Path, command: str, config_path: str | None,
 
 def _write_csv(path: Path, rows) -> None:
     """Rows of raw values, written as they are read, one cell format for
-    every table: a float is written by ``fields.format_float``, None as an
+    every table: a float is written by ``errors.format_float``, None as an
     empty cell (as csv writes it) and anything else as is."""
     import csv
-    from .fields import format_float
     with open_output(path, newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(
             [format_float(x) if isinstance(x, float) else x for x in row]
@@ -141,7 +140,7 @@ def _json_arg(name: str, text: str):
 
 
 def cmd_cover(args) -> int:
-    from . import geometry as geo, regularity as rg
+    from . import covering as cv, geometry as geo
     if args.config:
         raw = _load_json(args.config)
     elif args.space and args.base is not None:
@@ -155,10 +154,10 @@ def cmd_cover(args) -> int:
             raise ConfigError(f"cover config needs a {key!r} entry")
     n_max = json_number(raw.get("n_max", args.n_max), "n_max", int)
     base = geo.Point.of(geo.SpaceSpec.from_json(raw["space"]), raw["base"])
-    if n_max > rg.COVER_N_MAX:
-        # the finest net has about 2^n_max directions
-        raise ConfigError(f"--n-max must be <= {rg.COVER_N_MAX}, got {n_max}")
-    profile = rg.dimension_constant(base, n_max)
+    if n_max > cv.COVER_N_MAX:
+        # the 2^-COVER_N_MAX floor of every net scale; the counts build no net
+        raise ConfigError(f"--n-max must be <= {cv.COVER_N_MAX}, got {n_max}")
+    profile = cv.dimension_constant(base, n_max)
     summary = {
         "d_estimate": profile.d_estimate,
         "stratum_dim_bound": profile.stratum_dim_bound,

@@ -69,9 +69,6 @@ class DiscreteDirections(_Directions):
     def net_coords(self, eps: float) -> tuple[np.ndarray, float]:
         return np.arange(len(self.labels), dtype=float), 0.0
 
-    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, float]:
-        return coords, 0.0
-
 
 class CircleDirections(_Directions):
     """Directions forming a circle of circumference L with the arc metric."""
@@ -110,9 +107,6 @@ class CircleDirections(_Directions):
 
     def _uniform(self, m: int) -> tuple[np.ndarray, float]:
         return self.length * np.arange(m) / m, self.length / m / 2.0
-
-    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, float]:
-        return self._uniform(2 * len(coords))
 
 
 class SpineDirections(_Directions):
@@ -187,10 +181,6 @@ class SpineDirections(_Directions):
             for p in range(self.pages):
                 rows.append(np.column_stack([np.full(m - 1, float(p)), thetas]))
         return np.vstack(rows), h / 2.0
-
-    def refine(self, coords: np.ndarray) -> tuple[np.ndarray, float]:
-        per_page = (len(coords) - 2) // self.pages
-        return self._uniform(2 * (per_page + 1))
 
 
 class SphereDirections(_Directions):

@@ -1,7 +1,10 @@
 """Exception types shared across the package, and ``json_number``,
 ``reject_unknown_keys`` and ``open_output``, the checks through which
 the parsers of numeric settings and of config objects and the writers of
-output files raise ConfigError."""
+output files raise ConfigError; and ``FLOAT_FORMAT``, the one CSV cell
+format (17 significant digits round-trip a 64-bit float)."""
+
+FLOAT_FORMAT = "%.17g"
 
 
 class StratcltError(Exception):
@@ -56,3 +59,7 @@ def open_output(path, newline: str | None = None):
         return open(path, "w", encoding="utf-8", newline=newline)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
+def format_float(x: float) -> str:
+    return FLOAT_FORMAT % x

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .directions import DirectionNet, pairings
-from .errors import SpaceMismatchError, open_output
+from .errors import FLOAT_FORMAT, SpaceMismatchError, open_output
 from .geometry import Point
 from .measures import DiscreteMeasure, TangentMeasure, pushforward
 
@@ -131,14 +131,7 @@ class GaussianFieldSampler:
 
 
 # ---------------------------------------------------------------------------
-# CSV export (17 significant digits round-trips 64-bit floats)
-
-_FLOAT_FORMAT = "%.17g"
-
-
-def format_float(x: float) -> str:
-    return _FLOAT_FORMAT % x
-
+# CSV export (``errors.FLOAT_FORMAT``, the one cell format)
 
 _CSV_BLOCK_ROWS = 4096
 
@@ -146,7 +139,7 @@ _CSV_BLOCK_ROWS = 4096
 def _row_blocks(values: np.ndarray):
     """The CSV text of the rows, one string per block of rows, each
     formatted by one ``%``."""
-    row_fmt = ",".join([_FLOAT_FORMAT] * values.shape[1]) + "\n"
+    row_fmt = ",".join([FLOAT_FORMAT] * values.shape[1]) + "\n"
     for start in range(0, len(values), _CSV_BLOCK_ROWS):
         blk = values[start:start + _CSV_BLOCK_ROWS]
         yield (row_fmt * len(blk)) % tuple(blk.ravel().tolist())

@@ -15,16 +15,17 @@ net's one ``fields.CovMatrix``.  Every sum over atoms is the
 fixed-order ``fields._fixed_product`` and every other sum a numpy
 reduction along one contiguous row, never BLAS, so the reports are
 bit-identical across runs, BLAS kernels and thread counts and block
-sizes.  The one LAPACK call, the SVD that whitens the Mahalanobis
-statistic, sets only that statistic.
+sizes; the Mahalanobis statistic is whitened by Gram-Schmidt on those
+same rules, with no LAPACK call.
 
 Working set: the counts and one direction-major m x R array per sample
 size, whose rows the KS, moment and increment tests read.  The
 covariance and Mahalanobis statistics are formed in k dimensions, as
-tau^T (xi^T xi / R) tau and as the norms of xi / sqrt(w) in the
-principal axes; the martingale test keeps its two count fields and
-forms blocks of directions from them, and the modulus table is folded a
-block of replicates at a time as they are formed from the counts.
+tau^T (xi^T xi / R) tau and as the norms of xi / sqrt(w) in an
+orthonormal basis of the covariance's range; the martingale test keeps
+its two count fields and forms blocks of directions from them, and the
+modulus table is folded a block of replicates at a time as they are
+formed from the counts.
 """
 
 from __future__ import annotations
@@ -500,20 +501,24 @@ def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
 
 
 def _whiten(field: _CountField, cov: fl.CovMatrix) -> np.ndarray:
-    """The replicates in the principal axes of the covariance, each axis
-    divided by its standard deviation, R x dof.
+    """The replicates eta Q, eta = xi / sqrt(w), in an orthonormal basis Q
+    (k x dof) of the span of the columns of the Gram factor F, R x dof.
 
-    The axes and variances come from the thin SVD U S W^T of the m x k
-    Gram factor F^T, so the covariance is U S^2 U^T; axes with
-    s^2 <= 1e-10 s_max^2 are dropped as the null space.  A field is
-    xi tau = eta F with eta = xi / sqrt(w), so its whitened coordinates
-    xi tau U_keep / s_keep are eta W_keep, formed in k dimensions.
+    Sigma = F^T F and a field is xi tau = eta F, so |eta Q|^2 is its
+    Mahalanobis norm.  Q comes by pivoted modified Gram-Schmidt on the
+    rows of F^T: each step takes the first row of largest residual norm
+    and removes it from every row, until that norm^2 is at most 1e-10
+    times the first pivot's.  Each sum runs along a contiguous row.
     """
-    _, s, wt = np.linalg.svd(cov.gram_factor, full_matrices=False)
-    keep = s * s > 1e-10 * max(float(s.max(initial=0.0)) ** 2, 1e-300)
+    res = np.array(cov.gram_factor, order="C")
+    norms = np.add.reduce(res * res, axis=1)
+    q, cut = np.empty((0, res.shape[1])), 1e-10 * norms.max()
+    while len(q) < res.shape[1] and norms.max() > cut:
+        q = np.vstack([q, res[norms.argmax()] / np.sqrt(norms.max())])
+        res -= np.add.reduce(res * q[-1], axis=1)[:, None] * q[-1]
+        norms = np.add.reduce(res * res, axis=1)
     eta = field.xi / np.sqrt(cov.weights)[:, None]
-    return fl._fixed_product(eta.T, wt[keep].T,
-                             np.empty((eta.shape[1], np.count_nonzero(keep))))
+    return fl._fixed_product(eta.T, q.T, np.empty((eta.shape[1], len(q))))
 
 
 def _mahalanobis_test(field: _CountField, values: np.ndarray, cov: fl.CovMatrix,
@@ -521,7 +526,7 @@ def _mahalanobis_test(field: _CountField, values: np.ndarray, cov: fl.CovMatrix,
     """KS distance of the whitened squared norms against chi-square(dof).
 
     When the covariance has rank k - 1, the whitened squared norm
-    |eta W_keep|^2 is all of |eta|^2, which is exactly Pearson's statistic
+    |eta Q|^2 is all of |eta|^2, which is exactly Pearson's statistic
     sum_i (c_i - n w_i)^2 / (n w_i), so the gate then tests the
     multinomial counts rather than the geometry.  With no axis left the
     field must vanish: its largest value in ``values`` is checked.

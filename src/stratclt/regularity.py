@@ -1,10 +1,11 @@
-"""Covering numbers, direction nets, and modulus-of-continuity statistics.
+"""Direction nets and modulus-of-continuity statistics.
 
 Nets on the model direction spaces are built by exact specialization:
 the legs of a spider, uniform arcs on circles of directions, and poles
-plus uniform page angles on the spine graph.  Dyadic profiles refine
-nets by doubling, so the scales are nested and dyadic counts double
-exactly away from the coarsest scales.
+plus uniform page angles on the spine graph.  ``covering`` counts the
+same grids in closed form, without numpy, for the dyadic covering
+profile; ``dimension_constant`` is also bound here, where the layer
+suite of ``perfbench`` traces it.
 
 The modulus of continuity w(h, r), the largest |h(V) - h(U)| over net
 pairs within angular distance r, is taken from window extrema along
@@ -28,17 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .covering import COVER_N_MAX, dimension_constant  # noqa: F401
 from .directions import CHAIN_SLACK, DirectionNet, direction_space
 from .errors import DomainError
-from .geometry import Point, incident_strata
+from .geometry import Point
 
 
 # elements of one working array: chain positions by steps ahead,
 # replicates by chain positions or directions, or replicates by pairs
 _BLOCK = 1 << 13
-
-# the finest scale 2^-COVER_N_MAX of a cover profile, a net or a modulus net
-COVER_N_MAX = 16
 
 
 def build_net(base: Point, eps: float) -> DirectionNet:
@@ -56,57 +55,6 @@ def build_net(base: Point, eps: float) -> DirectionNet:
     dirs = tuple(ds.from_coord(c) for c in coords)
     return DirectionNet(base, dirs, float(eps), float(cov_radius),
                         np.asarray(coords, dtype=float))
-
-
-@dataclass(frozen=True)
-class CoveringProfile:
-    """Dyadic covering counts and the fitted growth exponent."""
-
-    base: Point
-    scales: tuple  # eps = 2^-n for n = 1..n_max
-    counts: tuple
-    d_estimate: float
-    stratum_dim_bound: float
-
-    def to_csv_rows(self):
-        yield ("scale", "count")
-        yield from zip(self.scales, self.counts)
-
-
-def stratum_dimension_bound(base: Point) -> float:
-    """Sum over incident strata of their direction-space dimensions."""
-    return float(sum(max(d - 1, 0) for _sid, d in incident_strata(base)))
-
-
-def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
-    """Covering counts N(2^-n) for n = 1..n_max and the log2 growth slope.
-
-    Counts are the sizes of nested net coordinate sets (each scale refines
-    the previous; no direction objects are built), and the slope is the
-    least-squares fit over the finer half of the scales.  Constant counts
-    short-circuit to an exact zero estimate.
-    """
-    if n_max < 4:
-        raise DomainError("need n_max >= 4 for a meaningful slope")
-    ds = direction_space(base)
-    coords, radius = ds.net_coords(0.5)
-    scales, counts = [], []
-    for n in range(1, n_max + 1):
-        eps = 2.0 ** (-n)
-        while radius > eps / 2.0 + 1e-15:
-            coords, radius = ds.refine(coords)
-        scales.append(eps)
-        counts.append(len(coords))
-    counts_arr = np.array(counts, dtype=float)
-    if counts_arr.max() == counts_arr.min():
-        slope = 0.0
-    else:
-        half = len(counts) // 2
-        ns = np.arange(1, n_max + 1, dtype=float)[half:]
-        ys = np.log2(counts_arr[half:])
-        slope = float(np.polyfit(ns, ys, 1)[0])
-    return CoveringProfile(base, tuple(scales), tuple(counts), slope,
-                           stratum_dimension_bound(base))
 
 
 # ---------------------------------------------------------------------------

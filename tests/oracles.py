@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from stratclt.geometry import DirectionNet, direction_space
+from stratclt.directions import CircleDirections, DirectionNet, SpineDirections, direction_space
 
 
 def cone_distance_oracle(alpha: float, p, q, segments: int = 60) -> float:
@@ -196,9 +196,17 @@ def closed_form_mean(space: dict, atoms) -> list:
 
 
 def refine_net(base, net: DirectionNet, eps: float) -> DirectionNet:
-    """Halve the mesh of a uniform net; the result contains the old net."""
+    """Halve the mesh of a uniform net; the result contains the old net.
+
+    A circle grid of m points becomes the grid of 2m, a spine grid of
+    m steps per page (2 + pages (m - 1) directions) the grid of 2m, and
+    a finite direction set stays as it is."""
     ds = direction_space(base)
-    coords, cov_radius = ds.refine(net.coords())
+    coords, cov_radius = net.coords(), 0.0
+    if isinstance(ds, CircleDirections):
+        coords, cov_radius = ds._uniform(2 * len(coords))
+    elif isinstance(ds, SpineDirections):
+        coords, cov_radius = ds._uniform(2 * ((len(coords) - 2) // ds.pages + 1))
     dirs = tuple(ds.from_coord(c) for c in coords)
     return DirectionNet(base, dirs, float(eps), float(cov_radius),
                         np.asarray(coords, dtype=float))

@@ -20,10 +20,10 @@ CLT_DIGESTS = {
     "cov_matrix.csv": "2005e081d5050c10d35d6ed3c20b89a44ece773f87b5d4046de2b4e11494b96a",
     "increments.csv": "da509a4cebfff26234cfa57e0a7bdd800d66f54d61e251e93530c505f8b7e994",
     "ks.csv": "69546142faf4216befc3a7852e23c97b78770a86ab133e823a884c1ee3724f65",
-    "mahalanobis.csv": "17670109197f13927bd5d310bb8ac81e8a954f72d5d7f46f8b260f096e22c30e",
+    "mahalanobis.csv": "7bd7f65873cf47ddf55f7a7acee5356cae6396e525eb66d2105aff8cdb019495",
     "martingale.csv": "cb74e065c1be58792faa2c98a963fa701397b19282a8e810df3a7cbc8a456195",
     "moments.csv": "ff21cf1ce84a977134767a2fae93be40a32a8ac779205fbe376ec080b300385f",
-    "report.json": "6732f063d755b8825ce840a21f0e5b71ff07d4419f591efc671c654f6a539bed",
+    "report.json": "814790ea13cb94e4c66bd80fc6c82976158b235b103578f98a2fcbe306f883c9",
 }
 
 # SHA-256 of each output of `clt --seed 42` on openbook3_spine with a
@@ -33,10 +33,10 @@ FINE_NET_DIGESTS = {
     "cov_matrix.csv": "36c0451c75e7a0859d6e222c7a94ef76d8ce952e3840d195aac4eed40ab8f102",
     "increments.csv": "cd15fe434018e7e3ed814f35682acfaccc5e1fcb8314816669edf04ad1c4aab6",
     "ks.csv": "f6df399ad26977d7af87cecea90a77c8529e8482c670569373c97de985b55267",
-    "mahalanobis.csv": "325bdb77cd95f41d0763ff366917b106dd15cb51ad067a1710a1873d0613a598",
+    "mahalanobis.csv": "5d792ebc5bff6b6fbed0422a228876bb8239db011d30c5ab929d4e3eeb10a4d1",
     "martingale.csv": "209106e2ae45bb601b4691af739bb0f9c290dbf7182b4d42b278135d4157f2a8",
     "moments.csv": "dc44abee4cafabcf0a57aac15c133e49ac8273b68ad52e1fee10709e8daea276",
-    "report.json": "fab80566ac9c3178f387038331d2410213a42d9da90b6bc764d5cc0d278342ba",
+    "report.json": "f58d75e1c94fee5ddf8da8cc5f5abca77dba99cd8bddbc94cb7257ffeaf4d221",
 }
 
 # SHA-256 of modulus.csv from `clt --seed 1 --format csv` in
@@ -44,11 +44,12 @@ FINE_NET_DIGESTS = {
 MODULUS_CSV_DIGEST = "a5a4df9fc3a5606bdc89fef146bd69ec176e7a6f3b34e2a3c27b8f103972be45"
 
 # SHA-256 of the outputs and stdout of `cover --n-max 8 --out` at the apex
-# of a flat cone of circumference 3 pi (TestCover.test_cone_slope)
+# of a flat cone of circumference 3 pi (TestCover.test_cone_slope), whose
+# counts 19 2^(n - 1) give d_estimate exactly 1.0
 COVER_DIGESTS = {
     "covering.csv": "99a0118dfc6809b5ba0b0b9e6c4c5f58b80686779be17a595e7e43117448ca88",
-    "covering.json": "dd5b31b8b951940dc7392d628dea1a386daf62ff263a5e53d26b14abf994f253",
-    "stdout": "5f63e8d7f39bf0904bf70ba531264c9131ad67a82d844a9aab2843d7066e429d",
+    "covering.json": "941d7957fe05e88926050cf578d1f6ded4f8910bbcb8e88bb40cb54c8694ccef",
+    "stdout": "d174ef89f9ea92787e77d9dece4f1fd72833ad033aa48b8201f426fce5b569fb",
 }
 
 # SHA-256 of the outputs of `field --seed 7 --draws 20000 --empirical-n 1000`
@@ -259,9 +260,9 @@ class TestClt:
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                         reason="OPENBLAS_CORETYPE names x86-64 kernels")
     def test_blas_kernel_invariance(self, tmp_path):
-        # every sum is taken in a fixed order without BLAS except the SVD
-        # that whitens the Mahalanobis statistic, so only mahalanobis.csv
-        # and report.json, which repeats it, may follow the OpenBLAS kernel
+        # every sum is taken in a fixed order without BLAS or LAPACK, the
+        # Mahalanobis whitening included, so no output but the manifest
+        # may follow the OpenBLAS kernel
         import os, subprocess, sys
         fine = load_config("openbook3_spine.json")
         fine["net"] = {"epsilon": 0.1}
@@ -290,8 +291,10 @@ class TestClt:
                 assert proc.returncode == 0, proc.stderr
                 outputs[name, kernel] = {
                     f.name: f.read_bytes() for f in outdir.iterdir()
-                    if f.name not in ("manifest.json", "mahalanobis.csv", "report.json")}
-        assert "modulus.csv" in outputs["modulus", "default"]
+                    if f.name != "manifest.json"}
+        pinned = {"modulus.csv", "mahalanobis.csv", "report.json"}
+        assert pinned <= outputs["modulus", "default"].keys()
+        assert "mahalanobis.csv" in outputs["fine_net", "default"]
         assert "empirical_draws.csv" in outputs["field", "default"]
         for name in runs:
             want = outputs[name, "default"]
@@ -445,7 +448,7 @@ class TestCover:
         assert code == 0
         stdout = capsys.readouterr().out
         out = json.loads(stdout)
-        assert 0.9 <= out["d_estimate"] <= 1.1
+        assert out["d_estimate"] == 1.0
         lines = (outdir / "covering.csv").read_text().strip().splitlines()
         assert lines[0] == "scale,count"
         assert len(lines) == 9
@@ -494,6 +497,14 @@ class TestCover:
         assert code == 3
         err = capsys.readouterr().err
         assert "cover needs --config or both --space and --base" in err
+        assert "Traceback" not in err
+
+    def test_sphere_of_directions_exit_3(self, capsys):
+        code = main(["cover", "--space", '{"kind":"euclidean","dim":3}',
+                     "--base", "[0.0, 0.0, 0.0]", "--n-max", "6"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "direction nets on spheres" in err
         assert "Traceback" not in err
 
     def test_n_max_cap_exit_3(self, capsys):
@@ -841,8 +852,8 @@ class TestCsvRoundTrip:
         # empirical CSV both match format_float row by row, on rows that
         # repeat within and across blocks and differ only in the sign of a
         # zero, a NaN payload or the sign of an infinity
-        from stratclt.fields import (_distinct_row_blocks, _row_blocks,
-                                     _write_matrix_csv, format_float)
+        from stratclt.errors import format_float
+        from stratclt.fields import _distinct_row_blocks, _row_blocks, _write_matrix_csv
         nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
         special = np.array([[-0.0, 1e-300, 123456789.0], [np.nan, np.inf, -5e-324],
                             [0.0, 1e-300, 123456789.0], [-np.nan, -np.inf, nan_payload]])
@@ -883,8 +894,8 @@ EXPORTS = (
     "DomainError ExperimentConfig GaussianFieldSampler MeanDiagnostics ModulusTable "
     "NumericalConsistencyError Point SpaceMismatchError SpaceSpec StratcltError TangentMeasure "
     "TangentVector ValidationConfig __version__ apex build_net compare_covariance "
-    "config_from_json cov_matrix dimension_constant directions distance errors exp_map fields "
-    "frechet_function frechet_mean geodesic_point geometry harness ks_distance log_map "
+    "config_from_json cov_matrix covering dimension_constant directions distance errors exp_map "
+    "fields frechet_function frechet_mean geodesic_point geometry harness ks_distance log_map "
     "measures net_from_directions pushforward regularity rng run_clt_experiment stratum_of "
     "substream validate_localized zero_vector").split()
 
@@ -914,7 +925,8 @@ class TestInfrastructure:
 
     def test_cli_import_loads_no_subcommand_modules(self):
         assert loaded_after("import stratclt.cli", "stratclt.harness", "stratclt.fields",
-                            "stratclt.regularity", "numpy.random", "hashlib") == []
+                            "stratclt.regularity", "stratclt.covering", "numpy.random",
+                            "hashlib") == []
 
     def test_mean_loads_only_its_modules(self, tmp_path):
         # the closed-form mean and its certificate run on Python floats:
@@ -926,6 +938,25 @@ class TestInfrastructure:
         code = (f"from stratclt.cli import main\nfor path in {paths!r}:\n"
                 f"    assert main(['mean', '--config', path]) == 0")
         assert loaded_after(code, "numpy", "stratclt.directions", "stratclt.harness") == []
+
+    def test_cover_loads_only_its_modules(self, tmp_path):
+        # the covering counts are closed-form grid sizes on Python ints and
+        # floats and the CSV cell format lives in errors: with --out at a
+        # cone apex, a spine point, a spider apex and a plane point, neither
+        # numpy nor a module of nets, fields or experiments loads
+        runs = [({"kind": "flat_cone", "circumference": 3 * math.pi}, [0.0, 0.0]),
+                ({"kind": "open_book", "pages": 3}, [0, 0.2, 0.0]),
+                ({"kind": "spider", "legs": 3}, [0, 0.0]),
+                ({"kind": "euclidean", "dim": 2}, [0.0, 1.0])]
+        argvs = [["cover", "--space", json.dumps(space), "--base", json.dumps(base),
+                  "--n-max", "12", "--out", str(tmp_path / f"o{i}")]
+                 for i, (space, base) in enumerate(runs)]
+        code = (f"from stratclt.cli import main\nfor argv in {argvs!r}:\n"
+                f"    assert main(argv) == 0")
+        assert loaded_after(code, "numpy", "stratclt.directions", "stratclt.regularity",
+                            "stratclt.fields", "stratclt.harness") == []
+        for i in range(len(runs)):
+            assert (tmp_path / f"o{i}" / "covering.csv").read_text().startswith("scale,count\n")
 
     def test_geometry_forwards_direction_spaces(self):
         # the point layer loads no numpy; the names that moved to

@@ -185,10 +185,25 @@ class TestDimensionConstant:
         with pytest.raises(DomainError):
             dimension_constant(apex(SP3), 3)
 
-    @pytest.mark.parametrize("base", [apex(FC), Point(OB3, (0, 0.2, 0.0)),
-                                      apex(SP3), Point(E2, (0.0, 0.0))])
+    @pytest.mark.parametrize("n_max", range(4, rg.COVER_N_MAX + 1))
+    def test_cone_counts_double_exactly(self, n_max):
+        # at the 3 pi apex the counts are 19 2^(n - 1), whose log2 grows by
+        # exactly 1 per scale; the centred fit, summed in scale order,
+        # returns 1.0 at every depth
+        profile = dimension_constant(apex(FC), n_max)
+        assert profile.counts == tuple(19 * 2 ** n for n in range(n_max))
+        assert profile.d_estimate == 1.0
+
+    @pytest.mark.parametrize("base", [
+        apex(FC), Point(OB3, (0, 0.2, 0.0)), apex(SP3), Point(E2, (0.0, 0.0)),
+        # every other kind of direction space: a spider leg, the line, a
+        # book page, the cone's smooth part, and other sizes of each
+        Point(SP3, (1, 0.7)), Point(E1, (0.3,)), Point(OB3, (2, -1.5, 0.4)),
+        Point(FC, (1.0, 0.3)), apex(SpaceSpec.spider(5)),
+        Point(SpaceSpec.open_book(5), (0, -0.3, 0.0)), apex(SpaceSpec.flat_cone(7.0)),
+        apex(SpaceSpec.flat_cone(2 * math.pi))])
     def test_counts_match_nested_nets(self, base):
-        # the counts come from coordinates alone; nets built scale by scale
+        # the counts are closed-form grid sizes; nets built scale by scale
         # as direction objects must give the same profile
         net = build_net(base, 0.5)
         counts = [len(net)]
