@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -266,6 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # no run path calls BLAS or LAPACK: numpy starts no idle BLAS workers
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -525,22 +525,22 @@ def _mahalanobis_test(field: _CountField, values: np.ndarray, cov: fl.CovMatrix,
                       threshold: float, zero_tol: float) -> dict:
     """KS distance of the whitened squared norms against chi-square(dof).
 
-    When the covariance has rank k - 1, the whitened squared norm
-    |eta Q|^2 is all of |eta|^2, which is exactly Pearson's statistic
-    sum_i (c_i - n w_i)^2 / (n w_i), so the gate then tests the
-    multinomial counts rather than the geometry.  With no axis left the
-    field must vanish: its largest value in ``values`` is checked.
+    When the covariance has rank k - 1 for k ``atoms``, the whitened
+    squared norm |eta Q|^2 is all of |eta|^2, which is exactly Pearson's
+    statistic sum_i (c_i - n w_i)^2 / (n w_i), so the gate then tests the
+    multinomial counts rather than the geometry; ``pearson`` says so.
+    With no axis left the field must vanish: its largest value in
+    ``values`` is checked.
     """
     white = _whiten(field, cov)
-    dof = white.shape[1]
+    dof, k = white.shape[1], len(cov.weights)
+    result = {"dof": dof, "atoms": k, "pearson": dof == k - 1, "threshold": threshold}
     if dof == 0:
         sup_abs = float(np.max(np.abs(values))) if values.size else 0.0
-        return {"dof": 0, "ks": None, "max_abs": sup_abs,
-                "threshold": threshold, "passed": sup_abs <= zero_tol}
+        return {**result, "ks": None, "max_abs": sup_abs, "passed": sup_abs <= zero_tol}
     stat = np.sum(white ** 2, axis=1)
     d = ks_distance(stat, lambda x: chi2_cdf(dof, x))
-    return {"dof": dof, "ks": d, "max_abs": None, "threshold": threshold,
-            "passed": d < threshold}
+    return {**result, "ks": d, "max_abs": None, "passed": d < threshold}
 
 
 def _exact_fourth(t: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:

@@ -177,6 +177,7 @@ def test_criterion_05_clt_finite_dimensional():
         assert row["variance"] == pytest.approx(8.0 / 9.0, abs=1e-12)
         assert row["ks"] < 0.03
     assert tests["mahalanobis"]["dof"] == 2
+    assert tests["mahalanobis"]["atoms"] == 3 and tests["mahalanobis"]["pearson"]
     assert tests["mahalanobis"]["ks"] < 0.05
     assert tests["cov"]["sup_error"] < 0.05
 

@@ -23,7 +23,7 @@ CLT_DIGESTS = {
     "mahalanobis.csv": "7bd7f65873cf47ddf55f7a7acee5356cae6396e525eb66d2105aff8cdb019495",
     "martingale.csv": "cb74e065c1be58792faa2c98a963fa701397b19282a8e810df3a7cbc8a456195",
     "moments.csv": "ff21cf1ce84a977134767a2fae93be40a32a8ac779205fbe376ec080b300385f",
-    "report.json": "814790ea13cb94e4c66bd80fc6c82976158b235b103578f98a2fcbe306f883c9",
+    "report.json": "0afe8a3339d3b154e7af3f2ec6220ca21a26926d54e734f35e100d2a05c96f17",
 }
 
 # SHA-256 of each output of `clt --seed 42` on openbook3_spine with a
@@ -36,7 +36,7 @@ FINE_NET_DIGESTS = {
     "mahalanobis.csv": "5d792ebc5bff6b6fbed0422a228876bb8239db011d30c5ab929d4e3eeb10a4d1",
     "martingale.csv": "209106e2ae45bb601b4691af739bb0f9c290dbf7182b4d42b278135d4157f2a8",
     "moments.csv": "dc44abee4cafabcf0a57aac15c133e49ac8273b68ad52e1fee10709e8daea276",
-    "report.json": "f58d75e1c94fee5ddf8da8cc5f5abca77dba99cd8bddbc94cb7257ffeaf4d221",
+    "report.json": "4491b0bcd900c87f61dff0c59922a7446705005cf4d135f9d39f1a51ef48b6bf",
 }
 
 # SHA-256 of modulus.csv from `clt --seed 1 --format csv` in
@@ -238,20 +238,30 @@ class TestClt:
 
     def test_blas_thread_count_invariance(self, tmp_path):
         # the fields are formed without BLAS, so every output of one seed
-        # is the same under one BLAS thread and under two
+        # is the same under one BLAS thread and under two.  A CLI run starts
+        # numpy with one thread whatever the environment asks for; a caller
+        # that loaded numpy first keeps its pool, so the two-thread side
+        # imports numpy and then calls main
         import subprocess, sys, os
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-            outdir = tmp_path / f"threads{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "stratclt", "clt", "--config",
-                 str(CONFIG_DIR / "openbook3_spine.json"), "--seed", "42",
-                 "--out", str(outdir)], capture_output=True, text=True, env=env)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append({f.name: f.read_bytes() for f in outdir.iterdir()
-                            if f.name != "manifest.json"})
+        argv = ["clt", "--config", str(CONFIG_DIR / "openbook3_spine.json"),
+                "--seed", "42", "--out"]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-m", "stratclt", *argv,
+                               str(tmp_path / "threads1")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        tasks = run_child(
+            f"import json, os, numpy\nfrom stratclt.cli import main\n"
+            f"assert main({[*argv, str(tmp_path / 'threads2')]!r}) == 0\n"
+            f"print(json.dumps(len(os.listdir('/proc/self/task'))"
+            f" if os.path.isdir('/proc/self/task') else None))",
+            OPENBLAS_NUM_THREADS="2")
+        if tasks is not None:
+            # OpenBLAS starts no more threads than there are CPUs
+            assert tasks == min(2, os.cpu_count())
+        outputs = [{f.name: f.read_bytes() for f in (tmp_path / run).iterdir()
+                    if f.name != "manifest.json"} for run in ("threads1", "threads2")]
         assert outputs[0].keys() == outputs[1].keys()
         assert {"modulus.csv", "report.json", "cov.csv"} <= outputs[0].keys()
         for name in outputs[0]:
@@ -874,18 +884,23 @@ class TestCsvRoundTrip:
             assert (tmp_path / "block.csv").read_bytes() == expected, blocks.__name__
 
 
+def run_child(code: str, **env):
+    """Run ``code`` in a fresh interpreter with ``env`` added to the
+    environment and return its last line of output, read as JSON."""
+    import subprocess, sys, os
+    env = dict(os.environ, **env,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def loaded_after(code: str, *modules: str) -> list[str]:
     """Run ``code`` in a fresh interpreter and return which of ``modules``
     it left in ``sys.modules``."""
-    import subprocess, sys, os
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport json, sys\n"
-         f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return run_child(f"{code}\nimport json, sys\n"
+                     f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
 
 
 # every public name of the package, each reachable as stratclt.<name>
@@ -957,6 +972,30 @@ class TestInfrastructure:
                             "stratclt.fields", "stratclt.harness") == []
         for i in range(len(runs)):
             assert (tmp_path / f"o{i}" / "covering.csv").read_text().startswith("scale,count\n")
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="counts threads in /proc/self/task")
+    def test_cli_runs_start_one_blas_thread(self, tmp_path):
+        # no run path calls BLAS or LAPACK, so main starts numpy with one
+        # OpenBLAS thread whatever OPENBLAS_NUM_THREADS asks for
+        argvs = [["clt", "--config", small_clt_config(tmp_path), "--seed", "1",
+                  "--out", str(tmp_path / "clt")],
+                 ["field", "--config", str(CONFIG_DIR / "field_example.json"),
+                  "--seed", "1", "--out", str(tmp_path / "field"), "--draws", "50"]]
+        code = (f"import os\nfrom stratclt.cli import main\nfor argv in {argvs!r}:\n"
+                f"    assert main(argv) in (0, 2)\n"
+                f"print(len(os.listdir('/proc/self/task')))")
+        assert run_child(code, OPENBLAS_NUM_THREADS="2") == 1
+
+    def test_numpy_loaded_first_keeps_its_environment(self, tmp_path):
+        # a caller that imported numpy before main has its BLAS pool
+        # already, and main leaves its environment as it found it
+        argv = ["field", "--config", str(CONFIG_DIR / "field_example.json"),
+                "--seed", "1", "--out", str(tmp_path / "field"), "--draws", "50"]
+        code = (f"import json, os, numpy\nfrom stratclt.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                f"print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))")
+        assert run_child(code, OPENBLAS_NUM_THREADS="2") == "2"
 
     def test_geometry_forwards_direction_spaces(self):
         # the point layer loads no numpy; the names that moved to

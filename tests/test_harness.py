@@ -275,7 +275,20 @@ class TestPointMassTrivial:
         tests = rep.per_n[500]
         assert tests["cov"]["sup_error"] <= 1e-12
         assert all(r["ks"] is None for r in tests["ks"]["directions"])
-        assert tests["mahalanobis"]["dof"] == 0
+        m = tests["mahalanobis"]
+        assert (m["dof"], m["atoms"], m["pearson"]) == (0, 1, True)
+
+
+class TestMahalanobisRank:
+    @pytest.mark.parametrize("legs, dof", [([0, 1, 2], 2), ([0], 1)])
+    def test_pearson_exactly_at_rank_k_minus_1(self, legs, dof):
+        # three atoms: the three leg directions span rank 2 = k - 1, where
+        # the whitened norm is Pearson's statistic; one leg spans rank 1
+        raw = load_config("spider3_uniform.json")
+        raw.update(net={"legs": legs}, sample_sizes=[200], replicates=150,
+                   tests=["mahalanobis"])
+        m = run_clt_experiment(config_from_json(raw, seed=5)).per_n[200]["mahalanobis"]
+        assert (m["dof"], m["atoms"], m["pearson"]) == (dof, 3, dof == 2)
 
 
 class TestStatisticalInvariants:
