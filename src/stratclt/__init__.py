@@ -24,7 +24,7 @@ _EXPORTS = {
                 "frechet_function frechet_mean pushforward validate_localized",
     "fields": "CovMatrix GaussianFieldSampler cov_matrix",
     "covering": "CoveringProfile dimension_constant",
-    "regularity": "ModulusTable build_net",
+    "regularity": "build_net",
     "harness": "CLTReport ExperimentConfig compare_covariance config_from_json "
                "ks_distance run_clt_experiment",
     "rng": "substream",

@@ -205,10 +205,9 @@ def cmd_field(args) -> int:
         substream(args.seed, _PURPOSE_GAUSSIAN), args.draws))
     fl.write_cov_csv(outdir / "cov_matrix.csv", sim.cov)
     if args.empirical_n:
-        # the whole R x m array; its counts are freed before it is written
         emp = sim.field_rows(args.seed, _PURPOSE_FIELD_EMPIRICAL, 0,
-                             args.empirical_n, args.draws)[:]
-        fl.write_empirical_fields_csv(outdir / "empirical_draws.csv", net, emp)
+                             args.empirical_n, args.draws)
+        fl.write_empirical_fields_csv(outdir / "empirical_draws.csv", sim.cov, emp.xi)
         outputs.append("empirical_draws.csv")
     _write_manifest(outdir, "field", args.config, args.seed, outputs)
     print(json.dumps({"out": str(outdir), "draws": args.draws}, sort_keys=True))

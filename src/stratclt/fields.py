@@ -145,40 +145,9 @@ def _row_blocks(values: np.ndarray):
         yield (row_fmt * len(blk)) % tuple(blk.ravel().tolist())
 
 
-def _distinct_row_blocks(values: np.ndarray):
-    """The text of ``_row_blocks``, formatting each distinct row once and
-    gathering the lines of each block in row order.
-
-    Rows are keyed on their bit patterns, not compared as floats, so
-    0.0 and -0.0 or two NaN payloads never share a key.  A stable sort
-    groups equal rows in row order; a row's line is formatted in the block
-    of its first occurrence and dropped after the block of its last, so
-    rows that do not repeat are held no longer than a block.
-    """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    rows = len(bits)
-    order = np.lexsort(bits.T)
-    starts = np.ones(rows + 1, dtype=bool)  # starts[i]: order[i] opens a group
-    for lo in range(1, rows, _CSV_BLOCK_ROWS):
-        hi = min(rows, lo + _CSV_BLOCK_ROWS)
-        starts[lo:hi] = (bits[order[lo:hi]] != bits[order[lo - 1:hi - 1]]).any(axis=1)
-    first, last = order[starts[:-1]], order[starts[1:]]
-    inverse = np.empty(rows, dtype=np.intp)
-    inverse[order] = np.cumsum(starts[:-1]) - 1
-    lines = np.empty(len(first), dtype=object)
-    for start in range(0, rows, _CSV_BLOCK_ROWS):
-        stop = start + _CSV_BLOCK_ROWS
-        new = np.flatnonzero((first >= start) & (first < stop))
-        text = "".join(_row_blocks(bits[first[new]].view(np.float64)))
-        lines[new] = np.array(text.split("\n")[:-1], dtype=object)
-        yield "\n".join(lines[inverse[start:stop]].tolist()) + "\n"
-        lines[(last >= start) & (last < stop)] = None
-
-
 def _write_matrix_csv(path, header, blocks):
     # descriptors such as 'vec:1,0' contain commas, so csv writes the header;
-    # numbers need no quoting and come as strings from one of the block
-    # generators above
+    # numbers need no quoting and come as strings, a block of rows at a time
     with open_output(path, newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(blocks)
@@ -189,15 +158,43 @@ def write_fields_csv(path, net: DirectionNet, values: np.ndarray):
     _write_matrix_csv(path, net.descriptors(), _row_blocks(np.atleast_2d(values)))
 
 
-def write_empirical_fields_csv(path, net: DirectionNet, values: np.ndarray):
-    """The bytes of write_fields_csv, for empirical fields.
+def write_empirical_fields_csv(path, cov: CovMatrix, xi: np.ndarray):
+    """The bytes of write_fields_csv for the fields xi tau of the k x R
+    centred counts ``xi``, one field per column of xi, in that order.
 
     A field of n samples is xi tau for the centred counts
     xi = (c - n w) / sqrt n of a multinomial count vector c, so its rows
-    lie on a lattice and repeat; each distinct row is formatted once.
+    lie on the count lattice and repeat.  Equal counts give bit-equal
+    rows, each the one fixed-order product of its counts, so a stable
+    sort groups the replicates by their counts, in draw order within a
+    group.  A group's row is formed and formatted in the block of its
+    first replicate and its line dropped after the block of its last, so
+    a row that does not repeat is held no longer than a block.
     """
-    _write_matrix_csv(path, net.descriptors(),
-                      _distinct_row_blocks(np.atleast_2d(values)))
+    rows = xi.shape[1]
+    order = np.lexsort(xi)
+    starts = np.ones(rows + 1, dtype=bool)  # starts[i]: order[i] opens a group
+    # neighbours in the sort are compared a block at a time, with no k x R copy
+    for lo in range(1, rows, _CSV_BLOCK_ROWS):
+        at = order[lo - 1:lo + _CSV_BLOCK_ROWS]
+        starts[lo:lo + len(at) - 1] = (xi[:, at[1:]] != xi[:, at[:-1]]).any(axis=0)
+    first, last = order[starts[:-1]], order[starts[1:]]
+    group = np.empty(rows, dtype=np.intp)
+    group[order] = np.cumsum(starts[:-1]) - 1
+    lines = np.empty(len(first), dtype=object)
+
+    def blocks():
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            new = np.flatnonzero((first >= start) & (first < stop))
+            values = _fixed_product(xi[:, first[new]].T, cov.tau,
+                                    np.empty((len(new), cov.tau.shape[1])))
+            text = "".join(_row_blocks(values))
+            lines[new] = np.array(text.split("\n")[:-1], dtype=object)
+            yield "\n".join(lines[group[start:stop]].tolist()) + "\n"
+            lines[(last >= start) & (last < stop)] = None
+
+    _write_matrix_csv(path, cov.net.descriptors(), blocks())
 
 
 def write_cov_csv(path, cov: CovMatrix):

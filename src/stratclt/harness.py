@@ -393,8 +393,8 @@ class _CountField:
     Blocks are formed on demand by ``fields._fixed_product``, so any block
     equals the same cells of the whole array bit for bit: a row slice
     ``field[lo:hi]`` gives replicate-major rows (``regularity.modulus_many``
-    reads a field this way), ``columns(lo, hi)`` direction-major rows, and
-    ``np.asarray(field)`` the whole array.
+    reads a field this way, and ``field[:]`` is the whole array) and
+    ``columns(lo, hi)`` direction-major rows.
     """
 
     def __init__(self, cov: fl.CovMatrix, counts: np.ndarray, n: int, scale: float):
@@ -413,9 +413,6 @@ class _CountField:
         """The fields at net directions lo..hi - 1, one row per direction."""
         return fl._fixed_product(self.cov.tau.T[lo:hi], self.xi,
                                  np.empty((hi - lo, self.shape[0])))
-
-    def __array__(self, dtype=None, copy=None):
-        return self[:]
 
 
 class _FieldSimulator:
@@ -479,10 +476,16 @@ def _cov_test(field: _CountField, cov: fl.CovMatrix, threshold: float) -> dict:
 
 def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
              zero_tol: float) -> dict:
-    """Per-direction KS gates on the direction-major m x R ``values``."""
+    """Per-direction KS gates on the direction-major m x R ``values``.
+
+    A direction whose variance is at most 1e-12 max|P|^2 is zero-variance
+    and is checked by its largest absolute value instead.  Every variance
+    is at most its second moment, so at most max|P|^2: the cut is
+    relative to the pairing scale and does not move when the measure is
+    scaled.
+    """
     diag = np.diag(cov.entries)
-    scale = max(float(diag.max(initial=0.0)), 0.0)
-    normal = np.flatnonzero(diag > 1e-12 * max(scale, 1.0))
+    normal = np.flatnonzero(diag > 1e-12 * float(np.abs(cov.pair).max(initial=0.0)) ** 2)
     ks = dict(zip(normal.tolist(),
                   _normal_ks(values, normal, np.sqrt(diag[normal])).tolist()))
     rows = []
@@ -713,18 +716,30 @@ def _martingale_test(sim: _FieldSimulator, seed: int, spec: MartingaleSpec,
     }
 
 
+# one row per radius and replicate, radius-major
+_MODULUS_DTYPE = np.dtype([("radius", float), ("replicate", np.int64), ("w", float),
+                           ("aggregate", float)])
+
+
 def _modulus_test(measure: DiscreteMeasure, base: Point, seed: int,
                   spec: ModulusSpec, min_drop: float) -> dict:
+    """The modulus w(G_n, r) of each replicate at each radius, as one
+    structured array of ``_MODULUS_DTYPE`` rows under "table", and the
+    truncated mean E[min(w, 1)] per radius with its standard error."""
     net = rg.build_net(base, spec.epsilon)
     sim = _FieldSimulator(measure, base, net)
-    # formed a block of replicates at a time as the table folds them
+    # formed a block of replicates at a time as the modulus folds them
     fields = sim.field_rows(seed, _PURPOSE_MODULUS, 0, spec.n, spec.replicates)
     radii = [2.0 ** (-m) for m in spec.radii_log2]
-    table = rg.ModulusTable.from_fields(f"empirical_clt(n={spec.n})", fields,
-                                        net, radii)
-    agg = np.array(table.aggregate)
-    w_trunc = np.minimum(table.w, 1.0)
-    se = w_trunc.std(axis=0, ddof=1) / math.sqrt(spec.replicates)
+    w = rg.modulus_many(fields, net, radii)
+    trunc = np.minimum(w, 1.0)
+    agg = trunc.mean(axis=0)
+    se = trunc.std(axis=0, ddof=1) / math.sqrt(spec.replicates)
+    table = np.zeros(w.size, dtype=_MODULUS_DTYPE)
+    table["radius"] = np.repeat(radii, spec.replicates)
+    table["replicate"] = np.tile(np.arange(spec.replicates), len(radii))
+    table["w"] = w.T.ravel()
+    table["aggregate"] = np.repeat(agg, spec.replicates)
     monotone = True
     for c in range(1, len(agg)):
         if agg[c] > agg[c - 1] + 2.0 * (se[c] + se[c - 1]):
@@ -772,6 +787,7 @@ CSV_TABLES = (
     ("martingale.csv", "martingale", "directions",
      ("direction", "descriptor", "residual", "bound", "cross_moment",
       "cross_bound", "passed")),
+    ("modulus.csv", "modulus", "table", ("radius", "replicate", "w", "aggregate")),
 )
 
 
@@ -815,20 +831,19 @@ class CLTReport:
         }
 
     def tables(self) -> dict:
-        """{file name: rows} for each CSV of the report with at least one
-        row, the ``CSV_TABLES`` and modulus.csv.  The rows are the header
-        and then raw values, made as they are read."""
+        """{file name: rows} for each of the ``CSV_TABLES`` with at least
+        one row.  The rows are the header and then raw values, made as they
+        are read."""
         desc = self.net.descriptors()
         out = {}
         for name, test, key, cols in CSV_TABLES:
-            if test == "martingale":
-                results = [] if self.martingale is None else [(None, self.martingale)]
+            if test in ("martingale", "modulus"):
+                single = getattr(self, test)
+                results = [] if single is None else [(None, single)]
             else:
                 results = [(n, t[test]) for n, t in self.per_n.items() if test in t]
             if any(len(result[key]) if key else 1 for _, result in results):
                 out[name] = _table_rows(cols, key, results, desc)
-        if self.modulus is not None:
-            out["modulus.csv"] = self.modulus["table"].to_csv_rows()
         return out
 
 

@@ -99,12 +99,6 @@ class TangentMeasure:
     base: Point
     atoms: tuple  # of (TangentVector, weight)
 
-    @property
-    def lengths(self):
-        """The tangent lengths as a numpy array."""
-        import numpy as np
-        return np.array([v.length for v, _ in self.atoms])
-
 
 def pushforward(measure: DiscreteMeasure, base: Point) -> TangentMeasure:
     """Atom-wise log map; weights carried over unchanged."""

@@ -25,8 +25,6 @@ size.  Spheres of directions have no chains and are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .covering import COVER_N_MAX, dimension_constant  # noqa: F401
@@ -217,7 +215,7 @@ def modulus_many(values, net: DirectionNet, radii) -> np.ndarray:
 
     w(h, r) is the largest |h(V) - h(U)| over net pairs within angular
     distance r.  The direction space lists chains of net indices (see
-    ``geometry``) on which the pairs within r of a position form one
+    ``directions``) on which the pairs within r of a position form one
     forward run, so w is the largest (max - min) of h over the windows
     of the runs.  Float subtraction rounds monotonically, so
     fl(max - min) is the largest |fl(h(V) - h(U))| over a window and the
@@ -258,28 +256,3 @@ def modulus_many(values, net: DirectionNet, radii) -> np.ndarray:
                 _fold_pairs(block, ia, ib, dest[:, q])
         _fold_windows(block, idx, levels, dest)
     return out
-
-
-@dataclass(frozen=True)
-class ModulusTable:
-    """Per-replicate modulus values and the truncated-mean aggregate."""
-
-    label: str
-    radii: tuple
-    w: np.ndarray  # (replicates, radii)
-    aggregate: tuple  # E[w /\ 1] per radius
-
-    @staticmethod
-    def from_fields(label: str, values: np.ndarray, net: DirectionNet,
-                    radii) -> "ModulusTable":
-        w = modulus_many(values, net, radii)
-        agg = np.minimum(w, 1.0).mean(axis=0)
-        return ModulusTable(label, tuple(float(r) for r in radii), w,
-                            tuple(float(a) for a in agg))
-
-    def to_csv_rows(self):
-        yield ("radius", "replicate", "w", "aggregate")
-        for c, (r, agg) in enumerate(zip(self.radii, self.aggregate)):
-            for rep, w in enumerate(self.w[:, c].tolist()):
-                yield (r, rep, w, agg)
-

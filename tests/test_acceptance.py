@@ -145,7 +145,7 @@ def test_criterion_04_kernel_bounds_exact():
         centered = pair - w @ pair
         cov = centered.T @ (w[:, None] * centered)
         dmat = net.pairwise_distances()
-        lengths = tm.lengths
+        lengths = np.array([v.length for v, _ in tm.atoms])
         e_d = float(w @ lengths)
         e_d2 = float(w @ lengths**2)
         m = len(net)
@@ -183,7 +183,7 @@ def test_criterion_05_clt_finite_dimensional():
 
     measure = config_from_json(raw_s, seed=20240502).measure
     sim = _FieldSimulator(measure, rep_s.base, rep_s.net)
-    vals = np.asarray(sim.field_rows(20240502, _PURPOSE_SAMPLES, 0, 10000, 5000, 1))
+    vals = sim.field_rows(20240502, _PURPOSE_SAMPLES, 0, 10000, 5000, 1)[:]
     assert np.max(np.abs(vals.sum(axis=1))) <= 1e-10
     report(5, f"euclid KS={ks_e:.4f}; spider KS/chi2/cov within thresholds; "
               "leg sums exact")
@@ -273,7 +273,7 @@ def test_criterion_09_tightness_and_chaining(book_spine_measure):
         nets[k] = refine_net(base, nets[k - 1], 2.0 ** -k)
     fine = nets[k_range[-1]]
     sim = _FieldSimulator(book_spine_measure, base, fine)
-    draws = np.asarray(sim.field_rows(907, _PURPOSE_SAMPLES, 0, 1000, 500, 1))
+    draws = sim.field_rows(907, _PURPOSE_SAMPLES, 0, 1000, 500, 1)[:]
     desc = {d.describe(): i for i, d in enumerate(fine.directions)}
     xi4 = []
     for k in k_range:

@@ -858,12 +858,11 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("rows", [0, 1, 4097])
     def test_block_writer_matches_csv_writer(self, tmp_path, rows):
-        # the row blocks of the draw CSVs and the distinct-row blocks of the
-        # empirical CSV both match format_float row by row, on rows that
-        # repeat within and across blocks and differ only in the sign of a
-        # zero, a NaN payload or the sign of an infinity
+        # the row blocks of the draw CSVs match format_float row by row, on
+        # rows that repeat within and across blocks and differ only in the
+        # sign of a zero, a NaN payload or the sign of an infinity
         from stratclt.errors import format_float
-        from stratclt.fields import _distinct_row_blocks, _row_blocks, _write_matrix_csv
+        from stratclt.fields import _row_blocks, _write_matrix_csv
         nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
         special = np.array([[-0.0, 1e-300, 123456789.0], [np.nan, np.inf, -5e-324],
                             [0.0, 1e-300, 123456789.0], [-np.nan, -np.inf, nan_payload]])
@@ -878,10 +877,38 @@ class TestCsvRoundTrip:
             out = csv.writer(fh, lineterminator="\n")
             out.writerow(header)
             out.writerows([format_float(x) for x in row] for row in values)
-        expected = (tmp_path / "rows.csv").read_bytes()
-        for blocks in (_row_blocks, _distinct_row_blocks):
-            _write_matrix_csv(tmp_path / "block.csv", header, blocks(values))
-            assert (tmp_path / "block.csv").read_bytes() == expected, blocks.__name__
+        _write_matrix_csv(tmp_path / "block.csv", header, _row_blocks(values))
+        assert (tmp_path / "block.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("replicates", [1, 4097, 9000])
+    def test_empirical_writer_matches_row_blocks(self, tmp_path, replicates):
+        # the count-keyed writer gives the bytes of formatting every row of
+        # field[:] in draw order, across blocks, where distinct count vectors
+        # give bit-equal rows and where rows differ only in a zero's sign
+        from dataclasses import replace
+        from stratclt import DiscreteMeasure, apex, build_net, cov_matrix
+        from stratclt.fields import _row_blocks, _write_matrix_csv, write_empirical_fields_csv
+        from stratclt.harness import _CountField
+        mu = DiscreteMeasure.from_json(load_config("field_example.json")["measure"])
+        a = apex(mu.space)
+        # row (xi_0 + xi_1, +-0, (xi_0 + xi_1) / 2): -0 exactly when
+        # xi_0 < 0, xi_1 < 0 and xi_2 > 0; every sum is exact at n w = (2, 2, 4)
+        cov = replace(cov_matrix(mu, a, build_net(a, 1.0)), weights=np.array([0.25, 0.25, 0.5]),
+                      tau=np.array([[1.0, 0.0, 0.5], [1.0, 0.0, 0.5], [0.0, -0.0, 0.0]]))
+        counts = np.random.default_rng(4).multinomial(8, cov.weights, size=replicates)
+        field = _CountField(cov, counts, 8, 1.0)
+        whole = field[:]
+        if replicates > 1:
+            counts_of = {}  # the count vectors of each row, keyed on its bits
+            for c, row in zip(counts.tolist(), whole):
+                counts_of.setdefault(row.tobytes(), set()).add(tuple(c))
+            assert max(map(len, counts_of.values())) > 1
+            # rows equal as floats but not as bits, -0.0 against 0.0
+            assert len(counts_of) > len(set(map(tuple, whole.tolist())))
+        write_empirical_fields_csv(tmp_path / "emp.csv", cov, field.xi)
+        _write_matrix_csv(tmp_path / "whole.csv", cov.net.descriptors(), _row_blocks(whole))
+        assert (tmp_path / "emp.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def run_child(code: str, **env):
@@ -906,7 +933,7 @@ def loaded_after(code: str, *modules: str) -> list[str]:
 # every public name of the package, each reachable as stratclt.<name>
 EXPORTS = (
     "CLTReport ConfigError CovMatrix CoveringProfile Direction DirectionNet DiscreteMeasure "
-    "DomainError ExperimentConfig GaussianFieldSampler MeanDiagnostics ModulusTable "
+    "DomainError ExperimentConfig GaussianFieldSampler MeanDiagnostics "
     "NumericalConsistencyError Point SpaceMismatchError SpaceSpec StratcltError TangentMeasure "
     "TangentVector ValidationConfig __version__ apex build_net compare_covariance "
     "config_from_json cov_matrix covering dimension_constant directions distance errors exp_map "
@@ -1085,11 +1112,10 @@ class TestOutputFormats:
         assert code in (0, 2)
         capsys.readouterr()
         names = {f.name for f in outdir.iterdir()}
-        assert "report.json" not in names
-        for expected in ("cov.csv", "ks.csv", "mahalanobis.csv", "moments.csv",
-                         "increments.csv", "martingale.csv", "modulus.csv",
-                         "cov_matrix.csv"):
-            assert expected in names, expected
+        # every table CSV is declared once, in CSV_TABLES, modulus.csv too
+        from stratclt.harness import CSV_TABLES
+        assert names == {"manifest.json", "cov_matrix.csv",
+                         *(table[0] for table in CSV_TABLES)}
         header = (outdir / "modulus.csv").read_text().splitlines()[0]
         assert header == "radius,replicate,w,aggregate"
         digest = hashlib.sha256((outdir / "modulus.csv").read_bytes()).hexdigest()

@@ -157,7 +157,7 @@ class TestEmpiricalField:
         for mu, base, net in bundled_cases():
             sim = _FieldSimulator(mu, base, net)
             n, reps = 257, 4
-            rows = np.asarray(sim.field_rows(123, _PURPOSE_SAMPLES, 0, n, reps))
+            rows = sim.field_rows(123, _PURPOSE_SAMPLES, 0, n, reps)[:]
             w = mu.weights / mu.weights.sum()
             counts = substream(123, _PURPOSE_SAMPLES, 0).multinomial(n, w, size=reps)
             for rep in range(reps):
@@ -202,7 +202,7 @@ class TestKernelRegularityBounds:
         w = mu.weights
         centered = pair - w @ pair
         dmat = net.pairwise_distances()
-        lengths = tm.lengths
+        lengths = np.array([v.length for v, _ in tm.atoms])
         e_d = float(w @ lengths)
         e_d2 = float(w @ lengths**2)
         cov = centered.T @ (w[:, None] * centered)
@@ -232,7 +232,7 @@ class TestKernelRegularityBounds:
         pts = sample(mu, substream(17, case), n)
         f = empirical_field(pts, mu, base, net, "clt")
         tm = pushforward(mu, base)
-        e_d = float(mu.weights @ tm.lengths)
+        e_d = float(mu.weights @ np.array([v.length for v, _ in tm.atoms]))
         total = sum(distance(base, p) for p in pts)
         lip = math.sqrt(n) * e_d + total / math.sqrt(n)
         dmat = net.pairwise_distances()

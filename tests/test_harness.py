@@ -303,7 +303,7 @@ class TestStatisticalInvariants:
         for r_count in (500, 2000, 8000):
             sups = []
             for seed in range(5):
-                vals = np.asarray(sim.field_rows(seed, _PURPOSE_SAMPLES, 0, 50, r_count, 1))
+                vals = sim.field_rows(seed, _PURPOSE_SAMPLES, 0, 50, r_count, 1)[:]
                 emp = vals.T @ vals / r_count
                 sups.append(compare_covariance(emp, cov)[0])
             errors[r_count] = float(np.mean(sups))
@@ -371,13 +371,13 @@ class TestFieldRowsInPlace:
         counts = substream(42, _PURPOSE_SAMPLES, 1).multinomial(
             n, sim.probs, size=reps).astype(float)
         expected = fixed_order_product((counts - n * w) / math.sqrt(n), tau)
-        assert np.array_equal(sim.field_rows(42, _PURPOSE_SAMPLES, 1, n, reps),
+        assert np.array_equal(sim.field_rows(42, _PURPOSE_SAMPLES, 1, n, reps)[:],
                               expected)
         rng = substream(42, harness._PURPOSE_MARTINGALE)
         for got, m in zip(sim.partial_sum_rows(42, n, 300, reps), (n, 300)):
             c = rng.multinomial(m, sim.probs, size=reps).astype(float)
             want = fixed_order_product(c - m * w, tau)
-            assert np.array_equal(np.asarray(got), want)
+            assert np.array_equal(got[:], want)
             assert np.array_equal(got.columns(0, want.shape[1]), want.T)
 
 
@@ -460,8 +460,8 @@ class TestMartingaleResidual:
         counts = [rng.multinomial(m, sim.probs, size=reps).astype(float) for m in (n, k)]
         head, tail = sim.partial_sum_rows(42, n, k, reps)
         w, tau = sim.cov.weights, sim.cov.tau
-        assert np.array_equal(np.asarray(head), fixed_order_product(counts[0] - n * w, tau))
-        assert np.array_equal(np.asarray(tail), fixed_order_product(counts[1] - k * w, tau))
+        assert np.array_equal(head[:], fixed_order_product(counts[0] - n * w, tau))
+        assert np.array_equal(tail[:], fixed_order_product(counts[1] - k * w, tau))
 
 
 class TestMomentExpansionOracle:
@@ -534,7 +534,7 @@ class TestIncrementReference:
         gammas = (cfg.measure.moment(base, 2), cfg.measure.moment(base, 4))
         for g2, g4 in (gammas, (-0.8, -0.8)):
             got = _increment_test(field.columns(0, field.shape[1]), sim.cov, n, g2, g4)
-            want = increment_pairs_loop(np.asarray(field), sim.cov, n, g2, g4)
+            want = increment_pairs_loop(field[:], sim.cov, n, g2, g4)
             assert [(r["i"], r["j"]) for r in got["pairs"]] == \
                 [(r["i"], r["j"]) for r in want]
             assert got["pairs"].dtype.names == tuple(want[0].keys())
@@ -734,7 +734,7 @@ class TestBlockSizeInvariance:
         sim, _ = fine_values("openbook3_spine.json", {"epsilon": 0.1}, 1000, 10)
         field = sim.field_rows(3, _PURPOSE_MODULUS, 0, 1000, 37)
         whole = fixed_order_product(field.xi.T, sim.cov.tau)
-        assert np.array_equal(np.asarray(field), whole)
+        assert np.array_equal(field[:], whole)
         for lo, hi in ((0, 1), (5, 17), (36, 37), (0, 37)):
             assert np.array_equal(field[lo:hi], whole[lo:hi])
         for lo, hi in ((0, 1), (3, 40), (94, 95), (0, 95)):
@@ -805,3 +805,20 @@ class TestZeroVarianceDirection:
         assert rows[1]["ks"] is None            # orthogonal: asserted zero
         assert rows[1]["max_abs"] <= 1e-10
         assert rep.per_n[500]["ks"]["passed"]
+
+    def test_cut_is_scale_free(self):
+        # the 3-spider with its atoms at radius 1 and at 1e-7 draws the same
+        # counts, so its fields differ by the scale alone: no direction is
+        # cut as zero-variance at the small scale, and every verdict agrees
+        runs = []
+        for radius in (1.0, 1e-7):
+            raw = load_config("spider3_uniform.json")
+            for atom in raw["measure"]["atoms"]:
+                atom["point"][1] = radius
+            raw.update(sample_sizes=[1000], replicates=500, tests=["ks"],
+                       thresholds={"ks": 0.2})
+            rep = run_clt_experiment(config_from_json(raw, seed=3))
+            runs.append(rep.per_n[1000]["ks"]["directions"])
+        for big, small in zip(*runs):
+            assert small["passed"] == big["passed"]
+            assert small["ks"] == pytest.approx(big["ks"], abs=1e-9)
