@@ -20,8 +20,8 @@ _EXPORTS = {
     "geometry": "Direction Point SpaceSpec TangentVector apex distance exp_map geodesic_point "
                 "log_map stratum_of zero_vector",
     "directions": "DirectionNet net_from_directions",
-    "measures": "DiscreteMeasure MeanDiagnostics TangentMeasure ValidationConfig "
-                "frechet_function frechet_mean pushforward validate_localized",
+    "measures": "DiscreteMeasure MeanDiagnostics TangentMeasure frechet_function "
+                "frechet_mean pushforward validate_localized",
     "fields": "CovMatrix GaussianFieldSampler cov_matrix",
     "covering": "CoveringProfile dimension_constant",
     "regularity": "build_net",

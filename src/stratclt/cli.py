@@ -192,7 +192,7 @@ def cmd_field(args) -> int:
     reject_unknown_keys(raw, ("measure", "base", "net"), "field config")
     measure = mz.DiscreteMeasure.from_json(raw["measure"])
     base = None if raw.get("base") is None else geo.Point.of(measure.space, raw["base"])
-    base = mz.validate_localized(measure, mz.ValidationConfig(base)).base
+    base = mz.validate_localized(measure, base).base
     net = hz.resolve_net(base, raw["net"])
     outdir = _make_outdir(args.out)
     # the one covariance of the net serves the draws and the empirical fields

@@ -1,7 +1,9 @@
 """Dyadic covering profiles, counted in closed form without numpy: the
 uniform grid of m steps on a space of directions (each ``_uniform`` of
 ``directions``) is its legs or signs, m points on a circle of length L,
-or 2 + pages (m - 1) points at a spine point, at covering radius L/m/2."""
+or 2 + pages (m - 1) points at a spine point, at covering radius L/m/2.
+The dimension bound is that of the directions: 0 on legs and signs, 1 on
+a circle and pages at a spine point, one semicircle per page."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from functools import reduce
 from operator import add
 
 from .errors import DomainError
-from .geometry import _TWO_PI, FLAT_CONE, OPEN_BOOK, SPIDER, Point, incident_strata, stratum_of
+from .geometry import _TWO_PI, D_ANGLE, D_LEG, D_PAGE_ANGLE, Point, direction_kind, stratum_of
 
 # the finest scale 2^-COVER_N_MAX of a cover profile, a net or a modulus net
 COVER_N_MAX = 16
@@ -33,18 +35,21 @@ class CoveringProfile:
 
 
 def _grid(base: Point) -> tuple:
-    """(L, size): the grid of m steps at base has size(m) directions at
-    covering radius L / m / 2 (L = 0 on the finite direction sets)."""
-    sp, (sid, dim) = base.space, stratum_of(base)
-    if sp.kind == SPIDER and sid == "apex":
-        return 0.0, lambda m: sp.legs
-    if sp.kind == OPEN_BOOK and sid == "spine":
-        return math.pi, lambda m: 2 + sp.pages * (m - 1)
-    if sp.kind == FLAT_CONE and sid == "apex":
-        return sp.circumference, lambda m: m
+    """(L, size, bound): the grid of m steps at base has size(m) directions
+    at covering radius L / m / 2 (L = 0 on the finite direction sets), and
+    the directions there have dimension at most bound (0 on legs and
+    signs, 1 on a circle, pages at a spine point)."""
+    sp, kind = base.space, direction_kind(base)
+    if kind == D_LEG:
+        return 0.0, lambda m: sp.legs, 0
+    if kind == D_PAGE_ANGLE:
+        return math.pi, lambda m: 2 + sp.pages * (m - 1), sp.pages
+    if kind == D_ANGLE:
+        return sp.circumference, lambda m: m, 1
+    dim = stratum_of(base)[1]
     if dim > 2:
         raise DomainError("direction nets on spheres of dimension >= 2 are not supported")
-    return (0.0, lambda m: 2) if dim == 1 else (_TWO_PI, lambda m: m)
+    return (0.0, lambda m: 2, 0) if dim == 1 else (_TWO_PI, lambda m: m, 1)
 
 
 def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
@@ -58,7 +63,7 @@ def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
     """
     if n_max < 4:
         raise DomainError("need n_max >= 4 for a meaningful slope")
-    length, size = _grid(base)
+    length, size, bound = _grid(base)
     m = max(1, math.ceil(length / 0.5))
     scales = tuple(2.0 ** (-n) for n in range(1, n_max + 1))
     counts = []
@@ -73,6 +78,4 @@ def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
         n_bar, y_bar = (ns[0] + n_max) / 2.0, reduce(add, ys) / len(ys)
         slope = (reduce(add, [(n - n_bar) * (y - y_bar) for n, y in zip(ns, ys)])
                  / reduce(add, [(n - n_bar) ** 2 for n in ns]))
-    # the bound: the sum of the direction-space dimensions of the incident strata
-    bound = float(sum(max(d - 1, 0) for _sid, d in incident_strata(base)))
-    return CoveringProfile(base, scales, tuple(counts), slope, bound)
+    return CoveringProfile(base, scales, tuple(counts), slope, float(bound))

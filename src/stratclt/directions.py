@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SpaceMismatchError
-from .geometry import (_TWO_PI, D_ANGLE, D_LEG, D_PAGE_ANGLE, D_SIGN, D_VECTOR, FLAT_CONE,
-                       OPEN_BOOK, SPIDER, Direction, Point, stratum_of)
+from .geometry import (_TWO_PI, D_ANGLE, D_LEG, D_PAGE_ANGLE, Direction, Point, direction_kind,
+                       stratum_of)
 
 CHAIN_SLACK = 1e-9
 
@@ -45,16 +45,16 @@ class _Directions:
 class DiscreteDirections(_Directions):
     """Finitely many pairwise pi-separated directions (spider apex, lines)."""
 
-    def __init__(self, base: Point, labels: list, make):
+    def __init__(self, base: Point, labels: list):
         self.base = base
+        self.kind = direction_kind(base)
         self.labels = list(labels)
-        self._make = make
 
     def to_coord(self, d: Direction) -> float:
         return float(self.labels.index(d.data[0]))
 
     def from_coord(self, c) -> Direction:
-        return self._make(self.labels[int(round(c))])
+        return Direction(self.base, self.kind, (self.labels[int(round(c))],))
 
     def dist(self, a, b) -> np.ndarray:
         return np.where(a == b, 0.0, math.pi)
@@ -73,18 +73,20 @@ class DiscreteDirections(_Directions):
 class CircleDirections(_Directions):
     """Directions forming a circle of circumference L with the arc metric."""
 
-    def __init__(self, base: Point, length: float, make):
+    def __init__(self, base: Point, length: float):
         self.base = base
+        self.kind = direction_kind(base)
         self.length = float(length)
-        self._make = make
 
     def to_coord(self, d: Direction) -> float:
-        if d.kind == D_ANGLE:
+        if self.kind == D_ANGLE:
             return d.data[0]
         return math.atan2(d.data[1], d.data[0]) % _TWO_PI
 
     def from_coord(self, c) -> Direction:
-        return self._make(float(c))
+        c = float(c)
+        return Direction(self.base, self.kind,
+                         (c,) if self.kind == D_ANGLE else (math.cos(c), math.sin(c)))
 
     def dist(self, a, b) -> np.ndarray:
         d = np.abs(a - b)
@@ -214,24 +216,19 @@ class SphereDirections(_Directions):
 
 def direction_space(base: Point):
     """The vectorized direction-space model at a base point."""
-    sp = base.space
-    sid, dim = stratum_of(base)
-    if sp.kind == SPIDER and sid == "apex":
-        return DiscreteDirections(base, list(range(sp.legs)),
-                                  lambda leg: Direction(base, D_LEG, (leg,)))
-    if sp.kind == OPEN_BOOK and sid == "spine":
+    sp, kind = base.space, direction_kind(base)
+    if kind == D_LEG:
+        return DiscreteDirections(base, list(range(sp.legs)))
+    if kind == D_PAGE_ANGLE:
         return SpineDirections(base, sp.pages)
-    if sp.kind == FLAT_CONE and sid == "apex":
-        return CircleDirections(base, sp.circumference,
-                                lambda a: Direction(base, D_ANGLE, (a,)))
-    # smooth points: the stratum dimension fixes the sphere of directions
+    if kind == D_ANGLE:
+        return CircleDirections(base, sp.circumference)
+    # signs and vectors: the stratum dimension fixes the sphere of directions
+    dim = stratum_of(base)[1]
     if dim == 1:
-        kind = D_SIGN if sp.kind == SPIDER else D_VECTOR
-        return DiscreteDirections(base, [1, -1], lambda s: Direction(base, kind, (s,)))
+        return DiscreteDirections(base, [1, -1])
     if dim == 2:
-        return CircleDirections(
-            base, _TWO_PI,
-            lambda a: Direction(base, D_VECTOR, (math.cos(a), math.sin(a))))
+        return CircleDirections(base, _TWO_PI)
     return SphereDirections(base, sp.dim)
 
 

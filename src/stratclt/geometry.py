@@ -216,19 +216,6 @@ def stratum_of(p: Point) -> tuple[str, int]:
     return ("apex", 0) if r == 0.0 else ("cone", 2)
 
 
-def incident_strata(p: Point) -> list[tuple[str, int]]:
-    """All strata whose closure contains p (including p's own)."""
-    sp = p.space
-    sid, d = stratum_of(p)
-    if sp.kind == SPIDER and sid == "apex":
-        return [("apex", 0)] + [(f"leg{i}", 1) for i in range(sp.legs)]
-    if sp.kind == OPEN_BOOK and sid == "spine":
-        return [("spine", 1)] + [(f"page{i}", 2) for i in range(sp.pages)]
-    if sp.kind == FLAT_CONE and sid == "apex":
-        return [("apex", 0), ("cone", 2)]
-    return [(sid, d)]
-
-
 # ---------------------------------------------------------------------------
 # Distance
 
@@ -360,6 +347,18 @@ D_ANGLE = "angle"      # flat cone apex: circle coordinate in [0, alpha)
 D_VECTOR = "vector"    # smooth 2-d charts and euclidean: unit vector
 
 
+def direction_kind(p: Point) -> str:
+    """The one kind of every unit direction at p: legs at a spider apex,
+    signs on a leg, page angles at a spine point, angles at a cone apex
+    and vectors everywhere else."""
+    sid, _ = stratum_of(p)
+    if sid == "apex":
+        return D_LEG if p.space.kind == SPIDER else D_ANGLE
+    if sid == "spine":
+        return D_PAGE_ANGLE
+    return D_SIGN if p.space.kind == SPIDER else D_VECTOR
+
+
 @dataclass(frozen=True)
 class Direction:
     """A unit direction at a base point (an element of the direction space)."""
@@ -370,25 +369,22 @@ class Direction:
 
     def __post_init__(self):
         sp = self.base.space
-        sid, _ = stratum_of(self.base)
         k, d = self.kind, self.data
+        exists = direction_kind(self.base)
+        if k != exists:
+            raise DomainError(f"no {k!r} directions exist at {self.base.to_coords()} "
+                              f"in {sp.kind}; the directions there are {exists!r}")
         if k == D_LEG:
-            if not (sp.kind == SPIDER and sid == "apex"):
-                raise DomainError("leg directions only exist at a spider apex")
             leg = _coordinate(d[0], True)
             if not 0 <= leg < sp.legs:
                 raise DomainError("leg index out of range")
             d = (leg,)
         elif k == D_SIGN:
-            if not (sp.kind == SPIDER and sid != "apex"):
-                raise DomainError("sign directions only exist on a spider leg")
             s = _coordinate(d[0], True)
             if s not in (-1, 1):
                 raise DomainError("sign direction must be +1 or -1")
             d = (s,)
         elif k == D_PAGE_ANGLE:
-            if not (sp.kind == OPEN_BOOK and sid == "spine"):
-                raise DomainError("page-angle directions only exist on the spine")
             page, theta = d
             page, theta = _coordinate(page, True), _coordinate(theta)
             if not 0.0 <= theta <= math.pi:
@@ -399,12 +395,8 @@ class Direction:
                 page = 0  # the two spine poles belong to every page
             d = (page, theta)
         elif k == D_ANGLE:
-            if not (sp.kind == FLAT_CONE and sid == "apex"):
-                raise DomainError("circle directions only exist at the cone apex")
             d = (_wrap_angle(_coordinate(d[0]), sp.circumference),)
-        elif k == D_VECTOR:
-            if sp.kind == SPIDER or sid in ("apex", "spine"):
-                raise DomainError("vector directions only exist at smooth points")
+        else:
             v = tuple(_coordinate(x) for x in d)
             expected = sp.dim if sp.kind == EUCLIDEAN else 2
             if len(v) != expected:
@@ -413,8 +405,6 @@ class Direction:
             if not math.isfinite(n) or n == 0.0:
                 raise DomainError("direction vector must be nonzero and finite")
             d = tuple(x / n for x in v)
-        else:
-            raise DomainError(f"unknown direction kind {k!r}")
         object.__setattr__(self, "data", d)
 
     def describe(self) -> str:

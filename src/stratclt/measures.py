@@ -306,7 +306,7 @@ def _certify(measure: DiscreteMeasure,
     """The certificate at mean, and the sup of the tangent mean over the
     directions leaving its stratum: ``_cone_max`` on the unit charts of
     log x at mean, with masses w |log x|."""
-    singular = geo.stratum_of(mean)[0] in ("apex", "spine")
+    singular = geo.direction_kind(mean) in (geo.D_LEG, geo.D_PAGE_ANGLE, geo.D_ANGLE)
     logs = [(v, w) for v, w in pushforward(measure, mean).atoms if not v.is_zero]
     sup, outward = 0.0, (0.0 if singular else None)
     if logs:
@@ -343,11 +343,6 @@ def frechet_mean(measure: DiscreteMeasure) -> MeanDiagnostics:
 
 
 @dataclass(frozen=True)
-class ValidationConfig:
-    base: Point | None = None
-
-
-@dataclass(frozen=True)
 class LocalizationReport:
     mean: Point | None
     base: Point
@@ -361,18 +356,16 @@ class LocalizationReport:
         }
 
 
-def validate_localized(measure: DiscreteMeasure,
-                       cfg: ValidationConfig | None = None) -> LocalizationReport:
-    """The base an experiment uses: ``cfg.base`` when given, else the
-    solved mean, which is then certified.
+def validate_localized(measure: DiscreteMeasure, base: Point | None = None) -> LocalizationReport:
+    """The base an experiment uses: ``base`` when given, else the mean and
+    certificate of ``frechet_mean``.
 
     Every measure here is localized: in a CAT(0) space each pair of points
     is joined by one geodesic, so every atom has a unique log at any base.
     That, uniqueness of the mean and convexity of F are theorems and are
     not re-checked.
     """
-    cfg = cfg or ValidationConfig()
-    if cfg.base is not None:
-        return LocalizationReport(None, cfg.base, None)
-    mean = _closed_form_mean(measure)
-    return LocalizationReport(mean, mean, _certify(measure, mean)[0])
+    if base is not None:
+        return LocalizationReport(None, base, None)
+    diag = frechet_mean(measure)
+    return LocalizationReport(diag.mean, diag.mean, diag.certificate)

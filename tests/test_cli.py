@@ -338,6 +338,21 @@ class TestClt:
         assert "modulus" in err and err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_net_kind_absent_at_base_exit_3(self, tmp_path, capsys):
+        # leg directions exist only at a spider apex: at a spine point the
+        # explicit net is refused by name, before any field is drawn
+        raw = load_config("openbook3_spine.json")
+        raw.update(base=[0, 0.0, 0.0], net={"legs": [0]}, sample_sizes=[200],
+                   replicates=150, tests=["cov"])
+        raw.pop("modulus")
+        code = main(["clt", "--config", write_json(tmp_path / "c.json", raw),
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'leg'" in err and "'page_angle'" in err
+        assert "Traceback" not in err
+
     def test_field_rerun_invariance(self, tmp_path, capsys):
         raw = {
             "measure": load_config("spider3_uniform.measure.json"),
@@ -935,7 +950,7 @@ EXPORTS = (
     "CLTReport ConfigError CovMatrix CoveringProfile Direction DirectionNet DiscreteMeasure "
     "DomainError ExperimentConfig GaussianFieldSampler MeanDiagnostics "
     "NumericalConsistencyError Point SpaceMismatchError SpaceSpec StratcltError TangentMeasure "
-    "TangentVector ValidationConfig __version__ apex build_net compare_covariance "
+    "TangentVector __version__ apex build_net compare_covariance "
     "config_from_json cov_matrix covering dimension_constant directions distance errors exp_map "
     "fields frechet_function frechet_mean geodesic_point geometry harness ks_distance log_map "
     "measures net_from_directions pushforward regularity rng run_clt_experiment stratum_of "

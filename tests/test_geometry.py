@@ -20,7 +20,7 @@ from stratclt import (
     stratum_of,
     zero_vector,
 )
-from stratclt.geometry import D_ANGLE, D_LEG, D_PAGE_ANGLE, D_SIGN, D_VECTOR
+from stratclt.geometry import D_ANGLE, D_LEG, D_PAGE_ANGLE, D_SIGN, D_VECTOR, direction_kind
 
 from .oracles import book_cross_distance_oracle, comparison_median, cone_distance_oracle
 from .reference import angular_distance, angular_pairing, conical_distance, scale
@@ -479,6 +479,32 @@ class TestStrata:
     ])
     def test_stratum_of(self, point, expected):
         assert stratum_of(point) == expected
+
+
+# one base on each stratum of each space, with the one kind of direction there
+KIND_AT_BASE = [
+    (apex(SP3), D_LEG),
+    (Point(SP3, (2, 0.7)), D_SIGN),
+    (Point(OB3, (1, 2.0, 0.0)), D_PAGE_ANGLE),
+    (Point(OB3, (2, 1.0, 0.5)), D_VECTOR),
+    (apex(FC), D_ANGLE),
+    (Point(FC, (1.0, 2.0)), D_VECTOR),
+    (Point(E1, (0.5,)), D_VECTOR),
+    (Point(E2, (0.0, 0.0)), D_VECTOR),
+]
+
+
+class TestDirectionKind:
+    @pytest.mark.parametrize("base,kind", KIND_AT_BASE)
+    def test_direction_accepts_only_the_kind_at_its_base(self, base, kind):
+        assert direction_kind(base) == kind
+        width = base.space.dim if base.space.kind == "euclidean" else 2
+        data = {D_LEG: (0,), D_SIGN: (1,), D_PAGE_ANGLE: (0, 1.0), D_ANGLE: (1.0,),
+                D_VECTOR: (1.0,) * width}
+        assert Direction(base, kind, data[kind]).kind == kind
+        for other in [*(k for k in data if k != kind), "bogus"]:
+            with pytest.raises(DomainError, match=f"no '{other}' directions.*'{kind}'"):
+                Direction(base, other, data.get(other, (1.0,)))
 
 
 # ---------------------------------------------------------------------------

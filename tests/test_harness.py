@@ -36,7 +36,7 @@ from stratclt.harness import (
     normal_cdf,
     resolve_net,
 )
-from stratclt.measures import validate_localized
+from stratclt.measures import DiscreteMeasure, validate_localized
 
 from .conftest import EXPERIMENT_FILES, load_config
 from .oracles import increment_pairs_loop
@@ -447,6 +447,23 @@ class TestMartingaleResidual:
             assert not r["passed"]
             assert r["cross_moment"] > r["cross_bound"]
             assert r["cross_moment"] == pytest.approx(n * diag[r["direction"]], rel=0.2)
+
+    @pytest.mark.parametrize("radius", [1.0, 1e-7])
+    def test_cross_moment_gate_is_scale_free(self, spider3, spider_apex, radius):
+        # the head as its own increment is perfectly correlated, so every
+        # direction fails at every scale: the rounding slack scales with
+        # max|P| and does not swallow the bounds of a small measure
+        measure = DiscreteMeasure(
+            spider3, tuple((Point(spider3, (i, radius)), 1.0 / 3.0) for i in range(3)))
+        net = build_net(spider_apex, 1.0)
+        sim = _FieldSimulator(measure, spider_apex, net)
+        n = k = 1000
+        head, _ = sim.partial_sum_rows(3, n, k, 500)
+        rows = _martingale_rows(head, head, sim.cov, n, k)
+        assert len(rows) == 3
+        for r in rows:
+            assert not r["passed"]
+            assert r["cross_moment"] > 5.0 * r["cross_bound"]
 
     @pytest.mark.parametrize("name", EXPERIMENT_FILES)
     def test_partial_sums_are_two_multinomial_draws(self, name):

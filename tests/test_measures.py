@@ -13,7 +13,6 @@ from stratclt import (
     Point,
     SpaceSpec,
     TangentVector,
-    ValidationConfig,
     apex,
     distance,
     exp_map,
@@ -247,7 +246,7 @@ class TestValidateLocalized:
             (Point(cone3pi, (1.0, math.pi)), 0.2),
         ))
         base = Point(cone3pi, (0.6, 0.0))
-        report = validate_localized(mu, ValidationConfig(base=base))
+        report = validate_localized(mu, base)
         assert report.base == base
         assert report.mean is None and report.certificate is None
         tm = pushforward(mu, report.base)
@@ -257,7 +256,7 @@ class TestValidateLocalized:
     def test_given_base_used_as_is(self, spider_uniform, spider3):
         # a given base is not checked: no mean is solved or certified
         base = Point(spider3, (1, 0.5))
-        report = validate_localized(spider_uniform, ValidationConfig(base=base))
+        report = validate_localized(spider_uniform, base)
         assert report.base == base
         assert report.mean is None and report.certificate is None
 

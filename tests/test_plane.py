@@ -2,9 +2,12 @@
 euclidean(2), by (q, s, t) -> (s, +-t) on the book and (r, phi) ->
 (r cos phi, r sin phi) on the cone.  Their spine and apex are singular
 in the code but not in the metric, so distances, geodesics, log and exp
-maps, Fréchet means and values, the first-order certificate, stickiness
-and tangent covariances on mapped nets must agree with the plane's."""
+maps, Fréchet means and values, the first-order certificate, stickiness,
+tangent covariances on mapped nets and every ``clt`` table of one seed
+must agree with the plane's."""
 
+import csv
+import json
 import math
 
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from stratclt import (Direction, DiscreteMeasure, Point, SpaceSpec, build_net, cov_matrix,
                       distance, exp_map, frechet_function, frechet_mean, geodesic_point,
                       log_map, net_from_directions)
+from stratclt.cli import main
 from stratclt.geometry import D_ANGLE, D_PAGE_ANGLE, D_VECTOR
 
 from .reference import scale
@@ -140,3 +144,94 @@ def test_open_book_is_the_plane(atoms):
 @given(measures(cone_point))
 def test_flat_cone_is_the_plane(atoms):
     check_plane(atoms)
+
+
+# ---------------------------------------------------------------------------
+# clt on the plane three ways: one four-atom measure with unequal weights,
+# mapped, with its base and an explicit net mapped too.  The atoms keep
+# their order, so the counts are the same draws and every table is the
+# plane's up to rounding.
+
+PLANE_ATOMS = [((1.0, 0.5), 0.1), ((-0.7, 1.2), 0.2), ((0.3, -1.1), 0.3),
+               ((-1.4, -0.6), 0.4)]
+# net directions as plane angles, on both pages and through both poles
+NET_ANGLES = [0.0, 0.4, 1.3, 2.2, math.pi, 3.9, 4.6, 5.8]
+
+
+def from_plane(space: SpaceSpec, xy: tuple) -> list:
+    """Coordinates on space of the plane point xy, the inverse of ``to_plane``."""
+    x, y = xy
+    if space == PLANE:
+        return [x, y]
+    if space == BOOK:
+        return [0 if y >= 0.0 else 1, x, abs(y)]
+    return [math.hypot(x, y), math.atan2(y, x) % (2.0 * math.pi)]
+
+
+def mapped_clt_config(space: SpaceSpec) -> dict:
+    if space == PLANE:
+        base, net = [0.0, 0.0], {"vectors": [[math.cos(a), math.sin(a)] for a in NET_ANGLES]}
+    elif space == BOOK:
+        # plane angle a is page 0 at theta a, or page 1 at theta 2 pi - a
+        base, net = [0, 0.0, 0.0], {"page_angles": [
+            [0, a] if a <= math.pi else [1, 2.0 * math.pi - a] for a in NET_ANGLES]}
+    else:
+        base, net = [0.0, 0.0], {"angles": NET_ANGLES}
+    return {
+        "measure": {"space": space.to_json(),
+                    "atoms": [{"point": from_plane(space, xy), "weight": w}
+                              for xy, w in PLANE_ATOMS]},
+        "base": base,
+        "net": net,
+        "sample_sizes": [300],
+        "replicates": 200,
+        "martingale": {"n": 300, "k": 300},
+        "tests": ["cov", "ks", "mahalanobis", "moments", "increments", "martingale"],
+    }
+
+
+def read_cells(path) -> tuple[list, list]:
+    """The header of a CSV and its rows, each cell a float where it parses
+    as one."""
+
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, [[cell(x) for x in row] for row in rows]
+
+
+def test_clt_tables_agree_on_the_plane_three_ways(tmp_path, capsys):
+    outs, codes = [], set()
+    for space in (PLANE, BOOK, CONE):
+        cfg = tmp_path / f"{space.kind}.json"
+        cfg.write_text(json.dumps(mapped_clt_config(space)))
+        out = tmp_path / space.kind
+        codes.add(main(["clt", "--config", str(cfg), "--seed", "7", "--out", str(out)]))
+        outs.append(out)
+    capsys.readouterr()
+    assert len(codes) == 1 and codes <= {0, 2}
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert len(names) == 7
+    for name in names:
+        (header, plane), *others = [read_cells(out / name) for out in outs]
+        for _, rows in others:
+            assert len(rows) == len(plane), name
+        for col, title in enumerate(header):
+            cols = [[row[col] for row in rows] for rows in (plane, *(r for _, r in others))]
+            values = [x for x in cols[0] if isinstance(x, float)]
+            top = max(map(abs, values), default=0.0)
+            for other in cols[1:]:
+                for a, b in zip(cols[0], other):
+                    if isinstance(a, float):
+                        # a column of numbers: equal to 1e-9 of its largest
+                        assert isinstance(b, float) and abs(a - b) <= 1e-9 * top, \
+                            (name, title, a, b)
+                    elif title != "descriptor":
+                        # flags and empty cells; a descriptor names a
+                        # direction in its own space's chart
+                        assert a == b, (name, title, a, b)

@@ -168,6 +168,25 @@ class TestDimensionConstant:
         assert 0.9 <= profile.d_estimate <= 1.1
         assert profile.stratum_dim_bound == 3.0
 
+    @pytest.mark.parametrize("base,bound", [
+        (apex(SpaceSpec.spider(3)), 0.0),
+        (Point(SpaceSpec.spider(3), (1, 0.5)), 0.0),
+        (Point(SpaceSpec.open_book(2), (0, 1.0, 0.0)), 2.0),
+        (Point(SpaceSpec.open_book(3), (0, 1.0, 0.0)), 3.0),
+        (Point(SpaceSpec.open_book(5), (0, 1.0, 0.0)), 5.0),
+        (Point(SpaceSpec.open_book(3), (1, 0.0, 2.0)), 1.0),
+        (apex(SpaceSpec.flat_cone(9.0)), 1.0),
+        (Point(SpaceSpec.flat_cone(9.0), (1.0, 2.0)), 1.0),
+        (Point(SpaceSpec.euclidean(1), (0.5,)), 0.0),
+        (Point(SpaceSpec.euclidean(2), (0.5, 1.0)), 1.0),
+    ])
+    def test_stratum_dim_bound(self, base, bound):
+        # the dimension of the directions at base: 0 on legs and signs, 1 on
+        # a circle, one semicircle per page at a spine point
+        profile = dimension_constant(base, 8)
+        assert type(profile.stratum_dim_bound) is float
+        assert profile.stratum_dim_bound == bound
+
     def test_counts_nondecreasing(self):
         profile = dimension_constant(apex(FC), 8)
         assert all(b >= a for a, b in zip(profile.counts, profile.counts[1:]))
