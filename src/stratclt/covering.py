@@ -1,6 +1,6 @@
-"""Dyadic covering profiles, counted in closed form without numpy: the
-uniform grid of m steps on a space of directions (each ``_uniform`` of
-``directions``) is its legs or signs, m points on a circle of length L,
+"""Uniform direction grids and dyadic covering profiles, in closed form
+without numpy: the grid of m = ceil(L/eps) steps (``uniform_grid``, for
+every eps-net) is the legs or signs, m points on a circle of length L,
 or 2 + pages (m - 1) points at a spine point, at covering radius L/m/2.
 The dimension bound is that of the directions: 0 on legs and signs, 1 on
 a circle and pages at a spine point, one semicircle per page."""
@@ -52,6 +52,14 @@ def _grid(base: Point) -> tuple:
     return (0.0, lambda m: 2, 0) if dim == 1 else (_TWO_PI, lambda m: m, 1)
 
 
+def uniform_grid(base: Point, eps: float) -> tuple[int, float]:
+    """(m, L / m / 2): the uniform eps-net at base has m = ceil(L / eps)
+    steps (at least 1) and covering radius L / m / 2 <= eps / 2."""
+    length = _grid(base)[0]
+    m = max(1, math.ceil(length / eps))
+    return m, length / m / 2.0
+
+
 def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
     """Covering counts N(2^-n) for n = 1..n_max and the log2 growth slope.
 
@@ -64,7 +72,7 @@ def dimension_constant(base: Point, n_max: int) -> CoveringProfile:
     if n_max < 4:
         raise DomainError("need n_max >= 4 for a meaningful slope")
     length, size, bound = _grid(base)
-    m = max(1, math.ceil(length / 0.5))
+    m = uniform_grid(base, 0.5)[0]
     scales = tuple(2.0 ** (-n) for n in range(1, n_max + 1))
     counts = []
     for eps in scales:

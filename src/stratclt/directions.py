@@ -66,8 +66,9 @@ class DiscreteDirections(_Directions):
         t = coords[order] * math.pi if reach < math.pi else np.zeros(len(order))
         return [(order, t)]
 
-    def net_coords(self, eps: float) -> tuple[np.ndarray, float]:
-        return np.arange(len(self.labels), dtype=float), 0.0
+    def _uniform(self, m: int) -> np.ndarray:
+        """Every direction, whatever m: the grid of a finite set."""
+        return np.arange(len(self.labels), dtype=float)
 
 
 class CircleDirections(_Directions):
@@ -104,11 +105,8 @@ class CircleDirections(_Directions):
         t = t[:np.searchsorted(t, t[m - 1] + reach + CHAIN_SLACK, side="right")]
         return [(order[np.arange(len(t)) % m], t)]
 
-    def net_coords(self, eps: float) -> tuple[np.ndarray, float]:
-        return self._uniform(max(1, math.ceil(self.length / eps)))
-
-    def _uniform(self, m: int) -> tuple[np.ndarray, float]:
-        return self.length * np.arange(m) / m, self.length / m / 2.0
+    def _uniform(self, m: int) -> np.ndarray:
+        return self.length * np.arange(m) / m
 
 
 class SpineDirections(_Directions):
@@ -171,23 +169,18 @@ class SpineDirections(_Directions):
                     out.append((idx, t))
         return out
 
-    def net_coords(self, eps: float) -> tuple[np.ndarray, float]:
-        m = max(1, math.ceil(math.pi / eps))
-        return self._uniform(m)
-
-    def _uniform(self, m: int) -> tuple[np.ndarray, float]:
-        h = math.pi / m
+    def _uniform(self, m: int) -> np.ndarray:
         rows = [np.array([[0.0, 0.0], [0.0, math.pi]])]
         if m > 1:
-            thetas = h * np.arange(1, m)
+            thetas = math.pi / m * np.arange(1, m)
             for p in range(self.pages):
                 rows.append(np.column_stack([np.full(m - 1, float(p)), thetas]))
-        return np.vstack(rows), h / 2.0
+        return np.vstack(rows)
 
 
 class SphereDirections(_Directions):
-    """Unit sphere in euclidean d >= 2, great-circle metric (no net grids
-    beyond d = 2, which is handled by CircleDirections)."""
+    """Unit sphere in euclidean d >= 3, great-circle metric: no uniform
+    grid (``covering._grid`` refuses it) and no chains."""
 
     def __init__(self, base: Point, dim: int):
         self.base = base
@@ -201,12 +194,6 @@ class SphereDirections(_Directions):
         # arccos of a dot product is not
         return 2.0 * np.arctan2(np.linalg.norm(a - b, axis=-1),
                                 np.linalg.norm(a + b, axis=-1))
-
-    def net_coords(self, eps: float):
-        raise DomainError(
-            "direction nets on spheres of dimension >= 2 are not supported; "
-            "provide an explicit net instead"
-        )
 
     def chains(self, coords, reach):
         raise DomainError(
@@ -253,18 +240,15 @@ def pairings(base: Point, vectors, coords) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DirectionNet:
-    """Finite ordered eps-net on the unit tangent sphere at a base point.
+    """Finite ordered net on the unit tangent sphere at a base point.
 
-    ``resolution`` is the requested covering scale; ``covering_radius``
-    is the achieved max distance from any direction to the net (0 for
-    the finite direction spaces).  ``coords()`` holds the directions in
-    direction-space coordinates.
+    ``coords()`` holds the directions in direction-space coordinates.  A
+    uniform net's covering radius is ``covering.uniform_grid``'s; an
+    explicit net carries none.
     """
 
     base: Point
     directions: tuple
-    resolution: float
-    covering_radius: float
     _coords: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self):
@@ -284,18 +268,8 @@ class DirectionNet:
         return [d.describe() for d in self.directions]
 
 
-# candidate-net resolution for measuring the covering radius of explicit nets
-_PROBE_EPS = 0.01
-
-
 def net_from_directions(base: Point, directions) -> DirectionNet:
-    """Wrap an explicit list of directions as a net.
-
-    The covering radius is measured against the uniform net of
-    resolution ``_PROBE_EPS / 4`` where one exists (it is exactly 0 for
-    a complete net on a finite direction space); on spheres without
-    nets the diameter pi is recorded.
-    """
+    """Wrap an explicit list of directions as a net."""
     dirs = tuple(directions)
     if not dirs:
         raise DomainError("a direction net needs at least one direction")
@@ -303,10 +277,4 @@ def net_from_directions(base: Point, directions) -> DirectionNet:
         if d.base != base:
             raise SpaceMismatchError("net directions must share the base point")
     ds = direction_space(base)
-    coords = np.array([ds.to_coord(d) for d in dirs])
-    try:
-        cand = ds.net_coords(_PROBE_EPS / 4.0)[0]
-        cov_radius = float(ds.cross(cand, coords).min(axis=1).max())
-    except DomainError:
-        cov_radius = math.pi
-    return DirectionNet(base, dirs, max(cov_radius, 1e-12), cov_radius, coords)
+    return DirectionNet(base, dirs, np.array([ds.to_coord(d) for d in dirs]))

@@ -374,6 +374,9 @@ class Direction:
         if k != exists:
             raise DomainError(f"no {k!r} directions exist at {self.base.to_coords()} "
                               f"in {sp.kind}; the directions there are {exists!r}")
+        arity = 2 if k == D_PAGE_ANGLE else stratum_of(self.base)[1] if k == D_VECTOR else 1
+        if len(d) != arity:
+            raise DomainError(f"a {k!r} direction here takes {arity} coordinate(s), got {len(d)}")
         if k == D_LEG:
             leg = _coordinate(d[0], True)
             if not 0 <= leg < sp.legs:
@@ -398,9 +401,6 @@ class Direction:
             d = (_wrap_angle(_coordinate(d[0]), sp.circumference),)
         else:
             v = tuple(_coordinate(x) for x in d)
-            expected = sp.dim if sp.kind == EUCLIDEAN else 2
-            if len(v) != expected:
-                raise DomainError(f"direction vector must have {expected} components")
             n = math.hypot(*v)
             if not math.isfinite(n) or n == 0.0:
                 raise DomainError("direction vector must be nonzero and finite")

@@ -42,7 +42,8 @@ from . import fields as fl
 from . import geometry as geo
 from . import measures as mz
 from . import regularity as rg
-from .directions import DirectionNet, SphereDirections, direction_space, net_from_directions
+from .covering import uniform_grid
+from .directions import DirectionNet, net_from_directions
 from .errors import ConfigError, DomainError, json_number, reject_unknown_keys
 from .geometry import Point
 from .measures import DiscreteMeasure
@@ -154,6 +155,9 @@ class ExperimentConfig:
         unknown = [t for t in self.tests if t not in ALL_TESTS]
         if unknown:
             raise ConfigError(f"unknown tests: {unknown}")
+        if not self.tests or len(set(self.tests)) < len(self.tests):
+            raise ConfigError(f"tests must be nonempty and name each test once, "
+                              f"got {list(self.tests)}")
         object.__setattr__(self, "sample_sizes", ns)
 
     def echo(self) -> dict:
@@ -204,7 +208,7 @@ def _directions_from_spec(base: Point, spec: dict):
     multi = kind in (geo.D_PAGE_ANGLE, geo.D_VECTOR)
     try:
         return [geo.Direction(base, kind, tuple(x) if multi else (x,)) for x in spec[key]]
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed net {key}: {exc}") from exc
 
 
@@ -477,18 +481,24 @@ def _cov_test(field: _CountField, cov: fl.CovMatrix, threshold: float) -> dict:
             "passed": sup < threshold}
 
 
+def _pair_scale(cov: fl.CovMatrix) -> float:
+    """max|P|, the largest absolute pairing: a cut or slack times it does
+    not move when the measure is scaled."""
+    return float(np.abs(cov.pair).max(initial=0.0))
+
+
 def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
              zero_tol: float) -> dict:
     """Per-direction KS gates on the direction-major m x R ``values``.
 
     A direction whose variance is at most 1e-12 max|P|^2 is zero-variance
-    and is checked by its largest absolute value instead.  Every variance
-    is at most its second moment, so at most max|P|^2: the cut is
-    relative to the pairing scale and does not move when the measure is
-    scaled.
+    and passes when its largest absolute value is at most zero_tol max|P|.
+    Every variance is at most its second moment, so at most max|P|^2:
+    both cuts are relative to the pairing scale.
     """
     diag = np.diag(cov.entries)
-    normal = np.flatnonzero(diag > 1e-12 * float(np.abs(cov.pair).max(initial=0.0)) ** 2)
+    scale = _pair_scale(cov)
+    normal = np.flatnonzero(diag > 1e-12 * scale ** 2)
     ks = dict(zip(normal.tolist(),
                   _normal_ks(values, normal, np.sqrt(diag[normal])).tolist()))
     rows = []
@@ -497,7 +507,7 @@ def _ks_test(values: np.ndarray, cov: fl.CovMatrix, threshold: float,
         if j not in ks:
             sup_abs = float(np.max(np.abs(values[j])))
             rows.append({"direction": j, "variance": var, "ks": None,
-                         "max_abs": sup_abs, "passed": sup_abs <= zero_tol})
+                         "max_abs": sup_abs, "passed": sup_abs <= zero_tol * scale})
             continue
         d = ks[j]
         rows.append({"direction": j, "variance": var, "ks": d, "max_abs": None,
@@ -535,15 +545,16 @@ def _mahalanobis_test(field: _CountField, values: np.ndarray, cov: fl.CovMatrix,
     squared norm |eta Q|^2 is all of |eta|^2, which is exactly Pearson's
     statistic sum_i (c_i - n w_i)^2 / (n w_i), so the gate then tests the
     multinomial counts rather than the geometry; ``pearson`` says so.
-    With no axis left the field must vanish: its largest value in
-    ``values`` is checked.
+    With no axis left the field must vanish: its largest absolute value
+    in ``values`` must be at most zero_tol max|P|.
     """
     white = _whiten(field, cov)
     dof, k = white.shape[1], len(cov.weights)
     result = {"dof": dof, "atoms": k, "pearson": dof == k - 1, "threshold": threshold}
     if dof == 0:
         sup_abs = float(np.max(np.abs(values))) if values.size else 0.0
-        return {**result, "ks": None, "max_abs": sup_abs, "passed": sup_abs <= zero_tol}
+        return {**result, "ks": None, "max_abs": sup_abs,
+                "passed": sup_abs <= zero_tol * _pair_scale(cov)}
     stat = np.sum(white ** 2, axis=1)
     d = ks_distance(stat, lambda x: chi2_cdf(dof, x))
     return {**result, "ks": d, "max_abs": None, "passed": d < threshold}
@@ -701,7 +712,7 @@ def _martingale_rows(head: _CountField, incr: _CountField, cov: fl.CovMatrix,
     np.abs(cross, out=cross)
     res_bound = 4.0 * np.sqrt(k * diag / replicates)
     cross_bound = 4.0 * math.sqrt(n * k) * diag / math.sqrt(replicates)
-    scale = float(np.abs(cov.pair).max(initial=0.0))
+    scale = _pair_scale(cov)
     passed = ((residual <= res_bound + 1e-10 * scale)
               & (cross <= cross_bound + 1e-10 * scale ** 2))
     return [{"direction": j, "residual": float(residual[j]), "bound": float(res_bound[j]),
@@ -721,6 +732,22 @@ def _martingale_test(sim: _FieldSimulator, seed: int, spec: MartingaleSpec,
         "directions": rows,
         "passed": all(r["passed"] for r in rows),
     }
+
+
+def _check_modulus_net(base: Point, spec: ModulusSpec):
+    """Refuse a modulus net that does not exist, or whose covering radius
+    is above a quarter of the finest radius, before any field is drawn."""
+    try:
+        radius = uniform_grid(base, spec.epsilon)[1]
+    except DomainError as exc:
+        raise ConfigError("the modulus test needs a uniform net of directions, and the "
+                          "sphere of directions at this base (euclidean dimension >= 3) "
+                          "has none; remove 'modulus' from tests") from exc
+    finest = 2.0 ** -max(spec.radii_log2)
+    if radius > finest / 4.0:
+        raise ConfigError(f"modulus net covering radius {radius:.3g} too coarse for "
+                          f"modulus radius {finest:.3g}; it must be at most a quarter "
+                          "of that radius")
 
 
 # one row per radius and replicate, radius-major
@@ -888,11 +915,8 @@ def run_clt_experiment(cfg: ExperimentConfig) -> CLTReport:
     """Run the configured tests and assemble a deterministic report."""
     localization = mz.validate_localized(cfg.measure, cfg.base)
     base = localization.base
-    if "modulus" in cfg.tests and isinstance(direction_space(base), SphereDirections):
-        # the modulus net is always the uniform net of modulus.epsilon
-        raise ConfigError("the modulus test needs a uniform net of directions, and the "
-                          "sphere of directions at this base (euclidean dimension >= 3) "
-                          "has none; remove 'modulus' from tests")
+    if "modulus" in cfg.tests:
+        _check_modulus_net(base, cfg.modulus)
     net = resolve_net(base, cfg.net)
     sim = _FieldSimulator(cfg.measure, base, net)
     cov = sim.cov

@@ -2,10 +2,9 @@
 
 Nets on the model direction spaces are built by exact specialization:
 the legs of a spider, uniform arcs on circles of directions, and poles
-plus uniform page angles on the spine graph.  ``covering`` counts the
-same grids in closed form, without numpy, for the dyadic covering
-profile; ``dimension_constant`` is also bound here, where the layer
-suite of ``perfbench`` traces it.
+plus uniform page angles on the spine graph, as ``covering`` sizes and
+counts them in closed form, without numpy; ``dimension_constant`` is
+also bound here, where the layer suite of ``perfbench`` traces it.
 
 The modulus of continuity w(h, r), the largest |h(V) - h(U)| over net
 pairs within angular distance r, is taken from window extrema along
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .covering import COVER_N_MAX, dimension_constant  # noqa: F401
+from .covering import COVER_N_MAX, dimension_constant, uniform_grid  # noqa: F401
 from .directions import CHAIN_SLACK, DirectionNet, direction_space
 from .errors import DomainError
 from .geometry import Point
@@ -39,20 +38,17 @@ _BLOCK = 1 << 13
 
 
 def build_net(base: Point, eps: float) -> DirectionNet:
-    """An eps-net on the space of directions at base.
-
-    Every direction lies within eps of the net; on the circle-like
-    spaces the net is a uniform grid of ceil(L/eps) points (so its
-    covering radius is eps/2), and on the finite direction spaces it is
-    the full direction set with covering radius 0.
-    """
+    """The uniform eps-net on the space of directions at base: the grid
+    of ``uniform_grid``'s m = ceil(L/eps) steps, at covering radius
+    L/m/2 <= eps/2 (the full direction set, at radius 0, on the finite
+    direction spaces).  Spheres of directions have no grid and raise
+    DomainError."""
     if not eps > 0.0:
         raise DomainError("net resolution must be positive")
+    m = uniform_grid(base, eps)[0]  # first: spheres of directions have no grid
     ds = direction_space(base)
-    coords, cov_radius = ds.net_coords(eps)
-    dirs = tuple(ds.from_coord(c) for c in coords)
-    return DirectionNet(base, dirs, float(eps), float(cov_radius),
-                        np.asarray(coords, dtype=float))
+    coords = ds._uniform(m)
+    return DirectionNet(base, tuple(ds.from_coord(c) for c in coords), coords)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +230,6 @@ def modulus_many(values, net: DirectionNet, radii) -> np.ndarray:
     """
     if isinstance(values, np.ndarray) or not hasattr(values, "shape"):
         values = np.atleast_2d(np.asarray(values, dtype=float))
-    for r in radii:
-        if net.covering_radius > r / 4.0:
-            raise DomainError(
-                f"net covering radius {net.covering_radius:.3g} too coarse for "
-                f"modulus radius {r:.3g}"
-            )
     radii = np.asarray(radii, dtype=float).ravel()
     out = np.zeros((values.shape[0], len(radii)))
     if not len(radii):

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from stratclt.directions import CircleDirections, DirectionNet, SpineDirections, direction_space
+from stratclt.regularity import build_net
 
 
 def cone_distance_oracle(alpha: float, p, q, segments: int = 60) -> float:
@@ -195,21 +196,20 @@ def closed_form_mean(space: dict, atoms) -> list:
 # Net statistics in their plain forms
 
 
-def refine_net(base, net: DirectionNet, eps: float) -> DirectionNet:
-    """Halve the mesh of a uniform net; the result contains the old net.
+def refine_net(base, net: DirectionNet) -> DirectionNet:
+    """Halve the mesh of a uniform net; the result contains the old net
+    and has half its covering radius.
 
     A circle grid of m points becomes the grid of 2m, a spine grid of
     m steps per page (2 + pages (m - 1) directions) the grid of 2m, and
     a finite direction set stays as it is."""
     ds = direction_space(base)
-    coords, cov_radius = net.coords(), 0.0
+    coords = net.coords()
     if isinstance(ds, CircleDirections):
-        coords, cov_radius = ds._uniform(2 * len(coords))
+        coords = ds._uniform(2 * len(coords))
     elif isinstance(ds, SpineDirections):
-        coords, cov_radius = ds._uniform(2 * ((len(coords) - 2) // ds.pages + 1))
-    dirs = tuple(ds.from_coord(c) for c in coords)
-    return DirectionNet(base, dirs, float(eps), float(cov_radius),
-                        np.asarray(coords, dtype=float))
+        coords = ds._uniform(2 * ((len(coords) - 2) // ds.pages + 1))
+    return DirectionNet(base, tuple(ds.from_coord(c) for c in coords), coords)
 
 
 def min_separation(ds, coords: np.ndarray) -> float:
@@ -224,18 +224,17 @@ def packing_lower_bound(base, eps: float) -> int:
     net at 2 eps if its members are more than eps apart, else of every
     other member if those are, else 1."""
     ds = direction_space(base)
-    packed = ds.net_coords(2.0 * eps)[0]
+    packed = build_net(base, 2.0 * eps).coords()
     for coords in (packed, packed[::2]):
         if len(coords) < 2 or min_separation(ds, coords) > eps:
             return len(coords)
     return 1
 
 
-def net_is_valid(net: DirectionNet, eps: float | None = None) -> bool:
+def net_is_valid(net: DirectionNet, eps: float) -> bool:
     """Exhaustive check against a candidate grid of resolution eps/4."""
-    eps = net.resolution if eps is None else eps
     ds = direction_space(net.base)
-    cand = ds.net_coords(eps / 4.0)[0]
+    cand = build_net(net.base, eps / 4.0).coords()
     dmat = ds.cross(cand, net.coords())
     return bool(np.all(dmat.min(axis=1) <= eps))
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stratclt import geometry as geo
+from stratclt.covering import uniform_grid
 from stratclt.errors import DomainError, SpaceMismatchError
 from stratclt.fields import pairing_matrix
 from stratclt.geometry import Direction, DirectionNet, Point, TangentVector, zero_vector
@@ -208,7 +209,8 @@ def covering_number_bounds(base: Point, eps: float) -> tuple[int, int]:
     finite direction sets, whose covering radius is 0.
     """
     upper = len(build_net(base, eps))
-    packed, radius = geo.direction_space(base).net_coords(2.0 * eps)
+    packed = build_net(base, 2.0 * eps).coords()
+    radius = uniform_grid(base, 2.0 * eps)[1]
     separation = 2.0 * radius if radius > 0.0 else math.pi
     if len(packed) > 1 and separation <= eps:
         return 1, upper

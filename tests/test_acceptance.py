@@ -270,7 +270,7 @@ def test_criterion_09_tightness_and_chaining(book_spine_measure):
     k_range = list(range(2, 7))
     nets = {k_range[0]: build_net(base, 2.0 ** -k_range[0])}
     for k in k_range[1:]:
-        nets[k] = refine_net(base, nets[k - 1], 2.0 ** -k)
+        nets[k] = refine_net(base, nets[k - 1])
     fine = nets[k_range[-1]]
     sim = _FieldSimulator(book_spine_measure, base, fine)
     draws = sim.field_rows(907, _PURPOSE_SAMPLES, 0, 1000, 500, 1)[:]

@@ -338,6 +338,24 @@ class TestClt:
         assert "modulus" in err and err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_modulus_net_too_coarse_refused_first(self, tmp_path, capsys, monkeypatch):
+        # modulus.epsilon 2^-8 gives the spine net a covering radius of
+        # about 2^-9, more than a quarter of the radius 2^-11: refused
+        # before any field is drawn
+        from stratclt import harness
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("fields were simulated before the refusal")
+
+        monkeypatch.setattr(harness._FieldSimulator, "field_rows", simulate)
+        raw = load_config("openbook3_spine.json")
+        raw["modulus"]["radii_log2"] = [2, 3, 4, 5, 6, 11]
+        code = main(["clt", "--config", write_json(tmp_path / "c.json", raw),
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "too coarse" in err and err.startswith("error: ") and err.count("\n") == 1
+
     def test_net_kind_absent_at_base_exit_3(self, tmp_path, capsys):
         # leg directions exist only at a spider apex: at a spine point the
         # explicit net is refused by name, before any field is drawn
@@ -649,6 +667,8 @@ class TestMalformedNumbers:
         ("clt", (), None, ("--seed", "-1")),
         ("field", (), None, ("--seed", "-1")),
         ("clt", ("tests",), [["ks"]], ()),
+        ("clt", ("tests",), [], ()),
+        ("clt", ("tests",), ["ks", "cov", "ks"], ()),
         ("clt", ("modulus",), {"radii_log2": []}, ()),
         ("field", ("measure",), _DELETE, ()),
         ("clt", ("sample_sizes",), [10 ** 20], ()),
@@ -674,7 +694,8 @@ class TestMalformedNumbers:
     ], ids=["replicates", "sample_sizes", "net_epsilon", "net_legs", "thresholds",
             "martingale", "weight", "field_net", "field_net_epsilon", "modulus_n",
             "modulus_replicates", "martingale_n", "martingale_k", "field_empirical_n",
-            "field_draws", "clt_seed", "field_seed", "tests_list", "modulus_no_radii",
+            "field_draws", "clt_seed", "field_seed", "tests_list", "tests_empty",
+            "tests_repeated", "modulus_no_radii",
             "field_no_measure", "sample_size_overflow",
             "threshold_ks", "threshold_min_drop", "threshold_zero_variance",
             "cover_legs_string", "cover_legs_fraction", "cover_n_max_string",

@@ -494,17 +494,32 @@ KIND_AT_BASE = [
 ]
 
 
+def _direction_data(base):
+    """Valid data of a direction of each kind at base."""
+    width = base.space.dim if base.space.kind == "euclidean" else 2
+    return {D_LEG: (0,), D_SIGN: (1,), D_PAGE_ANGLE: (0, 1.0), D_ANGLE: (1.0,),
+            D_VECTOR: (1.0,) * width}
+
+
 class TestDirectionKind:
     @pytest.mark.parametrize("base,kind", KIND_AT_BASE)
     def test_direction_accepts_only_the_kind_at_its_base(self, base, kind):
         assert direction_kind(base) == kind
-        width = base.space.dim if base.space.kind == "euclidean" else 2
-        data = {D_LEG: (0,), D_SIGN: (1,), D_PAGE_ANGLE: (0, 1.0), D_ANGLE: (1.0,),
-                D_VECTOR: (1.0,) * width}
+        data = _direction_data(base)
         assert Direction(base, kind, data[kind]).kind == kind
         for other in [*(k for k in data if k != kind), "bogus"]:
             with pytest.raises(DomainError, match=f"no '{other}' directions.*'{kind}'"):
                 Direction(base, other, data.get(other, (1.0,)))
+
+    @pytest.mark.parametrize("base,kind", KIND_AT_BASE)
+    def test_arity_of_every_kind(self, base, kind):
+        # one entry per leg, sign or angle, two per page angle and the
+        # stratum's dimension per vector: one more or one fewer is refused,
+        # never dropped or left to an IndexError or ValueError
+        data = _direction_data(base)[kind]
+        for wrong in (data + data[-1:], data[:-1]):
+            with pytest.raises(DomainError, match=f"takes {len(data)} coordinate"):
+                Direction(base, kind, wrong)
 
 
 # ---------------------------------------------------------------------------

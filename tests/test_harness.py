@@ -823,6 +823,28 @@ class TestZeroVarianceDirection:
         assert rows[1]["max_abs"] <= 1e-10
         assert rep.per_n[500]["ks"]["passed"]
 
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_zero_field_check_is_scale_free(self, scale):
+        # both atoms sit 0.1 scale above the axis of their mean, so the
+        # field at (0, 1) is the rounding of the mean, 7.4e-17 scale: it
+        # passes against zero_variance max|P| at every scale, where an
+        # absolute 1e-10 failed it at 1e9
+        raw = {
+            "measure": {"space": {"kind": "euclidean", "dim": 2},
+                        "atoms": [{"point": [scale, 0.1 * scale], "weight": 0.3},
+                                  {"point": [-scale, 0.1 * scale], "weight": 0.7}]},
+            "net": {"vectors": [[0.0, 1.0], [1.0, 0.0]]},
+            "sample_sizes": [1000],
+            "replicates": 200,
+            "tests": ["ks", "mahalanobis"],
+            "thresholds": {"ks": 0.2, "mahalanobis_ks": 0.2},
+        }
+        rep = run_clt_experiment(config_from_json(raw, seed=1))
+        zero = rep.per_n[1000]["ks"]["directions"][0]
+        assert zero["ks"] is None
+        assert 0.0 < zero["max_abs"] <= 1e-10 * 1.4 * scale
+        assert rep.passed
+
     def test_cut_is_scale_free(self):
         # the 3-spider with its atoms at radius 1 and at 1e-7 draws the same
         # counts, so its fields differ by the scale alone: no direction is

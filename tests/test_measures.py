@@ -24,6 +24,7 @@ from stratclt import (
 )
 from stratclt import geometry as geo
 from stratclt import measures as mz
+from stratclt.covering import uniform_grid
 from stratclt.geometry import D_LEG, D_SIGN, D_VECTOR
 from stratclt.regularity import build_net
 
@@ -392,7 +393,7 @@ class TestConeMaxSignedMasses:
             xi = rng.standard_normal(len(atoms))
             net_max = float(np.max(xi @ table))
             sup, _, _ = mz._cone_max(space, singular, chart, xi[nz] * lengths[nz])
-            slack = net.covering_radius * float(np.abs(xi) @ lengths)
+            slack = uniform_grid(base, 2.0 ** -10)[1] * float(np.abs(xi) @ lengths)
             assert net_max - 1e-12 <= sup <= net_max + slack + 1e-12
 
 

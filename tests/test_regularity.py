@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -19,6 +19,7 @@ from stratclt import (
     substream,
 )
 from stratclt import regularity as rg
+from stratclt.covering import _grid, uniform_grid
 from stratclt.geometry import (D_ANGLE, D_LEG, D_PAGE_ANGLE, D_VECTOR, Direction,
                                direction_space, net_from_directions)
 from stratclt.harness import _PURPOSE_MODULUS, _FieldSimulator, config_from_json
@@ -41,7 +42,7 @@ class TestBuildNet:
     def test_spider_apex_legs(self):
         net = build_net(apex(SP3), 1.0)
         assert [d.data[0] for d in net.directions] == [0, 1, 2]
-        assert net.covering_radius == 0.0
+        assert uniform_grid(apex(SP3), 1.0) == (1, 0.0)
 
     def test_cone_circle_count(self):
         for eps in (0.5, 0.25, 0.11):
@@ -86,6 +87,55 @@ PACKING_BASES = {
     "cone2pi_apex": apex(SpaceSpec.flat_cone(2 * math.pi)),
     "cone7_apex": apex(SpaceSpec.flat_cone(7.0)), "cone3pi_off_apex": Point(FC, (1.0, 2.0)),
 }
+
+
+# per base of each kind with a grid: the net sizes at eps = 2^-16, 0.1, 0.4,
+# 2^-8 and 4, and the sha256 of their coordinate arrays laid end to end
+GRID_EPS = (2.0 ** -16, 0.1, 0.4, 2.0 ** -8, 4.0)
+GRID_PINS = {
+    "spider3_apex": ((3, 3, 3, 3, 3),
+        "8becc5d0ff548552016d461a0cf15b6597f4182a5c8f04c9934c317467da1670"),
+    "spider3_leg": ((2, 2, 2, 2, 2),
+        "79f5115a452d5c587054eb24913ba7d89f16cc74bcfa4a2f9b49cc79a6585ecd"),
+    "book3_spine": ((617663, 95, 23, 2414, 2),
+        "2517bebeebc3cbf27440fdd4f10519f9559bac6d3d75809def909cbd72816b30"),
+    "book3_page": ((411775, 63, 16, 1609, 2),
+        "16b2e6a0949057cafe83a2ccc2b15ddf9b2a450e13e49fb94c3e8954b178cd4a"),
+    "cone3pi_apex": ((617663, 95, 24, 2413, 3),
+        "3b2d801e9552e6adb05affd3cc272db1f55cc3a296109328a033486228e6e57c"),
+    "cone3pi_off_apex": ((411775, 63, 16, 1609, 2),
+        "16b2e6a0949057cafe83a2ccc2b15ddf9b2a450e13e49fb94c3e8954b178cd4a"),
+    "line": ((2, 2, 2, 2, 2),
+        "79f5115a452d5c587054eb24913ba7d89f16cc74bcfa4a2f9b49cc79a6585ecd"),
+    "plane": ((411775, 63, 16, 1609, 2),
+        "16b2e6a0949057cafe83a2ccc2b15ddf9b2a450e13e49fb94c3e8954b178cd4a"),
+}
+
+
+class TestUniformGrid:
+    @pytest.mark.parametrize("name", sorted(GRID_PINS))
+    def test_nets_pinned(self, name):
+        sizes, h = [], hashlib.sha256()
+        for eps in GRID_EPS:
+            net = build_net(PACKING_BASES[name], eps)
+            sizes.append(len(net))
+            h.update(net.coords().tobytes())
+        assert (tuple(sizes), h.hexdigest()) == GRID_PINS[name]
+
+    @pytest.mark.parametrize("name", PACKING_BASES)
+    def test_radius_is_the_covering_radius(self, name):
+        # the closed-form radius is the exhaustive scan's: every direction
+        # lies within it of the net, and some lie beyond 0.8 of it; cover
+        # counts the same grid
+        base = PACKING_BASES[name]
+        for eps in (0.1, 0.4, 4.0):
+            m, radius = uniform_grid(base, eps)
+            net = build_net(base, eps)
+            assert radius <= eps / 2.0
+            assert len(net) == _grid(base)[1](m)
+            assert net_is_valid(net, radius * (1.0 + 1e-9) + 1e-12)
+            if radius > 0.0:
+                assert not net_is_valid(net, 0.8 * radius)
 
 
 class TestCoveringNumbers:
@@ -195,7 +245,7 @@ class TestDimensionConstant:
         # refining a net keeps every existing direction
         for base in (apex(FC), Point(OB3, (0, 0.0, 0.0))):
             net = build_net(base, 0.25)
-            fine = refine_net(base, net, 0.125)
+            fine = refine_net(base, net)
             coarse = {d.describe() for d in net.directions}
             finer = {d.describe() for d in fine.directions}
             assert coarse <= finer
@@ -223,14 +273,15 @@ class TestDimensionConstant:
         apex(SpaceSpec.flat_cone(2 * math.pi))])
     def test_counts_match_nested_nets(self, base):
         # the counts are closed-form grid sizes; nets built scale by scale
-        # as direction objects must give the same profile
-        net = build_net(base, 0.5)
+        # as direction objects must give the same profile; each refinement
+        # halves the covering radius, exactly in floating point
+        net, radius = build_net(base, 0.5), uniform_grid(base, 0.5)[1]
         counts = [len(net)]
         for n in range(2, 11):
             eps = 2.0 ** -n
-            net = refine_net(base, net, eps)
-            while net.covering_radius > eps / 2.0 + 1e-15:
-                net = refine_net(base, net, eps)
+            net, radius = refine_net(base, net), radius / 2.0
+            while radius > eps / 2.0 + 1e-15:
+                net, radius = refine_net(base, net), radius / 2.0
             counts.append(len(net))
         assert dimension_constant(base, 10).counts == tuple(counts)
 
@@ -298,11 +349,6 @@ def _longest_chain(net, radii):
     return max(len(idx) for idx, _ in net.space().chains(net.coords(), max(radii)))
 
 
-def _explicit_net(base, dirs):
-    # the kernel, not the net's resolution check, is under test here
-    return dataclasses.replace(net_from_directions(base, dirs), covering_radius=0.0)
-
-
 @st.composite
 def _random_nets(draw):
     kind = draw(st.sampled_from(["cone", "circle", "spine", "spider", "line"]))
@@ -332,7 +378,7 @@ def _random_nets(draw):
     else:
         base = Point(E1, (0.3,))
         make = lambda: Direction(base, D_VECTOR, (draw(st.sampled_from([-1.0, 1.0])),))
-    net = _explicit_net(base, [make() for _ in range(size)])
+    net = net_from_directions(base, [make() for _ in range(size)])
     radii = draw(st.lists(st.sampled_from(
         [0.0, 0.1, 0.3, math.pi / 4, 1.0, 2.0, math.pi, 4.0, ALPHA / 2.0]),
         min_size=1, max_size=4))
@@ -411,7 +457,7 @@ class TestModulusBlocking:
         # that distance must still hold the pair
         dirs = [Direction(apex(FC), D_ANGLE, (a,))
                 for a in (8.975366078145138, 0.04300621803050131, 4.0)]
-        net = _explicit_net(apex(FC), dirs)
+        net = net_from_directions(apex(FC), dirs)
         radii = [float(net.pairwise_distances()[0, 1])]
         values = np.array([[1.0, -2.0, 0.5]])
         assert np.array_equal(modulus_many(values, net, radii), [[3.0]])
@@ -420,7 +466,6 @@ class TestModulusBlocking:
         base = Point(SpaceSpec.euclidean(3), (0.0, 0.0, 0.0))
         net = net_from_directions(base, [Direction(base, D_VECTOR, v) for v in
                                          ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))])
-        # a radius of 4 pi passes the resolution check (covering radius pi)
         with pytest.raises(DomainError, match="chains"):
             modulus_many(np.zeros((3, 2)), net, [13.0])
 
@@ -465,12 +510,6 @@ class TestModulus:
         h = np.minimum(coords, ALPHA - coords)
         for r in (0.25, 0.5, 1.0):
             assert modulus_many(h[None], net, [r])[0, 0] == pytest.approx(r, abs=0.02)
-
-    def test_net_too_coarse(self):
-        net = build_net(apex(FC), 0.5)
-        h = np.zeros(len(net))
-        with pytest.raises(DomainError):
-            modulus_many(h[None], net, [0.25])  # covering radius 0.25 > r/4
 
     def test_modulus_table_monotone_rows(self):
         net = build_net(apex(FC), 0.01)
@@ -527,7 +566,7 @@ class TestChainingStatistic:
         k_range = list(range(2, 7))
         nets = {k_range[0]: build_net(base, 2.0 ** -k_range[0])}
         for k in k_range[1:]:
-            nets[k] = refine_net(base, nets[k - 1], 2.0 ** -k)
+            nets[k] = refine_net(base, nets[k - 1])
         fine = nets[k_range[-1]]
         cov = cov_matrix(book_spine_measure, base, fine)
         sampler = GaussianFieldSampler.build(cov)
