@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (ConfigError, NumericalConsistencyError, StratcltError, format_float,
-                     json_number, open_output, reject_unknown_keys)
+                     json_array, json_number, open_output, reject_unknown_keys)
 
 EXIT_OK = 0
 EXIT_STATISTICAL = 2
@@ -154,7 +154,7 @@ def cmd_cover(args) -> int:
         if key not in raw:
             raise ConfigError(f"cover config needs a {key!r} entry")
     n_max = json_number(raw.get("n_max", args.n_max), "n_max", int)
-    base = geo.Point.of(geo.SpaceSpec.from_json(raw["space"]), raw["base"])
+    base = geo.Point.of(geo.SpaceSpec.from_json(raw["space"]), json_array(raw["base"], "base"))
     if n_max > cv.COVER_N_MAX:
         # the 2^-COVER_N_MAX floor of every net scale; the counts build no net
         raise ConfigError(f"--n-max must be <= {cv.COVER_N_MAX}, got {n_max}")
@@ -191,7 +191,8 @@ def cmd_field(args) -> int:
             raise ConfigError(f"field config needs a {key!r} entry")
     reject_unknown_keys(raw, ("measure", "base", "net"), "field config")
     measure = mz.DiscreteMeasure.from_json(raw["measure"])
-    base = None if raw.get("base") is None else geo.Point.of(measure.space, raw["base"])
+    base = raw.get("base")
+    base = None if base is None else geo.Point.of(measure.space, json_array(base, "base"))
     base = mz.validate_localized(measure, base).base
     net = hz.resolve_net(base, raw["net"])
     outdir = _make_outdir(args.out)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SpaceMismatchError
-from .geometry import (_TWO_PI, D_ANGLE, D_LEG, D_PAGE_ANGLE, Direction, Point, direction_kind,
-                       stratum_of)
+from .geometry import (_TWO_PI, D_ANGLE, D_LEG, D_PAGE_ANGLE, Direction, Point,
+                       describe_direction, direction_kind, stratum_of)
 
 CHAIN_SLACK = 1e-9
 
@@ -41,20 +41,22 @@ class _Directions:
         b = np.asarray(b, dtype=float)
         return self.dist(a[:, None], b[None])
 
+    def to_coord(self, d: Direction) -> np.ndarray:
+        """The coordinate row of d: its data, (page, theta) or a unit vector."""
+        return np.asarray(d.data, dtype=float)
+
 
 class DiscreteDirections(_Directions):
     """Finitely many pairwise pi-separated directions (spider apex, lines)."""
 
-    def __init__(self, base: Point, labels: list):
-        self.base = base
-        self.kind = direction_kind(base)
+    def __init__(self, labels: list):
         self.labels = list(labels)
 
     def to_coord(self, d: Direction) -> float:
         return float(self.labels.index(d.data[0]))
 
-    def from_coord(self, c) -> Direction:
-        return Direction(self.base, self.kind, (self.labels[int(round(c))],))
+    def data(self, coords) -> list:
+        return [(self.labels[int(round(c))],) for c in coords.tolist()]
 
     def dist(self, a, b) -> np.ndarray:
         return np.where(a == b, 0.0, math.pi)
@@ -74,9 +76,8 @@ class DiscreteDirections(_Directions):
 class CircleDirections(_Directions):
     """Directions forming a circle of circumference L with the arc metric."""
 
-    def __init__(self, base: Point, length: float):
-        self.base = base
-        self.kind = direction_kind(base)
+    def __init__(self, kind: str, length: float):
+        self.kind = kind
         self.length = float(length)
 
     def to_coord(self, d: Direction) -> float:
@@ -84,10 +85,12 @@ class CircleDirections(_Directions):
             return d.data[0]
         return math.atan2(d.data[1], d.data[0]) % _TWO_PI
 
-    def from_coord(self, c) -> Direction:
-        c = float(c)
-        return Direction(self.base, self.kind,
-                         (c,) if self.kind == D_ANGLE else (math.cos(c), math.sin(c)))
+    def data(self, coords) -> list:
+        """The angle, or (cos c, sin c) divided by its hypot as ``Direction`` divides it."""
+        if self.kind == D_ANGLE:
+            return [(c,) for c in coords.tolist()]
+        xy = [(math.cos(c), math.sin(c)) for c in coords.tolist()]
+        return [(x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in xy]
 
     def dist(self, a, b) -> np.ndarray:
         d = np.abs(a - b)
@@ -116,15 +119,11 @@ class SpineDirections(_Directions):
     (0, pi) and belong to every page.
     """
 
-    def __init__(self, base: Point, pages: int):
-        self.base = base
+    def __init__(self, pages: int):
         self.pages = int(pages)
 
-    def to_coord(self, d: Direction) -> np.ndarray:
-        return np.array([float(d.data[0]), float(d.data[1])])
-
-    def from_coord(self, c) -> Direction:
-        return Direction(self.base, D_PAGE_ANGLE, (int(round(c[0])), float(c[1])))
+    def data(self, coords) -> list:
+        return [(int(round(page)), theta) for page, theta in coords.tolist()]
 
     def dist(self, a, b) -> np.ndarray:
         """|theta - theta'| on one page, else the shorter through-pole
@@ -182,13 +181,6 @@ class SphereDirections(_Directions):
     """Unit sphere in euclidean d >= 3, great-circle metric: no uniform
     grid (``covering._grid`` refuses it) and no chains."""
 
-    def __init__(self, base: Point, dim: int):
-        self.base = base
-        self.dim = int(dim)
-
-    def to_coord(self, d: Direction) -> np.ndarray:
-        return np.asarray(d.data, dtype=float)
-
     def dist(self, a, b) -> np.ndarray:
         # 2 atan2(|a - b|, |a + b|) is exact near 0 and pi, where the
         # arccos of a dot product is not
@@ -205,18 +197,18 @@ def direction_space(base: Point):
     """The vectorized direction-space model at a base point."""
     sp, kind = base.space, direction_kind(base)
     if kind == D_LEG:
-        return DiscreteDirections(base, list(range(sp.legs)))
+        return DiscreteDirections(list(range(sp.legs)))
     if kind == D_PAGE_ANGLE:
-        return SpineDirections(base, sp.pages)
+        return SpineDirections(sp.pages)
     if kind == D_ANGLE:
-        return CircleDirections(base, sp.circumference)
+        return CircleDirections(kind, sp.circumference)
     # signs and vectors: the stratum dimension fixes the sphere of directions
     dim = stratum_of(base)[1]
     if dim == 1:
-        return DiscreteDirections(base, [1, -1])
+        return DiscreteDirections([1, -1])
     if dim == 2:
-        return CircleDirections(base, _TWO_PI)
-    return SphereDirections(base, sp.dim)
+        return CircleDirections(kind, _TWO_PI)
+    return SphereDirections()
 
 
 def pairings(base: Point, vectors, coords) -> np.ndarray:
@@ -238,21 +230,20 @@ def pairings(base: Point, vectors, coords) -> np.ndarray:
 # Direction nets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionNet:
-    """Finite ordered net on the unit tangent sphere at a base point.
-
-    ``coords()`` holds the directions in direction-space coordinates.  A
-    uniform net's covering radius is ``covering.uniform_grid``'s; an
-    explicit net carries none.
+    """Finite ordered net on the unit tangent sphere at a base point: the
+    directions as direction-space ``coords()`` and, for an explicit net,
+    the descriptors of the directions given (``names``).  A uniform net's
+    covering radius is ``covering.uniform_grid``'s; an explicit net has none.
     """
 
     base: Point
-    directions: tuple
-    _coords: np.ndarray = field(compare=False, repr=False)
+    _coords: np.ndarray = field(repr=False)
+    names: tuple | None = None
 
     def __len__(self):
-        return len(self.directions)
+        return len(self._coords)
 
     def space(self):
         return direction_space(self.base)
@@ -261,11 +252,13 @@ class DirectionNet:
         return self._coords
 
     def pairwise_distances(self) -> np.ndarray:
-        c = self.coords()
-        return self.space().cross(c, c)
+        return self.space().cross(self._coords, self._coords)
 
     def descriptors(self) -> list[str]:
-        return [d.describe() for d in self.directions]
+        if self.names is not None:
+            return list(self.names)
+        kind = direction_kind(self.base)
+        return [describe_direction(kind, d) for d in self.space().data(self._coords)]
 
 
 def net_from_directions(base: Point, directions) -> DirectionNet:
@@ -277,4 +270,5 @@ def net_from_directions(base: Point, directions) -> DirectionNet:
         if d.base != base:
             raise SpaceMismatchError("net directions must share the base point")
     ds = direction_space(base)
-    return DirectionNet(base, dirs, np.array([ds.to_coord(d) for d in dirs]))
+    return DirectionNet(base, np.array([ds.to_coord(d) for d in dirs]),
+                        tuple(d.describe() for d in dirs))

@@ -1,8 +1,8 @@
-"""Exception types shared across the package, and ``json_number``,
-``reject_unknown_keys`` and ``open_output``, the checks through which
-the parsers of numeric settings and of config objects and the writers of
-output files raise ConfigError; and ``FLOAT_FORMAT``, the one CSV cell
-format (17 significant digits round-trip a 64-bit float)."""
+"""Exception types shared across the package; ``json_number``, ``json_array``,
+``reject_unknown_keys`` and ``open_output``, the checks through which the
+parsers of settings, lists and config objects and the writers of output files
+raise ConfigError; and ``FLOAT_FORMAT``, the one CSV cell format (17
+significant digits round-trip a 64-bit float)."""
 
 FLOAT_FORMAT = "%.17g"
 
@@ -39,6 +39,13 @@ def json_number(value, name: str, kind: type = float):
         return kind(value)
     except OverflowError:  # an int beyond the floats
         raise ConfigError(f"{name} must be within the float range, got {value!r}") from None
+
+
+def json_array(value, name: str) -> list:
+    """A JSON array (or a tuple) as a list, else a ConfigError naming it."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return list(value)
 
 
 def reject_unknown_keys(obj, known: tuple, what: str) -> None:

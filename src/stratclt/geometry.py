@@ -345,6 +345,9 @@ D_SIGN = "sign"        # spider leg interior / 1-d line: +1 away from apex
 D_PAGE_ANGLE = "page_angle"  # open-book spine point: (page, theta in [0, pi])
 D_ANGLE = "angle"      # flat cone apex: circle coordinate in [0, alpha)
 D_VECTOR = "vector"    # smooth 2-d charts and euclidean: unit vector
+# the descriptor of each kind's data; a vector's joins its entries
+_DESCRIPTORS = {D_LEG: "leg:{}", D_SIGN: "sign:{:+d}", D_PAGE_ANGLE: "page:{},theta:{:.17g}",
+                D_ANGLE: "angle:{:.17g}"}
 
 
 def direction_kind(p: Point) -> str:
@@ -409,15 +412,14 @@ class Direction:
 
     def describe(self) -> str:
         """Compact printable descriptor (used in CSV headers)."""
-        if self.kind == D_LEG:
-            return f"leg:{self.data[0]}"
-        if self.kind == D_SIGN:
-            return f"sign:{self.data[0]:+d}"
-        if self.kind == D_PAGE_ANGLE:
-            return f"page:{self.data[0]},theta:{self.data[1]:.17g}"
-        if self.kind == D_ANGLE:
-            return f"angle:{self.data[0]:.17g}"
-        return "vec:" + ",".join(f"{x:.17g}" for x in self.data)
+        return describe_direction(self.kind, self.data)
+
+
+def describe_direction(kind: str, data: tuple) -> str:
+    """The descriptor of the direction of this kind and canonical data."""
+    if kind == D_VECTOR:
+        return "vec:" + ",".join(f"{x:.17g}" for x in data)
+    return _DESCRIPTORS[kind].format(*data)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from . import measures as mz
 from . import regularity as rg
 from .covering import uniform_grid
 from .directions import DirectionNet, net_from_directions
-from .errors import ConfigError, DomainError, json_number, reject_unknown_keys
+from .errors import ConfigError, DomainError, json_array, json_number, reject_unknown_keys
 from .geometry import Point
 from .measures import DiscreteMeasure
 from .rng import substream
@@ -82,7 +82,7 @@ class _NumericSpec:
             name = f"{type(self).__name__}.{f.name}"
             value = getattr(self, f.name)
             if isinstance(f.default, tuple):
-                value = tuple(json_number(x, name, int) for x in value)
+                value = tuple(json_number(x, name, int) for x in json_array(value, name))
                 if not value:
                     raise ConfigError(f"{name} must be nonempty")
             else:
@@ -207,7 +207,8 @@ def _directions_from_spec(base: Point, spec: dict):
     kind = _NET_DIRECTIONS[key]
     multi = kind in (geo.D_PAGE_ANGLE, geo.D_VECTOR)
     try:
-        return [geo.Direction(base, kind, tuple(x) if multi else (x,)) for x in spec[key]]
+        return [geo.Direction(base, kind, tuple(x) if multi else (x,))
+                for x in json_array(spec[key], f"net {key}")]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed net {key}: {exc}") from exc
 
@@ -233,13 +234,12 @@ def config_from_json(obj: dict, seed: int,
     try:
         reject_unknown_keys(obj, _CONFIG_KEYS, "experiment config")
         measure = DiscreteMeasure.from_json(obj["measure"])
-        base = None
-        if obj.get("base") is not None:
-            base = Point.of(measure.space, obj["base"])
+        base = obj.get("base")
+        base = None if base is None else Point.of(measure.space, json_array(base, "base"))
         net = obj["net"]
-        ns = tuple(obj["sample_sizes"])
+        ns = tuple(json_array(obj["sample_sizes"], "sample_sizes"))
         reps = json_number(obj["replicates"], "replicates", int)
-        tests = tuple(obj.get("tests", ALL_TESTS))
+        tests = tuple(json_array(obj.get("tests", ALL_TESTS), "tests"))
         th = Thresholds(**obj.get("thresholds", {}))
         mart = MartingaleSpec(**obj.get("martingale", {}))
         mod = ModulusSpec(**obj.get("modulus", {}))

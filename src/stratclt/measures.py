@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import geometry as geo
 from .errors import (ConfigError, DomainError, NumericalConsistencyError, SpaceMismatchError,
-                     json_number, reject_unknown_keys)
+                     json_array, json_number, reject_unknown_keys)
 from .geometry import _TWO_PI, Point, SpaceSpec
 
 _WEIGHT_TOL = 1e-12
@@ -83,9 +83,9 @@ class DiscreteMeasure:
             reject_unknown_keys(obj, ("space", "atoms"), "measure")
             space = SpaceSpec.from_json(obj["space"])
             atoms = []
-            for a in obj["atoms"]:
+            for a in json_array(obj["atoms"], "measure atoms"):
                 reject_unknown_keys(a, ("point", "weight"), "atom")
-                atoms.append((Point.of(space, a["point"]),
+                atoms.append((Point.of(space, json_array(a["point"], "atom point")),
                               json_number(a["weight"], "atom weight")))
         except (KeyError, TypeError, IndexError) as exc:
             raise ConfigError(f"malformed measure file: {exc}") from exc

@@ -1,10 +1,8 @@
 """Direction nets and modulus-of-continuity statistics.
 
-Nets on the model direction spaces are built by exact specialization:
-the legs of a spider, uniform arcs on circles of directions, and poles
-plus uniform page angles on the spine graph, as ``covering`` sizes and
-counts them in closed form, without numpy; ``dimension_constant`` is
-also bound here, where the layer suite of ``perfbench`` traces it.
+A uniform net is the grid that ``covering.uniform_grid`` sizes, held as
+its direction-space coordinates; ``dimension_constant`` is also bound
+here, where the layer suite of ``perfbench`` traces it.
 
 The modulus of continuity w(h, r), the largest |h(V) - h(U)| over net
 pairs within angular distance r, is taken from window extrema along
@@ -46,9 +44,7 @@ def build_net(base: Point, eps: float) -> DirectionNet:
     if not eps > 0.0:
         raise DomainError("net resolution must be positive")
     m = uniform_grid(base, eps)[0]  # first: spheres of directions have no grid
-    ds = direction_space(base)
-    coords = ds._uniform(m)
-    return DirectionNet(base, tuple(ds.from_coord(c) for c in coords), coords)
+    return DirectionNet(base, direction_space(base)._uniform(m))
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ def refine_net(base, net: DirectionNet) -> DirectionNet:
         coords = ds._uniform(2 * len(coords))
     elif isinstance(ds, SpineDirections):
         coords = ds._uniform(2 * ((len(coords) - 2) // ds.pages + 1))
-    return DirectionNet(base, tuple(ds.from_coord(c) for c in coords), coords)
+    return DirectionNet(base, coords)
 
 
 def min_separation(ds, coords: np.ndarray) -> float:

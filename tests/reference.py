@@ -51,6 +51,25 @@ def angular_distance(u: Direction, v: Direction) -> float:
     return float(ds.cross(np.array([ds.to_coord(u)]), np.array([ds.to_coord(v)]))[0, 0])
 
 
+def net_directions(net: DirectionNet) -> list[Direction]:
+    """The ``Direction`` at each coordinate of a net: a label of a finite
+    set, an angle, (page, theta) or the unit vector (cos c, sin c).  A
+    uniform net's ``descriptors()`` must be these directions' ``describe()``,
+    formed from the coordinates without making them."""
+    ds, kind, out = net.space(), geo.direction_kind(net.base), []
+    for c in net.coords():
+        if isinstance(ds, geo.DiscreteDirections):
+            data = (ds.labels[int(round(c))],)
+        elif isinstance(ds, geo.SpineDirections):
+            data = (int(round(c[0])), float(c[1]))
+        elif kind == geo.D_ANGLE:
+            data = (float(c),)
+        else:
+            data = (math.cos(c), math.sin(c))
+        out.append(Direction(net.base, kind, data))
+    return out
+
+
 def angular_pairing(v: TangentVector, w: TangentVector) -> float:
     """<V,W> = |V||W| cos(angle), with the angle capped at pi."""
     if v.base != w.base:

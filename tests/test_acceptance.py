@@ -274,10 +274,10 @@ def test_criterion_09_tightness_and_chaining(book_spine_measure):
     fine = nets[k_range[-1]]
     sim = _FieldSimulator(book_spine_measure, base, fine)
     draws = sim.field_rows(907, _PURPOSE_SAMPLES, 0, 1000, 500, 1)[:]
-    desc = {d.describe(): i for i, d in enumerate(fine.directions)}
+    desc = {s: i for i, s in enumerate(fine.descriptors())}
     xi4 = []
     for k in k_range:
-        idx = [desc[d.describe()] for d in nets[k].directions]
+        idx = [desc[s] for s in nets[k].descriptors()]
         vals = draws[:, idx]
         dmat = nets[k].pairwise_distances()
         iu, ju = np.triu_indices(len(nets[k]), k=1)

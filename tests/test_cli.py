@@ -644,6 +644,32 @@ class TestField:
 _DELETE = object()  # TestMalformedNumbers: delete the key instead of setting it
 
 
+def run_with(tmp_path, command: str, keys: tuple, value, flags: tuple) -> int:
+    """The exit code of ``command`` on a small valid config with the entry
+    at the path ``keys`` set to ``value`` (deleted for ``_DELETE``)."""
+    if command == "clt":
+        raw = load_config("spider3_uniform.json")
+        raw.update(sample_sizes=[200], replicates=150,
+                   tests=[*raw["tests"], "modulus"])
+    elif command == "field":
+        raw = load_config("field_example.json")
+    else:
+        raw = {"space": {"kind": "spider", "legs": 3}, "base": [0, 0.0],
+               "n_max": 6}
+    if keys:
+        target = raw
+        for key in keys[:-1]:
+            target = target[key]
+        if value is _DELETE:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+    argv = [command, "--config", write_json(tmp_path / "c.json", raw)]
+    if command != "cover":
+        argv += ["--seed", "1", "--out", str(tmp_path / "o")]
+    return main([*argv, *flags])
+
+
 class TestMalformedNumbers:
     """A malformed or missing value is a ConfigError where it is parsed:
     exit 3 with a message, never a traceback."""
@@ -705,30 +731,36 @@ class TestMalformedNumbers:
             "cover_unknown_key", "weight_beyond_floats", "atom_as_list"])
     def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value,
                                       flags):
-        if command == "clt":
-            raw = load_config("spider3_uniform.json")
-            raw.update(sample_sizes=[200], replicates=150,
-                       tests=[*raw["tests"], "modulus"])
-        elif command == "field":
-            raw = load_config("field_example.json")
-        else:
-            raw = {"space": {"kind": "spider", "legs": 3}, "base": [0, 0.0],
-                   "n_max": 6}
-        if keys:
-            target = raw
-            for key in keys[:-1]:
-                target = target[key]
-            if value is _DELETE:
-                del target[keys[-1]]
-            else:
-                target[keys[-1]] = value
-        argv = [command, "--config", write_json(tmp_path / "c.json", raw)]
-        if command != "cover":
-            argv += ["--seed", "1", "--out", str(tmp_path / "o")]
-        code = main([*argv, *flags])
+        code = run_with(tmp_path, command, keys, value, flags)
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, keys, value, message", [
+        ("clt", ("tests",), {"ks": 1}, "tests must be a list"),
+        ("clt", ("tests",), "ks", "tests must be a list"),
+        ("clt", ("sample_sizes",), "100", "sample_sizes must be a list"),
+        ("clt", ("sample_sizes",), {"100": 1}, "sample_sizes must be a list"),
+        ("clt", ("base",), "00", "base must be a list"),
+        ("clt", ("net",), {"legs": "01"}, "net legs must be a list"),
+        ("clt", ("net",), {"legs": {"0": 1}}, "net legs must be a list"),
+        ("clt", ("modulus",), {"radii_log2": "23"}, "radii_log2 must be a list"),
+        ("clt", ("measure", "atoms"), {"a": {}}, "measure atoms must be a list"),
+        ("clt", ("measure", "atoms", 0, "point"), "01", "atom point must be a list"),
+        ("field", ("base",), {"0": 0}, "base must be a list"),
+        ("field", ("net",), {"legs": "012"}, "net legs must be a list"),
+        ("cover", ("base",), "00", "base must be a list"),
+    ], ids=["tests_object", "tests_string", "sample_sizes_string", "sample_sizes_object",
+            "base", "net_legs_string", "net_legs_object", "radii_log2", "atoms", "point",
+            "field_base", "field_net_legs", "cover_base"])
+    def test_list_key_refuses_non_array(self, tmp_path, capsys, command, keys, value,
+                                        message):
+        # a string or an object would iterate as its characters or keys
+        code = run_with(tmp_path, command, keys, value, ())
+        err = capsys.readouterr().err
+        assert code == 3
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, key, value", [

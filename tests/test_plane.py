@@ -4,7 +4,9 @@ euclidean(2), by (q, s, t) -> (s, +-t) on the book and (r, phi) ->
 in the code but not in the metric, so distances, geodesics, log and exp
 maps, Fréchet means and values, the first-order certificate, stickiness,
 tangent covariances on mapped nets and every ``clt`` table of one seed
-must agree with the plane's."""
+must agree with the plane's.  Two pages of open_book(3) and two legs of
+spider(4) are convex copies of the plane and the line: a measure there
+has the mapped mean and distances."""
 
 import csv
 import json
@@ -19,7 +21,7 @@ from stratclt import (Direction, DiscreteMeasure, Point, SpaceSpec, build_net, c
 from stratclt.cli import main
 from stratclt.geometry import D_ANGLE, D_PAGE_ANGLE, D_VECTOR
 
-from .reference import scale
+from .reference import net_directions, scale
 
 TOL = 1e-13
 PLANE = SpaceSpec.euclidean(2)
@@ -108,7 +110,7 @@ def check_cov(measure, plane, base: Point):
     net = build_net(base, 0.7)
     pb = to_plane(base)
     image = net_from_directions(pb, [Direction(pb, D_VECTOR, to_plane_unit(d))
-                                     for d in net.directions])
+                                     for d in net_directions(net)])
     got = cov_matrix(measure, base, net).entries
     want = cov_matrix(plane, pb, image).entries
     assert abs(got - want).max() <= TOL
@@ -144,6 +146,63 @@ def test_open_book_is_the_plane(atoms):
 @given(measures(cone_point))
 def test_flat_cone_is_the_plane(atoms):
     check_plane(atoms)
+
+
+# ---------------------------------------------------------------------------
+# Partial isometries: two pages p, q of open_book(3) form a convex copy of
+# the plane, by (p, s, t) -> (s, t) and (q, s, t) -> (s, -t), and two legs
+# a, b of spider(4) one of the line, by (a, r) -> r and (b, r) -> -r.  A
+# measure supported there has the mapped mean, and its distances map too.
+
+BOOK3 = SpaceSpec.open_book(3)
+SPIDER4 = SpaceSpec.spider(4)
+LINE = SpaceSpec.euclidean(1)
+
+
+@st.composite
+def two_strata(draw, space: SpaceSpec):
+    """(the index mapped to the negative half, atoms) for a measure on two
+    pages or legs; one atom in five on the spine or at the apex."""
+    first, second = draw(st.permutations(range(3 if space == BOOK3 else 4)))[:2]
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
+    points = []
+    for _ in weights:
+        index = draw(st.sampled_from([first, second]))
+        length = 0.0 if draw(on_stratum) else draw(st.floats(0.0, 3.0))
+        middle = (draw(st.floats(-3.0, 3.0)),) if space == BOOK3 else ()
+        points.append(Point(space, (index, *middle, length)))
+    return second, (points, [w / sum(weights) for w in weights])
+
+
+def unfold(x: Point, negative: int) -> Point:
+    """The image of x in the plane or the line."""
+    index, *middle, length = x.coords
+    signed = -length if index == negative else length
+    return Point(PLANE if x.space == BOOK3 else LINE, (*middle, signed))
+
+
+def check_unfolded(space: SpaceSpec, case):
+    negative, (points, weights) = case
+    measure = DiscreteMeasure(space, tuple(zip(points, weights)))
+    image = DiscreteMeasure(PLANE if space == BOOK3 else LINE,
+                            tuple((unfold(x, negative), w) for x, w in zip(points, weights)))
+    mean = frechet_mean(measure).mean
+    assert close(unfold(mean, negative).coords, frechet_mean(image).mean.coords)
+    for x in (mean, *points):
+        for y in (mean, *points):
+            assert abs(distance(x, y) - distance(unfold(x, negative), unfold(y, negative))) <= TOL
+
+
+@settings(max_examples=200)
+@given(two_strata(BOOK3))
+def test_two_pages_of_a_book_are_the_plane(case):
+    check_unfolded(BOOK3, case)
+
+
+@settings(max_examples=200)
+@given(two_strata(SPIDER4))
+def test_two_legs_of_a_spider_are_the_line(case):
+    check_unfolded(SPIDER4, case)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from stratclt import (
 )
 from stratclt import regularity as rg
 from stratclt.covering import _grid, uniform_grid
-from stratclt.geometry import (D_ANGLE, D_LEG, D_PAGE_ANGLE, D_VECTOR, Direction,
+from stratclt.geometry import (D_ANGLE, D_LEG, D_PAGE_ANGLE, D_VECTOR, Direction, DirectionNet,
                                direction_space, net_from_directions)
 from stratclt.harness import _PURPOSE_MODULUS, _FieldSimulator, config_from_json
 from stratclt.measures import validate_localized
@@ -28,7 +28,7 @@ from stratclt.regularity import modulus_many
 
 from .conftest import load_config
 from .oracles import modulus_all_pairs, net_is_valid, packing_lower_bound, refine_net
-from .reference import covering_number_bounds, holder_estimate
+from .reference import covering_number_bounds, holder_estimate, net_directions
 
 FC = SpaceSpec.flat_cone(3 * math.pi)
 OB3 = SpaceSpec.open_book(3)
@@ -36,12 +36,13 @@ SP3 = SpaceSpec.spider(3)
 E1 = SpaceSpec.euclidean(1)
 E2 = SpaceSpec.euclidean(2)
 ALPHA = 3 * math.pi
+SPINE = Point(OB3, (0, 0.0, 0.0))
 
 
 class TestBuildNet:
     def test_spider_apex_legs(self):
         net = build_net(apex(SP3), 1.0)
-        assert [d.data[0] for d in net.directions] == [0, 1, 2]
+        assert net.descriptors() == ["leg:0", "leg:1", "leg:2"]
         assert uniform_grid(apex(SP3), 1.0) == (1, 0.0)
 
     def test_cone_circle_count(self):
@@ -51,8 +52,7 @@ class TestBuildNet:
 
     def test_euclidean_line(self):
         net = build_net(Point(E1, (0.3,)), 0.5)
-        vals = sorted(d.data[0] for d in net.directions)
-        assert vals == [-1.0, 1.0]
+        assert sorted(net.descriptors()) == ["vec:-1", "vec:1"]
 
     def test_validity_exhaustive(self):
         for base, eps in ((apex(FC), 0.3), (Point(OB3, (0, 0.0, 0.0)), 0.25),
@@ -62,11 +62,10 @@ class TestBuildNet:
 
     def test_spine_net_structure(self):
         net = build_net(Point(OB3, (0, 0.0, 0.0)), 0.4)
-        poles = [d for d in net.directions if d.data[1] in (0.0, math.pi)]
-        assert len(poles) == 2
-        interior = [d for d in net.directions if 0.0 < d.data[1] < math.pi]
-        pages = {d.data[0] for d in interior}
-        assert pages == {0, 1, 2}
+        page, theta = net.coords().T
+        assert np.isin(theta, (0.0, math.pi)).sum() == 2
+        interior = (0.0 < theta) & (theta < math.pi)
+        assert set(page[interior].tolist()) == {0.0, 1.0, 2.0}
 
     def test_bad_resolution(self):
         with pytest.raises(DomainError):
@@ -76,6 +75,28 @@ class TestBuildNet:
         base = Point(SpaceSpec.euclidean(3), (0.0, 0.0, 0.0))
         with pytest.raises(DomainError):
             build_net(base, 0.5)
+
+    @pytest.mark.parametrize("base", [
+        apex(SP3), Point(SP3, (1, 0.7)), Point(E1, (0.3,)), apex(FC), Point(FC, (1.0, 0.3)),
+        Point(OB3, (2, -1.5, 0.4)), Point(E2, (0.0, 0.0)), SPINE],
+        ids=["leg", "sign", "line", "cone_apex", "cone_smooth", "page", "plane", "spine"])
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 2.0 ** -6, 2.0 ** -8])
+    def test_descriptors_are_the_directions(self, base, eps):
+        # a uniform net formats its descriptors from its coordinates; they
+        # are those of the Directions there, bit for bit (at 2^-8 the
+        # circle of vectors holds points where np.hypot differs from the
+        # math.hypot that Direction divides by)
+        net = build_net(base, eps)
+        assert net.descriptors() == [d.describe() for d in net_directions(net)]
+
+    def test_explicit_net_keeps_its_descriptors(self):
+        # the coordinate of (0, 1) is atan2's pi / 2, whose cosine is not 0
+        b = Point(E2, (0.0, 0.0))
+        net = net_from_directions(b, [Direction(b, D_VECTOR, (0, 1)),
+                                      Direction(b, D_VECTOR, (1, 1))])
+        assert net.descriptors() == ["vec:0,1", "vec:0.70710678118654746,0.70710678118654746"]
+        assert DirectionNet(b, net.coords()).descriptors() == [
+            "vec:6.123233995736766e-17,1", "vec:0.70710678118654757,0.70710678118654746"]
 
 
 PACKING_BASES = {
@@ -246,9 +267,7 @@ class TestDimensionConstant:
         for base in (apex(FC), Point(OB3, (0, 0.0, 0.0))):
             net = build_net(base, 0.25)
             fine = refine_net(base, net)
-            coarse = {d.describe() for d in net.directions}
-            finer = {d.describe() for d in fine.directions}
-            assert coarse <= finer
+            assert set(net.descriptors()) <= set(fine.descriptors())
 
     def test_requires_enough_scales(self):
         with pytest.raises(DomainError):
@@ -287,17 +306,14 @@ class TestDimensionConstant:
 
 
 def _shuffled_cone_net():
-    dirs = list(build_net(apex(FC), 0.1).directions)
+    dirs = net_directions(build_net(apex(FC), 0.1))
     np.random.default_rng(3).shuffle(dirs)
     return net_from_directions(apex(FC), dirs)
 
 
-SPINE = Point(OB3, (0, 0.0, 0.0))
-
-
 def _shuffled_spine_net():
     # the uniform spine net in random order with both poles listed twice
-    dirs = list(build_net(SPINE, 2.0 ** -3).directions)
+    dirs = net_directions(build_net(SPINE, 2.0 ** -3))
     dirs += [Direction(SPINE, D_PAGE_ANGLE, (0, 0.0)),
              Direction(SPINE, D_PAGE_ANGLE, (0, math.pi))]
     np.random.default_rng(5).shuffle(dirs)
@@ -571,12 +587,12 @@ class TestChainingStatistic:
         cov = cov_matrix(book_spine_measure, base, fine)
         sampler = GaussianFieldSampler.build(cov)
         draws = sampler.draw_matrix(substream(9, 1), 300)
-        desc = {d.describe(): i for i, d in enumerate(fine.directions)}
+        desc = {s: i for i, s in enumerate(fine.descriptors())}
         d_dim = 1.0
         a = 4.0
         xi4 = []
         for k in k_range:
-            idx = [desc[d.describe()] for d in nets[k].directions]
+            idx = [desc[s] for s in nets[k].descriptors()]
             assert len(idx) == len(nets[k])  # nets are genuinely nested
             vals = draws[:, idx]
             dmat = nets[k].pairwise_distances()
