@@ -671,3 +671,173 @@ class TestGeodesicInternalConsistency:
                     continue
                 assert angular_distance(v.direction, w.direction) <= 1e-6
                 checked += 1
+
+
+# ---------------------------------------------------------------------------
+# stratum boundaries: radius, height or cone radius 0, and a circle gap of pi
+
+
+def _at_radius(space, index, s, rho):
+    """The point of a spider, open book or flat cone at cone radius rho
+    (a leg's radius, a page's height) on leg, page or circle angle index."""
+    if space.kind == "spider":
+        return Point(space, (index % space.legs, rho))
+    if space.kind == "open_book":
+        return Point(space, (index % space.pages, s, rho))
+    return Point(space, (rho, float(index)))
+
+
+def _index(p):
+    """The leg, page or circle angle of a point of a coned space."""
+    return p.coords[1] if p.space.kind == "flat_cone" else p.coords[0]
+
+
+# the spiders and books first: their cone factors are finite sets
+CONED = (SP3, SpaceSpec.spider(5), OB3, OB2, FC, SpaceSpec.flat_cone(2.0 * math.pi))
+
+
+@st.composite
+def boundary_case(draw):
+    """A coned space, a point's index and R^a part, and another point
+    anywhere, radius 0 and the boundary itself included."""
+    space = draw(st.sampled_from(CONED))
+    index = draw(st.integers(0, 9) if space.kind != "flat_cone"
+                 else st.floats(0.0, space.circumference, exclude_max=True))
+    s = draw(st.floats(-2.0, 2.0))
+    other = _at_radius(space, draw(st.integers(0, 9) if space.kind != "flat_cone"
+                                   else st.floats(0.0, space.circumference,
+                                                  exclude_max=True)),
+                       draw(st.floats(-2.0, 2.0)),
+                       draw(st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 3.0))))
+    return space, index, s, other
+
+
+class TestStratumBoundaries:
+    @example(case=(SP3, 2, 0.0, Point(SP3, (1, 1.0))), rho=5e-324)
+    @example(case=(OB3, 1, 0.5, Point(OB3, (2, -0.5, 0.25))), rho=5e-324)
+    @example(case=(FC, 3.0, 0.0, Point(FC, (1.0, 3.0 + math.pi))), rho=1e-300)
+    @given(case=boundary_case(), rho=st.sampled_from((5e-324, 1e-300)))
+    def test_zero_radius_against_the_smallest(self, case, rho):
+        # radius 0 lies on every leg, page or angle and is stored at index 0;
+        # a radius of 1e-300 or the least subnormal keeps its index, and
+        # distance and log length move by at most that radius
+        space, index, s, other = case
+        zero, near = _at_radius(space, index, s, 0.0), _at_radius(space, index, s, rho)
+        assert zero.coords == _at_radius(space, 0, s, 0.0).coords
+        assert _index(zero) == 0
+        assert _index(near) == _index(_at_radius(space, index, s, 1.0))
+        assert distance(zero, near) == rho
+        d0 = distance(zero, other)
+        tol = rho + 4e-16 * (1.0 + d0)
+        assert abs(distance(near, other) - d0) <= tol
+        assert abs(distance(other, near) - d0) <= tol
+        for there, here in ((log_map(zero, other), log_map(near, other)),
+                            (log_map(other, zero), log_map(other, near))):
+            assert abs(there.length - d0) <= 4e-16 * (1.0 + d0)
+            assert abs(here.length - d0) <= tol
+
+    @given(st.sampled_from(CONED[:4]), st.integers(0, 9), st.floats(1e-6, 1e3),
+           st.floats(1e-6, 1e3), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def test_round_trip_through_a_branch_point(self, space, index, r0, r1, s0, s1):
+        # the geodesic from a leg or page through the apex or across the
+        # spine into another leg or page: exp(log x) comes out on the lowest
+        # other index at x's radius, which is x itself when x lies there
+        count = space.legs if space.kind == "spider" else space.pages
+        i0 = index % count
+        base = _at_radius(space, i0, s0, r0)
+        continuation = 1 if i0 == 0 else 0
+        for i1 in range(count):
+            if i1 == i0:
+                continue
+            x = _at_radius(space, i1, s1, r1)
+            back = exp_map(base, log_map(base, x))
+            scale_ = r0 + r1 + abs(s0) + abs(s1)
+            assert distance(back, _at_radius(space, continuation, s1, r1)) <= 4e-16 * scale_
+            assert abs(distance(base, back) - distance(base, x)) <= 4e-16 * scale_
+
+    @given(st.floats(2.0 * math.pi, 4.0 * math.pi), st.floats(0.0, 1.0),
+           st.floats(1e-6, 1e3), st.floats(1e-6, 1e3))
+    def test_round_trip_through_the_cone_apex(self, alpha, frac, r0, r1):
+        # at circle gap pi and above the geodesic runs through the apex,
+        # and exp continues it at circle offset +pi: at gap exactly pi the
+        # round trip recovers x, above pi it lands at offset pi, radius r1
+        sp = SpaceSpec.flat_cone(alpha)
+        base = Point(sp, (r0, 0.0))
+        for phi in (math.pi, math.pi + frac * (alpha - 2.0 * math.pi)):
+            x = Point(sp, (r1, phi))
+            back = exp_map(base, log_map(base, x))
+            assert distance(back, Point(sp, (r1, math.pi))) <= 4e-16 * (r0 + r1)
+            assert abs(distance(base, back) - distance(base, x)) <= 4e-16 * (r0 + r1)
+
+    @given(gap_pi_pair())
+    def test_distance_continuous_across_gap_pi(self, case):
+        # one ulp of circle angle on either side of gap pi moves the
+        # distance by about r2 ulp(pi), not by a jump between branches
+        p, (at_pi, near) = case
+        r = p.coords[0] + near.coords[0]
+        assert distance(p, at_pi) == r
+        assert abs(distance(p, near) - r) <= 1e-15 * r
+
+    @pytest.mark.parametrize("space", CONED, ids=lambda sp: f"{sp.kind}")
+    def test_distance_continuous_into_the_cone_point(self, space):
+        # a point that slides down its leg, page or ray to radius 0 moves
+        # every distance by at most its radius, whatever index it leaves
+        rng = np.random.default_rng(29)
+        others = [random_point(space, rng) for _ in range(40)]
+        for index in range(3):
+            for rho in (1e-3, 1e-9, 1e-300, 5e-324, 0.0):
+                p = _at_radius(space, index, 0.25, rho)
+                bottom = _at_radius(space, index, 0.25, 0.0)
+                for x in others:
+                    d0 = distance(bottom, x)
+                    assert abs(distance(p, x) - d0) <= rho + 4e-16 * (1.0 + d0)
+
+
+# ---------------------------------------------------------------------------
+# first variation: the metric alone fixes the pairing
+
+
+def _first_variation_bases(space, rng):
+    """Cone points, points near them and a point anywhere.  A leg or page
+    point is within 1e-3 of the apex or spine.  A flat-cone point is at
+    radius 0.1 to 0.2: at radius rho, an atom x joined through the apex
+    has d(exp_b(hV), x) = |exp_b(hV)| + |x|, whose h^2 term leaves a
+    Richardson residual of up to about 0.1 |x| h^2 / rho^2 (1.2e-4 at
+    rho = 6.6e-4, 6e-9 at rho = 0.1)."""
+    if space.kind == "euclidean":
+        return [Point(space, (0.0,) * space.dim), random_point(space, rng)]
+    near = (0.1, 0.2) if space.kind == "flat_cone" else (1e-4, 1e-3)
+    return [_at_radius(space, 1, 0.3, 0.0), _at_radius(space, 1, 0.3, float(rng.uniform(*near))),
+            _at_radius(space, 2, -0.1, near[1]), random_point(space, rng)]
+
+
+@pytest.mark.parametrize("space", [E1, E2, SP3, OB3, FC], ids=lambda sp: sp.kind)
+def test_first_variation_matches_pairings(space):
+    # In a CAT(0) space d/dt d^2(exp_b(tV), x) at t = 0+ is -2 <log_b x, V>.
+    # With Q_h = (d^2(b, x) + h^2 - d^2(exp_b(hV), x)) / (2h), the Richardson
+    # step 2 Q_{h/2} - Q_h removes the O(h) term that a geodesic through a
+    # cone point leaves; at h = 2^-16 it matches the pairing kernel to
+    # rounding over every direction of a uniform net.
+    from stratclt.directions import pairings
+    from stratclt.regularity import build_net
+
+    from .reference import net_directions
+
+    rng = np.random.default_rng(41)
+    h = 2.0 ** -16
+    for _measure in range(4):
+        atoms = [random_point(space, rng) for _ in range(4)]
+        if space.kind != "euclidean":
+            atoms.append(_at_radius(space, 0, float(rng.uniform(-1, 1)), 0.0))
+        for base in _first_variation_bases(space, rng):
+            net = build_net(base, 0.1)
+            P = pairings(base, [log_map(base, x) for x in atoms], net.coords())
+
+            def q(step, direction):
+                y = exp_map(base, TangentVector(base, direction, step))
+                return np.array([(distance(base, x) ** 2 + step * step
+                                  - distance(y, x) ** 2) / (2.0 * step) for x in atoms])
+
+            for j, direction in enumerate(net_directions(net)):
+                richardson = 2.0 * q(h / 2.0, direction) - q(h, direction)
+                assert np.max(np.abs(richardson - P[:, j])) <= 1e-7 * max(1.0, np.max(np.abs(P)))
