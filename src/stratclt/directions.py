@@ -233,9 +233,11 @@ def pairings(base: Point, vectors, coords) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class DirectionNet:
     """Finite ordered net on the unit tangent sphere at a base point: the
-    directions as direction-space ``coords()`` and, for an explicit net,
-    the descriptors of the directions given (``names``).  A uniform net's
-    covering radius is ``covering.uniform_grid``'s; an explicit net has none.
+    directions as direction-space ``coords()`` and their descriptors
+    (``names``), for an explicit net those of the directions given, for a
+    uniform net formatted from the coordinates by the first
+    ``descriptors()``.  A uniform net's covering radius is
+    ``covering.uniform_grid``'s; an explicit net has none.
     """
 
     base: Point
@@ -255,10 +257,11 @@ class DirectionNet:
         return self.space().cross(self._coords, self._coords)
 
     def descriptors(self) -> list[str]:
-        if self.names is not None:
-            return list(self.names)
-        kind = direction_kind(self.base)
-        return [describe_direction(kind, d) for d in self.space().data(self._coords)]
+        if self.names is None:  # a uniform net's, formatted once, when first asked for
+            kind = direction_kind(self.base)
+            object.__setattr__(self, "names", tuple(
+                describe_direction(kind, d) for d in self.space().data(self._coords)))
+        return list(self.names)
 
 
 def net_from_directions(base: Point, directions) -> DirectionNet:

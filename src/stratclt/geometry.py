@@ -21,6 +21,29 @@ geodesics, directions and the log and exp maps, on tuples of Python
 floats, with no numpy import.  The vectorized direction spaces, pairings
 and direction nets live in ``directions``.
 
+Each space is R^a x Cone(Gamma): euclidean(d) is R^d with no cone
+factor, spider(k) is Cone(k points), open_book(k) is R x Cone(k points)
+and flat_cone(alpha) is Cone(circle of length alpha).  ``split`` turns a
+point into (s, r, g), its R^a part, its cone radius and its point of
+Gamma (a leg or page index, or a circle angle), and ``join`` turns
+(s, r, g) back into a point.  ``distance``, ``geodesic_point``,
+``log_map`` and ``exp_map`` are each written once on that split:
+
+* the turn rule: seen from (r0, g0) and developed into the chart at g0,
+  where (r0, g0) sits at r0 (1, 0), the point (r1, g1) sits at r1 times
+  one turn (cos, sin): (1, 0) at the same point of Gamma, (-1, 0) to or
+  through the cone point (two points of a finite Gamma, a radius 0, a
+  circle gap of pi or more), and (cos d, sin d) at a signed circle gap d
+  within pi.  The distance is the hypot of the R^a offset and the chart
+  offset (a law of cosines in development form);
+* at a cone point a direction is a point of the join S^(a-1) * Gamma:
+  its point of Gamma and, where a = 1, its angle in [0, pi] from the +s
+  axis;
+* the continuation rule: a geodesic that reaches the cone point along
+  (-1, 0) comes out where its end lies (``geodesic_point``) or, for
+  ``exp_map``, on the lowest-index other leg or page, or at circle
+  offset +pi.
+
 Conventions fixed here and relied on everywhere else:
 
 * boundary identifications are canonicalized (spider radius 0 => leg 0,
@@ -30,11 +53,7 @@ Conventions fixed here and relied on everywhere else:
   the angular metric itself exceeds pi;
 * a flat-cone pair with both radii positive and circle gap >= pi is
   joined through the apex; at a gap of exactly pi that path is still
-  the unique geodesic, as in every CAT(0) space;
-* geodesic continuation through a singular stratum is deterministic:
-  through a spider apex or across a spine the path continues into the
-  lowest-index other leg/page, and through a cone apex it continues at
-  circle offset +pi.
+  the unique geodesic, as in every CAT(0) space.
 """
 
 from __future__ import annotations
@@ -217,7 +236,28 @@ def stratum_of(p: Point) -> tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Distance
+# The cone split: every space is R^a x Cone(Gamma)
+
+
+def split(p: Point) -> tuple:
+    """(s, r, g): the R^a part of p, its cone radius and its point of Gamma,
+    a leg or page index or a circle angle (None on euclidean, where r = 0)."""
+    c, kind = p.coords, p.space.kind
+    if kind == EUCLIDEAN:
+        return c, 0.0, None
+    if kind == OPEN_BOOK:
+        return c[1:2], c[2], c[0]
+    return ((), c[1], c[0]) if kind == SPIDER else ((), c[0], c[1])
+
+
+def join(space: SpaceSpec, s: tuple, r: float, g) -> Point:
+    """The point of space with R^a part s, cone radius r and point g of Gamma."""
+    kind = space.kind
+    if kind == EUCLIDEAN:
+        return Point(space, s)
+    if kind == OPEN_BOOK:
+        return Point(space, (g, *s, r))
+    return Point(space, (g, r) if kind == SPIDER else (r, g))
 
 
 def _same_space(p: Point, q: Point):
@@ -225,57 +265,68 @@ def _same_space(p: Point, q: Point):
         raise SpaceMismatchError("points live in different spaces")
 
 
-def _cone_gap(space: SpaceSpec, phi1: float, phi2: float) -> float:
-    d = abs(phi1 - phi2)
-    return min(d, space.circumference - d)
+# where a point of Cone(Gamma) sits, per unit radius, in the chart developed
+# at its own point of Gamma
+_AXIS = (1.0, 0.0)
+
+
+def _turn(space: SpaceSpec, r0: float, g0, r1: float, g1) -> tuple:
+    """The unit vector along which (r1, g1) lies from the cone point, in the
+    chart of Cone(Gamma) developed at g0, where (r0, g0) sits at r0 (1, 0):
+    (1, 0) at the same point of Gamma, (-1, 0) to or through the cone point
+    and (cos d, sin d) within pi on a circle.  The chart is a plane on a
+    circle, a line (the first entry) on a finite Gamma and empty on euclidean."""
+    if g0 is None:
+        return ()
+    turn = _AXIS if g0 == g1 else (-1.0, 0.0)
+    alpha = space.circumference  # nonzero only where Gamma is a circle
+    if not alpha:
+        return turn[:1]
+    if g0 != g1 and r0 > 0.0 and r1 > 0.0:
+        # both angles lie in [0, alpha); reducing a tiny negative difference
+        # modulo alpha would round it to alpha and then to an offset of 0
+        delta = g1 - g0
+        if delta > alpha / 2.0:
+            delta -= alpha
+        elif delta <= -alpha / 2.0:
+            delta += alpha
+        if abs(delta) < math.pi:
+            turn = (math.cos(delta), math.sin(delta))
+    return turn
+
+
+def _beyond(space: SpaceSpec, g):
+    """Where a geodesic from g continues past the cone point: the lowest
+    other index, or g + pi on a circle."""
+    return g + math.pi if space.circumference else (1 if g == 0 else 0)
+
+
+def _undevelop(chart, g, past) -> tuple:
+    """(r, g) of the point at chart position (x, y) developed at g; a point
+    on the negative x axis lies past the cone point, at past."""
+    x, y = (*chart, 0.0, 0.0)[:2]
+    if y == 0.0:
+        return (x, g) if x >= 0.0 else (-x, past)
+    return math.hypot(x, y), g + math.atan2(y, x)
+
+
+# ---------------------------------------------------------------------------
+# Distance and geodesics
 
 
 def distance(p: Point, q: Point) -> float:
     """Geodesic distance between two points of the same model space."""
     _same_space(p, q)
-    sp = p.space
-    if sp.kind == EUCLIDEAN:
-        return math.dist(p.coords, q.coords)
-    if sp.kind == SPIDER:
-        l1, r1 = p.coords
-        l2, r2 = q.coords
-        # radius 0 is stored on leg 0, so the apex needs no branch
-        return abs(r1 - r2) if l1 == l2 else r1 + r2
-    if sp.kind == OPEN_BOOK:
-        p1, s1, t1 = p.coords
-        p2, s2, t2 = q.coords
-        if p1 == p2 or t1 == 0.0 or t2 == 0.0:
-            # within one page chart (spine points belong to every page)
-            return math.hypot(s1 - s2, t1 - t2)
-        return math.hypot(s1 - s2, t1 + t2)
-    r1, phi1 = p.coords
-    r2, phi2 = q.coords
-    if r1 == 0.0 or r2 == 0.0:
-        return r1 + r2
-    gap = _cone_gap(sp, phi1, phi2)
-    ang = min(gap, math.pi)
+    (s0, r0, g0), (s1, r1, g1) = split(p), split(q)
+    turn = _turn(p.space, r0, g0, r1, g1)
     # law of cosines in development form: stable when the points nearly agree
-    return math.hypot(r1 - r2 * math.cos(ang), r2 * math.sin(ang))
-
-
-# ---------------------------------------------------------------------------
-# Geodesics
+    return math.hypot(*(a - b for a, b in zip(s0, s1)),
+                      *(r0 * e - r1 * u for e, u in zip(_AXIS, turn)))
 
 
 def _check_fraction(t: float):
     if not 0.0 <= t <= 1.0:
         raise DomainError("geodesic fraction must lie in [0, 1]")
-
-
-def _cone_signed_gap(space: SpaceSpec, phi_from: float, phi_to: float) -> float:
-    """Signed circle offset of the shorter route from phi_from to phi_to."""
-    alpha = space.circumference
-    # both angles lie in [0, alpha); reducing a tiny negative difference
-    # modulo alpha would round it to alpha and then to an offset of 0
-    delta = phi_to - phi_from
-    if delta > alpha / 2.0:
-        return delta - alpha
-    return delta + alpha if delta <= -alpha / 2.0 else delta
 
 
 def geodesic_point(p: Point, q: Point, t: float) -> Point:
@@ -286,54 +337,11 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
         return p
     if t == 1.0:
         return q
-    sp = p.space
-    if sp.kind == EUCLIDEAN:
-        return Point(sp, tuple(a + t * (b - a) for a, b in zip(p.coords, q.coords)))
-    if sp.kind == SPIDER:
-        l1, r1 = p.coords
-        l2, r2 = q.coords
-        if l1 == l2 or r1 == 0.0 or r2 == 0.0:
-            if r1 == 0.0:
-                return Point(sp, (l2, t * r2))
-            if r2 == 0.0:
-                return Point(sp, (l1, (1.0 - t) * r1))
-            return Point(sp, (l1, r1 + t * (r2 - r1)))
-        arc = t * (r1 + r2)
-        if arc <= r1:
-            return Point(sp, (l1, r1 - arc))
-        return Point(sp, (l2, arc - r1))
-    if sp.kind == OPEN_BOOK:
-        p1, s1, t1 = p.coords
-        p2, s2, t2 = q.coords
-        s = s1 + t * (s2 - s1)
-        if p1 == p2 or t1 == 0.0 or t2 == 0.0:
-            return Point(sp, (p1 if t1 > 0.0 else p2, s, t1 + t * (t2 - t1)))
-        # unfold page of q across the spine into h < 0
-        h = t1 + t * (-t2 - t1)
-        if h >= 0.0:
-            return Point(sp, (p1, s, h))
-        return Point(sp, (p2, s, -h))
-    r1, phi1 = p.coords
-    r2, phi2 = q.coords
-    if r1 == 0.0:
-        return Point(sp, (t * r2, phi2))
-    if r2 == 0.0:
-        return Point(sp, ((1.0 - t) * r1, phi1))
-    if _cone_gap(sp, phi1, phi2) >= math.pi:
-        arc = t * (r1 + r2)
-        if arc <= r1:
-            return Point(sp, (r1 - arc, phi1))
-        return Point(sp, (arc - r1, phi2))
-    # develop the wedge: p at angle 0, q at signed angle delta
-    delta = _cone_signed_gap(sp, phi1, phi2)
-    x1, y1 = r1, 0.0
-    x2, y2 = r2 * math.cos(delta), r2 * math.sin(delta)
-    x, y = x1 + t * (x2 - x1), y1 + t * (y2 - y1)
-    r = math.hypot(x, y)
-    if r == 0.0:
-        return apex(sp)
-    psi = math.atan2(y, x)
-    return Point(sp, (r, phi1 + psi))
+    (s0, r0, g0), (s1, r1, g1) = split(p), split(q)
+    turn = _turn(p.space, r0, g0, r1, g1)
+    s = tuple(a + t * (b - a) for a, b in zip(s0, s1))
+    chart = (r0 * e + t * (r1 * u - r0 * e) for e, u in zip(_AXIS, turn))
+    return join(p.space, s, *_undevelop(chart, g0, g1))
 
 
 # ---------------------------------------------------------------------------
@@ -465,56 +473,21 @@ def log_map(base: Point, x: Point) -> TangentVector:
     _same_space(base, x)
     if base.coords == x.coords:
         return zero_vector(base)
-    sp = base.space
-    if sp.kind == EUCLIDEAN:
-        diff = tuple(b - a for a, b in zip(base.coords, x.coords))
-        return _vector(base, diff, math.dist(x.coords, base.coords))
-    if sp.kind == SPIDER:
-        l0, r0 = base.coords
-        l1, r1 = x.coords
-        if r0 == 0.0:
-            return TangentVector(base, Direction(base, D_LEG, (l1,)), r1)
-        if l1 == l0 and r1 > 0.0:
-            sign = 1 if r1 > r0 else -1
-            return TangentVector(base, Direction(base, D_SIGN, (sign,)), abs(r1 - r0))
-        # through the apex (or to it)
-        return TangentVector(base, Direction(base, D_SIGN, (-1,)), r0 + r1)
-    if sp.kind == OPEN_BOOK:
-        pg0, s0, t0 = base.coords
-        pg1, s1, t1 = x.coords
-        if t0 == 0.0:
-            ln = math.hypot(s1 - s0, t1)
-            theta = math.atan2(t1, s1 - s0)
-            return TangentVector(base, Direction(base, D_PAGE_ANGLE, (pg1, theta)), ln)
-        if pg1 == pg0 or t1 == 0.0:
-            vec = (s1 - s0, t1 - t0)
-        else:
-            vec = (s1 - s0, -t1 - t0)  # unfold x's page across the spine
-        return _vector(base, vec, math.hypot(*vec))
-    r0, phi0 = base.coords
-    r1, phi1 = x.coords
-    if r0 == 0.0:
-        return TangentVector(base, Direction(base, D_ANGLE, (phi1,)), r1)
-    if r1 == 0.0:
-        return TangentVector(base, Direction(base, D_VECTOR, (-1.0, 0.0)), r0)
-    if _cone_gap(sp, phi0, phi1) >= math.pi:
-        return TangentVector(base, Direction(base, D_VECTOR, (-1.0, 0.0)), r0 + r1)
-    delta = _cone_signed_gap(sp, phi0, phi1)
-    vx = r1 * math.cos(delta) - r0
-    vy = r1 * math.sin(delta)
-    return _vector(base, (vx, vy), math.hypot(vx, vy))
-
-
-def _vector(base: Point, vec: tuple, ln: float) -> TangentVector:
-    """Length ln along chart vector vec; zero if ln is (an offset that underflows)."""
-    if ln == 0.0:
+    (s0, r0, g0), (s1, r1, g1) = split(base), split(x)
+    ds = tuple(b - a for a, b in zip(s0, s1))
+    if g0 is not None and r0 == 0.0:
+        # at a cone point: x's point (g, theta) of the join S^(a-1) * Gamma
+        ln = math.hypot(*ds, r1)
+        data = (g1, *(math.atan2(r1, d) for d in ds))
+    else:
+        turn = _turn(base.space, r0, g0, r1, g1)
+        vec = (*ds, *(r1 * u - r0 * e for e, u in zip(_AXIS, turn)))
+        ln = math.hypot(*vec)
+        # a unit vector of one entry is a sign
+        data = vec if len(vec) > 1 else (math.copysign(1.0, vec[0]),)
+    if ln == 0.0:  # an offset that underflows
         return zero_vector(base)
-    return TangentVector(base, Direction(base, D_VECTOR, vec), ln)
-
-
-def _other_index(i: int) -> int:
-    """Deterministic continuation target: lowest index different from i."""
-    return 1 if i == 0 else 0
+    return TangentVector(base, Direction(base, direction_kind(base), data), ln)
 
 
 def exp_map(base: Point, v: TangentVector) -> Point:
@@ -528,44 +501,17 @@ def exp_map(base: Point, v: TangentVector) -> Point:
         raise SpaceMismatchError("tangent vector is based at a different point")
     if v.is_zero:
         return base
-    sp = base.space
-    d = v.direction
-    ln = v.length
-    if sp.kind == EUCLIDEAN:
-        return Point(sp, tuple(x + ln * u for x, u in zip(base.coords, d.data)))
-    if sp.kind == SPIDER:
-        l0, r0 = base.coords
-        if d.kind == D_LEG:
-            return Point(sp, (d.data[0], ln))
-        if d.data[0] == 1:
-            return Point(sp, (l0, r0 + ln))
-        if ln <= r0:
-            return Point(sp, (l0, r0 - ln))
-        return Point(sp, (_other_index(l0), ln - r0))
-    if sp.kind == OPEN_BOOK:
-        pg0, s0, t0 = base.coords
-        if d.kind == D_PAGE_ANGLE:
-            page, theta = d.data
-            return Point(sp, (page, s0 + ln * math.cos(theta), ln * math.sin(theta)))
-        us, ut = d.data
-        s1 = s0 + ln * us
-        t1 = t0 + ln * ut
-        if t1 >= 0.0:
-            return Point(sp, (pg0, s1, t1))
-        return Point(sp, (_other_index(pg0), s1, -t1))
-    r0, phi0 = base.coords
-    if d.kind == D_ANGLE:
-        return Point(sp, (ln, d.data[0]))
-    a, b = d.data
-    if b == 0.0 and a == -1.0:
-        if ln <= r0:
-            return Point(sp, (r0 - ln, phi0))
-        return Point(sp, (ln - r0, phi0 + math.pi))
-    x = r0 + ln * a
-    y = ln * b
-    r = math.hypot(x, y)
-    psi = math.atan2(y, x)
-    return Point(sp, (r, phi0 + psi))
+    s0, r0, g0 = split(base)
+    ln, data = v.length, v.direction.data
+    if g0 is not None and r0 == 0.0:
+        # at a cone point: data is a point (g, theta) of the join, theta
+        # the angle from the +s axis, given only when a = 1
+        g, *theta = data
+        s = tuple(x + ln * math.cos(th) for x, th in zip(s0, theta))
+        return join(base.space, s, ln * math.sin(theta[0]) if theta else ln, g)
+    s = tuple(x + ln * u for x, u in zip(s0, data))
+    chart = (r0 * e + ln * u for e, u in zip(_AXIS, data[len(s0):]))
+    return join(base.space, s, *_undevelop(chart, g0, _beyond(base.space, g0)))
 
 
 # ---------------------------------------------------------------------------

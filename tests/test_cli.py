@@ -674,49 +674,62 @@ class TestMalformedNumbers:
     """A malformed or missing value is a ConfigError where it is parsed:
     exit 3 with a message, never a traceback."""
 
-    @pytest.mark.parametrize("command, keys, value, flags", [
-        ("clt", ("replicates",), "abc", ()),
-        ("clt", ("sample_sizes",), "abc", ()),
-        ("clt", ("net",), {"epsilon": "x"}, ()),
-        ("clt", ("net",), {"legs": 3}, ()),
-        ("clt", ("thresholds",), {"ks": "x"}, ()),
-        ("clt", ("martingale",), {"n": "x"}, ()),
-        ("clt", ("measure", "atoms", 0, "weight"), "x", ()),
-        ("field", ("net",), 5, ()),
-        ("field", ("net",), {"epsilon": "x"}, ()),
-        ("clt", ("modulus",), {"n": -5}, ()),
-        ("clt", ("modulus",), {"replicates": 0}, ()),
-        ("clt", ("martingale",), {"n": -5}, ()),
-        ("clt", ("martingale",), {"k": 0}, ()),
-        ("field", (), None, ("--empirical-n", "-3")),
-        ("field", (), None, ("--draws", "-3")),
-        ("clt", (), None, ("--seed", "-1")),
-        ("field", (), None, ("--seed", "-1")),
-        ("clt", ("tests",), [["ks"]], ()),
-        ("clt", ("tests",), [], ()),
-        ("clt", ("tests",), ["ks", "cov", "ks"], ()),
-        ("clt", ("modulus",), {"radii_log2": []}, ()),
-        ("field", ("measure",), _DELETE, ()),
-        ("clt", ("sample_sizes",), [10 ** 20], ()),
-        ("clt", ("thresholds",), {"ks": -1.0}, ()),
-        ("clt", ("thresholds",), {"modulus_min_drop": 0.0}, ()),
-        ("clt", ("thresholds",), {"zero_variance": -1e-3}, ()),
-        ("cover", ("space", "legs"), "3", ()),
-        ("cover", ("space", "legs"), 3.7, ()),
-        ("cover", ("n_max",), "5", ()),
-        ("cover", ("n_max",), 5.5, ()),
-        ("clt", ("modulus",), {"radii_log2": [-2000]}, ()),
-        ("clt", ("bogus_key",), 1, ()),
-        ("field", ("bogus_key",), 1, ()),
-        ("clt", ("measure", "bogus_key"), 1, ()),
-        ("clt", ("measure", "atoms", 0, "bogus_key"), 1, ()),
-        ("clt", ("measure", "space", "bogus_key"), 1, ()),
-        ("clt", ("net",), {"epsilon": 0.4, "legs": [0]}, ()),
-        ("clt", ("net",), {"legs": [0, 1, 2], "bogus_key": 1}, ()),
-        ("field", ("net",), {"epsilon": 0.4, "legs": [0]}, ()),
-        ("cover", ("bogus",), 1, ()),
-        ("clt", ("measure", "atoms", 0, "weight"), 10 ** 400, ()),
-        ("clt", ("measure", "atoms", 0), [[0, 1.0], 0.5], ()),
+    @pytest.mark.parametrize("command, keys, value, flags, message", [
+        ("clt", ("replicates",), "abc", (), "replicates must be a 64-bit integer, got 'abc'"),
+        ("clt", ("sample_sizes",), "abc", (), "sample_sizes must be a list, got 'abc'"),
+        ("clt", ("net",), {"epsilon": "x"}, (), "net epsilon must be a number, got 'x'"),
+        ("clt", ("net",), {"legs": 3}, (), "net legs must be a list, got 3"),
+        ("clt", ("thresholds",), {"ks": "x"}, (), "Thresholds.ks must be a number, got 'x'"),
+        ("clt", ("martingale",), {"n": "x"}, (),
+         "MartingaleSpec.n must be a 64-bit integer, got 'x'"),
+        ("clt", ("measure", "atoms", 0, "weight"), "x", (),
+         "atom weight must be a number, got 'x'"),
+        ("field", ("net",), 5, (), "net spec must be an object"),
+        ("field", ("net",), {"epsilon": "x"}, (), "net epsilon must be a number, got 'x'"),
+        ("clt", ("modulus",), {"n": -5}, (), "ModulusSpec.n must be >= 1, got -5"),
+        ("clt", ("modulus",), {"replicates": 0}, (),
+         "ModulusSpec.replicates must be >= 100, got 0"),
+        ("clt", ("martingale",), {"n": -5}, (), "MartingaleSpec.n must be >= 1, got -5"),
+        ("clt", ("martingale",), {"k": 0}, (), "MartingaleSpec.k must be >= 1, got 0"),
+        ("field", (), None, ("--empirical-n", "-3"), "--draws and --empirical-n must be >= 1"),
+        ("field", (), None, ("--draws", "-3"), "--draws and --empirical-n must be >= 1"),
+        ("clt", (), None, ("--seed", "-1"), "the seed must be >= 0, got -1"),
+        ("field", (), None, ("--seed", "-1"), "--seed must be >= 0, got -1"),
+        ("clt", ("tests",), [["ks"]], (), "unknown tests: [['ks']]"),
+        ("clt", ("tests",), [], (), "name each test once, got []"),
+        ("clt", ("tests",), ["ks", "cov", "ks"], (),
+         "name each test once, got ['ks', 'cov', 'ks']"),
+        ("clt", ("modulus",), {"radii_log2": []}, (), "ModulusSpec.radii_log2 must be nonempty"),
+        ("field", ("measure",), _DELETE, (), "field config needs a 'measure' entry"),
+        ("clt", ("sample_sizes",), [10 ** 20], (),
+         "sample size must be a 64-bit integer, got 100000000000000000000"),
+        ("clt", ("thresholds",), {"ks": -1.0}, (), "Thresholds.ks must be > 0, got -1.0"),
+        ("clt", ("thresholds",), {"modulus_min_drop": 0.0}, (),
+         "Thresholds.modulus_min_drop must be > 0, got 0.0"),
+        ("clt", ("thresholds",), {"zero_variance": -1e-3}, (),
+         "Thresholds.zero_variance must be >= 0.0, got -0.001"),
+        ("cover", ("space", "legs"), "3", (),
+         "'legs' of a spider space must be a 64-bit integer, got '3'"),
+        ("cover", ("space", "legs"), 3.7, (),
+         "'legs' of a spider space must be a 64-bit integer, got 3.7"),
+        ("cover", ("n_max",), "5", (), "n_max must be a 64-bit integer, got '5'"),
+        ("cover", ("n_max",), 5.5, (), "n_max must be a 64-bit integer, got 5.5"),
+        ("clt", ("modulus",), {"radii_log2": [-2000]}, (),
+         "ModulusSpec.radii_log2 must be >= -1, got (-2000,)"),
+        ("clt", ("bogus_key",), 1, (), "unknown experiment config key(s) ['bogus_key']"),
+        ("field", ("bogus_key",), 1, (), "unknown field config key(s) ['bogus_key']"),
+        ("clt", ("measure", "bogus_key"), 1, (), "unknown measure key(s) ['bogus_key']"),
+        ("clt", ("measure", "atoms", 0, "bogus_key"), 1, (), "unknown atom key(s) ['bogus_key']"),
+        ("clt", ("measure", "space", "bogus_key"), 1, (),
+         "unknown spider space spec key(s) ['bogus_key']"),
+        ("clt", ("net",), {"epsilon": 0.4, "legs": [0]}, (), "unknown net spec key(s) ['legs']"),
+        ("clt", ("net",), {"legs": [0, 1, 2], "bogus_key": 1}, (),
+         "unknown net spec key(s) ['bogus_key']"),
+        ("field", ("net",), {"epsilon": 0.4, "legs": [0]}, (), "unknown net spec key(s) ['legs']"),
+        ("cover", ("bogus",), 1, (), "unknown cover config key(s) ['bogus']"),
+        ("clt", ("measure", "atoms", 0, "weight"), 10 ** 400, (),
+         "atom weight must be within the float range"),
+        ("clt", ("measure", "atoms", 0), [[0, 1.0], 0.5], (), "atom must be a JSON object"),
     ], ids=["replicates", "sample_sizes", "net_epsilon", "net_legs", "thresholds",
             "martingale", "weight", "field_net", "field_net_epsilon", "modulus_n",
             "modulus_replicates", "martingale_n", "martingale_k", "field_empirical_n",
@@ -730,11 +743,14 @@ class TestMalformedNumbers:
             "space_unknown_key", "net_mixed_keys", "net_unknown_key", "field_net_mixed_keys",
             "cover_unknown_key", "weight_beyond_floats", "atom_as_list"])
     def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value,
-                                      flags):
+                                      flags, message):
+        # each row names the refusal it expects, so no other check can
+        # refuse the input in its place
         code = run_with(tmp_path, command, keys, value, flags)
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ")
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, keys, value, message", [
