@@ -778,7 +778,8 @@ class TestStratumBoundaries:
         assert distance(p, at_pi) == r
         assert abs(distance(p, near) - r) <= 1e-15 * r
 
-    @pytest.mark.parametrize("space", CONED, ids=lambda sp: f"{sp.kind}")
+    @pytest.mark.parametrize("space", CONED, ids=lambda sp: "{}-{:.4g}".format(
+        *sp.to_json().values()))
     def test_distance_continuous_into_the_cone_point(self, space):
         # a point that slides down its leg, page or ray to radius 0 moves
         # every distance by at most its radius, whatever index it leaves
