@@ -188,72 +188,57 @@ def _positive_part(value: float, masses, lengths, alpha: float = 0.0) -> float:
     return value if value > (len(masses) + 2 + 2 * alpha) * eps else 0.0
 
 
-def _cone_max(space: SpaceSpec, singular: bool, chart,
-              masses) -> tuple[float, tuple, float | None]:
-    """Exact sup over unit V of sum_i masses_i <v_i, V>, the chart of
-    max(sup, 0) V* for a maximizer V* (``_positive_part`` of the length
-    that leaves the cone point), and the sup over the directions that
-    leave the stratum (None at smooth points, where none does).
+def _cone_max(space: SpaceSpec, chart, masses) -> tuple[float, tuple, float | None]:
+    """Exact sup over unit V of sum_i masses_i <v_i, V>, the split (S, rho,
+    gamma) of max(sup, 0) V* for a maximizer V*, and the sup over the
+    directions that leave the stratum (None at smooth points, where none
+    does).
 
-    ``chart`` holds one sequence per chart coordinate of the tangent
-    vectors v_i: (leg, r) at a spider apex, (page, s, t) at a spine point
-    and (r, phi) at a flat-cone apex; at smooth points one per coordinate
-    of the vectors themselves.  The masses may be signed.
+    ``chart`` holds the split (s_i, r_i, g_i) of each tangent vector v_i
+    in R^a x Cone(Gamma), (v_i, 0.0, None) at a smooth point; the masses
+    may be signed.  With S = sum_i masses_i s_i and g* the max over gamma
+    in Gamma of sum_i masses_i r_i cos(min(d(g_i, gamma), pi)), the sup
+    is hypot(|S|, max(g*, 0)) for a >= 1 and g* for a = 0: the weighted
+    average, the leg rule on spiders, the fold rule (Hotz et al. 2013) on
+    open books and the circle maximum on flat cones.  rho is the
+    ``_positive_part`` of g*, the length that leaves the cone point.
     """
-    if not singular:
-        # the tangent cone is a vector space and the pairing a dot product
-        peak = tuple(_dot(masses, x) for x in chart)
-        return math.hypot(*peak), peak, None
-    if space.kind == geo.SPIDER:
-        # leg rule: leg l pairs to r_i on leg l and to -r_i off it
-        legs, r = chart
-        m = [_dot(masses, [x if i == leg else -x for i, x in zip(legs, r)])
-             for leg in range(space.legs)]
-        leg = _argmax(m)
-        return m[leg], (leg, _positive_part(m[leg], masses, r)), m[leg]
-    if space.kind == geo.OPEN_BOOK:
-        # fold rule (Hotz et al. 2013): (page q, theta) pairs to
-        # s_i cos(theta) + t_i sin(theta) on page q and s_i cos(theta) -
-        # t_i sin(theta) off it, so the sup is |(S, tau_q)| or |S|
-        pages, s, t = chart
-        s_sum = _dot(masses, s)
-        tau = [_dot(masses, [x if i == q else -x for i, x in zip(pages, t)])
-               for q in range(space.pages)]
-        q = _argmax(tau)
-        sup = math.hypot(s_sum, tau[q]) if tau[q] > 0.0 else abs(s_sum)
-        return sup, (q, s_sum, _positive_part(tau[q], masses, t)), tau[q]
-    r, phi = chart
-    sup, theta = _circle_max(space.circumference, phi, [m * x for m, x in zip(masses, r)])
-    return sup, (_positive_part(sup, masses, r, space.circumference), theta), sup
+    s, r, g = zip(*chart)
+    peak = tuple(_dot(masses, x) for x in zip(*s))
+    if g[0] is None:  # the tangent cone is a vector space
+        return math.hypot(*peak), (peak, 0.0, None), None
+    alpha = space.circumference
+    if alpha:
+        top, gamma = _circle_max(alpha, g, [m * x for m, x in zip(masses, r)])
+    else:
+        # a finite Gamma: gamma pairs to r_i at g_i = gamma and to -r_i elsewhere
+        tops = [_dot(masses, [x if i == gamma else -x for i, x in zip(g, r)])
+                for gamma in range(space.legs or space.pages)]
+        gamma = _argmax(tops)
+        top = tops[gamma]
+    sup = math.hypot(*peak, max(top, 0.0)) if peak else top
+    return sup, (peak, _positive_part(top, masses, r, alpha), gamma), top
 
 
-def _unit_chart(space: SpaceSpec, singular: bool, data):
-    """The ``_cone_max`` chart of unit directions, from their rows of
-    ``Direction.data``: (leg) -> (leg, 1), (page, theta) -> (page,
-    cos theta, sin theta), (phi) -> (1, phi), and vectors unchanged."""
-    if not singular:
-        return list(zip(*data))
-    if space.kind == geo.SPIDER:
-        return [d[0] for d in data], [1.0] * len(data)
-    if space.kind == geo.OPEN_BOOK:
-        return ([d[0] for d in data], [math.cos(d[1]) for d in data],
-                [math.sin(d[1]) for d in data])
-    return [1.0] * len(data), [d[0] for d in data]
+def _unit_chart(base: Point, data) -> list:
+    """The ``_cone_max`` chart of unit directions at base, from their rows
+    of ``Direction.data``: at a cone point the join point (g, *theta)
+    becomes ((cos theta), sin theta or 1.0, g), elsewhere a unit vector
+    or sign d becomes (d, 0.0, None)."""
+    _, r, g = geo.split(base)
+    if g is None or r != 0.0:
+        return [(d, 0.0, None) for d in data]
+    return [((*map(math.cos, theta),), math.sin(theta[0]) if theta else 1.0, g)
+            for g, *theta in data]
 
 
 def _closed_form_mean(measure: DiscreteMeasure) -> Point:
-    """exp_o(max(0, m*) V* / W), with the atom coordinates as charts of log_o x."""
-    sp = measure.space
+    """exp_o(max(0, m*) V* / W), with the split of each atom as the chart
+    of log_o x."""
     w = [w for _, w in measure.atoms]
     total = _dot(w, [1.0] * len(w))  # W, the weights added in atom order
-    chart = list(zip(*(p.coords for p in measure.points)))
-    _, peak, _ = _cone_max(sp, sp.kind != geo.EUCLIDEAN, chart, w)
-    if sp.kind == geo.EUCLIDEAN:
-        return Point(sp, tuple(x / total for x in peak))
-    if sp.kind == geo.FLAT_CONE:  # (r, phi): the length scales, the angle stays
-        return Point(sp, (peak[0] / total, peak[1]))
-    # (leg, r) and (page, s, t): the index stays, the lengths scale
-    return Point(sp, (peak[0], *(x / total for x in peak[1:])))
+    _, (s, r, g), _ = _cone_max(measure.space, [geo.split(p) for p in measure.points], w)
+    return geo.join(measure.space, tuple(x / total for x in s), r / total, g)
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +291,12 @@ def _certify(measure: DiscreteMeasure,
     """The certificate at mean, and the sup of the tangent mean over the
     directions leaving its stratum: ``_cone_max`` on the unit charts of
     log x at mean, with masses w |log x|."""
-    singular = geo.direction_kind(mean) in (geo.D_LEG, geo.D_PAGE_ANGLE, geo.D_ANGLE)
+    _, r, g = geo.split(mean)
     logs = [(v, w) for v, w in pushforward(measure, mean).atoms if not v.is_zero]
-    sup, outward = 0.0, (0.0 if singular else None)
+    sup, outward = 0.0, (0.0 if g is not None and r == 0.0 else None)
     if logs:
-        data = [v.direction.data for v, _ in logs]
-        masses = [w * v.length for v, w in logs]
-        sup, _, outward = _cone_max(mean.space, singular,
-                                    _unit_chart(mean.space, singular, data), masses)
+        chart = _unit_chart(mean, [v.direction.data for v, _ in logs])
+        sup, _, outward = _cone_max(mean.space, chart, [w * v.length for v, w in logs])
     if not sup <= _TOL:
         raise NumericalConsistencyError(
             f"first-order certificate failed at {mean.to_coords()}: "

@@ -374,6 +374,13 @@ class TestConeMaxSignedMasses:
         "page_point": (SpaceSpec.open_book(3), (1, 0.2, 0.7),
                        [(0, 1.0, 0.5), (1, -0.4, 1.2), (2, 0.3, 0.8),
                         (1, 0.2, 0.7), (0, 0.5, 0.0)]),
+        "plane_point": (SpaceSpec.euclidean(2), (0.3, -0.2),
+                        [(1.0, 0.5), (-0.4, 1.2), (0.3, -0.8), (0.3, -0.2), (2.0, 0.0)]),
+        "leg_point": (SpaceSpec.spider(3), (1, 0.6),
+                      [(0, 1.0), (1, 0.2), (1, 2.0), (2, 0.7), (1, 0.6)]),
+        "cone_point": (SpaceSpec.flat_cone(3 * math.pi), (0.7, 1.0),
+                       [(1.0, 0.0), (0.5, 2.0), (1.5, 4.5), (0.8, 7.0),
+                        (0.0, 0.0), (0.7, 1.0)]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -384,15 +391,13 @@ class TestConeMaxSignedMasses:
         lengths = np.array([v.length for v in logs])
         net = build_net(base, 2.0 ** -10)
         table = geo.pairings(base, logs, net.coords())
-        singular = geo.stratum_of(base)[0] in ("apex", "spine")
         nz = lengths > 0.0
-        chart = mz._unit_chart(space, singular, np.array(
-            [v.direction.data for v in logs if not v.is_zero], dtype=float))
+        chart = mz._unit_chart(base, [v.direction.data for v in logs if not v.is_zero])
         rng = np.random.default_rng(11)
         for _ in range(50):
             xi = rng.standard_normal(len(atoms))
             net_max = float(np.max(xi @ table))
-            sup, _, _ = mz._cone_max(space, singular, chart, xi[nz] * lengths[nz])
+            sup, _, _ = mz._cone_max(space, chart, (xi[nz] * lengths[nz]).tolist())
             slack = uniform_grid(base, 2.0 ** -10)[1] * float(np.abs(xi) @ lengths)
             assert net_max - 1e-12 <= sup <= net_max + slack + 1e-12
 
