@@ -148,17 +148,20 @@ def _circle_max(alpha: float, angles, masses) -> tuple[float, float]:
 
     Between the breakpoints angles_i +- pi each term is either a cosine
     of theta minus a fixed lift of angles_i or the constant -masses_i, so
-    the sum is A cos + B sin + C on each arc and peaks at an arc end or
-    at atan2(B, A).  Masses below 1/2 are first scaled up by the power of
-    two that puts the largest into [1/2, 1), which is exact, so the
-    products of subnormal masses with the cosines do not underflow and tie.
+    the sum is A cos + B sin + C on each arc: highest at atan2(B, A) if
+    that lies in the arc (at lo if A = B = 0), else at the end nearer it.
+    The sum is C^1, so a breakpoint is a candidate only where the arcs on
+    both sides are highest at it, and an end within rounding of a peak
+    cannot win in its place.  Masses below 1/2 are first scaled up by the
+    power of two that puts the largest into [1/2, 1), which is exact, so
+    the products of subnormal masses with the cosines do not underflow.
     """
     angles = [float(a) % alpha for a in angles]
     exp = min(math.frexp(max(abs(float(m)) for m in masses))[1], 0)
     masses = [math.ldexp(m, -exp) for m in masses]
     breaks = _breakpoints(alpha, angles)
     ends = [*breaks, breaks[0] + alpha]
-    cand = list(breaks)
+    cand, sides = [], []
     for lo, hi in zip(ends, ends[1:]):
         mid = 0.5 * (lo + hi)
         cos_row, sin_row = [], []
@@ -169,9 +172,13 @@ def _circle_max(alpha: float, angles, masses) -> tuple[float, float]:
             near = abs(delta) < math.pi
             cos_row.append(math.cos(mid - delta) if near else 0.0)
             sin_row.append(math.sin(mid - delta) if near else 0.0)
-        peak = lo + (math.atan2(_dot(sin_row, masses), _dot(cos_row, masses)) - lo) % _TWO_PI
-        if peak < hi:
+        a, b = _dot(cos_row, masses), _dot(sin_row, masses)
+        peak = lo if a == b == 0.0 else lo + (math.atan2(b, a) - lo) % _TWO_PI
+        if peak <= hi:
             cand.append(peak)
+        # the arc is highest inside (0), at hi (1) or at lo (-1)
+        sides.append(0 if peak <= hi else 1 if peak - hi <= lo + _TWO_PI - peak else -1)
+    cand += [b for i, b in enumerate(breaks) if sides[i - 1] == 1 and sides[i] == -1]
     values = []
     for c in cand:
         gaps = [abs(c - angle) % alpha for angle in angles]

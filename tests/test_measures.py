@@ -423,3 +423,66 @@ class TestBreakpoints:
                                              (angles - math.pi) % alpha]))
         got = mz._breakpoints(alpha, angles.tolist())
         assert [float(x).hex() for x in got] == [x.hex() for x in expected.tolist()]
+
+
+# flat-cone measures whose circle maximum lies within about 1e-9 rad of a
+# breakpoint that is not a maximum: an arc end beside the peak's own arc,
+# and the end of a sliver arc one ulp wide next to it
+NEAR_BREAKPOINT = {
+    "dominated_end": (3 * math.pi, [
+        ((1.532096870857364e-08, 8.645201278384082), 0.14736312083453607),
+        ((1.2489050626691043, math.pi), 0.23481346824223212),
+        ((1.4963140893773463, 0.0), 0.42153903731848325),
+        ((1.0201615276399565, 0.0), 0.1962843736047486)]),
+    "sliver_arc_end": (2 * math.pi, [
+        ((1.475520788248078e-05, 5.258751596378818), 0.15827740736200308),
+        ((32.718747749905816, 2.1171589427890245), 0.35258713865813873),
+        ((32.718747749905816, 2.1171589427890245), 0.12782102615012167),
+        ((1.475520788248078e-05, 5.258751596378818), 0.04529727851734375),
+        ((1.475520788248078e-05, 5.258751596378818), 0.06543225698961345),
+        ((2.1695324959653933e-08, 2.665401811860228), 0.25058489232277936)]),
+}
+
+
+@st.composite
+def flat_cone_measures(draw):
+    """A flat-cone measure with radii 0 and log-uniform in [1e-8, 1e2],
+    and angles drawn anywhere or at a circle gap of exactly pi from an
+    earlier atom."""
+    alpha = draw(st.sampled_from([2 * math.pi, 7.5, 3 * math.pi]))
+    sp = SpaceSpec.flat_cone(alpha)
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        r = draw(st.one_of(st.just(0.0), st.floats(-8.0, 2.0).map(lambda e: 10.0 ** e)))
+        if points and draw(st.booleans()):
+            phi = (draw(st.sampled_from(points))[1] + math.pi) % alpha
+        else:
+            phi = draw(st.floats(0.0, alpha, exclude_max=True))
+        points.append((r, phi))
+    w = [draw(st.floats(0.01, 1.0)) for _ in points]
+    return DiscreteMeasure(sp, tuple((Point(sp, x), v / math.fsum(w)) for x, v in zip(points, w)))
+
+
+class TestCircleMax:
+    @pytest.mark.parametrize("case", sorted(NEAR_BREAKPOINT))
+    def test_mean_at_the_peak_not_a_breakpoint(self, case):
+        # at the parent a breakpoint whose value ties the peak's after
+        # rounding won, and the certificate refused the mean (exit 4)
+        alpha, atoms = NEAR_BREAKPOINT[case]
+        sp = SpaceSpec.flat_cone(alpha)
+        diag = frechet_mean(DiscreteMeasure(sp, tuple((Point(sp, x), w) for x, w in atoms)))
+        assert diag.certificate.sup_tangent_mean <= 1e-12
+
+    def test_peak_at_the_one_breakpoint(self):
+        # alpha = 2 pi and one angle leave one breakpoint, and the one arc
+        # peaks at it: M cos(theta) peaks at 0, whatever its rounding
+        masses = [-3.458365902450457e-4, -0.7198440764607532]
+        value, theta = mz._circle_max(2 * math.pi, [math.pi, math.pi], masses)
+        assert value == pytest.approx(-sum(masses), rel=1e-15)
+        assert min(theta, 2 * math.pi - theta) <= 1e-15
+
+    @given(flat_cone_measures())
+    def test_certificate_at_rounding_level(self, mu):
+        diag = frechet_mean(mu)
+        scale = math.fsum(w * p.coords[0] for p, w in mu.atoms)
+        assert diag.certificate.sup_tangent_mean <= 1e-14 * max(scale, 1.0)
