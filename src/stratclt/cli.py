@@ -181,10 +181,6 @@ def cmd_cover(args) -> int:
 def cmd_field(args) -> int:
     from . import fields as fl, geometry as geo, harness as hz, measures as mz
     from .rng import substream
-    if args.draws < 1 or args.empirical_n is not None and args.empirical_n < 1:
-        raise ConfigError("--draws and --empirical-n must be >= 1")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     raw = _load_json(args.config)
     for key in ("measure", "net"):
         if not isinstance(raw, dict) or key not in raw:
@@ -228,6 +224,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(least: int):
+    """An argparse type: an int >= least.  argparse names the flag, and the
+    function's name in its "invalid integer value" message."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stratclt",
@@ -241,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_clt = sub.add_parser("clt", help="run a CLT verification experiment")
     p_clt.add_argument("--config", required=True, help="experiment JSON file")
-    p_clt.add_argument("--seed", required=True, type=int)
+    p_clt.add_argument("--seed", required=True, type=_at_least(0))
     p_clt.add_argument("--out", required=True, help="output directory")
     p_clt.add_argument("--format", choices=("json", "csv", "both"),
                        default="both")
@@ -257,10 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_field = sub.add_parser("field", help="Gaussian tangent field draws")
     p_field.add_argument("--config", required=True)
-    p_field.add_argument("--seed", required=True, type=int)
+    p_field.add_argument("--seed", required=True, type=_at_least(0))
     p_field.add_argument("--out", required=True)
-    p_field.add_argument("--draws", type=int, default=1000)
-    p_field.add_argument("--empirical-n", type=int, default=None,
+    p_field.add_argument("--draws", type=_at_least(1), default=1000)
+    p_field.add_argument("--empirical-n", type=_at_least(1), default=None,
                          help="also draw empirical fields at this sample size")
     p_field.set_defaults(func=cmd_field)
     return parser

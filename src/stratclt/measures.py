@@ -1,20 +1,19 @@
 """Discrete probability measures and their exact Fréchet means.
 
 Measures are finitely supported, which makes every moment identity an
-exact finite sum.  Each model space is a Euclidean cone over a cone
-point o (the origin, the apex, or a spine point), so every point is
-exp_o(tV) and
+exact finite sum.  Every point is exp_o(tV) from a cone point o (the
+origin, the apex or a spine point), and
 
     F(exp_o(tV)) = W t^2 / 2 - t m(V) + E d(o, X)^2 / 2,
 
-where W is the total weight and m(V) = E<log_o X, V> the tangent mean.
-The mean is therefore exp_o(max(0, m*) V* / W) for the exact maximum
-(m*, V*) of m over the directions at o.  One kernel, ``_cone_max``,
-finds it for any signed masses: the weighted average, the leg rule on
-spiders, the fold rule on open books and an arc-wise circle maximum on
-flat cones.  On the atom coordinates it gives the mean; on the unit
-charts of log X at the mean, the first-order certificate sup_V
-E<log X, V> <= tol and the stickiness.
+where W is the total weight and m(V) = E<log_o X, V> the tangent mean,
+so the mean is exp_o(max(0, m*) V* / W) for the exact maximum (m*, V*)
+of m.  On R^a x Cone(Gamma) that maximum is one rule, ``_cone_max``, on
+the split (s_i, r_i, g_i) of each vector: with S = sum_i m_i s_i and g*
+the max over gamma in Gamma of sum_i m_i r_i cos(min(d(g_i, gamma), pi)),
+it is hypot(|S|, max(g*, 0)) for a >= 1 and g* for a = 0.  On the atoms'
+splits it gives the mean; on the unit logs at the mean, the first-order
+certificate sup_V E<log X, V> <= tol and the stickiness.
 """
 
 from __future__ import annotations
@@ -196,19 +195,15 @@ def _positive_part(value: float, masses, lengths, alpha: float = 0.0) -> float:
 
 
 def _cone_max(space: SpaceSpec, chart, masses) -> tuple[float, tuple, float | None]:
-    """Exact sup over unit V of sum_i masses_i <v_i, V>, the split (S, rho,
-    gamma) of max(sup, 0) V* for a maximizer V*, and the sup over the
-    directions that leave the stratum (None at smooth points, where none
-    does).
+    """Exact sup over unit V of sum_i masses_i <v_i, V> by the module's
+    one rule, the split (S, rho, gamma) of max(sup, 0) V* for a maximizer
+    V*, with rho the ``_positive_part`` of g*, and g*, the sup over the
+    directions that leave the stratum (None at smooth points).
 
-    ``chart`` holds the split (s_i, r_i, g_i) of each tangent vector v_i
-    in R^a x Cone(Gamma), (v_i, 0.0, None) at a smooth point; the masses
-    may be signed.  With S = sum_i masses_i s_i and g* the max over gamma
-    in Gamma of sum_i masses_i r_i cos(min(d(g_i, gamma), pi)), the sup
-    is hypot(|S|, max(g*, 0)) for a >= 1 and g* for a = 0: the weighted
-    average, the leg rule on spiders, the fold rule (Hotz et al. 2013) on
-    open books and the circle maximum on flat cones.  rho is the
-    ``_positive_part`` of g*, the length that leaves the cone point.
+    ``chart`` holds the split (s_i, r_i, g_i) of each v_i, (v_i, 0.0,
+    None) at a smooth point, and the masses may be signed.  g* is a max
+    over legs or pages (the leg rule, and with S the fold rule of Hotz et
+    al. 2013) or the circle maximum on a flat cone.
     """
     s, r, g = zip(*chart)
     peak = tuple(_dot(masses, x) for x in zip(*s))
@@ -240,8 +235,7 @@ def _unit_chart(base: Point, data) -> list:
 
 
 def _closed_form_mean(measure: DiscreteMeasure) -> Point:
-    """exp_o(max(0, m*) V* / W), with the split of each atom as the chart
-    of log_o x."""
+    """exp_o(max(0, m*) V* / W), with the atoms' splits as the chart of log_o x."""
     w = [w for _, w in measure.atoms]
     total = _dot(w, [1.0] * len(w))  # W, the weights added in atom order
     _, (s, r, g), _ = _cone_max(measure.space, [geo.split(p) for p in measure.points], w)
@@ -293,8 +287,7 @@ class MeanDiagnostics:
         }
 
 
-def _certify(measure: DiscreteMeasure,
-             mean: Point) -> tuple[FirstOrderCertificate, float | None]:
+def _certify(measure: DiscreteMeasure, mean: Point) -> tuple[FirstOrderCertificate, float | None]:
     """The certificate at mean, and the sup of the tangent mean over the
     directions leaving its stratum: ``_cone_max`` on the unit charts of
     log x at mean, with masses w |log x|."""
@@ -305,10 +298,8 @@ def _certify(measure: DiscreteMeasure,
         chart = _unit_chart(mean, [v.direction.data for v, _ in logs])
         sup, _, outward = _cone_max(mean.space, chart, [w * v.length for v, w in logs])
     if not sup <= _TOL:
-        raise NumericalConsistencyError(
-            f"first-order certificate failed at {mean.to_coords()}: "
-            f"sup_V E<log X, V> = {sup:.3e} > {_TOL:g}"
-        )
+        raise NumericalConsistencyError(f"first-order certificate failed at {mean.to_coords()}: "
+                                        f"sup_V E<log X, V> = {sup:.3e} > {_TOL:g}")
     return FirstOrderCertificate(sup), outward
 
 

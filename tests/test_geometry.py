@@ -526,6 +526,27 @@ class TestDirectionKind:
 # randomized metric properties (acceptance reruns these at 10^4-10^5 scale)
 
 
+@st.composite
+def triangle(draw):
+    """Three points of one of the four spaces, with radii, heights and
+    coordinates at 0, 5e-324, 1e-300 or in [0, 3], and flat-cone angles
+    drawn from 0, pi (a circle gap of exactly pi) and anywhere."""
+    space = draw(st.sampled_from((E2, SP3, OB3, FC)))
+    points = []
+    for _ in range(3):
+        rho = draw(st.one_of(st.sampled_from((0.0, 5e-324, 1e-300)), st.floats(0.0, 3.0)))
+        if space.kind == "euclidean":
+            points.append(Point(space, (draw(st.floats(-3.0, 3.0)), rho)))
+        elif space.kind == "flat_cone":
+            angle = draw(st.one_of(st.sampled_from((0.0, math.pi)),
+                                   st.floats(0.0, ALPHA, exclude_max=True)))
+            points.append(Point(space, (rho, angle)))
+        else:
+            points.append(_at_radius(space, draw(st.integers(0, 2)),
+                                     draw(st.floats(-3.0, 3.0)), rho))
+    return points
+
+
 class TestMetricProperties:
     @pytest.mark.parametrize("space", [E2, SP3, OB3, FC])
     def test_metric_axioms(self, space):
@@ -552,6 +573,17 @@ class TestMetricProperties:
                                            distance(a, c))
             assert med <= comparison + 1e-9
             checked += 1
+
+    @given(triangle(), st.one_of(st.just(0.5), st.floats(0.0, 1.0)))
+    def test_cat0_comparison(self, points, t):
+        # d(a, m_t)^2 <= (1 - t) d(a, b)^2 + t d(a, c)^2 - t (1 - t) d(b, c)^2
+        # for m_t at fraction t from b to c: the CAT(0) inequality, at
+        # stratum boundaries and across the cone apex
+        a, b, c = points
+        ab, ac, bc = distance(a, b), distance(a, c), distance(b, c)
+        lhs = distance(a, geodesic_point(b, c, t)) ** 2
+        rhs = (1.0 - t) * ab ** 2 + t * ac ** 2 - t * (1.0 - t) * bc ** 2
+        assert lhs <= rhs + 1e-13 * (ab + ac + bc) ** 2
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(77)
