@@ -225,8 +225,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least(least: int):
-    """An argparse type: an int >= least.  argparse names the flag, and the
-    function's name in its "invalid integer value" message."""
+    """An argparse type for an int >= least.  argparse puts the flag in the
+    message, and on a non-integer prints "invalid integer value", taking
+    "integer" from the function's name."""
     def integer(text: str) -> int:
         value = int(text)
         if value < least:

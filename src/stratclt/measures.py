@@ -230,7 +230,7 @@ def _unit_chart(base: Point, data) -> list:
     _, r, g = geo.split(base)
     if g is None or r != 0.0:
         return [(d, 0.0, None) for d in data]
-    return [((*map(math.cos, theta),), math.sin(theta[0]) if theta else 1.0, g)
+    return [(tuple(map(math.cos, theta)), math.sin(theta[0]) if theta else 1.0, g)
             for g, *theta in data]
 
 
