@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (ConfigError, NumericalConsistencyError, StratcltError, format_float,
-                     json_array, json_number, open_output, reject_unknown_keys)
+                     json_array, json_number, json_object, open_output)
 
 EXIT_OK = 0
 EXIT_STATISTICAL = 2
@@ -92,8 +92,7 @@ def _write_csv(path: Path, rows) -> None:
 
 def cmd_mean(args) -> int:
     from . import measures as mz
-    raw = _load_json(args.config)
-    diag = mz.frechet_mean(mz.DiscreteMeasure.from_json(raw))
+    diag = mz.frechet_mean(mz.DiscreteMeasure.from_json(_load_json(args.config)))
     print(json.dumps(diag.to_json(), sort_keys=True))
     return EXIT_OK
 
@@ -113,8 +112,7 @@ def _report_csvs(report, outdir: Path) -> list[str]:
 
 def cmd_clt(args) -> int:
     from . import harness as hz
-    raw = _load_json(args.config)
-    cfg = hz.config_from_json(raw, seed=args.seed)
+    cfg = hz.config_from_json(_load_json(args.config), seed=args.seed)
     outdir = _make_outdir(args.out)
     report = hz.run_clt_experiment(cfg)
     outputs = []
@@ -149,10 +147,7 @@ def cmd_cover(args) -> int:
                "base": _json_arg("--base", args.base), "n_max": args.n_max}
     else:
         raise ConfigError("cover needs --config or both --space and --base")
-    reject_unknown_keys(raw, ("space", "base", "n_max"), "cover config")
-    for key in ("space", "base"):
-        if key not in raw:
-            raise ConfigError(f"cover config needs a {key!r} entry")
+    raw = json_object(raw, "cover config", required=("space", "base"), optional=("n_max",))
     n_max = json_number(raw.get("n_max", args.n_max), "n_max", int)
     base = geo.Point.of(geo.SpaceSpec.from_json(raw["space"]), json_array(raw["base"], "base"))
     if n_max > cv.COVER_N_MAX:
@@ -179,16 +174,11 @@ def cmd_cover(args) -> int:
 
 
 def cmd_field(args) -> int:
-    from . import fields as fl, geometry as geo, harness as hz, measures as mz
+    from . import fields as fl, harness as hz, measures as mz
     from .rng import substream
-    raw = _load_json(args.config)
-    for key in ("measure", "net"):
-        if not isinstance(raw, dict) or key not in raw:
-            raise ConfigError(f"field config needs a {key!r} entry")
-    reject_unknown_keys(raw, ("measure", "base", "net"), "field config")
-    measure = mz.DiscreteMeasure.from_json(raw["measure"])
-    base = raw.get("base")
-    base = None if base is None else geo.Point.of(measure.space, json_array(base, "base"))
+    raw = json_object(_load_json(args.config), "field config", required=("measure", "net"),
+                      optional=("base",))
+    measure, base = hz.measure_and_base(raw)
     base = mz.validate_localized(measure, base).base
     net = hz.resolve_net(base, raw["net"])
     outdir = _make_outdir(args.out)

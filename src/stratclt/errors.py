@@ -1,8 +1,10 @@
 """Exception types shared across the package; ``json_number``, ``json_array``,
-``reject_unknown_keys`` and ``open_output``, the checks through which the
-parsers of settings, lists and config objects and the writers of output files
-raise ConfigError; and ``FLOAT_FORMAT``, the one CSV cell format (17
-significant digits round-trip a 64-bit float)."""
+``json_object`` and ``open_output``, the checks through which the readers of
+JSON numbers, lists and objects and the writers of output files raise
+ConfigError; and ``FLOAT_FORMAT``, the one CSV cell format (17 significant
+digits round-trip a 64-bit float)."""
+
+import math
 
 FLOAT_FORMAT = "%.17g"
 
@@ -28,17 +30,21 @@ class ConfigError(StratcltError, ValueError):
 
 
 def json_number(value, name: str, kind: type = float):
-    """A JSON number as ``kind``, else a ConfigError.  An int is integral
-    and below 2^63 in magnitude, the range of numpy's counts."""
+    """A JSON number as ``kind``, else a ConfigError.  A number is finite
+    (JSON's 1e309 reads as inf), and an int is integral and below 2^63 in
+    magnitude, the range of numpy's counts."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or kind is int and (isinstance(value, float) and not value.is_integer()
                                 or abs(value) >= 2 ** 63)):
         what = "a 64-bit integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except OverflowError:  # an int beyond the floats
         raise ConfigError(f"{name} must be within the float range, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def json_array(value, name: str) -> list:
@@ -48,15 +54,20 @@ def json_array(value, name: str) -> list:
     return list(value)
 
 
-def reject_unknown_keys(obj, known: tuple, what: str) -> None:
-    """A ConfigError unless ``obj`` is a JSON object whose keys are all
-    in ``known``."""
+def json_object(obj, what: str, required: tuple = (), optional: tuple = ()) -> dict:
+    """``obj`` if it is a JSON object with every ``required`` key and no key
+    outside ``required`` and ``optional``, else a ConfigError naming ``what``."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object")
+    known = (*required, *optional)
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ConfigError(f"unknown {what} key(s) {unknown}; the known keys are "
                           f"{sorted(known)}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{what} needs a {key!r} entry")
+    return obj
 
 
 def open_output(path, newline: str | None = None):

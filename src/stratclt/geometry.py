@@ -62,7 +62,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, SpaceMismatchError, json_number, reject_unknown_keys
+from .errors import ConfigError, DomainError, SpaceMismatchError, json_number, json_object
 
 EUCLIDEAN = "euclidean"
 SPIDER = "spider"
@@ -123,15 +123,15 @@ class SpaceSpec:
         return {"kind": self.kind, name: getattr(self, name)}
 
     @staticmethod
-    def from_json(obj: dict) -> "SpaceSpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise DomainError("space spec must be an object with a 'kind' field")
-        kind = obj["kind"]
+    def from_json(obj) -> "SpaceSpec":
+        """The space of a JSON spec: its ``kind`` and that kind's parameter."""
+        kind = json_object(obj, "space spec", required=("kind",),
+                           optional=tuple(p[0] for p in _SPACE_PARAMS.values()))["kind"]
         if not isinstance(kind, str) or kind not in _SPACE_PARAMS:
             raise DomainError(f"unknown space kind {kind!r}")
         name = _SPACE_PARAMS[kind][0]
-        reject_unknown_keys(obj, ("kind", name), f"{kind} space spec")
-        return SpaceSpec(kind, **{name: obj.get(name)})
+        return SpaceSpec(kind, **{name: json_object(obj, f"{kind} space spec",
+                                                    required=("kind", name))[name]})
 
 
 def _wrap_angle(phi: float, alpha: float) -> float:
@@ -148,12 +148,9 @@ def _coordinate(x, index: bool = False):
     if np is not None and isinstance(x, (np.integer, np.floating)):
         x = x.item()
     try:
-        v = json_number(x, "a coordinate", int if index else float)
+        return json_number(x, "a coordinate", int if index else float)
     except ConfigError as exc:
         raise DomainError(str(exc)) from None
-    if not math.isfinite(v):
-        raise DomainError(f"a coordinate must be finite, got {x!r}")
-    return v
 
 
 # kind -> coordinate names (euclidean: d of them); only leg and page are indices
@@ -200,10 +197,7 @@ class Point:
 
     @staticmethod
     def of(space: SpaceSpec, coords) -> "Point":
-        try:
-            return Point(space, tuple(coords))
-        except TypeError as exc:
-            raise DomainError(f"point coordinates must be a list, got {coords!r}") from exc
+        return Point(space, tuple(coords))
 
     def to_coords(self) -> list:
         return list(self.coords)

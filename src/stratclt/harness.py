@@ -44,7 +44,7 @@ from . import measures as mz
 from . import regularity as rg
 from .covering import uniform_grid
 from .directions import DirectionNet, net_from_directions
-from .errors import ConfigError, DomainError, json_array, json_number, reject_unknown_keys
+from .errors import ConfigError, DomainError, json_array, json_number, json_object
 from .geometry import Point
 from .measures import DiscreteMeasure
 from .rng import substream
@@ -95,6 +95,11 @@ class _NumericSpec:
                 raise ConfigError(f"{name} must be > 0, got {value}")
             object.__setattr__(self, f.name, value)
 
+    @classmethod
+    def from_json(cls, obj, what: str):
+        """The spec of the JSON object ``what``, whose keys are the fields."""
+        return cls(**json_object(obj, what, optional=tuple(f.name for f in fields(cls))))
+
 
 @dataclass(frozen=True)
 class Thresholds(_NumericSpec):
@@ -110,11 +115,12 @@ class Thresholds(_NumericSpec):
 @dataclass(frozen=True)
 class ModulusSpec(_NumericSpec):
     """The modulus table: fields of n samples on an epsilon-net and the
-    radii 2^-m, m in ``radii_log2``.  Each m is at least -1: every
-    direction space has diameter at most pi < 4, so a radius of 4 or more
-    holds every pair and repeats the modulus at pi, while radius 2 can
-    still leave pairs out (and 2.0 ** -m stays finite).  epsilon is at
-    least 2^-COVER_N_MAX, the finest net scale."""
+    radii 2^-m, m in ``radii_log2``.  Each m is at least -1, which keeps
+    2.0 ** -m finite and refuses the radii of 4 or more.  Those hold every
+    pair of directions but at a flat-cone apex, whose circle of directions
+    of length alpha has the arc metric and diameter alpha / 2 (every other
+    direction space has diameter at most pi): an apex with alpha > 8 could
+    still use them.  epsilon is at least 2^-COVER_N_MAX, the finest net scale."""
 
     epsilon: float = 2.0 ** -8
     radii_log2: tuple = (2, 3, 4, 5, 6)
@@ -191,13 +197,11 @@ _NET_KEYS = ("epsilon", *_NET_DIRECTIONS)
 
 def _net_key(spec) -> str:
     """The one key of a JSON net spec: ``epsilon`` or a list of directions."""
-    if not isinstance(spec, dict):
-        raise ConfigError("net spec must be an object")
-    keys = [key for key in _NET_KEYS if key in spec]
-    # the first known key picks the net; every other key is unknown to it
-    reject_unknown_keys(spec, keys[:1] or _NET_KEYS, "net spec")
+    keys = [key for key in _NET_KEYS if key in json_object(spec, "net spec", optional=_NET_KEYS)]
     if not keys:
         raise ConfigError("net spec needs 'epsilon' or one of " + "/".join(_NET_DIRECTIONS))
+    # the first known key picks the net; every other key is unknown to it
+    json_object(spec, "net spec", required=keys[:1])
     return keys[0]
 
 
@@ -224,27 +228,26 @@ def resolve_net(base: Point, spec) -> DirectionNet:
     return net_from_directions(base, _directions_from_spec(base, spec))
 
 
-_CONFIG_KEYS = ("measure", "base", "net", "sample_sizes", "replicates", "tests",
-               "thresholds", "martingale", "modulus")
+def measure_and_base(obj: dict) -> tuple[DiscreteMeasure, Point | None]:
+    """The measure of a clt or field config, and its base or None."""
+    measure = DiscreteMeasure.from_json(obj["measure"])
+    base = obj.get("base")
+    return measure, None if base is None else Point.of(measure.space, json_array(base, "base"))
 
 
-def config_from_json(obj: dict, seed: int,
-                     threads: int | None = None) -> ExperimentConfig:
+def config_from_json(obj, seed: int, threads: int | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON form and seed; ``threads`` is ignored."""
-    try:
-        reject_unknown_keys(obj, _CONFIG_KEYS, "experiment config")
-        measure = DiscreteMeasure.from_json(obj["measure"])
-        base = obj.get("base")
-        base = None if base is None else Point.of(measure.space, json_array(base, "base"))
-        net = obj["net"]
-        ns = tuple(json_array(obj["sample_sizes"], "sample_sizes"))
-        reps = json_number(obj["replicates"], "replicates", int)
-        tests = tuple(json_array(obj.get("tests", ALL_TESTS), "tests"))
-        th = Thresholds(**obj.get("thresholds", {}))
-        mart = MartingaleSpec(**obj.get("martingale", {}))
-        mod = ModulusSpec(**obj.get("modulus", {}))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed experiment config: {exc}") from exc
+    obj = json_object(obj, "experiment config",
+                      required=("measure", "net", "sample_sizes", "replicates"),
+                      optional=("base", "tests", "thresholds", "martingale", "modulus"))
+    measure, base = measure_and_base(obj)
+    net = obj["net"]
+    ns = tuple(json_array(obj["sample_sizes"], "sample_sizes"))
+    reps = json_number(obj["replicates"], "replicates", int)
+    tests = tuple(json_array(obj.get("tests", ALL_TESTS), "tests"))
+    th = Thresholds.from_json(obj.get("thresholds", {}), "thresholds")
+    mart = MartingaleSpec.from_json(obj.get("martingale", {}), "martingale")
+    mod = ModulusSpec.from_json(obj.get("modulus", {}), "modulus")
     if _net_key(net) == "epsilon":
         net = {"epsilon": json_number(net["epsilon"], "net epsilon")}
     return ExperimentConfig(measure=measure, sample_sizes=ns, replicates=reps,

@@ -23,8 +23,8 @@ import sys
 from dataclasses import dataclass
 
 from . import geometry as geo
-from .errors import (ConfigError, DomainError, NumericalConsistencyError, SpaceMismatchError,
-                     json_array, json_number, reject_unknown_keys)
+from .errors import (DomainError, NumericalConsistencyError, SpaceMismatchError, json_array,
+                     json_number, json_object)
 from .geometry import _TWO_PI, Point, SpaceSpec
 
 _WEIGHT_TOL = 1e-12
@@ -67,8 +67,14 @@ class DiscreteMeasure:
         return np.array([w for _, w in self.atoms])
 
     def moment(self, base: Point, order: int) -> float:
-        """Exact E d(base, x)^order."""
-        return float(sum(w * geo.distance(base, p) ** order for p, w in self.atoms))
+        """Exact E d(base, x)^order by ``_dot``, else a NumericalConsistencyError."""
+        try:
+            powers = [geo.distance(base, p) ** order for p in self.points]
+            if all(map(math.isfinite, powers)):
+                return _dot([w for _, w in self.atoms], powers)
+        except OverflowError:
+            pass
+        raise NumericalConsistencyError(f"E d(base, X)^{order} overflows the float range")
 
     def to_json(self) -> dict:
         return {
@@ -77,18 +83,14 @@ class DiscreteMeasure:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "DiscreteMeasure":
-        try:
-            reject_unknown_keys(obj, ("space", "atoms"), "measure")
-            space = SpaceSpec.from_json(obj["space"])
-            atoms = []
-            for a in json_array(obj["atoms"], "measure atoms"):
-                reject_unknown_keys(a, ("point", "weight"), "atom")
-                atoms.append((Point.of(space, json_array(a["point"], "atom point")),
-                              json_number(a["weight"], "atom weight")))
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ConfigError(f"malformed measure file: {exc}") from exc
-        return DiscreteMeasure(space, tuple(atoms))
+    def from_json(obj) -> "DiscreteMeasure":
+        obj = json_object(obj, "measure", required=("space", "atoms"))
+        space = SpaceSpec.from_json(obj["space"])
+        atoms = [json_object(a, "atom", required=("point", "weight"))
+                 for a in json_array(obj["atoms"], "measure atoms")]
+        return DiscreteMeasure(space, tuple((Point.of(space, json_array(a["point"], "atom point")),
+                                             json_number(a["weight"], "atom weight"))
+                                            for a in atoms))
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,7 @@ def frechet_function(measure: DiscreteMeasure, p: Point) -> float:
     """Half the weighted mean squared distance to p."""
     if p.space != measure.space:
         raise SpaceMismatchError("evaluation point lives in a different space")
-    return 0.5 * _dot([w for _, w in measure.atoms],
-                      [geo.distance(p, x) ** 2 for x, _ in measure.atoms])
+    return 0.5 * measure.moment(p, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -522,7 +522,7 @@ class TestCover:
                      "--base", "[0, 0.0]", "--n-max", "6"])
         assert code == 3
         err = capsys.readouterr().err
-        assert "numeric 'legs'" in err
+        assert "spider space spec needs a 'legs' entry" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("missing", ["space", "base"])
@@ -653,6 +653,8 @@ def run_with(tmp_path, command: str, keys: tuple, value, flags: tuple) -> int:
                    tests=[*raw["tests"], "modulus"])
     elif command == "field":
         raw = load_config("field_example.json")
+    elif command == "mean":
+        raw = load_config("flatcone4_star.measure.json")
     else:
         raw = {"space": {"kind": "spider", "legs": 3}, "base": [0, 0.0],
                "n_max": 6}
@@ -665,7 +667,7 @@ def run_with(tmp_path, command: str, keys: tuple, value, flags: tuple) -> int:
         else:
             target[keys[-1]] = value
     argv = [command, "--config", write_json(tmp_path / "c.json", raw)]
-    if command != "cover":
+    if command in ("clt", "field"):
         argv += ["--seed", "1", "--out", str(tmp_path / "o")]
     return main([*argv, *flags])
 
@@ -684,7 +686,7 @@ class TestMalformedNumbers:
          "MartingaleSpec.n must be a 64-bit integer, got 'x'"),
         ("clt", ("measure", "atoms", 0, "weight"), "x", (),
          "atom weight must be a number, got 'x'"),
-        ("field", ("net",), 5, (), "net spec must be an object"),
+        ("field", ("net",), 5, (), "net spec must be a JSON object"),
         ("field", ("net",), {"epsilon": "x"}, (), "net epsilon must be a number, got 'x'"),
         ("clt", ("modulus",), {"n": -5}, (), "ModulusSpec.n must be >= 1, got -5"),
         ("clt", ("modulus",), {"replicates": 0}, (),
@@ -722,7 +724,7 @@ class TestMalformedNumbers:
         ("clt", ("measure", "bogus_key"), 1, (), "unknown measure key(s) ['bogus_key']"),
         ("clt", ("measure", "atoms", 0, "bogus_key"), 1, (), "unknown atom key(s) ['bogus_key']"),
         ("clt", ("measure", "space", "bogus_key"), 1, (),
-         "unknown spider space spec key(s) ['bogus_key']"),
+         "unknown space spec key(s) ['bogus_key']"),
         ("clt", ("net",), {"epsilon": 0.4, "legs": [0]}, (), "unknown net spec key(s) ['legs']"),
         ("clt", ("net",), {"legs": [0, 1, 2], "bogus_key": 1}, (),
          "unknown net spec key(s) ['bogus_key']"),
@@ -731,6 +733,20 @@ class TestMalformedNumbers:
         ("clt", ("measure", "atoms", 0, "weight"), 10 ** 400, (),
          "atom weight must be within the float range"),
         ("clt", ("measure", "atoms", 0), [[0, 1.0], 0.5], (), "atom must be a JSON object"),
+        ("mean", ("space", "circumference"), 1e309, (),
+         "'circumference' of a flat_cone space must be finite, got inf"),
+        ("cover", ("space",), {"kind": "flat_cone", "circumference": 1e309}, (),
+         "'circumference' of a flat_cone space must be finite, got inf"),
+        ("clt", ("measure", "space"), {"kind": "flat_cone", "circumference": -1e309}, (),
+         "'circumference' of a flat_cone space must be finite, got -inf"),
+        ("clt", ("thresholds",), {"ks": 1e309}, (), "Thresholds.ks must be finite, got inf"),
+        ("mean", ("atoms", 0, "weight"), math.nan, (), "atom weight must be finite, got nan"),
+        ("clt", ("net",), None, (), "net spec must be a JSON object"),
+        ("clt", ("thresholds",), {"bogus": 1}, (),
+         "unknown thresholds key(s) ['bogus']; the known keys are"),
+        ("clt", ("modulus",), [], (), "modulus must be a JSON object"),
+        ("clt", ("net",), _DELETE, (), "experiment config needs a 'net' entry"),
+        ("cover", ("space", "kind"), _DELETE, (), "space spec needs a 'kind' entry"),
     ], ids=["replicates", "sample_sizes", "net_epsilon", "net_legs", "thresholds",
             "martingale", "weight", "field_net", "field_net_epsilon", "modulus_n",
             "modulus_replicates", "martingale_n", "martingale_k", "field_empirical_n",
@@ -742,7 +758,11 @@ class TestMalformedNumbers:
             "cover_n_max_fraction", "modulus_radius_overflow", "clt_unknown_key",
             "field_unknown_key", "measure_unknown_key", "atom_unknown_key",
             "space_unknown_key", "net_mixed_keys", "net_unknown_key", "field_net_mixed_keys",
-            "cover_unknown_key", "weight_beyond_floats", "atom_as_list"])
+            "cover_unknown_key", "weight_beyond_floats", "atom_as_list",
+            "mean_infinite_circumference", "cover_infinite_circumference",
+            "clt_infinite_circumference", "threshold_ks_infinite", "mean_nan_weight",
+            "net_null", "thresholds_unknown_key", "modulus_not_object", "clt_no_net",
+            "space_no_kind"])
     def test_exit_3_without_traceback(self, tmp_path, capsys, command, keys, value,
                                       flags, message):
         # each row names the refusal it expects, so no other check can
@@ -757,6 +777,24 @@ class TestMalformedNumbers:
         assert err.startswith("usage: " if flags else "error: ")
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, raw, order", [
+        ("clt", dict(load_config("spider3_uniform.json"), measure={
+            "space": {"kind": "spider", "legs": 3},
+            "atoms": [{"point": [leg, 1e100], "weight": 1.0 / 3.0} for leg in range(3)]}), 4),
+        ("mean", {"space": {"kind": "euclidean", "dim": 2},
+                  "atoms": [{"point": [x, 0.0], "weight": 0.5} for x in (1e308, -1e308)]}, 2),
+    ], ids=["clt_fourth_moment", "mean_second_moment"])
+    def test_moment_overflow_exit_4(self, tmp_path, capsys, command, raw, order):
+        # finite distances whose powers leave the floats: E d^4 of the
+        # moment bounds at the spider apex, E d^2 of the Frechet value at 0
+        argv = [command, "--config", write_json(tmp_path / "c.json", raw)]
+        if command == "clt":
+            argv += ["--seed", "1", "--out", str(tmp_path / "o")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == f"numerical error: E d(base, X)^{order} overflows the float range\n"
 
     @pytest.mark.parametrize("command, keys, value, message", [
         ("clt", ("tests",), {"ks": 1}, "tests must be a list"),
