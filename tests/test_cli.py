@@ -674,7 +674,8 @@ def run_with(tmp_path, command: str, keys: tuple, value, flags: tuple) -> int:
 
 class TestMalformedNumbers:
     """A malformed or missing value is a ConfigError where it is parsed:
-    exit 3 with a message, never a traceback."""
+    exit 3 with a message, never a traceback.  A moment whose terms leave
+    the float range exits 4."""
 
     @pytest.mark.parametrize("command, keys, value, flags, message", [
         ("clt", ("replicates",), "abc", (), "replicates must be a 64-bit integer, got 'abc'"),
