@@ -1,9 +1,12 @@
 """Uniform direction grids and dyadic covering profiles, in closed form
-without numpy: the grid of m = ceil(L/eps) steps (``uniform_grid``, for
-every eps-net) is the legs or signs, m points on a circle of length L,
-or 2 + pages (m - 1) points at a spine point, at covering radius L/m/2.
-The dimension bound is that of the directions: 0 on legs and signs, 1 on
-a circle and pages at a spine point, one semicircle per page."""
+without numpy, read from ``geometry.direction_join``: the grid of
+m = ceil(L/eps) steps (``uniform_grid``, for every eps-net) is a finite
+Gamma, m points on a circle of length L, or 2 + k (m - 1) points on the k
+semicircles at a spine point, at covering radius L/m/2.
+``stratum_dim_bound`` bounds the fitted growth exponent: 0 on a finite
+Gamma, 1 on a circle and k at a spine point, whose directions are
+1-dimensional but whose count a doubling of m multiplies by up to
+(2 + k) / 2 <= 2^k, so the fit reads a little above 1."""
 
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from functools import reduce
 from operator import add
 
 from .errors import DomainError
-from .geometry import _TWO_PI, D_ANGLE, D_LEG, D_PAGE_ANGLE, Point, direction_kind, stratum_of
+from .geometry import Point, direction_join
 
 # the finest scale 2^-COVER_N_MAX of a cover profile, a net or a modulus net
 COVER_N_MAX = 16
@@ -36,20 +39,17 @@ class CoveringProfile:
 
 def _grid(base: Point) -> tuple:
     """(L, size, bound): the grid of m steps at base has size(m) directions
-    at covering radius L / m / 2 (L = 0 on the finite direction sets), and
-    the directions there have dimension at most bound (0 on legs and
-    signs, 1 on a circle, pages at a spine point)."""
-    sp, kind = base.space, direction_kind(base)
-    if kind == D_LEG:
-        return 0.0, lambda m: sp.legs, 0
-    if kind == D_PAGE_ANGLE:
-        return math.pi, lambda m: 2 + sp.pages * (m - 1), sp.pages
-    if kind == D_ANGLE:
-        return sp.circumference, lambda m: m, 1
-    dim = stratum_of(base)[1]
-    if dim > 2:
+    at covering radius L / m / 2, with L the length of a circle Gamma, pi
+    (a semicircle) where a = 1 and 0 on a finite Gamma; bound is the
+    module's bound on the fitted growth exponent."""
+    a, gamma = direction_join(base)
+    if a > 1:
         raise DomainError("direction nets on spheres of dimension >= 2 are not supported")
-    return (0.0, lambda m: 2, 0) if dim == 1 else (_TWO_PI, lambda m: m, 1)
+    if a:
+        return math.pi, lambda m: 2 + len(gamma) * (m - 1), len(gamma)
+    if isinstance(gamma, tuple):
+        return 0.0, lambda m: len(gamma), 0
+    return gamma, lambda m: m, 1
 
 
 def uniform_grid(base: Point, eps: float) -> tuple[int, float]:

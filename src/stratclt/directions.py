@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SpaceMismatchError
-from .geometry import (_TWO_PI, D_ANGLE, D_LEG, D_PAGE_ANGLE, Direction, Point,
-                       describe_direction, direction_kind, stratum_of)
+from .geometry import (_TWO_PI, D_ANGLE, Direction, Point, describe_direction, direction_join,
+                       direction_kind)
 
 CHAIN_SLACK = 1e-9
 
@@ -194,21 +194,15 @@ class SphereDirections(_Directions):
 
 
 def direction_space(base: Point):
-    """The vectorized direction-space model at a base point."""
-    sp, kind = base.space, direction_kind(base)
-    if kind == D_LEG:
-        return DiscreteDirections(list(range(sp.legs)))
-    if kind == D_PAGE_ANGLE:
-        return SpineDirections(sp.pages)
-    if kind == D_ANGLE:
-        return CircleDirections(kind, sp.circumference)
-    # signs and vectors: the stratum dimension fixes the sphere of directions
-    dim = stratum_of(base)[1]
-    if dim == 1:
-        return DiscreteDirections([1, -1])
-    if dim == 2:
-        return CircleDirections(kind, _TWO_PI)
-    return SphereDirections()
+    """The vectorized model of the join S^(a-1) * Gamma of directions at
+    base: k semicircles at a spine point (a = 1, Gamma k pages), the sphere
+    S^(a-1) where Gamma is empty, else the finite set or circle Gamma."""
+    a, gamma = direction_join(base)
+    if a:
+        return SpineDirections(len(gamma)) if gamma else SphereDirections()
+    if isinstance(gamma, tuple):
+        return DiscreteDirections(gamma)
+    return CircleDirections(direction_kind(base), gamma)
 
 
 def pairings(base: Point, vectors, coords) -> np.ndarray:

@@ -36,9 +36,10 @@ Gamma (a leg or page index, or a circle angle), and ``join`` turns
   circle gap of pi or more), and (cos d, sin d) at a signed circle gap d
   within pi.  The distance is the hypot of the R^a offset and the chart
   offset (a law of cosines in development form);
-* at a cone point a direction is a point of the join S^(a-1) * Gamma:
-  its point of Gamma and, where a = 1, its angle in [0, pi] from the +s
-  axis;
+* the directions at a point form a join S^(a-1) * Gamma, which
+  ``direction_join`` gives as (a, Gamma), Gamma read by ``link``; at a
+  cone point a direction is its point of Gamma and, where a = 1, its
+  angle in [0, pi] from the +s axis;
 * the continuation rule: a geodesic that reaches the cone point along
   (-1, 0) comes out where its end lies (``geodesic_point``) or, for
   ``exp_map``, on the lowest-index other leg or page, or at circle
@@ -62,7 +63,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, SpaceMismatchError, json_number, json_object
+from .errors import (ConfigError, DomainError, NumericalConsistencyError, SpaceMismatchError,
+                     json_number, json_object)
 
 EUCLIDEAN = "euclidean"
 SPIDER = "spider"
@@ -181,10 +183,9 @@ class Point:
             raise DomainError(f"malformed {sp.kind} coordinates {c!r}: {exc}") from exc
         if indexed:
             # (index, .., length): a length 0 lies on every leg or page: index 0
-            count = sp.legs if sp.kind == SPIDER else sp.pages
-            if not 0 <= c[0] < count:
+            if c[0] not in link(sp):
                 raise DomainError(f"{sp.kind} point is ({', '.join(names)}) with "
-                                  f"0 <= {names[0]} < {count}")
+                                  f"0 <= {names[0]} < {len(link(sp))}")
             if c[-1] < 0:
                 raise DomainError(f"{sp.kind} point needs {names[-1]} >= 0")
             if c[-1] == 0.0:
@@ -216,17 +217,13 @@ def apex(space: SpaceSpec) -> Point:
 
 def stratum_of(p: Point) -> tuple[str, int]:
     """Identify the stratum containing p and its dimension."""
-    sp = p.space
-    if sp.kind == EUCLIDEAN:
-        return (EUCLIDEAN, sp.dim)
-    if sp.kind == SPIDER:
-        leg, r = p.coords
-        return ("apex", 0) if r == 0.0 else (f"leg{leg}", 1)
-    if sp.kind == OPEN_BOOK:
-        page, _s, t = p.coords
-        return ("spine", 1) if t == 0.0 else (f"page{page}", 2)
-    r, _phi = p.coords
-    return ("apex", 0) if r == 0.0 else ("cone", 2)
+    s, r, g = split(p)
+    if g is None:
+        return EUCLIDEAN, len(s)
+    if r == 0.0:
+        return ("spine", 1) if s else ("apex", 0)
+    kind = p.space.kind
+    return (f"leg{g}", 1) if kind == SPIDER else (f"page{g}", 2) if s else ("cone", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +249,11 @@ def join(space: SpaceSpec, s: tuple, r: float, g) -> Point:
     if kind == OPEN_BOOK:
         return Point(space, (g, *s, r))
     return Point(space, (g, r) if kind == SPIDER else (r, g))
+
+
+def link(space: SpaceSpec):
+    """Gamma: the leg or page labels, or the circle's length; None on euclidean."""
+    return space.circumference or tuple(range(space.legs or space.pages)) or None
 
 
 def _same_space(p: Point, q: Point):
@@ -343,13 +345,25 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
 
 # descriptor tags
 D_LEG = "leg"          # spider apex: leg index
-D_SIGN = "sign"        # spider leg interior / 1-d line: +1 away from apex
+D_SIGN = "sign"        # spider leg interior: +1 away from apex
 D_PAGE_ANGLE = "page_angle"  # open-book spine point: (page, theta in [0, pi])
 D_ANGLE = "angle"      # flat cone apex: circle coordinate in [0, alpha)
 D_VECTOR = "vector"    # smooth 2-d charts and euclidean: unit vector
 # the descriptor of each kind's data; a vector's joins its entries
 _DESCRIPTORS = {D_LEG: "leg:{}", D_SIGN: "sign:{:+d}", D_PAGE_ANGLE: "page:{},theta:{:.17g}",
                 D_ANGLE: "angle:{:.17g}"}
+
+
+def direction_join(p: Point) -> tuple:
+    """(a, Gamma): the unit directions at p form the join S^(a-1) * Gamma.
+    At a cone point a is the dimension of the R^a factor and Gamma the
+    ``link``; at a smooth point of dimension d they form S^(d-1), given
+    as the signs (0, (1, -1)), the circle (0, 2 pi) or (d, None)."""
+    s, r, g = split(p)
+    if g is not None and r == 0.0:
+        return len(s), link(p.space)
+    d = stratum_of(p)[1]  # not len(s) + 1: the flat cone is a plane off its apex
+    return (0, (1, -1)) if d == 1 else (0, _TWO_PI) if d == 2 else (d, None)
 
 
 def direction_kind(p: Point) -> str:
@@ -373,43 +387,30 @@ class Direction:
     data: tuple
 
     def __post_init__(self):
-        sp = self.base.space
         k, d = self.kind, self.data
         exists = direction_kind(self.base)
         if k != exists:
             raise DomainError(f"no {k!r} directions exist at {self.base.to_coords()} "
-                              f"in {sp.kind}; the directions there are {exists!r}")
-        arity = 2 if k == D_PAGE_ANGLE else stratum_of(self.base)[1] if k == D_VECTOR else 1
+                              f"in {self.base.space.kind}; the directions there are {exists!r}")
+        a, gamma = direction_join(self.base)
+        arity = stratum_of(self.base)[1] if k == D_VECTOR else 1 + a
         if len(d) != arity:
             raise DomainError(f"a {k!r} direction here takes {arity} coordinate(s), got {len(d)}")
-        if k == D_LEG:
-            leg = _coordinate(d[0], True)
-            if not 0 <= leg < sp.legs:
-                raise DomainError("leg index out of range")
-            d = (leg,)
-        elif k == D_SIGN:
-            s = _coordinate(d[0], True)
-            if s not in (-1, 1):
-                raise DomainError("sign direction must be +1 or -1")
-            d = (s,)
-        elif k == D_PAGE_ANGLE:
-            page, theta = d
-            page, theta = _coordinate(page, True), _coordinate(theta)
-            if not 0.0 <= theta <= math.pi:
-                raise DomainError("page angle must lie in [0, pi]")
-            if not 0 <= page < sp.pages:
-                raise DomainError("page index out of range")
-            if theta == 0.0 or theta == math.pi:
-                page = 0  # the two spine poles belong to every page
-            d = (page, theta)
-        elif k == D_ANGLE:
-            d = (_wrap_angle(_coordinate(d[0]), sp.circumference),)
-        else:
+        if k == D_ANGLE:
+            d = (_wrap_angle(_coordinate(d[0]), gamma),)
+        elif k == D_VECTOR:
             v = tuple(_coordinate(x) for x in d)
             n = math.hypot(*v)
             if not math.isfinite(n) or n == 0.0:
                 raise DomainError("direction vector must be nonzero and finite")
             d = tuple(x / n for x in v)
+        else:  # a label of Gamma and, at a spine point, its angle from the +s axis
+            label, *theta = _coordinate(d[0], True), *map(_coordinate, d[1:])
+            if label not in gamma or not all(0.0 <= t <= math.pi for t in theta):
+                raise DomainError(f"a {k!r} direction here is a label in {list(gamma)}"
+                                  f"{' and an angle in [0, pi]' if theta else ''}, got {list(d)}")
+            # the two spine poles belong to every page
+            d = (0 if theta and theta[0] in (0.0, math.pi) else label, *theta)
         object.__setattr__(self, "data", d)
 
     def describe(self) -> str:
@@ -481,6 +482,9 @@ def log_map(base: Point, x: Point) -> TangentVector:
         data = vec if len(vec) > 1 else (math.copysign(1.0, vec[0]),)
     if ln == 0.0:  # an offset that underflows
         return zero_vector(base)
+    if ln == math.inf:  # an offset beyond the floats
+        raise NumericalConsistencyError(f"the log map from {base.to_coords()} to "
+                                        f"{x.to_coords()} leaves the float range")
     return TangentVector(base, Direction(base, direction_kind(base), data), ln)
 
 

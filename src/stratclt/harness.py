@@ -205,9 +205,9 @@ def _net_key(spec) -> str:
     return keys[0]
 
 
-def _directions_from_spec(base: Point, spec: dict):
-    """Explicit net directions from their JSON form, validated per base."""
-    key = _net_key(spec)
+def _directions_from_spec(base: Point, spec: dict, key: str | None = None):
+    """Explicit net directions from a net spec and its ``_net_key``, validated per base."""
+    key = key or _net_key(spec)
     kind = _NET_DIRECTIONS[key]
     multi = kind in (geo.D_PAGE_ANGLE, geo.D_VECTOR)
     try:
@@ -217,15 +217,16 @@ def _directions_from_spec(base: Point, spec: dict):
         raise ConfigError(f"malformed net {key}: {exc}") from exc
 
 
-def resolve_net(base: Point, spec) -> DirectionNet:
-    """The net a JSON net spec asks for at base: the uniform net of
-    resolution ``epsilon`` >= 2^-COVER_N_MAX, or the explicit directions."""
-    if _net_key(spec) == "epsilon":
+def resolve_net(base: Point, spec, key: str | None = None) -> DirectionNet:
+    """The net a JSON net spec (and its ``_net_key``) asks for at base: the
+    uniform net of resolution ``epsilon`` >= 2^-COVER_N_MAX, or the explicit directions."""
+    key = key or _net_key(spec)
+    if key == "epsilon":
         eps = json_number(spec["epsilon"], "net epsilon")
         if not eps >= 2.0 ** -rg.COVER_N_MAX:
             raise ConfigError(f"net epsilon must be >= 2^-{rg.COVER_N_MAX}, got {eps!r}")
         return rg.build_net(base, eps)
-    return net_from_directions(base, _directions_from_spec(base, spec))
+    return net_from_directions(base, _directions_from_spec(base, spec, key))
 
 
 def measure_and_base(obj: dict) -> tuple[DiscreteMeasure, Point | None]:
@@ -920,7 +921,8 @@ def run_clt_experiment(cfg: ExperimentConfig) -> CLTReport:
     base = localization.base
     if "modulus" in cfg.tests:
         _check_modulus_net(base, cfg.modulus)
-    net = resolve_net(base, cfg.net)
+    (key,) = cfg.net  # config_from_json has read the spec's one key
+    net = resolve_net(base, cfg.net, key)
     sim = _FieldSimulator(cfg.measure, base, net)
     cov = sim.cov
     gamma2 = cfg.measure.moment(base, 2)

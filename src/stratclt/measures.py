@@ -203,22 +203,21 @@ def _cone_max(space: SpaceSpec, chart, masses) -> tuple[float, tuple, float | No
 
     ``chart`` holds the split (s_i, r_i, g_i) of each v_i, (v_i, 0.0,
     None) at a smooth point, and the masses may be signed.  g* is a max
-    over legs or pages (the leg rule, and with S the fold rule of Hotz et
-    al. 2013) or the circle maximum on a flat cone.
+    over Gamma, ``geometry.link``: over its legs or pages (the leg rule,
+    and with S the fold rule of Hotz et al. 2013) or the circle maximum.
     """
     s, r, g = zip(*chart)
     peak = tuple(_dot(masses, x) for x in zip(*s))
     if g[0] is None:  # the tangent cone is a vector space
         return math.hypot(*peak), (peak, 0.0, None), None
-    alpha = space.circumference
-    if alpha:
-        top, gamma = _circle_max(alpha, g, [m * x for m, x in zip(masses, r)])
+    gamma = alpha = geo.link(space)
+    if isinstance(gamma, tuple):
+        # a finite Gamma: label pairs to r_i at g_i = label and to -r_i elsewhere
+        tops = [_dot(masses, [x if i == label else -x for i, x in zip(g, r)]) for label in gamma]
+        i = _argmax(tops)
+        top, gamma, alpha = tops[i], gamma[i], 0.0
     else:
-        # a finite Gamma: gamma pairs to r_i at g_i = gamma and to -r_i elsewhere
-        tops = [_dot(masses, [x if i == gamma else -x for i, x in zip(g, r)])
-                for gamma in range(space.legs or space.pages)]
-        gamma = _argmax(tops)
-        top = tops[gamma]
+        top, gamma = _circle_max(alpha, g, [m * x for m, x in zip(masses, r)])
     sup = math.hypot(*peak, max(top, 0.0)) if peak else top
     return sup, (peak, _positive_part(top, masses, r, alpha), gamma), top
 

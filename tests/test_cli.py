@@ -797,6 +797,19 @@ class TestMalformedNumbers:
         assert code == 4
         assert err == f"numerical error: E d(base, X)^{order} overflows the float range\n"
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_log_overflow_exit_4(self, tmp_path, capsys, dim):
+        # the mean sits near 1.7e308, so the log to the far atom, a finite
+        # point, has an offset beyond the floats
+        raw = {"space": {"kind": "euclidean", "dim": dim},
+               "atoms": [{"point": [x, 0.0][:dim], "weight": w}
+                         for x, w in ((1.7e308, 0.99), (-1.7e308, 0.01))]}
+        code = main(["mean", "--config", write_json(tmp_path / "c.json", raw)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("numerical error: the log map from ")
+        assert err.endswith(" leaves the float range\n") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command, keys, value, message", [
         ("clt", ("tests",), {"ks": 1}, "tests must be a list"),
         ("clt", ("tests",), "ks", "tests must be a list"),

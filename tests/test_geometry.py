@@ -20,13 +20,18 @@ from stratclt import (
     stratum_of,
     zero_vector,
 )
-from stratclt.geometry import D_ANGLE, D_LEG, D_PAGE_ANGLE, D_SIGN, D_VECTOR, direction_kind
+from stratclt.covering import _grid
+from stratclt.directions import (CircleDirections, DiscreteDirections, SphereDirections,
+                                 SpineDirections, direction_space)
+from stratclt.geometry import (D_ANGLE, D_LEG, D_PAGE_ANGLE, D_SIGN, D_VECTOR, direction_join,
+                               direction_kind)
 
 from .oracles import book_cross_distance_oracle, comparison_median, cone_distance_oracle
 from .reference import angular_distance, angular_pairing, conical_distance, scale
 
 E2 = SpaceSpec.euclidean(2)
 E1 = SpaceSpec.euclidean(1)
+E3 = SpaceSpec.euclidean(3)
 SP3 = SpaceSpec.spider(3)
 OB3 = SpaceSpec.open_book(3)
 OB2 = SpaceSpec.open_book(2)
@@ -520,6 +525,60 @@ class TestDirectionKind:
         for wrong in (data + data[-1:], data[:-1]):
             with pytest.raises(DomainError, match=f"takes {len(data)} coordinate"):
                 Direction(base, kind, wrong)
+
+
+# one base of each form of the join S^(a-1) * Gamma, with the direction
+# space that reads it: a finite Gamma, a circle, k semicircles (a = 1 at a
+# spine point) and the sphere S^(d-1) at a smooth point of euclidean(d)
+JOIN_AT_BASE = [
+    (apex(SP3), (0, (0, 1, 2)), DiscreteDirections),
+    (Point(SP3, (2, 0.7)), (0, (1, -1)), DiscreteDirections),
+    (Point(E1, (0.5,)), (0, (1, -1)), DiscreteDirections),
+    (Point(E2, (0.0, 0.0)), (0, 2 * math.pi), CircleDirections),
+    (Point(E3, (0.0, 1.0, 2.0)), (3, None), SphereDirections),
+    (Point(OB3, (1, 2.0, 0.0)), (1, (0, 1, 2)), SpineDirections),
+    (Point(OB3, (2, 1.0, 0.5)), (0, 2 * math.pi), CircleDirections),
+    (apex(FC), (0, ALPHA), CircleDirections),
+    # the plane's length, as an angle circle: the kind tells the two apart
+    (apex(SpaceSpec.flat_cone(2 * math.pi)), (0, 2 * math.pi), CircleDirections),
+    # a plane off its apex, not a line: the stratum's dimension, not a + 1
+    (Point(FC, (1.0, 2.0)), (0, 2 * math.pi), CircleDirections),
+]
+
+
+class TestDirectionJoin:
+    @pytest.mark.parametrize("base,join,model", JOIN_AT_BASE)
+    def test_join_and_its_direction_space(self, base, join, model):
+        assert direction_join(base) == join
+        ds = direction_space(base)
+        assert type(ds) is model
+        gamma = join[1]
+        if model is CircleDirections:
+            assert (ds.kind, ds.length) == (direction_kind(base), gamma)
+        elif model is DiscreteDirections:
+            assert ds.labels == list(gamma)
+        elif model is SpineDirections:
+            assert ds.pages == len(gamma)
+
+    def test_sphere_has_no_grid(self):
+        base = Point(E3, (0.0, 1.0, 2.0))
+        assert type(direction_space(base)) is SphereDirections
+        with pytest.raises(DomainError, match="spheres of dimension >= 2"):
+            _grid(base)
+
+    @pytest.mark.parametrize("base,kind,data", [
+        (apex(SP3), D_LEG, (3,)),
+        (apex(SP3), D_LEG, (-1,)),
+        (apex(SP3), D_LEG, (True,)),
+        (Point(SP3, (2, 0.7)), D_SIGN, (0,)),
+        (Point(SP3, (2, 0.7)), D_SIGN, (True,)),
+        (Point(OB3, (1, 2.0, 0.0)), D_PAGE_ANGLE, (3, 1.0)),
+        (Point(OB3, (1, 2.0, 0.0)), D_PAGE_ANGLE, (0, 4.0)),
+    ])
+    def test_label_must_lie_in_gamma(self, base, kind, data):
+        # one check for legs, signs and pages: the label is one of Gamma's
+        with pytest.raises(DomainError):
+            Direction(base, kind, data)
 
 
 # ---------------------------------------------------------------------------

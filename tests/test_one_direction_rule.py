@@ -1,8 +1,10 @@
 """One home for the rule of which directions exist at a point.
 
 ``geometry.direction_kind`` reads the stratum of a point and names the one
-kind of direction there; every other module dispatches on that kind.  This
-lint keeps it so: it parses each module and names every comparison with
+kind of direction there, the form of a direction's coordinates; which
+space of directions sits at the point is ``geometry.direction_join``'s,
+as ``tests/test_one_join_rule.py`` keeps it.  No other module reads a
+stratum id: this lint parses each module and names every comparison with
 the singular stratum ids "apex" and "spine" outside ``geometry``.
 """
 

@@ -252,8 +252,11 @@ class TestDimensionConstant:
         (Point(SpaceSpec.euclidean(2), (0.5, 1.0)), 1.0),
     ])
     def test_stratum_dim_bound(self, base, bound):
-        # the dimension of the directions at base: 0 on legs and signs, 1 on
-        # a circle, one semicircle per page at a spine point
+        # a bound on the fitted growth exponent, not the dimension of the
+        # directions: 0 on legs and signs, 1 on a circle and the page count
+        # k at a spine point, whose 1-dimensional directions fit a slope a
+        # little above 1 (a doubling of m multiplies 2 + k (m - 1) by up to
+        # (2 + k) / 2)
         profile = dimension_constant(base, 8)
         assert type(profile.stratum_dim_bound) is float
         assert profile.stratum_dim_bound == bound
