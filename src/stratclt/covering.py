@@ -11,26 +11,24 @@ Gamma, 1 on a circle and k at a spine point, whose directions are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
 from .errors import DomainError
-from .geometry import Point, direction_join
+from .geometry import Point, Record, direction_join
 
 # the finest scale 2^-COVER_N_MAX of a cover profile, a net or a modulus net
 COVER_N_MAX = 16
 
 
-@dataclass(frozen=True)
-class CoveringProfile:
-    """Dyadic covering counts and the fitted growth exponent."""
+class CoveringProfile(Record):
+    """Dyadic covering counts at the scales 2^-n, n = 1..n_max, and the fitted growth exponent."""
 
-    base: Point
-    scales: tuple  # eps = 2^-n for n = 1..n_max
-    counts: tuple
-    d_estimate: float
-    stratum_dim_bound: float
+    __slots__ = ("base", "scales", "counts", "d_estimate", "stratum_dim_bound")
+
+    def __init__(self, base: Point, scales: tuple, counts: tuple, d_estimate: float,
+                 stratum_dim_bound: float):
+        self._fill(base, scales, counts, d_estimate, stratum_dim_bound)
 
     def to_csv_rows(self):
         yield ("scale", "count")

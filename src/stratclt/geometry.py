@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import (ConfigError, DomainError, NumericalConsistencyError, SpaceMismatchError,
                      json_number, json_object)
@@ -72,6 +72,40 @@ OPEN_BOOK = "open_book"
 FLAT_CONE = "flat_cone"
 
 _TWO_PI = 2.0 * math.pi
+_set = object.__setattr__  # how a record's __init__ sets a field
+
+
+class Record:
+    """Frozen record of the numpy-free layer, which loads no ``dataclasses``: its
+    fields are ``__slots__`` set in ``__init__``; equal fields make equal records."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a record")
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # copy and pickle give (None, {slot: value})
+        self._fill(*map(state[1].get, self.__slots__))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _fill(self, *values):  # the fields' values in slot order
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +118,14 @@ _SPACE_PARAMS = {EUCLIDEAN: ("dim", int, 1), SPIDER: ("legs", int, 3),
                  OPEN_BOOK: ("pages", int, 2), FLAT_CONE: ("circumference", float, _TWO_PI)}
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(Record):
     """One of the four model spaces, with its defining parameter."""
 
-    kind: str
-    dim: int = 0
-    legs: int = 0
-    pages: int = 0
-    circumference: float = 0.0
+    __slots__ = ("kind", "dim", "legs", "pages", "circumference")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, dim: int = 0, legs: int = 0, pages: int = 0,
+                 circumference: float = 0.0):
+        self._fill(kind, dim, legs, pages, circumference)
         if not isinstance(self.kind, str) or self.kind not in _SPACE_PARAMS:
             raise DomainError(f"unknown space kind {self.kind!r}")
         name, cast, least = _SPACE_PARAMS[self.kind]
@@ -102,7 +133,7 @@ class SpaceSpec:
                             f"the numeric {name!r} of a {self.kind} space", cast)
         if not value >= least:
             raise DomainError(f"{self.kind} {name} must be >= {least:.6g}, got {value}")
-        object.__setattr__(self, name, value)
+        _set(self, name, value)
 
     @staticmethod
     def euclidean(dim: int) -> "SpaceSpec":
@@ -159,8 +190,7 @@ def _coordinate(x, index: bool = False):
 _LAYOUTS = {SPIDER: ("leg", "r"), OPEN_BOOK: ("page", "s", "t"), FLAT_CONE: ("r", "phi")}
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """A point of a model space, stored in canonical coordinates.
 
     Coordinate layout: euclidean ``(x1, .., xd)``; spider ``(leg, r)``;
@@ -168,11 +198,10 @@ class Point:
     into ``[0, alpha)``.
     """
 
-    space: SpaceSpec
-    coords: tuple
+    __slots__ = ("space", "coords")
 
-    def __post_init__(self):
-        sp, c = self.space, self.coords
+    def __init__(self, space: SpaceSpec, coords: tuple):
+        sp, c = space, coords
         names = _LAYOUTS.get(sp.kind, ("x",) * sp.dim)
         if len(c) != len(names):
             raise DomainError(f"{sp.kind} point needs {len(names)} coordinates, got {len(c)}")
@@ -194,7 +223,8 @@ class Point:
             if c[0] < 0:
                 raise DomainError("cone radius must be >= 0")
             c = (c[0], _wrap_angle(c[1], sp.circumference) if c[0] > 0.0 else 0.0)
-        object.__setattr__(self, "coords", c)
+        _set(self, "space", sp)
+        _set(self, "coords", c)
 
     @staticmethod
     def of(space: SpaceSpec, coords) -> "Point":
@@ -217,13 +247,16 @@ def apex(space: SpaceSpec) -> Point:
 
 def stratum_of(p: Point) -> tuple[str, int]:
     """Identify the stratum containing p and its dimension."""
-    s, r, g = split(p)
+    return _stratum(p.space, *split(p))
+
+
+def _stratum(space: SpaceSpec, s: tuple, r: float, g) -> tuple[str, int]:
+    """``stratum_of`` the point with split (s, r, g)."""
     if g is None:
         return EUCLIDEAN, len(s)
     if r == 0.0:
         return ("spine", 1) if s else ("apex", 0)
-    kind = p.space.kind
-    return (f"leg{g}", 1) if kind == SPIDER else (f"page{g}", 2) if s else ("cone", 2)
+    return (f"leg{g}", 1) if space.kind == SPIDER else (f"page{g}", 2) if s else ("cone", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -354,46 +387,45 @@ _DESCRIPTORS = {D_LEG: "leg:{}", D_SIGN: "sign:{:+d}", D_PAGE_ANGLE: "page:{},th
                 D_ANGLE: "angle:{:.17g}"}
 
 
+def _directions(p: Point) -> tuple:
+    """(kind, a, Gamma, d) from one split of p: the ``direction_kind``, the
+    ``direction_join`` and the dimension d of p's stratum."""
+    s, r, g = split(p)
+    spider = p.space.kind == SPIDER
+    if g is not None and r == 0.0:  # a spine point where a = 1, else an apex
+        return D_PAGE_ANGLE if s else D_LEG if spider else D_ANGLE, len(s), link(p.space), len(s)
+    d = _stratum(p.space, s, r, g)[1]  # not len(s) + 1: the flat cone is a plane off its apex
+    return (D_SIGN if spider else D_VECTOR,
+            *((0, (1, -1)) if d == 1 else (0, _TWO_PI) if d == 2 else (d, None)), d)
+
+
 def direction_join(p: Point) -> tuple:
     """(a, Gamma): the unit directions at p form the join S^(a-1) * Gamma.
     At a cone point a is the dimension of the R^a factor and Gamma the
     ``link``; at a smooth point of dimension d they form S^(d-1), given
     as the signs (0, (1, -1)), the circle (0, 2 pi) or (d, None)."""
-    s, r, g = split(p)
-    if g is not None and r == 0.0:
-        return len(s), link(p.space)
-    d = stratum_of(p)[1]  # not len(s) + 1: the flat cone is a plane off its apex
-    return (0, (1, -1)) if d == 1 else (0, _TWO_PI) if d == 2 else (d, None)
+    return _directions(p)[1:3]
 
 
 def direction_kind(p: Point) -> str:
     """The one kind of every unit direction at p: legs at a spider apex,
     signs on a leg, page angles at a spine point, angles at a cone apex
     and vectors everywhere else."""
-    sid, _ = stratum_of(p)
-    if sid == "apex":
-        return D_LEG if p.space.kind == SPIDER else D_ANGLE
-    if sid == "spine":
-        return D_PAGE_ANGLE
-    return D_SIGN if p.space.kind == SPIDER else D_VECTOR
+    return _directions(p)[0]
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Record):
     """A unit direction at a base point (an element of the direction space)."""
 
-    base: Point
-    kind: str
-    data: tuple
+    __slots__ = ("base", "kind", "data")
 
-    def __post_init__(self):
-        k, d = self.kind, self.data
-        exists = direction_kind(self.base)
+    def __init__(self, base: Point, kind: str, data: tuple):
+        k, d = kind, data
+        exists, a, gamma, dim = _directions(base)
         if k != exists:
-            raise DomainError(f"no {k!r} directions exist at {self.base.to_coords()} "
-                              f"in {self.base.space.kind}; the directions there are {exists!r}")
-        a, gamma = direction_join(self.base)
-        arity = stratum_of(self.base)[1] if k == D_VECTOR else 1 + a
+            raise DomainError(f"no {k!r} directions exist at {base.to_coords()} "
+                              f"in {base.space.kind}; the directions there are {exists!r}")
+        arity = dim if k == D_VECTOR else 1 + a
         if len(d) != arity:
             raise DomainError(f"a {k!r} direction here takes {arity} coordinate(s), got {len(d)}")
         if k == D_ANGLE:
@@ -411,7 +443,9 @@ class Direction:
                                   f"{' and an angle in [0, pi]' if theta else ''}, got {list(d)}")
             # the two spine poles belong to every page
             d = (0 if theta and theta[0] in (0.0, math.pi) else label, *theta)
-        object.__setattr__(self, "data", d)
+        _set(self, "base", base)
+        _set(self, "kind", k)
+        _set(self, "data", d)
 
     def describe(self) -> str:
         """Compact printable descriptor (used in CSV headers)."""
@@ -425,30 +459,28 @@ def describe_direction(kind: str, data: tuple) -> str:
     return _DESCRIPTORS[kind].format(*data)
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(Record):
     """Element of the tangent cone: direction plus nonnegative length.
 
     Length zero is the cone apex; all zero vectors at a base point are
     equal and carry no direction.
     """
 
-    base: Point
-    direction: Direction | None
-    length: float
+    __slots__ = ("base", "direction", "length")
 
-    def __post_init__(self):
-        ln = float(self.length)
+    def __init__(self, base: Point, direction: Direction | None, length: float):
+        ln = float(length)
         if not math.isfinite(ln) or ln < 0.0:
             raise DomainError("tangent vector length must be finite and >= 0")
         if ln == 0.0:
-            object.__setattr__(self, "direction", None)
-        else:
-            if self.direction is None:
-                raise DomainError("nonzero tangent vector needs a direction")
-            if self.direction.base != self.base:
-                raise SpaceMismatchError("direction is based at a different point")
-        object.__setattr__(self, "length", ln)
+            direction = None
+        elif direction is None:
+            raise DomainError("nonzero tangent vector needs a direction")
+        elif direction.base != base:
+            raise SpaceMismatchError("direction is based at a different point")
+        _set(self, "base", base)
+        _set(self, "direction", direction)
+        _set(self, "length", ln)
 
     @property
     def is_zero(self) -> bool:

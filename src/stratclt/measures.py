@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from . import geometry as geo
 from .errors import (DomainError, NumericalConsistencyError, SpaceMismatchError, json_array,
                      json_number, json_object)
-from .geometry import _TWO_PI, Point, SpaceSpec
+from .geometry import _TWO_PI, Point, Record, SpaceSpec
 
 _WEIGHT_TOL = 1e-12
 # first-order certificate and stickiness tolerance; the mean reads only a
@@ -33,27 +32,25 @@ _WEIGHT_TOL = 1e-12
 _TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(Record):
     """Finitely supported probability measure on a model space."""
 
-    space: SpaceSpec
-    atoms: tuple  # of (Point, weight)
+    __slots__ = ("space", "atoms")  # atoms: a tuple of (Point, weight)
 
-    def __post_init__(self):
-        atoms = tuple((p, float(w)) for p, w in self.atoms)
+    def __init__(self, space: SpaceSpec, atoms: tuple):
+        atoms = tuple((p, float(w)) for p, w in atoms)
         if not atoms:
             raise DomainError("a measure needs at least one atom")
         total = 0.0
         for p, w in atoms:
-            if p.space != self.space:
+            if p.space != space:
                 raise SpaceMismatchError("atom lives in a different space")
             if not w > 0.0:
                 raise DomainError("atom weights must be strictly positive")
             total += w
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"weights sum to {total!r}, expected 1 within {_WEIGHT_TOL}")
-        object.__setattr__(self, "atoms", atoms)
+        self._fill(space, atoms)
 
     @property
     def points(self) -> list[Point]:
@@ -93,12 +90,13 @@ class DiscreteMeasure:
                                             for a in atoms))
 
 
-@dataclass(frozen=True)
-class TangentMeasure:
+class TangentMeasure(Record):
     """Pushforward of a measure to the tangent cone at a base point."""
 
-    base: Point
-    atoms: tuple  # of (TangentVector, weight)
+    __slots__ = ("base", "atoms")  # atoms: a tuple of (TangentVector, weight)
+
+    def __init__(self, base: Point, atoms: tuple):
+        self._fill(base, atoms)
 
 
 def pushforward(measure: DiscreteMeasure, base: Point) -> TangentMeasure:
@@ -246,8 +244,7 @@ def _closed_form_mean(measure: DiscreteMeasure) -> Point:
 # Mean solver
 
 
-@dataclass(frozen=True)
-class FirstOrderCertificate:
+class FirstOrderCertificate(Record):
     """sup over unit directions V of E<log X, V> at the returned point.
 
     The Fréchet function is convex, so a point is its minimizer exactly
@@ -255,8 +252,10 @@ class FirstOrderCertificate:
     accepted when the sup is at most ``tol``.
     """
 
-    sup_tangent_mean: float
-    tol: float = _TOL
+    __slots__ = ("sup_tangent_mean", "tol")
+
+    def __init__(self, sup_tangent_mean: float, tol: float = _TOL):
+        self._fill(sup_tangent_mean, tol)
 
     def to_json(self) -> dict:
         return {
@@ -267,14 +266,15 @@ class FirstOrderCertificate:
         }
 
 
-@dataclass(frozen=True)
-class MeanDiagnostics:
-    mean: Point
-    frechet_value: float
-    certificate: FirstOrderCertificate
-    sticky: bool
-    sticky_stratum: str | None = None
-    min_outward_derivative: float | None = None
+class MeanDiagnostics(Record):
+    __slots__ = ("mean", "frechet_value", "certificate", "sticky", "sticky_stratum",
+                 "min_outward_derivative")
+
+    def __init__(self, mean: Point, frechet_value: float, certificate: FirstOrderCertificate,
+                 sticky: bool, sticky_stratum: str | None = None,
+                 min_outward_derivative: float | None = None):
+        self._fill(mean, frechet_value, certificate, sticky, sticky_stratum,
+                   min_outward_derivative)
 
     def to_json(self) -> dict:
         return {
@@ -323,11 +323,11 @@ def frechet_mean(measure: DiscreteMeasure) -> MeanDiagnostics:
 # Experiment base point
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
-    mean: Point | None
-    base: Point
-    certificate: FirstOrderCertificate | None
+class LocalizationReport(Record):
+    __slots__ = ("mean", "base", "certificate")
+
+    def __init__(self, mean: Point | None, base: Point, certificate: FirstOrderCertificate | None):
+        self._fill(mean, base, certificate)
 
     def to_json(self) -> dict:
         return {

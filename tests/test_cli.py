@@ -1114,19 +1114,22 @@ class TestInfrastructure:
     def test_mean_loads_only_its_modules(self, tmp_path):
         # the closed-form mean and its certificate run on Python floats:
         # on every pinned input, neither numpy nor the vectorized direction
-        # spaces load (a module once loaded stays in sys.modules)
+        # spaces load (a module once loaded stays in sys.modules), and the
+        # records are declared without dataclasses, which loads inspect
         paths = [write_json(tmp_path / f"{name}.json", CLOSED_FORM_MEASURES[name])
                  if name in CLOSED_FORM_MEASURES else str(CONFIG_DIR / name)
                  for name in sorted(MEAN_DIGESTS)]
         code = (f"from stratclt.cli import main\nfor path in {paths!r}:\n"
                 f"    assert main(['mean', '--config', path]) == 0")
-        assert loaded_after(code, "numpy", "stratclt.directions", "stratclt.harness") == []
+        assert loaded_after(code, "numpy", "stratclt.directions", "stratclt.harness",
+                            "dataclasses", "inspect") == []
 
     def test_cover_loads_only_its_modules(self, tmp_path):
         # the covering counts are closed-form grid sizes on Python ints and
         # floats and the CSV cell format lives in errors: with --out at a
         # cone apex, a spine point, a spider apex and a plane point, neither
-        # numpy nor a module of nets, fields or experiments loads
+        # numpy nor a module of nets, fields or experiments loads, nor
+        # dataclasses and inspect
         runs = [({"kind": "flat_cone", "circumference": 3 * math.pi}, [0.0, 0.0]),
                 ({"kind": "open_book", "pages": 3}, [0, 0.2, 0.0]),
                 ({"kind": "spider", "legs": 3}, [0, 0.0]),
@@ -1137,7 +1140,7 @@ class TestInfrastructure:
         code = (f"from stratclt.cli import main\nfor argv in {argvs!r}:\n"
                 f"    assert main(argv) == 0")
         assert loaded_after(code, "numpy", "stratclt.directions", "stratclt.regularity",
-                            "stratclt.fields", "stratclt.harness") == []
+                            "stratclt.fields", "stratclt.harness", "dataclasses", "inspect") == []
         for i in range(len(runs)):
             assert (tmp_path / f"o{i}" / "covering.csv").read_text().startswith("scale,count\n")
 

@@ -23,8 +23,9 @@ from stratclt import (
 from stratclt.covering import _grid
 from stratclt.directions import (CircleDirections, DiscreteDirections, SphereDirections,
                                  SpineDirections, direction_space)
+from stratclt import geometry
 from stratclt.geometry import (D_ANGLE, D_LEG, D_PAGE_ANGLE, D_SIGN, D_VECTOR, direction_join,
-                               direction_kind)
+                               direction_kind, split)
 
 from .oracles import book_cross_distance_oracle, comparison_median, cone_distance_oracle
 from .reference import angular_distance, angular_pairing, conical_distance, scale
@@ -525,6 +526,20 @@ class TestDirectionKind:
         for wrong in (data + data[-1:], data[:-1]):
             with pytest.raises(DomainError, match=f"takes {len(data)} coordinate"):
                 Direction(base, kind, wrong)
+
+    @pytest.mark.parametrize("base,kind", KIND_AT_BASE)
+    def test_direction_splits_its_base_once(self, base, kind, monkeypatch):
+        # the kind, the join and the arity of a direction all come from one
+        # split of its base
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return split(p)
+
+        monkeypatch.setattr(geometry, "split", counted)
+        Direction(base, kind, _direction_data(base)[kind])
+        assert calls == [base]
 
 
 # one base of each form of the join S^(a-1) * Gamma, with the direction
