@@ -115,12 +115,8 @@ def cmd_clt(args) -> int:
     cfg = hz.config_from_json(_load_json(args.config), seed=args.seed)
     outdir = _make_outdir(args.out)
     report = hz.run_clt_experiment(cfg)
-    outputs = []
-    if args.format in ("json", "both"):
-        _dump_json(outdir / "report.json", report.to_json())
-        outputs.append("report.json")
-    if args.format in ("csv", "both"):
-        outputs.extend(_report_csvs(report, outdir))
+    _dump_json(outdir / "report.json", report.to_json())
+    outputs = ["report.json", *_report_csvs(report, outdir)]
     _write_manifest(outdir, "clt", args.config, args.seed, outputs)
     print(json.dumps({"passed": report.passed, "out": str(outdir)},
                      sort_keys=True))
@@ -241,8 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_clt.add_argument("--config", required=True, help="experiment JSON file")
     p_clt.add_argument("--seed", required=True, type=_at_least(0))
     p_clt.add_argument("--out", required=True, help="output directory")
-    p_clt.add_argument("--format", choices=("json", "csv", "both"),
-                       default="both")
     p_clt.set_defaults(func=cmd_clt)
 
     p_cover = sub.add_parser("cover", help="covering-number profile")

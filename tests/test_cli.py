@@ -18,12 +18,12 @@ from .conftest import CONFIG_DIR, load_config
 CLT_DIGESTS = {
     "cov.csv": "258b545bd6350a125ea7bc961acb93e903065f2ad8024e4acf8327974064be4b",
     "cov_matrix.csv": "2005e081d5050c10d35d6ed3c20b89a44ece773f87b5d4046de2b4e11494b96a",
-    "increments.csv": "da509a4cebfff26234cfa57e0a7bdd800d66f54d61e251e93530c505f8b7e994",
+    "increments.csv": "dfa7684f06d27b39b1cda6f65c7f6f416c168b63fec3c2c3ac5ab340934b61a5",
     "ks.csv": "69546142faf4216befc3a7852e23c97b78770a86ab133e823a884c1ee3724f65",
     "mahalanobis.csv": "7bd7f65873cf47ddf55f7a7acee5356cae6396e525eb66d2105aff8cdb019495",
     "martingale.csv": "cb74e065c1be58792faa2c98a963fa701397b19282a8e810df3a7cbc8a456195",
     "moments.csv": "ff21cf1ce84a977134767a2fae93be40a32a8ac779205fbe376ec080b300385f",
-    "report.json": "0afe8a3339d3b154e7af3f2ec6220ca21a26926d54e734f35e100d2a05c96f17",
+    "report.json": "966787742e5e288e57ea667b8503677c41966b351f875d62ca6dc58d846a7c9c",
 }
 
 # SHA-256 of each output of `clt --seed 42` on openbook3_spine with a
@@ -31,15 +31,15 @@ CLT_DIGESTS = {
 FINE_NET_DIGESTS = {
     "cov.csv": "d7b10b99bb3a571216d6bda97f404046f604ed30e89ef5e44aefe1b738ddfe6f",
     "cov_matrix.csv": "36c0451c75e7a0859d6e222c7a94ef76d8ce952e3840d195aac4eed40ab8f102",
-    "increments.csv": "cd15fe434018e7e3ed814f35682acfaccc5e1fcb8314816669edf04ad1c4aab6",
+    "increments.csv": "e05bcfcb408e0bae2940e2903239944f41346f53264d641714f0853492523bf4",
     "ks.csv": "f6df399ad26977d7af87cecea90a77c8529e8482c670569373c97de985b55267",
     "mahalanobis.csv": "5d792ebc5bff6b6fbed0422a228876bb8239db011d30c5ab929d4e3eeb10a4d1",
     "martingale.csv": "209106e2ae45bb601b4691af739bb0f9c290dbf7182b4d42b278135d4157f2a8",
     "moments.csv": "dc44abee4cafabcf0a57aac15c133e49ac8273b68ad52e1fee10709e8daea276",
-    "report.json": "4491b0bcd900c87f61dff0c59922a7446705005cf4d135f9d39f1a51ef48b6bf",
+    "report.json": "c8e83a2e5fc2b2da7a5aaf6af9362b0178317e5937135dc6f670fe24da9c11a7",
 }
 
-# SHA-256 of modulus.csv from `clt --seed 1 --format csv` in
+# SHA-256 of modulus.csv from `clt --seed 1` in
 # TestOutputFormats.test_format_csv_only_includes_modulus
 MODULUS_CSV_DIGEST = "a5a4df9fc3a5606bdc89fef146bd69ec176e7a6f3b34e2a3c27b8f103972be45"
 
@@ -235,6 +235,28 @@ class TestClt:
         # increments.csv holds all 4465 pairs; report.json summarizes them
         # per distance bin, which keeps it far below the 2.1 MB of per-pair rows
         assert (outdir / "report.json").stat().st_size < 400_000
+
+    def test_increments_only_draws_nothing(self, tmp_path, capsys, monkeypatch):
+        # the increments are exact from the pairings, weights and n: a run
+        # of them alone forms no field, and its output does not read the seed
+        from stratclt import harness
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("an increments-only run drew a field")
+
+        monkeypatch.setattr(harness._FieldSimulator, "field_rows", no_field)
+        raw = load_config("openbook3_spine.json")
+        raw.update(net={"epsilon": 0.1}, tests=["increments"])
+        raw.pop("modulus")
+        cfg = write_json(tmp_path / "c.json", raw)
+        blobs = []
+        for seed in ("1", "2"):
+            outdir = tmp_path / seed
+            assert main(["clt", "--config", cfg, "--seed", seed, "--out", str(outdir)]) == 0
+            capsys.readouterr()
+            blobs.append((outdir / "increments.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].count(b"\n") == 1 + 95 * 94 // 2
 
     def test_blas_thread_count_invariance(self, tmp_path):
         # the fields are formed without BLAS, so every output of one seed
@@ -1231,17 +1253,6 @@ class TestInfrastructure:
 
 
 class TestOutputFormats:
-    def test_format_json_only(self, tmp_path, capsys):
-        cfg = small_clt_config(tmp_path)
-        outdir = tmp_path / "jsononly"
-        code = main(["clt", "--config", cfg, "--seed", "1", "--out",
-                     str(outdir), "--format", "json"])
-        assert code in (0, 2)
-        capsys.readouterr()
-        names = {f.name for f in outdir.iterdir()}
-        assert "report.json" in names
-        assert not any(n.endswith(".csv") for n in names)
-
     def test_format_csv_only_includes_modulus(self, tmp_path, capsys):
         raw = load_config("openbook3_spine.json")
         raw["sample_sizes"] = [200]
@@ -1251,14 +1262,18 @@ class TestOutputFormats:
                           "n": 200, "replicates": 100}
         cfg = write_json(tmp_path / "c.json", raw)
         outdir = tmp_path / "csvonly"
-        code = main(["clt", "--config", cfg, "--seed", "1", "--out",
-                     str(outdir), "--format", "csv"])
+        # clt has no --format: every run writes report.json and the CSVs
+        with pytest.raises(SystemExit) as exc:
+            main(["clt", "--config", cfg, "--seed", "1", "--out", str(outdir),
+                  "--format", "csv"])
+        assert exc.value.code == 3
+        code = main(["clt", "--config", cfg, "--seed", "1", "--out", str(outdir)])
         assert code in (0, 2)
         capsys.readouterr()
         names = {f.name for f in outdir.iterdir()}
         # every table CSV is declared once, in CSV_TABLES, modulus.csv too
         from stratclt.harness import CSV_TABLES
-        assert names == {"manifest.json", "cov_matrix.csv",
+        assert names == {"manifest.json", "report.json", "cov_matrix.csv",
                          *(table[0] for table in CSV_TABLES)}
         header = (outdir / "modulus.csv").read_text().splitlines()[0]
         assert header == "radius,replicate,w,aggregate"

@@ -540,38 +540,85 @@ class TestIncrementReference:
             raw["net"] = net
         if replicates is not None:
             raw["replicates"] = replicates
+        # the replicate count no longer matters: the increments draw no field
         cfg = config_from_json(raw, seed=17)
         base = validate_localized(cfg.measure, cfg.validation_config()).base
         sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg.net))
         n = cfg.sample_sizes[0]
-        field = sim.field_rows(17, _PURPOSE_SAMPLES, 0, n, cfg.replicates)
         assert net is None or len(sim.cov.net) == 95
         # the measure's moment constants, and constants shrunk until the
-        # bound splits the pairs, so both flags take both values
+        # bound splits the pairs, so the flag takes both values
         gammas = (cfg.measure.moment(base, 2), cfg.measure.moment(base, 4))
         for g2, g4 in (gammas, (-0.8, -0.8)):
-            got = _increment_test(field.columns(0, field.shape[1]), sim.cov, n, g2, g4)
-            want = increment_pairs_loop(field[:], sim.cov, n, g2, g4)
+            got = _increment_test(sim.cov, n, g2, g4)
+            want = increment_pairs_loop(sim.cov, n, g2, g4)
             assert [(r["i"], r["j"]) for r in got["pairs"]] == \
                 [(r["i"], r["j"]) for r in want]
             assert got["pairs"].dtype.names == tuple(want[0].keys())
             for g, w in zip(got["pairs"], want):
-                for key in ("angular_distance", "bound", "exact_ok", "passed"):
+                for key in ("angular_distance", "bound", "passed"):
                     assert g[key] == w[key], key
-                for key in ("exact_fourth_moment", "mc_fourth_moment", "mc_se", "ratio"):
+                for key in ("exact_fourth_moment", "ratio"):
                     assert g[key] == pytest.approx(w[key], rel=1e-14, abs=0.0), key
-            assert got["passed"] == all(r["passed"] and r["exact_ok"] for r in want)
-        assert {r["passed"] for r in want} == {r["exact_ok"] for r in want} == {True, False}
+            assert got["passed"] == all(r["passed"] for r in want)
+        assert {r["passed"] for r in want} == {True, False}
+
+
+class TestIncrementPower:
+    """The exact increment check alone sees a pairing matrix that is not
+    the geometry's: a seeded uniform k x m matrix at the true max|P| has
+    increments that do not shrink with the direction metric."""
+
+    @staticmethod
+    def _run(name, monkeypatch):
+        real = fields.pairing_matrix
+
+        def random_pairings(tm, net):
+            pair = real(tm, net)
+            rng = np.random.default_rng(2024)
+            return rng.uniform(-1.0, 1.0, pair.shape) * np.abs(pair).max()
+
+        monkeypatch.setattr(fields, "pairing_matrix", random_pairings)
+        raw = load_config(name)
+        raw.update(sample_sizes=[1000], replicates=100, tests=["increments"])
+        raw.pop("modulus", None)
+        if name != "spider3_uniform.json":
+            raw["net"] = {"epsilon": 0.1}
+        return run_clt_experiment(config_from_json(raw, seed=3))
+
+    @pytest.mark.parametrize("name", ["openbook3_spine.json", "flatcone4_star.json"])
+    def test_random_pairings_fail(self, name, monkeypatch):
+        report = self._run(name, monkeypatch)
+        pairs = report.per_n[1000]["increments"]["pairs"]
+        assert len(pairs) == 4465
+        assert not report.passed
+        failed = pairs[~pairs["passed"]]
+        # the failing pairs are the near ones, where the bound is small
+        assert len(failed) > 100
+        assert np.all(failed["exact_fourth_moment"] > failed["bound"])
+        assert failed["angular_distance"].max() < np.median(pairs["angular_distance"])
+
+    def test_spider_legs_pass(self, monkeypatch):
+        # the three legs are pi apart, where the bound holds any pairings
+        report = self._run("spider3_uniform.json", monkeypatch)
+        pairs = report.per_n[1000]["increments"]["pairs"]
+        assert np.all(pairs["angular_distance"] == math.pi)
+        assert report.passed and pairs["passed"].all()
+
+
+def fine_sim(name, net, seed=17):
+    """The simulator of a bundled config on the given net."""
+    raw = load_config(name)
+    raw["net"] = net
+    cfg = config_from_json(raw, seed=seed)
+    base = validate_localized(cfg.measure, cfg.validation_config()).base
+    return _FieldSimulator(cfg.measure, base, resolve_net(base, cfg.net))
 
 
 def fine_values(name, net, n, replicates, seed=17):
     """(sim, values) for a bundled config on the given net at sample size
     n, the values direction-major, one row per net direction."""
-    raw = load_config(name)
-    raw["net"] = net
-    cfg = config_from_json(raw, seed=seed)
-    base = validate_localized(cfg.measure, cfg.validation_config()).base
-    sim = _FieldSimulator(cfg.measure, base, resolve_net(base, cfg.net))
+    sim = fine_sim(name, net, seed)
     field = sim.field_rows(seed, _PURPOSE_SAMPLES, 0, n, replicates)
     return sim, field.columns(0, field.shape[1])
 
@@ -579,17 +626,18 @@ def fine_values(name, net, n, replicates, seed=17):
 class TestMcFourth:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_matches_mean_and_std(self, axis):
+        # along axis 1 of x, or along axis 0 through the strided rows of x.T
         x = np.random.default_rng(5).standard_normal((301, 17)) * 3.0
-        x4 = x * x
-        x4 *= x4
-        want = (x4.mean(axis=axis),
-                x4.std(axis=axis, ddof=1) / math.sqrt(x.shape[axis]))
-        # a fresh result, a separate buffer, the input itself, and leading
-        # rows of a larger buffer as _increment_test passes them
-        inplace, spare = x.copy(), np.empty((400, 17))
-        for arg, out in ((x, None), (x, np.empty_like(x)), (inplace, inplace),
-                         (x, spare[:301])):
-            got = _mc_fourth(arg, axis, out=out)
+        rows = x if axis == 1 else x.T
+        # the array itself, and leading rows of a larger buffer as
+        # _moment_test passes them
+        spare = np.empty((rows.shape[0] + 50, rows.shape[1]))
+        spare[:len(rows)] = rows
+        for arg in (rows, spare[:len(rows)]):
+            x4 = arg * arg
+            x4 *= x4
+            want = (x4.mean(axis=1), x4.std(axis=1, ddof=1) / math.sqrt(arg.shape[1]))
+            got = _mc_fourth(arg)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 assert np.array_equal(g, w)
@@ -602,27 +650,26 @@ class TestIncrementNets:
         {"epsilon": 0.1},  # 95 directions
     ])
     def test_rows_match_per_pair_moments(self, net):
-        sim, values = fine_values("openbook3_spine.json", net, 1000, 400)
-        m = len(sim.cov.net)
-        got = _increment_test(values, sim.cov, 1000, 1.0, 1.0)
+        cov = fine_sim("openbook3_spine.json", net).cov
+        m = len(cov.net)
+        got = _increment_test(cov, 1000, 1.0, 1.0)
         assert [(r["i"], r["j"]) for r in got["pairs"]] == \
             [(i, j) for i in range(m) for j in range(i + 1, m)]
+        # each row holds its own pair's moment, bit for bit as the formula
+        # gives it on that pair alone
+        tau_t = cov.tau.T
         for r in got["pairs"][::37]:
-            x = values[r["i"]] - values[r["j"]]
-            x4 = x * x
-            x4 *= x4
-            assert r["mc_fourth_moment"] == x4.mean()
-            assert r["mc_se"] == x4.std(ddof=1) / math.sqrt(len(x))
+            delta = tau_t[r["i"]] - tau_t[r["j"]]
+            assert r["exact_fourth_moment"] == \
+                harness._exact_fourth(delta[None], cov.weights, 1000)[0]
 
     @pytest.mark.parametrize("gammas", [(1.0, 1.0), (-0.8, -0.8)])
     def test_summary_matches_rows(self, gammas):
         # a repeated direction puts one pair at distance 0
-        sim, values = fine_values("spider3_uniform.json", {"legs": [0, 0, 1, 2]},
-                                  100, 300)
-        inc = _increment_test(values, sim.cov, 100, *gammas)
-        sim95, values95 = fine_values("openbook3_spine.json", {"epsilon": 0.1},
-                                      1000, 300)
-        inc95 = _increment_test(values95, sim95.cov, 1000, *gammas)
+        sim = fine_sim("spider3_uniform.json", {"legs": [0, 0, 1, 2]})
+        inc = _increment_test(sim.cov, 100, *gammas)
+        sim95 = fine_sim("openbook3_spine.json", {"epsilon": 0.1})
+        inc95 = _increment_test(sim95.cov, 1000, *gammas)
         for result, m in ((inc, 4), (inc95, 95)):
             summary = _increment_summary(result)
             assert summary["pairs"] == m * (m - 1) // 2
@@ -635,8 +682,7 @@ class TestIncrementNets:
                             else math.floor(math.log2(r["angular_distance"]))) == k]
                 worst = max(rows, key=lambda r: r["ratio"])
                 assert b["pairs"] == len(rows)
-                assert b["failed"] == sum(not (r["passed"] and r["exact_ok"])
-                                          for r in rows)
+                assert b["failed"] == sum(not r["passed"] for r in rows)
                 assert b["worst_ratio"] == worst["ratio"]
                 assert b["worst_pair"] == [worst["i"], worst["j"]]
         assert [b["log2_distance"] for b in _increment_summary(inc)["bins"]] == [None, 1]
@@ -647,8 +693,9 @@ class TestIncrementNets:
 class TestWorkingSet:
     """tracemalloc peaks on the 95-direction openbook3_spine net at
     R = 5000: a run holds one m x R array and the per-direction tests
-    blocks of its rows, whatever the number of net pairs; the modulus
-    field is formed from its counts a block of replicates at a time."""
+    blocks of its rows; the increments hold their pair array and one
+    direction's row of pairs, with no field; the modulus field is formed
+    from its counts a block of replicates at a time."""
 
     R = 5000
 
@@ -662,12 +709,16 @@ class TestWorkingSet:
             tracemalloc.stop()
 
     def test_increment_test_peak(self):
-        sim, values = fine_values("openbook3_spine.json", {"epsilon": 0.1},
-                                  10000, self.R)
-        assert values.shape == (95, self.R)
-        # the pair array and one block of rows
-        peak = self._peak(lambda: _increment_test(values, sim.cov, 10000, 1.0, 1.0))
-        assert peak <= 0.5 * values.nbytes
+        cov = fine_sim("openbook3_spine.json", {"epsilon": 0.1}).cov
+        results = []
+        peak = self._peak(lambda: results.append(_increment_test(cov, 10000, 1.0, 1.0)))
+        pairs = results[0]["pairs"]
+        assert len(pairs) == 95 * 94 // 2
+        # the pair array, the index, distance and bound columns it is filled
+        # from (the bounds as a Python list), and one direction's row of
+        # pairs: 2.8 times the pair array, where the k x pairs differences
+        # of all pairs at once would take it above 5
+        assert peak <= 3.5 * pairs.nbytes
 
     def test_ks_test_peak(self):
         sim, values = fine_values("openbook3_spine.json", {"epsilon": 0.1},
