@@ -799,7 +799,7 @@ class TestBlockSizeInvariance:
             assert len(json.loads(want[0])["net"]) == 95
 
     def test_field_blocks_match_whole_array(self):
-        sim, _ = fine_values("openbook3_spine.json", {"epsilon": 0.1}, 1000, 10)
+        sim = fine_sim("openbook3_spine.json", {"epsilon": 0.1})
         field = sim.field_rows(3, _PURPOSE_MODULUS, 0, 1000, 37)
         whole = fixed_order_product(field.xi.T, sim.cov.tau)
         assert np.array_equal(field[:], whole)
